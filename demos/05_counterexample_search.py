@@ -6,6 +6,8 @@ yet join-disconnected, and always re-finds the seeded three-point
 regression instances.
 """
 
+import json
+
 from qconn.search import TARGETS, search_counterexamples
 
 print("registered targets:")
@@ -25,8 +27,8 @@ print(f"tested {result.instances_tested} instances, "
       f"{len(result.findings)} witnesses found")
 for finding in result.findings[:3]:
     inst = finding["instance"]
-    print(f"  [{finding['source']}] forward {inst['forward_min_nbhd']} / "
-          f"backward {inst['backward_min_nbhd']} -> symmetric components "
+    print(f"  [{finding['source']}] forward {json.dumps(inst['forward_min_nbhd'])} / "
+          f"backward {json.dumps(inst['backward_min_nbhd'])} -> symmetric components "
           f"{finding['detail']['symmetric_components']}")
 print("(the same witnesses come back on every run with this seed; the CLI")
 print(" equivalent is: qconn search --target cor61_join_local --out findings.json)")

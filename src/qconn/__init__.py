@@ -75,7 +75,6 @@ from .modular import (
 from .morphisms import (
     LinearFunctionalSpec,
     PointMap,
-    bicompletion_invariance_check,
     check_image_preservation,
     halfspace_separation,
     is_nonexpansive,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import CoherenceError, EmptySubset
 from .gauges import QuasiPseudoMetric, symmetrize
 from .modular import QuasiModularFamily
+from .relations import is_closed, open_masks, transpose
 
 
 def mask_of(indices, n: int) -> int:
@@ -45,12 +46,8 @@ def coherence_violation(nbhd: tuple[int, ...]) -> tuple[int, int] | None:
     for x, nx in enumerate(nbhd):
         if not nx >> x & 1:
             return (x, x)
-        rest = nx
-        while rest:
-            y = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if nbhd[y] & ~nx:
-                return (x, y)
+        if not is_closed(nbhd, nx):
+            return (x, next(y for y in indices_of(nx) if nbhd[y] & ~nx))
     return None
 
 
@@ -86,13 +83,7 @@ class AlexandrovTopology:
         return frozenset(indices_of(self.nbhd[x]))
 
     def is_open_mask(self, mask: int) -> bool:
-        rest = mask
-        while rest:
-            x = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if self.nbhd[x] & ~mask:
-                return False
-        return True
+        return is_closed(self.nbhd, mask)
 
     def is_open(self, subset) -> bool:
         return self.is_open_mask(mask_of(subset, self.n))
@@ -102,7 +93,7 @@ class AlexandrovTopology:
         if self.n > limit:
             raise ValueError(
                 f"open-set enumeration capped at {limit} points (carrier has {self.n})")
-        return [m for m in range(1 << self.n) if self.is_open_mask(m)]
+        return open_masks(self.nbhd)
 
 
 @dataclass(frozen=True)
@@ -142,7 +133,7 @@ def specialization_bitop(d: QuasiPseudoMetric) -> BitopSpace:
     direct ball comparison.
     """
     rows = d.zero_mask_rows()
-    cols = _transpose(rows, d.n)
+    cols = transpose(rows)
     fwd = AlexandrovTopology(points=d.points, nbhd=tuple(rows))
     bwd = AlexandrovTopology(points=d.points, nbhd=tuple(cols))
     _assert_ball_identity(d, rows)
@@ -164,17 +155,6 @@ def _assert_ball_identity(d: QuasiPseudoMetric, rows) -> None:
                 f"minimal ball at point {x} disagrees with the zero set")
 
 
-def _transpose(rows, n: int) -> list[int]:
-    cols = [0] * n
-    for i, row in enumerate(rows):
-        rest = row
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            cols[j] |= 1 << i
-    return cols
-
-
 def modular_bitop(f: QuasiModularFamily) -> BitopSpace:
     """Bitopology of the all-scale zero sets of a gauge family.
 
@@ -184,7 +164,7 @@ def modular_bitop(f: QuasiModularFamily) -> BitopSpace:
     by construction of the topology objects.
     """
     rows = f.zero_mask_rows()
-    cols = _transpose(rows, f.n)
+    cols = transpose(rows)
     fwd = AlexandrovTopology(points=f.points, nbhd=tuple(rows))
     bwd = AlexandrovTopology(points=f.points, nbhd=tuple(cols))
     return BitopSpace(forward=fwd, backward=bwd)

@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connectivity import masks_to_partition, scc_partition_rows
+from .bitopology import indices_of
+from .connectivity import masks_to_partition
 from .errors import NegativeRadius, NotCauchy
 from .gauges import QuasiPseudoMetric
 from .numbers import ZERO, ExtNonNeg
+from .relations import is_closed, scc_masks, transpose
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ def smyth_report(d: QuasiPseudoMetric) -> dict:
     period point sits inside every backward ball around y.
     """
     rows = d.zero_mask_rows()
-    classes = masks_to_partition(scc_partition_rows(rows))
+    classes = masks_to_partition(scc_masks(rows))
     witnesses = []
     for cls in classes:
         for p in cls:
@@ -275,19 +277,16 @@ def _check_poset_laws(p: FormalBallPoset, d: QuasiPseudoMetric) -> None:
     for a in range(m):
         if not p.le(a, a):
             raise AssertionError("formal-ball order lost reflexivity")
+    below = transpose(p.le_rows)
     for a in range(m):
         row_a = p.le_rows[a]
-        rest = row_a
-        while rest:
-            b = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            # transitivity as row containment: everything above b sits above a
-            if p.le_rows[b] & ~row_a:
-                raise AssertionError("formal-ball order lost transitivity")
-            if p.le(b, a) and a != b:
-                ba, bb = p.elements[a], p.elements[b]
-                same_radius = ba.radius == bb.radius
-                zero_both = (d.is_zero(d.d(ba.point, bb.point))
-                             and d.is_zero(d.d(bb.point, ba.point)))
-                if not (same_radius and zero_both):
-                    raise AssertionError("mutual order without zero distance")
+        # transitivity as closure: whatever sits above a point above a sits above a
+        if not is_closed(p.le_rows, row_a):
+            raise AssertionError("formal-ball order lost transitivity")
+        for b in indices_of(row_a & below[a] & ~(1 << a)):
+            ba, bb = p.elements[a], p.elements[b]
+            same_radius = ba.radius == bb.radius
+            zero_both = (d.is_zero(d.d(ba.point, bb.point))
+                         and d.is_zero(d.d(bb.point, ba.point)))
+            if not (same_radius and zero_both):
+                raise AssertionError("mutual order without zero distance")

@@ -22,10 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitopology import AlexandrovTopology, BitopSpace, indices_of, join, subspace
+from .bitopology import BitopSpace, indices_of, join
 from .errors import CarrierTooLarge, NonPositiveEpsilon
 from .gauges import QuasiPseudoMetric
 from .numbers import ExtNonNeg
+from .relations import (
+    combined_rows,
+    reach_closure,
+    scc_masks,
+    strongly_connected,
+    transpose,
+    undirected_components,
+)
 
 
 @dataclass(frozen=True)
@@ -63,136 +71,21 @@ class SeparationCertificate:
                 and b.backward.is_open_mask(b_mask))
 
 
-def combined_out_rows(fwd_nbhd, bwd_nbhd, n: int) -> list[int]:
-    """Arc rows of the combined digraph from neighborhood bitmask rows."""
-    rows = list(fwd_nbhd)
-    for y in range(n):
-        col = bwd_nbhd[y]
-        rest = col
-        while rest:
-            x = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            rows[x] |= 1 << y
-    return rows
-
-
 def combined_digraph(b: BitopSpace) -> CombinedDigraph:
-    rows = combined_out_rows(b.forward.nbhd, b.backward.nbhd, b.n)
+    rows = combined_rows(b.forward.nbhd, transpose(b.backward.nbhd))
     return CombinedDigraph(carrier=b.points, out_rows=tuple(rows))
 
 
-def reach_closure(rows) -> list[int]:
-    """Reachability rows by iterated bitmask expansion."""
-    n = len(rows)
-    reach = list(rows)
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            acc = reach[x]
-            rest = acc
-            while rest:
-                y = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                acc |= reach[y]
-            if acc != reach[x]:
-                reach[x] = acc
-                changed = True
-    return reach
-
-
-def is_strongly_connected_rows(rows) -> bool:
-    """Strong connectivity via forward and backward reach from vertex 0."""
-    n = len(rows)
-    if n <= 1:
-        return True
-    full = (1 << n) - 1
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        rest = frontier
-        while rest:
-            x = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            nxt |= rows[x]
-        frontier = nxt & ~seen
-        seen |= nxt
-    if seen != full:
-        return False
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for x in range(n):
-            if rows[x] & frontier:
-                nxt |= 1 << x
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == full
-
-
-def scc_partition_rows(rows) -> list[int]:
-    """Strongly connected components as bitmasks, via Tarjan's algorithm
-    (iterative), returned in canonical order by least member."""
-    n = len(rows)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[int] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(indices_of(rows[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(indices_of(rows[w]))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                mask = 0
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    mask |= 1 << w
-                    if w == v:
-                        break
-                comps.append(mask)
-    comps.sort(key=lambda m: (m & -m).bit_length())
-    return comps
-
-
 def masks_to_partition(masks) -> list[list[int]]:
-    blocks = [indices_of(m) for m in masks]
-    blocks.sort(key=lambda blk: blk[0])
-    return blocks
+    """Index lists of component masks, which the relation kernel already
+    orders by least member."""
+    return [indices_of(m) for m in masks]
 
 
 def is_antisym_connected(b: BitopSpace) -> bool:
     """True iff no forward-open set has a nonempty backward-open complement,
     decided through strong connectivity of the combined digraph."""
-    return is_strongly_connected_rows(combined_digraph(b).out_rows)
+    return strongly_connected(combined_digraph(b).out_rows)
 
 
 def antisym_certificate(b: BitopSpace) -> SeparationCertificate | None:
@@ -206,7 +99,7 @@ def antisym_certificate(b: BitopSpace) -> SeparationCertificate | None:
     always loses to stopping, hence the break.
     """
     g = combined_digraph(b)
-    if is_strongly_connected_rows(g.out_rows):
+    if strongly_connected(g.out_rows):
         return None
     reach = reach_closure(g.out_rows)
     full = (1 << b.n) - 1
@@ -241,31 +134,14 @@ def brute_force_antisym(b: BitopSpace) -> bool:
 
 def antisym_components(b: BitopSpace) -> list[list[int]]:
     """Maximal inseparable subsets = SCCs of the combined digraph."""
-    return masks_to_partition(scc_partition_rows(combined_digraph(b).out_rows))
+    return masks_to_partition(scc_masks(combined_digraph(b).out_rows))
 
 
 def symmetric_components(b: BitopSpace) -> list[list[int]]:
     """Connected components of the join topology, via the undirected
     reachability graph x -- y iff either join neighborhood contains the
     other point."""
-    jn = join(b).nbhd
-    n = b.n
-    rows = list(jn)
-    for x in range(n):
-        rest = jn[x]
-        while rest:
-            y = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            rows[y] |= 1 << x
-    reach = reach_closure(rows)
-    seen = 0
-    masks = []
-    for x in range(n):
-        if seen >> x & 1:
-            continue
-        masks.append(reach[x])
-        seen |= reach[x]
-    return masks_to_partition(masks)
+    return masks_to_partition(undirected_components(join(b).nbhd))
 
 
 @dataclass(frozen=True)
@@ -291,22 +167,21 @@ class ComponentReport:
 
 def is_locally_antisym_connected(b: BitopSpace) -> list[LocalStatus]:
     """Per point: is the subspace on the minimal join neighborhood
-    inseparable?
+    J(x) = N+(x) & N-(x) inseparable?
 
-    Exact on finite carriers because N_join(x) is the smallest join
+    Exact on finite carriers because J(x) is the smallest join
     neighborhood of x: any qualifying neighborhood both contains it and is
     contained in every candidate, so the quantifier over neighborhoods
-    collapses to this single check.
+    collapses to this single check.  And the check always passes: for y in
+    J(x), y in N+(x) gives the combined arc x -> y and y in N-(x) gives
+    the arc y -> x, so every point of J(x) (x included, by reflexivity)
+    reaches x and is reached from x inside J(x).  The statuses are
+    therefore the witnesses J(x) with connected=True; the search's
+    prop61_subspace and thm74_local_image targets recheck the two arcs,
+    and the test suite compares with the subspace construction.
     """
-    jn = join(b).nbhd
-    out = []
-    for x in range(b.n):
-        members = indices_of(jn[x])
-        sub = subspace(b, members)
-        out.append(LocalStatus(point=x,
-                               connected=is_antisym_connected(sub),
-                               witness=tuple(members)))
-    return out
+    return [LocalStatus(point=x, connected=True, witness=tuple(indices_of(j)))
+            for x, j in enumerate(join(b).nbhd)]
 
 
 def component_report(b: BitopSpace) -> ComponentReport:
@@ -341,20 +216,6 @@ def scale_connectivity(d: QuasiPseudoMetric, eps) -> tuple[list[list[int]], list
             if d.d(x, y) < bound:
                 m |= 1 << y
         rows.append(m | (1 << x))
-    anti = masks_to_partition(scc_partition_rows(rows))
-    sym_rows = []
-    for x in range(n):
-        m = 1 << x
-        for y in range(n):
-            if d.d(x, y) < bound and d.d(y, x) < bound:
-                m |= 1 << y
-        sym_rows.append(m)
-    reach = reach_closure(sym_rows)
-    seen = 0
-    masks = []
-    for x in range(n):
-        if seen >> x & 1:
-            continue
-        masks.append(reach[x])
-        seen |= reach[x]
-    return anti, masks_to_partition(masks)
+    sym_rows = [r & c for r, c in zip(rows, transpose(rows))]
+    return (masks_to_partition(scc_masks(rows)),
+            masks_to_partition(undirected_components(sym_rows)))

@@ -98,6 +98,8 @@ def load_instance_text(text: str):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply to parse") from exc
     return parse_instance(obj)
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from .bitopology import BitopSpace, indices_of, subspace
 from .connectivity import (
     antisym_components,
-    is_antisym_connected,
+    combined_digraph,
     is_locally_antisym_connected,
     scale_connectivity,
 )
@@ -22,6 +22,7 @@ from .errors import (
     SampleOnHyperplane,
 )
 from .gauges import AsymNormSample, QuasiPseudoMetric, from_asym_norm
+from .relations import preserves, strongly_connected
 
 
 @dataclass(frozen=True)
@@ -105,14 +106,12 @@ def specialization_preserving(f: PointMap, bX: BitopSpace,
     continuity for minimal-neighborhood spaces."""
     if f.source_points != bX.points or f.target_points != bY.points:
         raise CarrierMismatch("map carriers do not match the bitopologies")
-    for x in range(bX.n):
-        for y in indices_of(bX.forward.nbhd[x]):
-            if not bY.forward.nbhd[f(x)] >> f(y) & 1:
-                return (x, y)
-        for y in indices_of(bX.backward.nbhd[x]):
-            if not bY.backward.nbhd[f(x)] >> f(y) & 1:
-                return (x, y)
-    return None
+    fwd = preserves(f.assignment, bX.forward.nbhd, bY.forward.nbhd)
+    bwd = preserves(f.assignment, bX.backward.nbhd, bY.backward.nbhd)
+    # report the least source point; at a tie the forward pair comes first
+    if fwd is None or (bwd is not None and bwd[0] < fwd[0]):
+        return bwd
+    return fwd
 
 
 def check_image_preservation(f: PointMap, bX: BitopSpace, bY: BitopSpace,
@@ -123,17 +122,18 @@ def check_image_preservation(f: PointMap, bX: BitopSpace, bY: BitopSpace,
 
     Sampled subsets are drawn from the source's antisymmetric components
     (with a seeded generator) and filtered to the inseparable ones;
-    components themselves are always included.  Failures are returned as
-    counterexample records rather than raised.
+    components themselves are always included.  A trace's combined digraph
+    is the full one restricted to the subset, so subsets and images are
+    decided as masks.  Failures are returned as counterexample records
+    rather than raised.
     """
     bad = specialization_preserving(f, bX, bY)
     if bad is not None:
         raise PreconditionFailed(
             f"map does not preserve specialization at pair {bad}", witness=bad)
     rng = random.Random(seed)
-    image_points = sorted(set(f.assignment))
-    image_sub = subspace(bY, image_points)
-    reindex = {p: t for t, p in enumerate(image_points)}
+    src_rows = combined_digraph(bX).out_rows
+    tgt_rows = combined_digraph(bY).out_rows
     failures = []
     checked = 0
     subsets = [tuple(blk) for blk in antisym_components(bX)]
@@ -146,17 +146,17 @@ def check_image_preservation(f: PointMap, bX: BitopSpace, bY: BitopSpace,
             if cand not in subsets:
                 subsets.append(cand)
     for subset_pts in subsets:
-        src = subspace(bX, subset_pts)
-        if not is_antisym_connected(src):
+        mask = img = 0
+        for p in subset_pts:
+            mask |= 1 << p
+            img |= 1 << f(p)
+        if not strongly_connected(src_rows, mask):
             continue
         checked += 1
-        img_pts = sorted({reindex[f(p)] for p in subset_pts})
-        img = subspace(image_sub, img_pts)
-        if not is_antisym_connected(img):
-            failures.append({"subset": list(subset_pts),
-                             "image": [image_points[t] for t in img_pts]})
+        if not strongly_connected(tgt_rows, img):
+            failures.append({"subset": list(subset_pts), "image": indices_of(img)})
     local_src = is_locally_antisym_connected(bX)
-    local_img = is_locally_antisym_connected(image_sub)
+    local_img = is_locally_antisym_connected(subspace(bY, sorted(set(f.assignment))))
     local_transfer = (all(st.connected for st in local_src)
                       <= all(st.connected for st in local_img))
     return {
@@ -205,18 +205,4 @@ def halfspace_separation(s: AsymNormSample, functional: LinearFunctionalSpec,
         "antisym_components": anti,
         "straddling_components": straddling,
         "consistent_with_separation": not straddling,
-    }
-
-
-def bicompletion_invariance_check(b: BitopSpace) -> dict:
-    """Documented no-op: a finite space is already bicomplete, so the
-    stability of local inseparability under bicompletion has no finite
-    test content beyond the space itself."""
-    local = is_locally_antisym_connected(b)
-    return {
-        "finite_carrier": True,
-        "already_bicomplete": True,
-        "locally_antisym_connected": all(st.connected for st in local),
-        "note": "bicompletion adds no points to a finite carrier; the "
-                "property is compared against the space itself",
     }

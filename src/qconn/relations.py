@@ -1,0 +1,167 @@
+"""Relations on a finite carrier as bitmask rows.
+
+A relation on points 0..n-1 is a sequence of ints: bit y of rows[x] is
+set iff x is related to y.  Minimal-neighborhood maps, the combined
+digraph, join neighborhoods and reachability are all relations in this
+form, and every decision on them reduces to the few routines below.  The
+functions are shared by the object API and by the counterexample search,
+take tuples or lists, and never reindex: a subspace is a mask, and the
+relation a trace induces on it is the full relation restricted to that
+mask.
+"""
+
+from __future__ import annotations
+
+
+def transpose(rows) -> list[int]:
+    """Converse relation: bit x of the result's row y iff bit y of rows[x]."""
+    cols = [0] * len(rows)
+    for x, row in enumerate(rows):
+        rest = row
+        while rest:
+            y = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            cols[y] |= 1 << x
+    return cols
+
+
+def combined_rows(fwd, bwd_cols) -> list[int]:
+    """Arcs x -> y iff y in N+(x) or x in N-(y), given the rows of N+ and
+    the columns (the transpose) of N-."""
+    return [f | c for f, c in zip(fwd, bwd_cols)]
+
+
+def is_closed(rows, mask: int) -> bool:
+    """True iff every row of a member of ``mask`` stays inside ``mask``;
+    for a minimal-neighborhood map this is openness."""
+    rest = mask
+    while rest:
+        x = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        if rows[x] & ~mask:
+            return False
+    return True
+
+
+def open_masks(rows) -> list[int]:
+    """Every closed mask (see ``is_closed``) in ascending order;
+    exponential in the carrier size, so callers cap it.  The union of the
+    rows of a mask extends the union for the mask without its lowest bit,
+    so each mask costs one step."""
+    n = len(rows)
+    union = [0] * (1 << n)
+    out = [0]
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        u = union[mask ^ low] | rows[low.bit_length() - 1]
+        union[mask] = u
+        if not u & ~mask:
+            out.append(mask)
+    return out
+
+
+def reach_closure(rows) -> list[int]:
+    """Reachability rows (paths of length >= 1) by iterated bitmask
+    expansion."""
+    n = len(rows)
+    reach = list(rows)
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            acc = reach[x]
+            rest = acc
+            while rest:
+                y = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                acc |= reach[y]
+            if acc != reach[x]:
+                reach[x] = acc
+                changed = True
+    return reach
+
+
+def _flood(rows, start: int, within: int) -> int:
+    """Points reachable from the mask ``start`` along arcs that stay
+    inside ``within``, start included."""
+    seen = front = start
+    while front:
+        nxt = 0
+        rest = front
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            nxt |= rows[x]
+        front = nxt & within & ~seen
+        seen |= front
+    return seen
+
+
+def scc_masks(rows) -> list[int]:
+    """Strongly connected components as masks, ordered by least member.
+    The component of the least unassigned x is what x reaches and what
+    reaches x; earlier components are skipped, since none of them can
+    lie on a cycle through x."""
+    back = transpose(rows)
+    free = (1 << len(rows)) - 1
+    comps = []
+    for x in range(len(rows)):
+        if not free >> x & 1:
+            continue
+        comp = _flood(rows, 1 << x, free) & _flood(back, 1 << x, free)
+        comps.append(comp)
+        free &= ~comp
+    return comps
+
+
+def strongly_connected(rows, sub: int | None = None) -> bool:
+    """Strong connectivity of the subgraph induced on the mask ``sub``
+    (the whole carrier when omitted), by forward and backward reach from
+    its least member, without reindexing."""
+    if sub is None:
+        sub = (1 << len(rows)) - 1
+    if sub & (sub - 1) == 0:
+        return True
+    seed = sub & -sub
+    if _flood(rows, seed, sub) != sub:
+        return False
+    seen = front = seed
+    while front:
+        nxt = 0
+        rest = sub & ~seen
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if rows[x] & front:
+                nxt |= 1 << x
+        front = nxt
+        seen |= nxt
+    return seen == sub
+
+
+def undirected_components(rows) -> list[int]:
+    """Components of the relation with its arcs read both ways, as masks
+    ordered by least member."""
+    sym = [r | c for r, c in zip(rows, transpose(rows))]
+    free = (1 << len(rows)) - 1
+    comps = []
+    for x in range(len(rows)):
+        if free >> x & 1:
+            comp = _flood(sym, 1 << x, free)
+            comps.append(comp)
+            free &= ~comp
+    return comps
+
+
+def preserves(assignment, src_rows, tgt_rows) -> tuple[int, int] | None:
+    """First pair (x, y) with y in src_rows[x] but assignment[y] outside
+    tgt_rows[assignment[x]], or None when the map preserves the relation."""
+    for x, row in enumerate(src_rows):
+        img = tgt_rows[assignment[x]]
+        rest = row
+        while rest:
+            y = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if not img >> assignment[y] & 1:
+                return (x, y)
+    return None

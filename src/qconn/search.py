@@ -5,28 +5,33 @@ neighborhood maps).  Exhaustive mode enumerates every pair up to a
 carrier size; random mode samples DAG-plus-equivalence preorders from a
 seed.  Every search stream is prefixed with fixed regression instances,
 and results are deterministic for a fixed (target, mode, n, seed,
-budget) no matter how many worker threads evaluate the stream.
+budget).  Every check works on bitmask rows through ``relations``;
+subsets are masks on the full combined digraph, never rebuilt spaces.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from .bitopology import indices_of
-from .connectivity import (
-    is_strongly_connected_rows,
-    masks_to_partition,
-    reach_closure,
-    scc_partition_rows,
-)
+from .connectivity import masks_to_partition
 from .errors import UnknownProperty
+from .relations import (
+    combined_rows,
+    is_closed,
+    open_masks,
+    preserves,
+    reach_closure,
+    scc_masks,
+    strongly_connected,
+    transpose,
+    undirected_components,
+)
 
 DEFAULT_SEED = 20240801
 OPEN_ENUM_LIMIT = 14
@@ -56,53 +61,11 @@ class MapCase(NamedTuple):
     source: str
 
 
-def _transpose(rows) -> tuple[int, ...]:
-    n = len(rows)
-    cols = [0] * n
-    for i, row in enumerate(rows):
-        rest = row
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            cols[j] |= 1 << i
-    return tuple(cols)
-
-
-def _open_masks(rows) -> tuple[int, ...] | None:
-    n = len(rows)
-    if n > OPEN_ENUM_LIMIT:
-        return None
-    out = []
-    for mask in range(1 << n):
-        rest = mask
-        ok = True
-        while rest:
-            x = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if rows[x] & ~mask:
-                ok = False
-                break
-        if ok:
-            out.append(mask)
-    return tuple(out)
-
-
 def preorder_data(rows) -> PreorderData:
     rows = tuple(rows)
-    opens = _open_masks(rows)
-    return PreorderData(rows=rows, transpose=_transpose(rows), opens=opens,
+    opens = tuple(open_masks(rows)) if len(rows) <= OPEN_ENUM_LIMIT else None
+    return PreorderData(rows=rows, transpose=tuple(transpose(rows)), opens=opens,
                         opens_set=None if opens is None else frozenset(opens))
-
-
-def _row_closed(rows, x: int) -> bool:
-    acc = rows[x]
-    rest = acc
-    while rest:
-        y = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        if rows[y] & ~acc:
-            return False
-    return True
 
 
 def _generate_preorders(n: int):
@@ -120,7 +83,7 @@ def _generate_preorders(n: int):
                 rows[i] |= 1 << j
             b >>= 1
             pos += 1
-        if all(_row_closed(rows, x) for x in range(n)):
+        if all(is_closed(rows, row) for row in rows):
             yield preorder_data(rows)
 
 
@@ -177,16 +140,12 @@ def random_preorder(rng: random.Random, n: int) -> PreorderData:
     class_members = [0] * k
     for x, c in enumerate(assignment):
         class_members[c] |= 1 << x
-    rows = []
-    for x in range(n):
-        m = 0
-        rest = class_reach[assignment[x]]
-        while rest:
-            c = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            m |= class_members[c]
-        rows.append(m)
-    return preorder_data(rows)
+    class_up = [0] * k  # every member of every class reachable from c
+    for c in range(k):
+        for d in range(k):
+            if class_reach[c] >> d & 1:
+                class_up[c] |= class_members[d]
+    return preorder_data([class_up[c] for c in assignment])
 
 
 # -- fixed regression instances -------------------------------------------
@@ -212,86 +171,8 @@ REGRESSION_CASES = (REGRESSION_INDISCRETE_SPLIT, REGRESSION_CYCLE_SPLIT)
 # -- row-level property checks --------------------------------------------
 
 
-def _combined_rows(case: BitopCase) -> list[int]:
-    """Arc rows x -> {y : y in N+(x) or x in N-(y)} via the precomputed
-    backward transpose."""
-    return [f | t for f, t in zip(case.fwd.rows, case.bwd.transpose)]
-
-
 def _join_rows(case: BitopCase) -> list[int]:
     return [f & g for f, g in zip(case.fwd.rows, case.bwd.rows)]
-
-
-def _sym_component_masks(case: BitopCase) -> list[int]:
-    jrows = _join_rows(case)
-    n = len(jrows)
-    rows = list(jrows)
-    for x in range(n):
-        rest = jrows[x]
-        while rest:
-            y = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            rows[y] |= 1 << x
-    reach = reach_closure(rows)
-    seen = 0
-    masks = []
-    for x in range(n):
-        if seen >> x & 1:
-            continue
-        masks.append(reach[x])
-        seen |= reach[x]
-    return masks
-
-
-def _restrict_rows(rows, members) -> list[int]:
-    pos = {p: t for t, p in enumerate(members)}
-    mask = 0
-    for p in members:
-        mask |= 1 << p
-    out = []
-    for p in members:
-        m = 0
-        rest = rows[p] & mask
-        while rest:
-            q = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            m |= 1 << pos[q]
-        out.append(m)
-    return out
-
-
-def _mask_strongly_connected(rows, sub: int) -> bool:
-    """Strong connectivity of the induced subgraph on the mask ``sub``
-    without reindexing."""
-    if sub == 0 or sub & (sub - 1) == 0:
-        return True
-    seed = sub & -sub
-    seen = seed
-    front = seed
-    while front:
-        nxt = 0
-        rest = front
-        while rest:
-            z = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            nxt |= rows[z] & sub
-        front = nxt & ~seen
-        seen |= nxt
-    if seen != sub:
-        return False
-    seen = seed
-    front = seed
-    while front:
-        nxt = 0
-        rest = sub & ~seen
-        while rest:
-            z = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if rows[z] & front:
-                nxt |= 1 << z
-        front = nxt & ~seen
-        seen |= nxt
-    return seen == sub
 
 
 def _brute_antisym(case: BitopCase) -> bool:
@@ -306,18 +187,30 @@ def _brute_antisym(case: BitopCase) -> bool:
     return True
 
 
+@lru_cache(maxsize=1 << 14)
+def _members(mask: int) -> tuple[int, ...]:
+    return tuple(indices_of(mask))
+
+
+@lru_cache(maxsize=64)
+def _point_labels(n: int) -> tuple[str, ...]:
+    return tuple(str(i) for i in range(n))
+
+
 def _bitop_json(case: BitopCase) -> dict:
-    n = len(case.fwd.rows)
+    """A finding's instance document.  Its sequences are immutable tuples
+    shared between findings (JSON renders them as arrays), so a search
+    that records many findings holds each neighborhood once."""
     return {
         "kind": "bitopology",
-        "points": [str(i) for i in range(n)],
-        "forward_min_nbhd": [indices_of(m) for m in case.fwd.rows],
-        "backward_min_nbhd": [indices_of(m) for m in case.bwd.rows],
+        "points": _point_labels(len(case.fwd.rows)),
+        "forward_min_nbhd": tuple(_members(m) for m in case.fwd.rows),
+        "backward_min_nbhd": tuple(_members(m) for m in case.bwd.rows),
     }
 
 
 def check_antisym_oracle(case: BitopCase, rng) -> dict | None:
-    fast = is_strongly_connected_rows(_combined_rows(case))
+    fast = strongly_connected(combined_rows(case.fwd.rows, case.bwd.transpose))
     slow = _brute_antisym(case)
     if fast != slow:
         return {"scc_decision": fast, "brute_force": slow}
@@ -329,7 +222,7 @@ def check_prop53_equivalence(case: BitopCase, rng) -> dict | None:
     the partition enumeration, and the disjoint-open-pair scan."""
     n = len(case.fwd.rows)
     full = (1 << n) - 1
-    f1 = is_strongly_connected_rows(_combined_rows(case))
+    f1 = strongly_connected(combined_rows(case.fwd.rows, case.bwd.transpose))
     f2 = _brute_antisym(case)
     f3 = True
     for u in case.fwd.opens:
@@ -349,8 +242,8 @@ def check_prop53_equivalence(case: BitopCase, rng) -> dict | None:
 
 
 def check_prop54_inclusion(case: BitopCase, rng) -> dict | None:
-    anti = scc_partition_rows(_combined_rows(case))
-    for sym in _sym_component_masks(case):
+    anti = scc_masks(combined_rows(case.fwd.rows, case.bwd.transpose))
+    for sym in undirected_components(_join_rows(case)):
         if not any(sym & ~a == 0 for a in anti):
             return {"symmetric_component": indices_of(sym),
                     "antisymmetric_components": [indices_of(a) for a in anti]}
@@ -358,8 +251,9 @@ def check_prop54_inclusion(case: BitopCase, rng) -> dict | None:
 
 
 def check_thm54_coincidence(case: BitopCase, rng) -> dict | None:
-    anti = masks_to_partition(scc_partition_rows(_combined_rows(case)))
-    sym = masks_to_partition(_sym_component_masks(case))
+    rows = combined_rows(case.fwd.rows, case.bwd.transpose)
+    anti = masks_to_partition(scc_masks(rows))
+    sym = masks_to_partition(undirected_components(_join_rows(case)))
     if anti != sym:
         return {"antisymmetric": anti, "symmetric": sym}
     return None
@@ -368,9 +262,8 @@ def check_thm54_coincidence(case: BitopCase, rng) -> dict | None:
 def check_prop61_union(case: BitopCase, rng) -> dict | None:
     """Two inseparable subsets with a common point must have an
     inseparable union; sampled inside strongly connected blocks."""
-    rows = _combined_rows(case)
-    blocks = [indices_of(m) for m in scc_partition_rows(rows)
-              if m & (m - 1)]
+    rows = combined_rows(case.fwd.rows, case.bwd.transpose)
+    blocks = [indices_of(m) for m in scc_masks(rows) if m & (m - 1)]
     for blk in blocks:
         for _ in range(6):
             s = rng.sample(blk, rng.randint(1, len(blk)))
@@ -379,117 +272,77 @@ def check_prop61_union(case: BitopCase, rng) -> dict | None:
                 continue
             s_mask = sum(1 << p for p in s)
             t_mask = sum(1 << p for p in t)
-            if not _mask_strongly_connected(rows, s_mask):
+            if not strongly_connected(rows, s_mask):
                 continue
-            if not _mask_strongly_connected(rows, t_mask):
+            if not strongly_connected(rows, t_mask):
                 continue
-            if not _mask_strongly_connected(rows, s_mask | t_mask):
+            if not strongly_connected(rows, s_mask | t_mask):
                 return {"S": sorted(s), "T": sorted(t),
                         "union": indices_of(s_mask | t_mask)}
     return None
 
 
-def _local_fail_point(fwd_rows, bwd_rows, bwd_transpose=None) -> int | None:
-    """First point whose minimal join neighborhood is separable, or None."""
-    if bwd_transpose is None:
-        bwd_transpose = _transpose(bwd_rows)
-    rows = [f | t for f, t in zip(fwd_rows, bwd_transpose)]
-    for x in range(len(fwd_rows)):
-        if not _mask_strongly_connected(rows, fwd_rows[x] & bwd_rows[x]):
-            return x
+def _lemma_gap(case: BitopCase, mask: int) -> dict | None:
+    """First point of ``mask`` where the local-inseparability lemma loses
+    its premise, or None.  For y in J(x) = N+(x) & N-(x), y in N+(x) is
+    the combined arc x -> y and y in N-(x) the arc y -> x, so the trace on
+    J(x) & mask is strongly connected whenever both arcs are present;
+    a missing arc is the only way the claim could fail."""
+    rows = combined_rows(case.fwd.rows, case.bwd.transpose)
+    back = transpose(rows)
+    for x in range(len(rows)):
+        if mask >> x & 1:
+            missing = case.fwd.rows[x] & case.bwd.rows[x] & mask & ~(rows[x] & back[x])
+            if missing:
+                return {"point": x, "missing_arcs_with": indices_of(missing)}
     return None
 
 
 def check_prop61_subspace(case: BitopCase, rng) -> dict | None:
-    """Local inseparability must survive passage to join-open subspaces."""
-    if _local_fail_point(case.fwd.rows, case.bwd.rows, case.bwd.transpose) is not None:
-        return None  # hypothesis fails, nothing to test
-    jrows = _join_rows(case)
-    n = len(jrows)
-    join_opens = _open_masks(jrows)
-    if join_opens is None:
-        join_opens = tuple(rng.randrange(1, 1 << n) for _ in range(8))
-    for mask in join_opens:
-        if mask == 0:
-            continue
-        ok = True
-        rest = mask
-        while rest:
-            x = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if jrows[x] & ~mask:
-                ok = False
-                break
-        if not ok:
-            continue  # only genuinely join-open traces are in scope
-        members = indices_of(mask)
-        sub_f = _restrict_rows(case.fwd.rows, members)
-        sub_b = _restrict_rows(case.bwd.rows, members)
-        bad = _local_fail_point(sub_f, sub_b)
-        if bad is not None:
-            return {"subspace": members, "failing_point": members[bad]}
-    return None
+    """Local inseparability must survive passage to join-open subspaces.
+    The minimal join neighborhood in a subspace S is J(x) & S and the
+    trace's combined digraph is the full one restricted to S, so the
+    lemma's premise on the whole carrier settles every subspace at once."""
+    return _lemma_gap(case, (1 << len(case.fwd.rows)) - 1)
 
 
 def check_cor61_join_local(case: BitopCase, rng) -> dict | None:
     """Searches the global claim 'inseparable implies join-connected',
     which is where the local corollary would need a converse; every
     inseparable but join-disconnected space is a finding."""
-    if not is_strongly_connected_rows(_combined_rows(case)):
+    if not strongly_connected(combined_rows(case.fwd.rows, case.bwd.transpose)):
         return None
-    sym = _sym_component_masks(case)
+    sym = undirected_components(_join_rows(case))
     if len(sym) > 1:
         return {"antisym_connected": True,
                 "symmetric_components": masks_to_partition(sym)}
     return None
 
 
-def _map_preserves(assignment, src: BitopCase, tgt: BitopCase) -> bool:
-    for x in range(len(src.fwd.rows)):
-        fx = assignment[x]
-        rest = src.fwd.rows[x]
-        while rest:
-            y = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if not tgt.fwd.rows[fx] >> assignment[y] & 1:
-                return False
-        rest = src.bwd.rows[x]
-        while rest:
-            y = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if not tgt.bwd.rows[fx] >> assignment[y] & 1:
-                return False
-    return True
-
-
 def check_prop62_image(case: MapCase, rng) -> dict | None:
     """Images of inseparable sets under specialization-preserving maps
     must be inseparable in the image trace."""
-    src_rows = _combined_rows(case.src)
-    tgt_rows = _combined_rows(case.tgt)
-    for blk_mask in scc_partition_rows(src_rows):
+    src_rows = combined_rows(case.src.fwd.rows, case.src.bwd.transpose)
+    tgt_rows = combined_rows(case.tgt.fwd.rows, case.tgt.bwd.transpose)
+    for blk_mask in scc_masks(src_rows):
         blk = indices_of(blk_mask)
         image_mask = 0
         for p in blk:
             image_mask |= 1 << case.assignment[p]
-        if not _mask_strongly_connected(tgt_rows, image_mask):
+        if not strongly_connected(tgt_rows, image_mask):
             return {"block": blk, "image": indices_of(image_mask)}
     return None
 
 
 def check_thm74_local_image(case: MapCase, rng) -> dict | None:
     """A locally inseparable source must map onto a locally inseparable
-    image subspace."""
-    if _local_fail_point(case.src.fwd.rows, case.src.bwd.rows,
-                         case.src.bwd.transpose) is not None:
-        return None
-    image = sorted(set(case.assignment))
-    sub_f = _restrict_rows(case.tgt.fwd.rows, image)
-    sub_b = _restrict_rows(case.tgt.bwd.rows, image)
-    bad = _local_fail_point(sub_f, sub_b)
-    if bad is not None:
-        return {"image": image, "failing_point": image[bad]}
-    return None
+    image subspace.  Every finite source is locally inseparable by the
+    lemma, so this checks the lemma's premise at the image points, inside
+    the image trace of the target."""
+    image = 0
+    for y in case.assignment:
+        image |= 1 << y
+    return _lemma_gap(case.tgt, image)
 
 
 @dataclass(frozen=True)
@@ -498,6 +351,7 @@ class Target:
     description: str
     case_kind: str  # "bitop" | "bitop_equal" | "map"
     check: Callable
+    tautological: bool = False  # cannot fail on a finite carrier
 
     def expects_findings(self) -> bool:
         return self.id == "cor61_join_local"
@@ -522,8 +376,9 @@ TARGETS: dict[str, Target] = {
                "overlapping inseparable subsets have inseparable union",
                "bitop", check_prop61_union),
         Target("prop61_subspace",
-               "local inseparability survives join-open subspaces",
-               "bitop", check_prop61_subspace),
+               "local inseparability survives join-open subspaces "
+               "(tautological on finite carriers)",
+               "bitop", check_prop61_subspace, tautological=True),
         Target("cor61_join_local",
                "inseparable spaces that are join-disconnected (expected findings)",
                "bitop", check_cor61_join_local),
@@ -531,8 +386,9 @@ TARGETS: dict[str, Target] = {
                "specialization-preserving maps keep images inseparable",
                "map", check_prop62_image),
         Target("thm74_local_image",
-               "locally inseparable sources have locally inseparable images",
-               "map", check_thm74_local_image),
+               "locally inseparable sources have locally inseparable images "
+               "(tautological on finite carriers)",
+               "map", check_thm74_local_image, tautological=True),
     )
 }
 
@@ -588,7 +444,8 @@ def _map_stream(mode: str, n: int, seed: int) -> Iterable[MapCase]:
                         bwd=random_preorder(rng, tgt_size), source=case.source)
         for _ in range(6):
             assignment = tuple(rng.randrange(tgt_size) for _ in range(size))
-            if _map_preserves(assignment, case, tgt):
+            if (preserves(assignment, case.fwd.rows, tgt.fwd.rows) is None
+                    and preserves(assignment, case.bwd.rows, tgt.bwd.rows) is None):
                 yield MapCase(src=case, assignment=assignment, tgt=tgt,
                               source=case.source)
                 break
@@ -631,22 +488,10 @@ class SearchResult:
             "stats": {
                 "instances_tested": self.instances_tested,
                 "failures_found": len(self.findings),
+                "tautological": TARGETS[self.target].tautological,
             },
             "findings": self.findings,
         }
-
-
-def _worker_count() -> int:
-    # QCONN_THREADS caps the evaluation pool; unset means sequential, since
-    # pooled threads only add overhead for this CPU-bound pure-Python work
-    # and the output contract is identical either way.
-    raw = os.environ.get("QCONN_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, min(int(raw), os.cpu_count() or 1))
-        except ValueError:
-            return 1
-    return 1
 
 
 def search_counterexamples(target: str, n: int, mode: str = "exhaustive",
@@ -654,10 +499,8 @@ def search_counterexamples(target: str, n: int, mode: str = "exhaustive",
                            budget: int | None = None) -> SearchResult:
     """Run one property target over the instance stream.
 
-    Deterministic for fixed arguments: the stream order is fixed, each
-    case gets a generator seeded from (seed, position), and evaluation
-    results are buffered in stream order even when QCONN_THREADS enables a
-    worker pool.
+    Deterministic for fixed arguments: the stream order is fixed and each
+    case gets a generator seeded from (seed, position).
     """
     if target not in TARGETS:
         raise UnknownProperty(f"unknown target {target!r}; known: "
@@ -672,35 +515,15 @@ def search_counterexamples(target: str, n: int, mode: str = "exhaustive",
     elif mode == "random":
         raise ValueError("random mode requires a budget")
 
-    check = tgt.check
-
-    def evaluate(item):
-        idx, case = item
-        rng = random.Random(seed * 1_000_003 + idx)
-        return idx, case, check(case, rng)
-
     start = time.perf_counter()
     tested = 0
     findings = []
-    workers = _worker_count()
-    items = enumerate(stream)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(evaluate, items, chunksize=64)
-            for idx, case, detail in results:
-                tested += 1
-                if detail is not None:
-                    findings.append({"index": idx, "source": case.source,
-                                     "instance": _case_json(case),
-                                     "detail": detail})
-    else:
-        for item in items:
-            idx, case, detail = evaluate(item)
-            tested += 1
-            if detail is not None:
-                findings.append({"index": idx, "source": case.source,
-                                 "instance": _case_json(case),
-                                 "detail": detail})
+    for idx, case in enumerate(stream):
+        detail = tgt.check(case, random.Random(seed * 1_000_003 + idx))
+        tested += 1
+        if detail is not None:
+            findings.append({"index": idx, "source": case.source,
+                             "instance": _case_json(case), "detail": detail})
     return SearchResult(target=target, mode=mode, n=n, seed=seed, budget=budget,
                         instances_tested=tested, findings=findings,
                         wall_time=time.perf_counter() - start)

@@ -36,6 +36,14 @@ def test_validate_non_json_exit_3(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "ParseError"
 
 
+def test_validate_deeply_nested_json_exit_3(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000 + "]" * 100000)
+    code, _, err = run(capsys, "validate", str(p))
+    assert code == 3
+    assert json.loads(err)["error"]["type"] == "ParseError"
+
+
 def test_validate_missing_file_exit_3(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/file.json")
     assert code == 3
@@ -148,7 +156,9 @@ def test_search_clean_target_exit_zero(capsys):
     code, out, _ = run(capsys, "search", "--target", "prop54_inclusion",
                        "--n", "3", "--mode", "exhaustive", "--budget", "900")
     assert code == 0
-    assert json.loads(out)["stats"]["failures_found"] == 0
+    stats = json.loads(out)["stats"]
+    assert stats["failures_found"] == 0
+    assert stats["tautological"] is False
 
 
 def test_search_unknown_target_exit_2(capsys):

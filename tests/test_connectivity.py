@@ -21,10 +21,12 @@ from qconn import (
     symmetric_components,
     validate_qpm,
 )
-from qconn.bitopology import AlexandrovTopology, BitopSpace
-from qconn.connectivity import reach_closure
+from qconn.bitopology import AlexandrovTopology, BitopSpace, join, subspace
+from qconn.connectivity import LocalStatus
 from qconn.errors import CarrierTooLarge, NonPositiveEpsilon
 from qconn.numbers import enn
+from qconn.relations import reach_closure
+from qconn.search import all_preorders
 
 
 def test_indiscrete_split_space(indiscrete_split_space):
@@ -63,6 +65,36 @@ def test_cycle_split_local_by_hand(cycle_split_space):
     assert statuses[2].witness == (1, 2)
 
 
+def _local_by_subspaces(b: BitopSpace) -> list[LocalStatus]:
+    """Slow oracle: rebuild the trace on each minimal join neighborhood
+    and decide it as a space of its own, twice."""
+    out = []
+    for x, j in enumerate(join(b).nbhd):
+        members = tuple(i for i in range(b.n) if j >> i & 1)
+        sub = subspace(b, members)
+        connected = is_antisym_connected(sub)
+        assert connected == brute_force_antisym(sub)
+        out.append(LocalStatus(point=x, connected=connected, witness=members))
+    return out
+
+
+def test_local_lemma_against_subspaces():
+    spaces = []
+    for n in (1, 2, 3):
+        points = tuple(str(i) for i in range(n))
+        table = all_preorders(n)
+        for p, q in itertools.product(table, table):
+            spaces.append(BitopSpace(
+                forward=AlexandrovTopology(points=points, nbhd=p.rows),
+                backward=AlexandrovTopology(points=points, nbhd=q.rows)))
+    rng = random.Random(20240807)
+    spaces += [rng_bitop(rng, rng.randint(1, 10)) for _ in range(300)]
+    for b in spaces:
+        slow = _local_by_subspaces(b)
+        assert all(s.connected for s in slow)
+        assert is_locally_antisym_connected(b) == slow
+
+
 def test_discrete_pair_certificate():
     t = AlexandrovTopology(points=("0", "1"), nbhd=(0b01, 0b10))
     b = BitopSpace(forward=t, backward=t)
@@ -96,7 +128,6 @@ def test_oracle_equivalence_random(seed, n):
 
 
 def test_oracle_equivalence_exhaustive_n3():
-    from qconn.search import all_preorders
     points = ("0", "1", "2")
     table = all_preorders(3)
     for p, q in itertools.product(table, table):

@@ -10,7 +10,6 @@ from qconn import (
     AsymNormSample,
     LinearFunctionalSpec,
     PointMap,
-    bicompletion_invariance_check,
     check_image_preservation,
     halfspace_separation,
     is_nonexpansive,
@@ -215,9 +214,3 @@ def test_halfspace_monotone_in_eps(seed):
         for old in prev_straddled:
             assert any(old <= c for c in cur)
         prev_straddled = set(cur)
-
-
-def test_bicompletion_noop(indiscrete_split_space):
-    report = bicompletion_invariance_check(indiscrete_split_space)
-    assert report["already_bicomplete"]
-    assert report["locally_antisym_connected"]

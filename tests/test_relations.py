@@ -1,0 +1,113 @@
+"""The bitmask relation kernel against networkx as an independent oracle,
+on seeded random digraphs (with and without loops) up to 12 points."""
+
+import random
+
+import networkx as nx
+
+from qconn.relations import (
+    combined_rows,
+    is_closed,
+    open_masks,
+    preserves,
+    reach_closure,
+    scc_masks,
+    strongly_connected,
+    transpose,
+    undirected_components,
+)
+
+
+def _mask(nodes) -> int:
+    return sum(1 << v for v in nodes)
+
+
+def _random_rows(rng: random.Random, n: int) -> list[int]:
+    density = rng.choice((0.05, 0.15, 0.3, 0.6))
+    return [sum(1 << y for y in range(n) if rng.random() < density)
+            for _ in range(n)]
+
+
+def _graph(rows) -> nx.DiGraph:
+    g = nx.DiGraph()
+    g.add_nodes_from(range(len(rows)))
+    g.add_edges_from((x, y) for x, row in enumerate(rows)
+                     for y in range(len(rows)) if row >> y & 1)
+    return g
+
+
+def _cases(count: int, seed: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        yield rng, n, _random_rows(rng, n)
+
+
+def test_scc_masks_match_networkx():
+    for _, _, rows in _cases(400, 1):
+        want = sorted((_mask(c) for c in nx.strongly_connected_components(_graph(rows))),
+                      key=lambda m: m & -m)
+        assert scc_masks(rows) == want
+
+
+def test_strongly_connected_on_masks_matches_networkx():
+    for rng, n, rows in _cases(300, 2):
+        g = _graph(rows)
+        assert strongly_connected(rows) == nx.is_strongly_connected(g)
+        for _ in range(10):
+            sub = rng.randrange(1, 1 << n)
+            nodes = [v for v in range(n) if sub >> v & 1]
+            assert strongly_connected(rows, sub) == nx.is_strongly_connected(g.subgraph(nodes))
+
+
+def test_undirected_components_match_networkx():
+    for _, _, rows in _cases(400, 3):
+        g = _graph(rows).to_undirected()
+        want = sorted((_mask(c) for c in nx.connected_components(g)),
+                      key=lambda m: m & -m)
+        assert undirected_components(rows) == want
+
+
+def test_reach_closure_matches_networkx():
+    for _, n, rows in _cases(300, 4):
+        g = _graph(rows)
+        reach = reach_closure(rows)
+        for x in range(n):
+            # a point reaches itself only along a cycle (or a loop)
+            want = _mask(nx.descendants(g, x))
+            if any(nx.has_path(g, y, x) for y in g.successors(x)):
+                want |= 1 << x
+            assert reach[x] == want
+
+
+def test_transpose_and_combined_rows():
+    for _, n, rows in _cases(200, 5):
+        g = _graph(rows)
+        cols = transpose(rows)
+        assert cols == [_mask(g.predecessors(y)) for y in range(n)]
+        assert transpose(cols) == rows
+        other = _random_rows(random.Random(n), n)
+        assert combined_rows(rows, transpose(other)) == [
+            r | _mask(x for x in range(n) if other[x] >> y & 1)
+            for y, r in enumerate(rows)]
+
+
+def test_closed_masks_by_enumeration():
+    for _, n, rows in _cases(200, 6):
+        if n > 9:
+            continue
+        want = [m for m in range(1 << n)
+                if all(rows[x] & ~m == 0 for x in range(n) if m >> x & 1)]
+        assert open_masks(rows) == want
+        assert [m for m in range(1 << n) if is_closed(rows, m)] == want
+
+
+def test_preserves_reports_first_violation():
+    for rng, n, rows in _cases(200, 7):
+        k = rng.randint(1, n)
+        tgt = _random_rows(rng, k)
+        assignment = [rng.randrange(k) for _ in range(n)]
+        want = next(((x, y) for x in range(n) for y in range(n)
+                     if rows[x] >> y & 1 and not tgt[assignment[x]] >> assignment[y] & 1),
+                    None)
+        assert preserves(assignment, rows, tgt) == want

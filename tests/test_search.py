@@ -5,11 +5,13 @@ import pytest
 from qconn.errors import UnknownProperty
 from qconn.search import (
     DEFAULT_SEED,
+    BitopCase,
     PREORDER_COUNTS,
     REGRESSION_CYCLE_SPLIT,
     TARGETS,
     _bitop_json,
     all_preorders,
+    preorder_data,
     random_preorder,
     search_counterexamples,
 )
@@ -84,16 +86,6 @@ def test_search_is_deterministic():
     assert a.findings_document() == b.findings_document()
 
 
-def test_search_deterministic_across_thread_counts(monkeypatch):
-    monkeypatch.setenv("QCONN_THREADS", "1")
-    seq = search_counterexamples("prop53_equivalence", n=4, mode="random",
-                                 seed=7, budget=80)
-    monkeypatch.setenv("QCONN_THREADS", "4")
-    par = search_counterexamples("prop53_equivalence", n=4, mode="random",
-                                 seed=7, budget=80)
-    assert seq.findings_document() == par.findings_document()
-
-
 def test_random_mode_requires_budget():
     with pytest.raises(ValueError):
         search_counterexamples("antisym_oracle", n=4, mode="random",
@@ -118,3 +110,25 @@ def test_target_registry_descriptions():
     for tid, target in TARGETS.items():
         assert target.id == tid
         assert target.description
+
+
+def test_tautological_targets_marked():
+    marked = {tid for tid, t in TARGETS.items() if t.tautological}
+    assert marked == {"prop61_subspace", "thm74_local_image"}
+    for tid in marked:
+        assert "tautological on finite carriers" in TARGETS[tid].description
+        doc = search_counterexamples(tid, n=2, mode="exhaustive").findings_document()
+        assert doc["stats"]["tautological"] is True
+        assert doc["findings"] == []
+
+
+def test_lemma_check_flags_a_corrupt_transpose():
+    # N+(0) = N-(0) = {0, 1}, so J(0) = {0, 1}; the cached backward
+    # transpose drops the arc 1 -> 0 that 1 in N-(0) must supply
+    fwd = preorder_data((0b11, 0b10))
+    broken = fwd._replace(transpose=(0b01, 0b10))
+    case = BitopCase(fwd=fwd, bwd=broken, source="seeded")
+    detail = TARGETS["prop61_subspace"].check(case, random.Random(0))
+    assert detail == {"point": 0, "missing_arcs_with": [1]}
+    # the digraph decision and the subset oracle now disagree as well
+    assert TARGETS["antisym_oracle"].check(case, random.Random(0)) is not None
