@@ -142,14 +142,8 @@ def specialization_bitop(d: QuasiPseudoMetric) -> BitopSpace:
 
 def _assert_ball_identity(d: QuasiPseudoMetric, rows) -> None:
     spectrum = d.positive_spectrum()
-    radius = spectrum[0] if spectrum else None
-    for x in range(d.n):
-        ball = 0
-        for y in range(d.n):
-            v = d.d(x, y)
-            inside = d.is_zero(v) if radius is None else (not v.is_inf and v.frac < radius)
-            if inside:
-                ball |= 1 << y
+    balls = d.ball_rows(spectrum[0]) if spectrum else d.zero_mask_rows()
+    for x, ball in enumerate(balls):
         if ball != rows[x]:
             raise AssertionError(
                 f"minimal ball at point {x} disagrees with the zero set")
@@ -196,11 +190,7 @@ def subspace(b: BitopSpace, subset) -> BitopSpace:
     points = tuple(b.points[p] for p in sel)
 
     def shrink(mask: int) -> int:
-        out = 0
-        for p, t in pos.items():
-            if mask >> p & 1:
-                out |= 1 << t
-        return out
+        return sum(1 << t for p, t in pos.items() if mask >> p & 1)
 
     fwd = AlexandrovTopology(points=points,
                              nbhd=tuple(shrink(b.forward.nbhd[p]) for p in sel))

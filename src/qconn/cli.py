@@ -17,6 +17,7 @@ from . import bitopology, completion, connectivity, dot, modular
 from .errors import ParseError, QconnError, SchemaError, UnknownProperty
 from .gauges import from_asym_norm, from_digraph
 from .instances import canonical_json, dump_instance, load_instance
+from .numbers import LiteralTooLarge, parse_rational
 from .search import DEFAULT_SEED, TARGETS, search_counterexamples
 
 
@@ -36,7 +37,9 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _rational_arg(text: str, name: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_rational(text)
+    except LiteralTooLarge as exc:
+        raise SchemaError(f"argument {name}: {exc}") from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"argument {name}: bad rational {text!r}") from exc
 

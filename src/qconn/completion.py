@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitopology import indices_of
-from .connectivity import masks_to_partition
-from .errors import NegativeRadius, NotCauchy
+from .bitopology import indices_of, mask_of
+from .errors import NegativeRadius, NotCauchy, PreconditionFailed
 from .gauges import QuasiPseudoMetric
-from .numbers import ZERO, ExtNonNeg
 from .relations import is_closed, scc_masks, transpose
 
 
@@ -39,6 +37,14 @@ class EventuallyPeriodicSeq:
         return out[:length]
 
 
+def _zero_from_all(rows, period) -> int:
+    """Mask of the points at distance zero from every period point."""
+    common = -1
+    for p in period:
+        common &= rows[p]
+    return common
+
+
 def is_left_k_cauchy(d: QuasiPseudoMetric, s: EventuallyPeriodicSeq) -> bool:
     """Decide the directional Cauchy condition exactly.
 
@@ -49,27 +55,17 @@ def is_left_k_cauchy(d: QuasiPseudoMetric, s: EventuallyPeriodicSeq) -> bool:
     distance of the space rules out any positive value.  The preperiod is
     irrelevant (the condition only constrains tails).
     """
-    for p in s.period:
-        for q in s.period:
-            if not d.is_zero(d.d(p, q)):
-                return False
-    return True
+    period = mask_of(s.period, d.n)
+    return not period & ~_zero_from_all(d.zero_mask_rows(), s.period)
 
 
 def forward_limits(d: QuasiPseudoMetric, s: EventuallyPeriodicSeq) -> frozenset[int]:
     """{x : d(x_n, x) -> 0} = points at distance zero from every period
-    point.  Nonempty for every directional Cauchy sequence here: period
-    points qualify because their zero arcs close into a zero clique under
-    the triangle inequality."""
+    point.  Nonempty for every directional Cauchy sequence here: the
+    period points themselves qualify."""
     if not is_left_k_cauchy(d, s):
         raise NotCauchy("sequence is not left K-Cauchy")
-    limits = frozenset(
-        x for x in range(d.n)
-        if all(d.is_zero(d.d(p, x)) for p in set(s.period))
-    )
-    if not limits:
-        raise AssertionError("directional Cauchy sequence lost its limit set")
-    return limits
+    return frozenset(indices_of(_zero_from_all(d.zero_mask_rows(), s.period)))
 
 
 def smyth_report(d: QuasiPseudoMetric) -> dict:
@@ -85,24 +81,16 @@ def smyth_report(d: QuasiPseudoMetric) -> dict:
     period point sits inside every backward ball around y.
     """
     rows = d.zero_mask_rows()
-    classes = masks_to_partition(scc_masks(rows))
+    backward = transpose(rows)
     witnesses = []
-    for cls in classes:
-        for p in cls:
-            for q in cls:
-                if not d.is_zero(d.d(p, q)):
-                    raise AssertionError(
-                        f"zero cycle through {cls} is not a zero clique at ({p},{q})")
-        seq = EventuallyPeriodicSeq(preperiod=(), period=tuple(cls))
-        limits = forward_limits(d, seq)
-        for y in limits:
-            for p in cls:
-                if not d.is_zero(d.d(p, y)):
-                    raise AssertionError("ball criterion failed for a reported limit")
-        witnesses.append({
-            "class": list(cls),
-            "forward_limits": sorted(limits),
-        })
+    for cls in scc_masks(rows):
+        members = indices_of(cls)
+        if _zero_from_all(rows, members) & cls != cls:
+            raise AssertionError(f"zero cycle through {members} is not a zero clique")
+        limits = forward_limits(d, EventuallyPeriodicSeq(preperiod=(), period=tuple(members)))
+        if any(backward[y] & cls != cls for y in limits):
+            raise AssertionError("ball criterion failed for a reported limit")
+        witnesses.append({"class": members, "forward_limits": sorted(limits)})
     return {
         "complete": True,
         "classes": witnesses,
@@ -111,24 +99,16 @@ def smyth_report(d: QuasiPseudoMetric) -> dict:
     }
 
 
-def _ball_mask(d: QuasiPseudoMetric, x: int, eps: Fraction) -> int:
-    bound = ExtNonNeg(eps)
-    m = 0
-    for y in range(d.n):
-        if d.d(x, y) < bound:
-            m |= 1 << y
-    return m
-
-
 def _first_fit_cover(d: QuasiPseudoMetric, eps: Fraction) -> list[int]:
+    balls = d.ball_rows(eps)
     full = (1 << d.n) - 1
     covered = 0
     centers = []
-    for x in range(d.n):
+    for x, ball in enumerate(balls):
         if covered >> x & 1:
             continue
         centers.append(x)
-        covered |= _ball_mask(d, x, eps)
+        covered |= ball
         if covered == full:
             break
     return centers
@@ -153,9 +133,10 @@ def precompact_report(d: QuasiPseudoMetric, thresholds) -> dict:
         centers = _first_fit_cover(d, eps)
         if prev is not None and len(prev) < len(centers):
             centers = prev
+        balls = d.ball_rows(eps)
         union = 0
         for c in centers:
-            union |= _ball_mask(d, c, eps)
+            union |= balls[c]
         if union != full:
             raise AssertionError(f"cover at eps={eps} does not cover the carrier")
         covers.append({"eps": str(eps), "centers": centers, "size": len(centers)})
@@ -231,18 +212,10 @@ class FormalBallPoset:
     def hasse_edges(self) -> list[tuple[int, int]]:
         """Cover pairs of the preorder quotient: a < b with nothing strictly
         between, mutual pairs excluded."""
-        m = len(self.elements)
-        strict = [[self.le(a, b) and not self.le(b, a) for b in range(m)]
-                  for a in range(m)]
-        edges = []
-        for a in range(m):
-            for b in range(m):
-                if not strict[a][b]:
-                    continue
-                if any(strict[a][c] and strict[c][b] for c in range(m)):
-                    continue
-                edges.append((a, b))
-        return edges
+        strict = [le & ~ge for le, ge in zip(self.le_rows, transpose(self.le_rows))]
+        strict_below = transpose(strict)
+        return [(a, b) for a, above in enumerate(strict)
+                for b in indices_of(above) if not above & strict_below[b]]
 
     def describe(self, a: int) -> str:
         ball = self.elements[a]
@@ -255,38 +228,45 @@ def formal_ball_poset(d: QuasiPseudoMetric, radii) -> FormalBallPoset:
         if r < 0:
             raise NegativeRadius(f"radius {r} is negative")
     elements = tuple(FormalBall(point=x, radius=r) for x in range(d.n) for r in radii)
-    m = len(elements)
+    k = len(radii)
+    # slack[t][u] = floor((r_t - r_u) * den) for u <= t, falling as u rises
+    slack = [[(r - s).numerator * d.den // (r - s).denominator for s in radii[:t + 1]]
+             for t, r in enumerate(radii)]
     rows = []
-    for a in range(m):
-        xa, ra = elements[a].point, elements[a].radius
-        mask = 0
-        for b in range(m):
-            xb, rb = elements[b].point, elements[b].radius
-            gap = ra - rb
-            dv = d.d(xa, xb)
-            if gap >= 0 and not dv.is_inf and dv.frac <= gap:
-                mask |= 1 << b
-        rows.append(mask)
+    for row in d.rows:
+        for caps in slack:
+            mask = 0
+            for y, v in enumerate(row):
+                for u, cap in enumerate(caps):
+                    if v > cap:
+                        break
+                    mask |= 1 << (y * k + u)
+            rows.append(mask)
     poset = FormalBallPoset(labels=d.points, elements=elements, le_rows=tuple(rows))
     _check_poset_laws(poset, d)
     return poset
 
 
 def _check_poset_laws(p: FormalBallPoset, d: QuasiPseudoMetric) -> None:
-    m = len(p.elements)
-    for a in range(m):
-        if not p.le(a, a):
-            raise AssertionError("formal-ball order lost reflexivity")
+    """Exact distances satisfy the laws by the triangle inequality, so a
+    failure there is a bug; float-mode distances satisfy the triangle
+    inequality only up to the tolerance, which the order does not absorb."""
+    def broken(what: str) -> Exception:
+        return AssertionError(what) if d.tol is None else PreconditionFailed(
+            f"float-mode distances break the formal-ball order ({what}): the "
+            f"triangle inequality holds only up to the tolerance {d.tol}")
+
+    zero = d.zero_mask_rows()
     below = transpose(p.le_rows)
-    for a in range(m):
-        row_a = p.le_rows[a]
+    for a, row_a in enumerate(p.le_rows):
+        if not row_a >> a & 1:
+            raise broken("formal-ball order lost reflexivity")
         # transitivity as closure: whatever sits above a point above a sits above a
         if not is_closed(p.le_rows, row_a):
-            raise AssertionError("formal-ball order lost transitivity")
+            raise broken("formal-ball order lost transitivity")
         for b in indices_of(row_a & below[a] & ~(1 << a)):
             ba, bb = p.elements[a], p.elements[b]
             same_radius = ba.radius == bb.radius
-            zero_both = (d.is_zero(d.d(ba.point, bb.point))
-                         and d.is_zero(d.d(bb.point, ba.point)))
+            zero_both = zero[ba.point] >> bb.point & 1 and zero[bb.point] >> ba.point & 1
             if not (same_radius and zero_both):
-                raise AssertionError("mutual order without zero distance")
+                raise broken("mutual order without zero distance")

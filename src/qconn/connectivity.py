@@ -25,7 +25,6 @@ from fractions import Fraction
 from .bitopology import BitopSpace, indices_of, join
 from .errors import CarrierTooLarge, NonPositiveEpsilon
 from .gauges import QuasiPseudoMetric
-from .numbers import ExtNonNeg
 from .relations import (
     combined_rows,
     reach_closure,
@@ -207,15 +206,7 @@ def scale_connectivity(d: QuasiPseudoMetric, eps) -> tuple[list[list[int]], list
     eps = Fraction(eps)
     if eps <= 0:
         raise NonPositiveEpsilon(f"eps must be positive, got {eps}")
-    bound = ExtNonNeg(eps)
-    n = d.n
-    rows = []
-    for x in range(n):
-        m = 0
-        for y in range(n):
-            if d.d(x, y) < bound:
-                m |= 1 << y
-        rows.append(m | (1 << x))
+    rows = [m | 1 << x for x, m in enumerate(d.ball_rows(eps))]
     sym_rows = [r & c for r, c in zip(rows, transpose(rows))]
     return (masks_to_partition(scc_masks(rows)),
             masks_to_partition(undirected_components(sym_rows)))

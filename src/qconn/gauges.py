@@ -5,15 +5,31 @@ but drops symmetry, so every instance carries three faces: the matrix d
 itself, its conjugate d(y,x), and the pointwise-max symmetrization.
 Sources supported here: explicit matrices, weighted digraphs (min-plus
 path closure), and one-sided positive-part lp gauges on sampled vectors.
+
+Internal form.  A QuasiPseudoMetric stores one common denominator ``den``
+and integer ``rows``: rows[i][j] is d(i, j) * den as a Python int, or
+``math.inf``.  ``den`` is the least common denominator of the finite
+entries and of the float-mode tolerance, so the tolerance is the integer
+``eps = tol * den`` on the same scale (0 in exact mode).  The min-plus
+closure, the diagonal and triangle check, zero tests, the spectrum and
+ball masks all compare these integers, which is exact in both modes:
+d(i, j) counts as zero iff rows[i][j] <= eps, and the triangle law reads
+rows[i][k] <= rows[i][j] + rows[j][k] + eps.  Sums are formed from finite
+entries only, so ``math.inf`` meets an integer only in comparisons, which
+Python decides exactly at any size.  ExtNonNeg values exist only at the
+boundary: ``dist`` and ``d(i, j)``, the violation records, and
+serialisation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, inf, lcm
 
-from .errors import CarrierMismatch, NonRepresentable, QpmValidationError
-from .numbers import INF, ZERO, ExtNonNeg, enn, enn_max, enn_min, exact_root
+from .errors import NonRepresentable, QpmValidationError
+from .numbers import INF, ZERO, ExtNonNeg, enn, exact_root
 
 
 @dataclass(frozen=True)
@@ -37,55 +53,95 @@ class TriangleViolation:
         return f"TriangleViolation(i={self.i}, j={self.j}, k={self.k}, {self.lhs} > {self.rhs})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuasiPseudoMetric:
-    """Validated n x n distance matrix over labelled points.
+    """Validated n x n distance matrix over labelled points, in the scaled
+    integer form of the module docstring.
 
     ``tol`` is None in exact mode; in float mode it is the absolute
     tolerance applied to every comparison, recorded so reports can state
-    which regime produced them.
+    which regime produced them.  ``QuasiPseudoMetric(points, dist, tol)``
+    scales a matrix of ExtNonNeg-coercible values without checking the
+    axioms; validate_qpm checks them.
     """
 
     points: tuple[str, ...]
-    dist: tuple[tuple[ExtNonNeg, ...], ...]
-    tol: Fraction | None = None
+    den: int
+    rows: tuple[tuple[int | float, ...], ...]
+    tol: Fraction | None
+    eps: int
+
+    def __init__(self, points, dist, tol=None):
+        _metric(points, *_scale(dist, tol), tol, into=self)
 
     @property
     def n(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def dist(self) -> tuple[tuple[ExtNonNeg, ...], ...]:
+        return tuple(tuple(_value(v, self.den) for v in row) for row in self.rows)
 
     def d(self, i: int, j: int) -> ExtNonNeg:
         return self.dist[i][j]
 
     def is_zero(self, value: ExtNonNeg) -> bool:
         """Zero test under the metric's numeric mode."""
-        if self.tol is None:
-            return value == ZERO
-        return (not value.is_inf) and value.frac <= self.tol
+        return (not value.is_inf
+                and value.frac.numerator * self.den <= self.eps * value.frac.denominator)
+
+    def _rows_below(self, bound: int) -> list[int]:
+        """Row bitmasks of {(i, j): rows[i][j] < bound}."""
+        return [sum(1 << j for j, v in enumerate(row) if v < bound) for row in self.rows]
+
+    @cached_property
+    def _zero_rows(self) -> tuple[int, ...]:
+        return tuple(self._rows_below(self.eps + 1))
 
     def zero_mask_rows(self) -> list[int]:
         """Row bitmasks of the specialization relation {(i,j): d(i,j)=0}."""
-        rows = []
-        for i in range(self.n):
-            m = 0
-            for j in range(self.n):
-                if self.is_zero(self.dist[i][j]):
-                    m |= 1 << j
-            rows.append(m)
-        return rows
+        return list(self._zero_rows)
+
+    def ball_rows(self, radius) -> list[int]:
+        """Row bitmasks of the open forward balls {y : d(x, y) < radius}."""
+        r = Fraction(radius)
+        # an integer v is below r * den iff it is below its ceiling
+        return self._rows_below(-(-r.numerator * self.den // r.denominator))
 
     def positive_spectrum(self) -> list[Fraction]:
         """Sorted distinct positive finite distances."""
-        vals = {
-            v.frac
-            for row in self.dist
-            for v in row
-            if not v.is_inf and not self.is_zero(v)
-        }
-        return sorted(vals)
+        vals = {v for row in self.rows for v in row if self.eps < v < inf}
+        return [Fraction(v, self.den) for v in sorted(vals)]
 
-    def index(self, label: str) -> int:
-        return self.points.index(label)
+
+def _value(v, den: int) -> ExtNonNeg:
+    return INF if v == inf else ExtNonNeg(Fraction(v, den))
+
+
+def _scale(matrix, tol) -> tuple[int, list[list[int | float]]]:
+    """(den, rows) of a square matrix; den is the lcm of tol's and the entries' denominators."""
+    fracs = [[None if v.is_inf else v.frac for v in map(enn, row)] for row in matrix]
+    if any(len(row) != len(fracs) for row in fracs):
+        raise ValueError("matrix is not square")
+    den = lcm(1 if tol is None else Fraction(tol).denominator,
+              *{f.denominator for row in fracs for f in row if f is not None})
+    return den, [[inf if f is None else f.numerator * (den // f.denominator)
+                  for f in row] for row in fracs]
+
+
+def _metric(points, den: int, rows, tol=None, into=None) -> QuasiPseudoMetric:
+    """A metric straight from scaled rows, without the axiom check; den is
+    reduced to the least common denominator, so equal metrics have equal fields."""
+    d = object.__new__(QuasiPseudoMetric) if into is None else into
+    eps = 0 if tol is None else int(Fraction(tol) * den)  # den is a multiple of tol's
+    g = gcd(den, eps, *(v for row in rows for v in row if v != inf))
+    if g > 1:
+        den, eps = den // g, eps // g
+        rows = [[v if v == inf else v // g for v in row] for row in rows]
+    for name, value in (("points", tuple(points)), ("den", den),
+                        ("rows", tuple(map(tuple, rows))), ("tol", tol), ("eps", eps)):
+        object.__setattr__(d, name, value)
+    return d
 
 
 @dataclass(frozen=True)
@@ -126,26 +182,39 @@ class AsymNormSample:
                 raise ValueError("vector length does not match dimension")
 
 
+def _violations(den: int, rows, eps: int) -> list:
+    """Diagonal entries above eps, then every (i, j, k) in lexicographic
+    order with rows[i][k] > rows[i][j] + rows[j][k] + eps.  A triple with
+    an infinite summand cannot violate the law, so only finite entries of
+    row i and of row j are summed."""
+    bad = [NonZeroDiagonal(i, _value(row[i], den))
+           for i, row in enumerate(rows) if row[i] > eps]
+    finite = [[(k, v) for k, v in enumerate(row) if v != inf] for row in rows]
+    for i, row_i in enumerate(rows):
+        for j, dij in finite[i]:
+            t = dij + eps
+            for k, djk in finite[j]:
+                if row_i[k] > djk + t:
+                    bad.append(TriangleViolation(i, j, k, _value(row_i[k], den),
+                                                 _value(dij + djk, den)))
+    return bad
+
+
 def qpm_violations(matrix, tol: Fraction | None = None) -> list:
     """All diagonal and triangle violations of the candidate matrix."""
-    n = len(matrix)
-    bad = []
-    eps = ZERO if tol is None else ExtNonNeg(tol)
-    for i in range(n):
-        if len(matrix[i]) != n:
-            raise ValueError("matrix is not square")
-        if not matrix[i][i] <= eps:
-            bad.append(NonZeroDiagonal(i, matrix[i][i]))
-    for i in range(n):
-        row_i = matrix[i]
-        for j in range(n):
-            dij = row_i[j]
-            row_j = matrix[j]
-            for k in range(n):
-                lhs = row_i[k]
-                if not lhs <= dij + row_j[k] + eps:
-                    bad.append(TriangleViolation(i, j, k, lhs, dij + row_j[k]))
-    return bad
+    den, rows = _scale(matrix, tol)
+    return _violations(den, rows, 0 if tol is None else int(Fraction(tol) * den))
+
+
+def _checked(points, den: int, rows, tol=None) -> QuasiPseudoMetric:
+    points = tuple(str(i) for i in range(len(rows))) if points is None else tuple(points)
+    if len(points) != len(rows):
+        raise ValueError("point labels do not match matrix size")
+    d = _metric(points, den, rows, tol)
+    bad = _violations(d.den, d.rows, d.eps)
+    if bad:
+        raise QpmValidationError(bad)
+    return d
 
 
 def validate_qpm(matrix, points=None, tol: Fraction | None = None) -> QuasiPseudoMetric:
@@ -154,34 +223,18 @@ def validate_qpm(matrix, points=None, tol: Fraction | None = None) -> QuasiPseud
     Returns the immutable structure, or raises QpmValidationError carrying
     every violated triple and diagonal entry.
     """
-    rows = tuple(tuple(enn(v) for v in row) for row in matrix)
-    n = len(rows)
-    if points is None:
-        points = tuple(str(i) for i in range(n))
-    else:
-        points = tuple(points)
-    if len(points) != n:
-        raise ValueError("point labels do not match matrix size")
-    bad = qpm_violations(rows, tol=tol)
-    if bad:
-        raise QpmValidationError(bad)
-    return QuasiPseudoMetric(points=points, dist=rows, tol=tol)
+    return _checked(points, *_scale(matrix, tol), tol)
 
 
 def conjugate(d: QuasiPseudoMetric) -> QuasiPseudoMetric:
     """Transpose: swap the roles of source and target."""
-    n = d.n
-    rows = tuple(tuple(d.dist[j][i] for j in range(n)) for i in range(n))
-    return QuasiPseudoMetric(points=d.points, dist=rows, tol=d.tol)
+    return _metric(d.points, d.den, list(zip(*d.rows)), d.tol)
 
 
 def symmetrize(d: QuasiPseudoMetric) -> QuasiPseudoMetric:
     """Pointwise max of d and its conjugate; always a pseudometric."""
-    n = d.n
-    rows = tuple(
-        tuple(enn_max(d.dist[i][j], d.dist[j][i]) for j in range(n)) for i in range(n)
-    )
-    return QuasiPseudoMetric(points=d.points, dist=rows, tol=d.tol)
+    rows = [list(map(max, r, c)) for r, c in zip(d.rows, zip(*d.rows))]
+    return _metric(d.points, d.den, rows, d.tol)
 
 
 def from_digraph(g: WeightedDigraph) -> QuasiPseudoMetric:
@@ -194,25 +247,25 @@ def from_digraph(g: WeightedDigraph) -> QuasiPseudoMetric:
     """
     n = len(g.vertices)
     idx = {v: i for i, v in enumerate(g.vertices)}
-    dist = [[INF] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = ZERO
+    den = lcm(*{w.frac.denominator for _, _, w in g.edges})
+    dist = [[0 if i == j else inf for j in range(n)] for i in range(n)]
     for u, v, w in g.edges:
         i, j = idx[u], idx[v]
-        if i != j:
-            dist[i][j] = enn_min(dist[i][j], w)
+        s = w.frac.numerator * (den // w.frac.denominator)
+        if i != j and s < dist[i][j]:
+            dist[i][j] = s
     for k in range(n):
-        row_k = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            if dik.is_inf:
+        # row k is fixed while k is the pivot, since dist[k][k] = 0
+        reach = [(j, v) for j, v in enumerate(dist[k]) if v != inf]
+        for row_i in dist:
+            dik = row_i[k]
+            if dik == inf:
                 continue
-            row_i = dist[i]
-            for j in range(n):
-                via = dik + row_k[j]
+            for j, v in reach:
+                via = dik + v
                 if via < row_i[j]:
                     row_i[j] = via
-    return validate_qpm(dist, points=g.vertices)
+    return _checked(g.vertices, den, dist)
 
 
 def _pos_part(x: Fraction) -> Fraction:
@@ -249,16 +302,9 @@ def from_asym_norm(s: AsymNormSample, mode: str = "exact",
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    n = len(s.points)
-    dist = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            v = one_sided_lp(s.points[i], s.points[j], s.p, mode=mode)
-            dist[i][j] = ExtNonNeg(v) if isinstance(v, float) else v
-    labels = tuple(f"v{i}" for i in range(n))
-    return validate_qpm(dist, points=labels,
+    dist = [[ZERO if i == j else one_sided_lp(x, y, s.p, mode=mode)
+             for j, y in enumerate(s.points)] for i, x in enumerate(s.points)]
+    return validate_qpm(dist, points=[f"v{i}" for i in range(len(dist))],
                         tol=None if mode == "exact" else Fraction(tol))
 
 
@@ -275,7 +321,6 @@ def symmetrization_gap_report(s: AsymNormSample) -> dict:
         raise NonRepresentable(s.p, "gap report is exact only for p = 1")
     n = len(s.points)
     pairs = []
-    equality_holds = True
     worst_ratio = Fraction(1)
     for i in range(n):
         for j in range(i + 1, n):
@@ -284,30 +329,22 @@ def symmetrization_gap_report(s: AsymNormSample) -> dict:
             full = sum((abs(b - a) for a, b in zip(s.points[i], s.points[j])),
                        Fraction(0))
             m = max(fwd, bwd)
-            entry = {
+            pairs.append({
                 "i": i,
                 "j": j,
                 "max_one_sided": str(m),
                 "sum_one_sided": str(fwd + bwd),
                 "full_norm": str(full),
                 "equality": m == full,
-            }
-            if m != full:
-                equality_holds = False
+            })
             if m > 0:
                 worst_ratio = max(worst_ratio, Fraction(full, 1) / m)
-            pairs.append(entry)
     return {
         "p": str(s.p),
         "pairs": pairs,
-        "equality_claim_holds": equality_holds,
+        "equality_claim_holds": all(entry["equality"] for entry in pairs),
         "equivalence_constants": ["1", str(worst_ratio)],
         "note": "max(forward, backward) <= full norm <= forward + backward "
                 "holds on every pair; pointwise equality of max and full "
                 "norm is flagged, not asserted",
     }
-
-
-def require_same_carrier(a: QuasiPseudoMetric, b: QuasiPseudoMetric) -> None:
-    if a.points != b.points:
-        raise CarrierMismatch("metrics live on different carriers")

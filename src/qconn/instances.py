@@ -26,7 +26,7 @@ from .modular import (
     ScaleGauge,
 )
 from .morphisms import PointMap
-from .numbers import ExtNonNeg
+from .numbers import ExtNonNeg, LiteralTooLarge, parse_rational
 
 KINDS = ("quasi_metric", "digraph", "bitopology", "modular_family", "orlicz",
          "asym_norm_sample", "map", "sequence")
@@ -43,7 +43,9 @@ def _need(obj: dict, key: str, typ=None):
 
 def _rational(text, field: str) -> Fraction:
     try:
-        return Fraction(str(text))
+        return parse_rational(text)
+    except LiteralTooLarge as exc:
+        raise SchemaError(f"field {field!r}: {exc}") from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"field {field!r}: bad rational {text!r}") from exc
 
@@ -51,6 +53,8 @@ def _rational(text, field: str) -> Fraction:
 def _extnonneg(text, field: str) -> ExtNonNeg:
     try:
         return ExtNonNeg(str(text))
+    except LiteralTooLarge as exc:
+        raise SchemaError(f"field {field!r}: {exc}") from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"field {field!r}: bad value {text!r}") from exc
 

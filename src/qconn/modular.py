@@ -154,21 +154,8 @@ class QuasiModularFamily:
 
     def zero_mask_rows(self) -> list[int]:
         """Rows of the relation {(i,j): w_lambda(i,j) = 0 for all lambda}."""
-        rows = []
-        for i in range(self.n):
-            m = 0
-            for j in range(self.n):
-                if self.gauges[i][j].is_identically_zero():
-                    m |= 1 << j
-            rows.append(m)
-        return rows
-
-    def all_breakpoints(self) -> list[Fraction]:
-        bps = set()
-        for row in self.gauges:
-            for g in row:
-                bps.update(g.breakpoints)
-        return sorted(bps)
+        return [sum(1 << j for j, g in enumerate(row) if g.is_identically_zero())
+                for row in self.gauges]
 
 
 # -- validation ----------------------------------------------------------

@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 
 from .bitopology import BitopSpace, indices_of, subspace
 from .connectivity import (
@@ -59,11 +60,13 @@ def _check_carriers(f: PointMap, dX: QuasiPseudoMetric, dY: QuasiPseudoMetric):
 
 
 def is_nonexpansive(f: PointMap, dX: QuasiPseudoMetric, dY: QuasiPseudoMetric) -> bool:
+    """d_Y(f(x), f(y)) <= d_X(x, y) on all pairs: a/den_Y <= b/den_X iff a*den_X <= b*den_Y."""
     _check_carriers(f, dX, dY)
-    n = dX.n
-    for x in range(n):
-        for y in range(n):
-            if not dY.d(f(x), f(y)) <= dX.d(x, y):
+    for x, row in enumerate(dX.rows):
+        image_row = dY.rows[f(x)]
+        for y, b in enumerate(row):
+            a = image_row[f(y)]
+            if b != inf and (a == inf or a * dX.den > b * dY.den):
                 return False
     return True
 
@@ -81,19 +84,14 @@ def is_uniformly_continuous(f: PointMap, dX: QuasiPseudoMetric,
     covers spectra that are empty (all distances zero or infinite).
     """
     _check_carriers(f, dX, dY)
-    n = dX.n
     eps_candidates = dY.positive_spectrum() or [Fraction(1)]
     delta_candidates = dX.positive_spectrum() or [Fraction(1)]
-    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
     for eps in eps_candidates:
-        ok = False
-        for delta in delta_candidates:
-            if all(dY.d(f(x), f(y)) < eps
-                   for (x, y) in pairs
-                   if dX.d(x, y) < delta):
-                ok = True
-                break
-        if not ok:
+        near_y = dY.ball_rows(eps)
+        if not any(all(near_y[f(x)] >> f(y) & 1
+                       for x, near in enumerate(dX.ball_rows(delta))
+                       for y in indices_of(near & ~(1 << x)))
+                   for delta in delta_candidates):
             return False
     return True
 

@@ -11,9 +11,35 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+MAX_LITERAL_DIGITS = 400
+MAX_LITERAL_EXPONENT = 400
+
+
+class LiteralTooLarge(ValueError):
+    """A rational literal beyond MAX_LITERAL_DIGITS or MAX_LITERAL_EXPONENT."""
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational string like "3/2", "-1", "0.25"."""
-    return Fraction(str(text))
+    """Parse a rational string like "3/2", "-1", "0.25", "1e-3".
+
+    Literals with more than MAX_LITERAL_DIGITS digits or an exponent beyond
+    +-MAX_LITERAL_EXPONENT are refused before Fraction sees them (it would
+    build a 33-million-bit integer for "1e9999999").  The limits admit
+    every IEEE double, as its shortest decimal or exactly as num/den.
+    """
+    text = str(text)
+    digits = sum(c.isdigit() for c in text)
+    _, marker, exponent = text.lower().partition("e")
+    try:
+        power = abs(int(exponent)) if marker else 0
+    except ValueError:
+        power = 0  # not a decimal exponent; Fraction rejects the text
+    if digits > MAX_LITERAL_DIGITS or power > MAX_LITERAL_EXPONENT:
+        raise LiteralTooLarge(
+            f"literal with {digits} digits and exponent {power} exceeds the limits "
+            f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}, "
+            f"MAX_LITERAL_EXPONENT = {MAX_LITERAL_EXPONENT}")
+    return Fraction(text)
 
 
 class ExtNonNeg:
@@ -32,16 +58,13 @@ class ExtNonNeg:
         if isinstance(value, ExtNonNeg):
             self._v = value._v
             return
-        if isinstance(value, float):
-            # floats enter only through the documented float mode
-            v = Fraction(value)
-        elif isinstance(value, str):
+        if isinstance(value, str):
             if value.strip().lower() in ("inf", "infinity", "+inf"):
                 self._v = None
                 return
-            v = Fraction(value)
+            v = parse_rational(value)
         else:
-            v = Fraction(value)
+            v = Fraction(value)  # floats enter only through the documented float mode
         if v < 0:
             raise ValueError(f"negative value not allowed: {value!r}")
         self._v = v
@@ -59,7 +82,7 @@ class ExtNonNeg:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "ExtNonNeg") -> "ExtNonNeg":
-        other = _coerce(other)
+        other = enn(other)
         if self._v is None or other._v is None:
             return INF
         return ExtNonNeg(self._v + other._v)
@@ -89,14 +112,14 @@ class ExtNonNeg:
     def __eq__(self, other) -> bool:
         if not isinstance(other, (ExtNonNeg, int, Fraction)):
             return NotImplemented
-        other = _coerce(other)
+        other = enn(other)
         return self._v == other._v
 
     def __hash__(self):
         return hash(("ExtNonNeg", self._v))
 
     def __lt__(self, other) -> bool:
-        other = _coerce(other)
+        other = enn(other)
         if self._v is None:
             return False
         if other._v is None:
@@ -104,7 +127,7 @@ class ExtNonNeg:
         return self._v < other._v
 
     def __le__(self, other) -> bool:
-        other = _coerce(other)
+        other = enn(other)
         if other._v is None:
             return True
         if self._v is None:
@@ -112,10 +135,10 @@ class ExtNonNeg:
         return self._v <= other._v
 
     def __gt__(self, other) -> bool:
-        return _coerce(other).__lt__(self)
+        return enn(other).__lt__(self)
 
     def __ge__(self, other) -> bool:
-        return _coerce(other).__le__(self)
+        return enn(other).__le__(self)
 
     # -- rendering ------------------------------------------------------
 
@@ -126,13 +149,9 @@ class ExtNonNeg:
         return f"ExtNonNeg({str(self)!r})"
 
 
-def _coerce(x) -> ExtNonNeg:
-    return x if isinstance(x, ExtNonNeg) else ExtNonNeg(x)
-
-
 def enn(x) -> ExtNonNeg:
-    """Shorthand constructor."""
-    return _coerce(x)
+    """Shorthand constructor; returns ExtNonNeg arguments unchanged."""
+    return x if isinstance(x, ExtNonNeg) else ExtNonNeg(x)
 
 
 ZERO = ExtNonNeg(0)
@@ -145,13 +164,6 @@ def enn_min(a: ExtNonNeg, b: ExtNonNeg) -> ExtNonNeg:
 
 def enn_max(a: ExtNonNeg, b: ExtNonNeg) -> ExtNonNeg:
     return a if a >= b else b
-
-
-def enn_sum(values) -> ExtNonNeg:
-    total = ZERO
-    for v in values:
-        total = total + v
-    return total
 
 
 def exact_root(value: Fraction, degree: int) -> Fraction | None:

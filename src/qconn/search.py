@@ -353,9 +353,6 @@ class Target:
     check: Callable
     tautological: bool = False  # cannot fail on a finite carrier
 
-    def expects_findings(self) -> bool:
-        return self.id == "cor61_join_local"
-
 
 TARGETS: dict[str, Target] = {
     t.id: t

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -188,3 +189,42 @@ def test_malformed_inputs_never_crash(tmp_path, capsys):
         code = main(["analyze", str(p), "--components"])
         capsys.readouterr()
         assert code in (2, 3), payload
+
+
+FLOAT_SAMPLE = {"kind": "asym_norm_sample", "dimension": 2, "p": "2",
+                "points": [["1/4", "-7/5"], ["-7", "-4/5"], ["7/5", "-4"]]}
+
+
+def test_float_mode_formal_balls_break_is_a_precondition(tmp_path, capsys):
+    # valid in float mode (triangle defect below tol), but the exact order
+    # d(x,y) <= r - s on these radii is not transitive
+    p = tmp_path / "float_sample.json"
+    p.write_text(json.dumps(FLOAT_SAMPLE))
+    code, _, _ = run(capsys, "validate", str(p))
+    assert code == 0
+    code, _, err = run(capsys, "analyze", str(p), "--formal-balls",
+                       "0,2589569785738035/2251799813685248,"
+                       "18915118434956083/2251799813685248")
+    assert code == 2
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "PreconditionFailed"  # not InternalError
+    assert "float-mode" in diag["message"] and "tolerance" in diag["message"]
+
+
+def test_oversized_literals_exit_2_fast(tmp_path, capsys):
+    p = tmp_path / "big.json"
+    p.write_text('{"kind": "quasi_metric", "points": ["a"], "dist": [["1e9999999"]]}')
+    assert len(p.read_bytes()) <= 70
+    start = time.perf_counter()
+    code, _, err = run(capsys, "validate", str(p))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "SchemaError" and "MAX_LITERAL_EXPONENT" in diag["message"]
+    p.write_text('{"kind": "quasi_metric", "points": ["a"], "dist": [["%s"]]}' % ("7" * 401))
+    code, _, err = run(capsys, "validate", str(p))
+    assert code == 2 and "MAX_LITERAL_DIGITS" in json.loads(err)["error"]["message"]
+    code, _, err = run(capsys, "analyze", str(DATA / "asym_pair.json"), "--scale", "1e-9999999")
+    assert code == 2
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "SchemaError" and "MAX_LITERAL_EXPONENT" in diag["message"]

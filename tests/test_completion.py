@@ -204,6 +204,25 @@ def test_formal_ball_negative_radius_rejected():
         FormalBall(point=0, radius=Fraction(-1))
 
 
+@settings(max_examples=40, derandomize=True)
+@given(st.integers(0, 10**9), st.integers(1, 6))
+def test_formal_ball_order_and_covers_match_brute_force(seed, n):
+    rng = random.Random(seed)
+    d = rng_qpm(rng, n)
+    radii = sorted({Fraction(rng.randint(0, 12), rng.choice([1, 2, 3, 7]))
+                    for _ in range(rng.randint(1, 4))})
+    poset = formal_ball_poset(d, radii)
+    balls = poset.elements
+    m = len(balls)
+    le = [[d.d(a.point, b.point) <= a.radius - b.radius if a.radius >= b.radius else False
+           for b in balls] for a in balls]
+    assert [[poset.le(a, b) for b in range(m)] for a in range(m)] == le
+    strict = [[le[a][b] and not le[b][a] for b in range(m)] for a in range(m)]
+    covers = [(a, b) for a in range(m) for b in range(m) if strict[a][b]
+              and not any(strict[a][c] and strict[c][b] for c in range(m))]
+    assert poset.hasse_edges() == covers
+
+
 def test_hasse_dot_renders():
     from qconn.dot import hasse_dot
     d = validate_qpm([[0, 1], [2, 0]])

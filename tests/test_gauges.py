@@ -18,7 +18,7 @@ from qconn import (
     validate_qpm,
 )
 from qconn.errors import NonRepresentable, QpmValidationError
-from qconn.gauges import NonZeroDiagonal, TriangleViolation, one_sided_lp
+from qconn.gauges import NonZeroDiagonal, TriangleViolation, one_sided_lp, qpm_violations
 from qconn.numbers import INF, ZERO, enn
 
 
@@ -49,6 +49,82 @@ def test_validate_infinity_allowed():
         assert m[i][k] <= m[i][j] + m[j][k]
     d = validate_qpm(m)
     assert d.d(1, 0).is_inf
+
+
+# -- integer kernel against a Fraction brute force ---------------------------
+
+PRIMES = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+
+
+def _oracle_violations(matrix, tol=None):
+    """Every diagonal entry above tol, then every (i, j, k) in lexicographic
+    order with d(i,k) > d(i,j) + d(j,k) + tol, by Fraction arithmetic with
+    None for infinity."""
+    eps = Fraction(0) if tol is None else Fraction(tol)
+    n = len(matrix)
+    vals = [[None if v.is_inf else v.frac for v in row] for row in matrix]
+    bad = [NonZeroDiagonal(i, matrix[i][i]) for i in range(n)
+           if vals[i][i] is None or vals[i][i] > eps]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        a, b, c = vals[i][k], vals[i][j], vals[j][k]
+        if b is not None and c is not None and (a is None or a > b + c + eps):
+            bad.append(TriangleViolation(i, j, k, matrix[i][k], enn(b + c)))
+    return bad
+
+
+def _corrupted(rng, n, flavour):
+    """A seeded matrix near the axioms: a valid closure, then perturbed."""
+    base = rng_qpm(rng, n)
+    m = [[base.d(i, j) for j in range(n)] for i in range(n)]
+    tol = None
+    for _ in range(rng.randint(1, n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if flavour == "inf":
+            m[i][j] = rng.choice([INF, ZERO, enn(rng.randint(1, 9))])
+        elif flavour == "zero_row":
+            m[i] = [ZERO] * n
+    if flavour == "coprime":
+        # every finite entry moves by a fraction with its own prime denominator
+        m = [[v if v.is_inf else
+              enn(max(Fraction(0), v.frac + Fraction(rng.randint(-2, 2), rng.choice(PRIMES))))
+              for v in row] for row in m]
+    if flavour == "float":
+        # dyadic values whose sums land below, on and above the tolerance
+        tol = Fraction(1e-9)
+        noise = [0.0, 5e-10, 1e-9, 2e-9, -5e-10, -1e-9, -3e-9]
+        m = [[v if v.is_inf else enn(max(0.0, float(v.frac) + rng.choice(noise)))
+              for v in row] for row in m]
+    return m, tol
+
+
+@settings(max_examples=120, derandomize=True)
+@given(st.integers(0, 10**9), st.integers(1, 7),
+       st.sampled_from(["inf", "zero_row", "coprime", "float"]))
+def test_qpm_violations_match_fraction_oracle(seed, n, flavour):
+    matrix, tol = _corrupted(random.Random(seed), n, flavour)
+    expected = _oracle_violations(matrix, tol)
+    assert qpm_violations(matrix, tol) == expected
+    if expected:
+        with pytest.raises(QpmValidationError) as info:
+            validate_qpm(matrix, tol=tol)
+        assert info.value.violations == expected
+    else:
+        assert validate_qpm(matrix, tol=tol).dist == tuple(map(tuple, matrix))
+
+
+def test_float_tolerance_is_exact_at_the_boundary():
+    tol = Fraction(1e-9)
+    one = Fraction(1)
+    edge = [[enn(0), enn(one), enn(2 * one + tol)],
+            [INF, enn(0), enn(one)],
+            [INF, INF, enn(0)]]
+    assert qpm_violations(edge, tol) == []
+    edge[0][2] = enn(2 * one + tol + Fraction(1, 2**90))
+    assert qpm_violations(edge, tol) == [
+        TriangleViolation(0, 1, 2, edge[0][2], enn(2))]
+    d = validate_qpm([[0, tol], [tol + Fraction(1, 2**90), 0]], tol=tol)
+    assert d.zero_mask_rows() == [0b11, 0b10]
+    assert d.positive_spectrum() == [tol + Fraction(1, 2**90)]
 
 
 def test_conjugate_is_transpose():
@@ -152,10 +228,14 @@ def test_from_digraph_parallel_edges_resolved_by_min():
 @given(st.integers(0, 10**9), st.integers(2, 6))
 def test_from_digraph_matches_path_oracle(seed, n):
     g = rng_digraph(random.Random(seed), n)
-    d = from_digraph(g)
-    for i in range(n):
-        for j in range(n):
-            assert d.d(i, j) == _oracle_path_infimum(g, i, j)
+    rng = random.Random(seed + 1)
+    coprime = WeightedDigraph(vertices=g.vertices, edges=tuple(
+        (u, v, enn(Fraction(rng.randint(0, 400), rng.choice(PRIMES)))) for u, v, _ in g.edges))
+    for graph in (g, coprime):
+        d = from_digraph(graph)
+        for i in range(n):
+            for j in range(n):
+                assert d.d(i, j) == _oracle_path_infimum(graph, i, j)
 
 
 def _oracle_strongly_connected(g: WeightedDigraph) -> bool:

@@ -2,7 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from qconn.numbers import INF, ZERO, ExtNonNeg, enn, enn_max, enn_min, exact_root
+from qconn.numbers import (
+    INF,
+    MAX_LITERAL_DIGITS,
+    MAX_LITERAL_EXPONENT,
+    ZERO,
+    ExtNonNeg,
+    LiteralTooLarge,
+    enn,
+    enn_max,
+    enn_min,
+    exact_root,
+    parse_rational,
+)
 
 
 def test_parse_and_render():
@@ -62,3 +74,20 @@ def test_hash_consistency():
 def test_zero_constant():
     assert ZERO == enn(0)
     assert not ZERO.is_inf
+
+
+def test_literal_limits():
+    for x in (5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1):
+        exact = Fraction(x)
+        assert parse_rational(f"{exact.numerator}/{exact.denominator}") == exact
+        assert parse_rational(repr(x)) == Fraction(repr(x))
+    assert parse_rational("1" * MAX_LITERAL_DIGITS) == int("1" * MAX_LITERAL_DIGITS)
+    assert parse_rational(f"1e-{MAX_LITERAL_EXPONENT}") == Fraction(1, 10**MAX_LITERAL_EXPONENT)
+    for text in ("1" * (MAX_LITERAL_DIGITS + 1), f"1e{MAX_LITERAL_EXPONENT + 1}",
+                 "2E-9999999", "1/" + "3" * (MAX_LITERAL_DIGITS + 1)):
+        with pytest.raises(LiteralTooLarge):
+            parse_rational(text)
+        with pytest.raises(ValueError):
+            enn(text)
+    with pytest.raises(ValueError):
+        parse_rational("1e5x")
