@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CoherenceError, EmptySubset
+from .errors import CoherenceError, EmptySubset, PreconditionFailed
 from .gauges import QuasiPseudoMetric, symmetrize
 from .modular import QuasiModularFamily
 from .relations import is_closed, open_masks, transpose
@@ -88,11 +88,9 @@ class AlexandrovTopology:
     def is_open(self, subset) -> bool:
         return self.is_open_mask(mask_of(subset, self.n))
 
-    def open_sets(self, limit: int = 16) -> list[int]:
-        """All open sets as bitmasks; exponential, so capped by carrier size."""
-        if self.n > limit:
-            raise ValueError(
-                f"open-set enumeration capped at {limit} points (carrier has {self.n})")
+    def open_sets(self) -> list[int]:
+        """All open sets as ascending bitmasks; exponential, so carriers
+        above ``relations.OPEN_MASK_LIMIT`` points raise ``CarrierTooLarge``."""
         return open_masks(self.nbhd)
 
 
@@ -129,24 +127,22 @@ def specialization_bitop(d: QuasiPseudoMetric) -> BitopSpace:
     neighborhoods of the two ball topologies on a finite carrier: every
     ball around x at radius below the least positive distance equals the
     zero set, and the triangle inequality makes the zero relation
-    transitive, which is asserted here via the coherence check plus a
-    direct ball comparison.
+    transitive, which the coherence check asserts.  In float mode the
+    zero relation is d <= tol, and two hops of up to tol each need not
+    compose; that breaks coherence and raises ``PreconditionFailed``.
     """
     rows = d.zero_mask_rows()
     cols = transpose(rows)
-    fwd = AlexandrovTopology(points=d.points, nbhd=tuple(rows))
+    try:
+        fwd = AlexandrovTopology(points=d.points, nbhd=tuple(rows))
+    except CoherenceError as exc:
+        if d.tol is None:
+            raise
+        raise PreconditionFailed(
+            f"float-mode zero relation is not transitive ({exc}): distances "
+            f"within the tolerance {d.tol} do not compose") from exc
     bwd = AlexandrovTopology(points=d.points, nbhd=tuple(cols))
-    _assert_ball_identity(d, rows)
     return BitopSpace(forward=fwd, backward=bwd)
-
-
-def _assert_ball_identity(d: QuasiPseudoMetric, rows) -> None:
-    spectrum = d.positive_spectrum()
-    balls = d.ball_rows(spectrum[0]) if spectrum else d.zero_mask_rows()
-    for x, ball in enumerate(balls):
-        if ball != rows[x]:
-            raise AssertionError(
-                f"minimal ball at point {x} disagrees with the zero set")
 
 
 def modular_bitop(f: QuasiModularFamily) -> BitopSpace:

@@ -10,6 +10,7 @@ time) go to stderr only.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from .errors import ParseError, QconnError, SchemaError, UnknownProperty
 from .gauges import from_asym_norm, from_digraph
 from .instances import canonical_json, dump_instance, load_instance
 from .numbers import LiteralTooLarge, parse_rational
-from .search import DEFAULT_SEED, TARGETS, search_counterexamples
+from .search import DEFAULT_SEED, EXHAUSTIVE_MAX_N, TARGETS, search_counterexamples
 
 
 def _fail(code: int, exc_type: str, message: str) -> int:
@@ -48,6 +49,13 @@ def _rational_list(text: str, name: str) -> list[Fraction]:
     return [_rational_arg(part, name) for part in text.split(",") if part.strip()]
 
 
+def _float_tol(args) -> float:
+    if not (math.isfinite(args.float_tol) and args.float_tol >= 0):
+        raise SchemaError(f"argument --float-tol: must be a finite number >= 0, "
+                          f"got {args.float_tol}")
+    return args.float_tol
+
+
 def cmd_validate(args) -> int:
     kind, value = load_instance(args.path)
     report = {"valid": True, "kind": kind, "instance": dump_instance(value)}
@@ -73,7 +81,7 @@ def _as_spaces(kind, value, args):
         if value.p == 1:
             d = from_asym_norm(value)
         else:
-            d = from_asym_norm(value, mode="float", tol=args.float_tol)
+            d = from_asym_norm(value, mode="float", tol=_float_tol(args))
         return d, bitopology.specialization_bitop(d)
     raise SchemaError(f"kind {kind!r} is not analyzable on its own")
 
@@ -154,6 +162,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.budget < 0:
+        raise SchemaError(f"argument --budget: must be >= 0, got {args.budget}")
+    if args.mode == "exhaustive" and args.n > EXHAUSTIVE_MAX_N:
+        raise SchemaError(f"argument --n: exhaustive mode is capped at "
+                          f"{EXHAUSTIVE_MAX_N} points, got {args.n}")
     result = search_counterexamples(
         target=args.target, n=args.n, mode=args.mode, seed=args.seed,
         budget=args.budget)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .bitopology import indices_of, mask_of
 from .errors import NegativeRadius, NotCauchy, PreconditionFailed
 from .gauges import QuasiPseudoMetric
-from .relations import is_closed, scc_masks, transpose
+from .relations import OPEN_MASK_LIMIT, is_closed, scc_masks, transpose
 
 
 @dataclass(frozen=True)
@@ -144,8 +144,7 @@ def precompact_report(d: QuasiPseudoMetric, thresholds) -> dict:
     return {"carrier_size": d.n, "covers": covers, "precompact": True}
 
 
-def join_compactness_check(d: QuasiPseudoMetric, thresholds=None,
-                           open_limit: int = 16) -> dict:
+def join_compactness_check(d: QuasiPseudoMetric, thresholds=None) -> dict:
     """Instantiate the implication chain 'precompact and directionally
     complete implies the join topology is compact' on one finite space.
 
@@ -164,7 +163,7 @@ def join_compactness_check(d: QuasiPseudoMetric, thresholds=None,
     smyth = smyth_report(d)
     topo = join(specialization_bitop(d))
     conclusion = {"join_compact": True, "carrier_finite": True}
-    if d.n <= open_limit:
+    if d.n <= OPEN_MASK_LIMIT:
         full = (1 << d.n) - 1
         canonical = [topo.nbhd[x] for x in range(d.n)]
         union = 0

@@ -12,6 +12,11 @@ mask.
 
 from __future__ import annotations
 
+from .errors import CarrierTooLarge
+
+# largest carrier whose open sets are enumerated (2**16 masks)
+OPEN_MASK_LIMIT = 16
+
 
 def transpose(rows) -> list[int]:
     """Converse relation: bit x of the result's row y iff bit y of rows[x]."""
@@ -44,11 +49,16 @@ def is_closed(rows, mask: int) -> bool:
 
 
 def open_masks(rows) -> list[int]:
-    """Every closed mask (see ``is_closed``) in ascending order;
-    exponential in the carrier size, so callers cap it.  The union of the
-    rows of a mask extends the union for the mask without its lowest bit,
-    so each mask costs one step."""
+    """Every closed mask (see ``is_closed``) in ascending order; this is
+    the package's one open-set enumeration.  It is exponential in the
+    carrier size, so carriers above ``OPEN_MASK_LIMIT`` points raise
+    ``CarrierTooLarge``.  The union of the rows of a mask extends the
+    union for the mask without its lowest bit, so each mask costs one
+    step."""
     n = len(rows)
+    if n > OPEN_MASK_LIMIT:
+        raise CarrierTooLarge(f"open-set enumeration capped at {OPEN_MASK_LIMIT} "
+                              f"points (carrier has {n})")
     union = [0] * (1 << n)
     out = [0]
     for mask in range(1, 1 << n):

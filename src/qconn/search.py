@@ -2,11 +2,13 @@
 
 Instances are ordered pairs of preorders (equivalently, pairs of minimal
 neighborhood maps).  Exhaustive mode enumerates every pair up to a
-carrier size; random mode samples DAG-plus-equivalence preorders from a
-seed.  Every search stream is prefixed with fixed regression instances,
-and results are deterministic for a fixed (target, mode, n, seed,
-budget).  Every check works on bitmask rows through ``relations``;
-subsets are masks on the full combined digraph, never rebuilt spaces.
+carrier size of ``EXHAUSTIVE_MAX_N``; random mode samples
+DAG-plus-equivalence preorders from a seed.  Every search stream is
+prefixed with fixed regression instances, and results are deterministic
+for a fixed (target, mode, n, seed, budget).  Every check works on
+bitmask rows through ``relations``; subsets are masks on the full
+combined digraph, never rebuilt spaces.  Only the two oracle targets read
+open sets, which each preorder enumerates on first read.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from .bitopology import indices_of
@@ -34,18 +36,22 @@ from .relations import (
 )
 
 DEFAULT_SEED = 20240801
-OPEN_ENUM_LIMIT = 14
+EXHAUSTIVE_MAX_N = 5
 
 # count of reflexive transitive relations per labelled carrier size,
 # used as an enumeration self-check
 PREORDER_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
 
 
-class PreorderData(NamedTuple):
+@dataclass(frozen=True)
+class PreorderData:
     rows: tuple[int, ...]
     transpose: tuple[int, ...]
-    opens: tuple[int, ...] | None      # all open masks, or None past the cap
-    opens_set: frozenset | None
+
+    @cached_property
+    def opens(self) -> frozenset[int]:
+        """Every open mask, enumerated once on first read."""
+        return frozenset(open_masks(self.rows))
 
 
 class BitopCase(NamedTuple):
@@ -63,16 +69,19 @@ class MapCase(NamedTuple):
 
 def preorder_data(rows) -> PreorderData:
     rows = tuple(rows)
-    opens = tuple(open_masks(rows)) if len(rows) <= OPEN_ENUM_LIMIT else None
-    return PreorderData(rows=rows, transpose=tuple(transpose(rows)), opens=opens,
-                        opens_set=None if opens is None else frozenset(opens))
+    return PreorderData(rows=rows, transpose=tuple(transpose(rows)))
 
 
-def _generate_preorders(n: int):
-    """All reflexive transitive relations on n labelled points, lazily,
-    in a fixed order (off-diagonal bit patterns ascending)."""
+@lru_cache(maxsize=None)
+def all_preorders(n: int) -> tuple[PreorderData, ...]:
+    """Every reflexive transitive relation on n labelled points, in a
+    fixed order (off-diagonal bit patterns ascending); capped at
+    ``EXHAUSTIVE_MAX_N`` points (6942 relations)."""
+    if n > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"full preorder table capped at {EXHAUSTIVE_MAX_N} points")
     diag = [1 << i for i in range(n)]
     offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    table = []
     for bits in range(1 << len(offdiag)):
         rows = list(diag)
         b = bits
@@ -84,40 +93,8 @@ def _generate_preorders(n: int):
             b >>= 1
             pos += 1
         if all(is_closed(rows, row) for row in rows):
-            yield preorder_data(rows)
-
-
-@lru_cache(maxsize=None)
-def all_preorders(n: int) -> tuple[PreorderData, ...]:
-    """Full preorder table; feasible through n = 5 (6942 relations)."""
-    if n > 5:
-        raise ValueError("full preorder table capped at 5 points; "
-                         "larger sizes stream lazily")
-    return tuple(_generate_preorders(n))
-
-
-def _diagonal_pairs(factory):
-    """All ordered pairs from a possibly huge stream, touching only the
-    prefix a budget-capped consumer actually demands."""
-    cache: list = []
-    gen = factory()
-    exhausted = False
-    diag = 0
-    while True:
-        while not exhausted and len(cache) <= diag:
-            try:
-                cache.append(next(gen))
-            except StopIteration:
-                exhausted = True
-        if exhausted and cache and diag > 2 * (len(cache) - 1):
-            return
-        if exhausted and not cache:
-            return
-        for a in range(diag + 1):
-            b = diag - a
-            if a < len(cache) and b < len(cache):
-                yield cache[a], cache[b]
-        diag += 1
+            table.append(preorder_data(rows))
+    return tuple(table)
 
 
 def random_preorder(rng: random.Random, n: int) -> PreorderData:
@@ -167,6 +144,9 @@ REGRESSION_CYCLE_SPLIT = BitopCase(
 
 REGRESSION_CASES = (REGRESSION_INDISCRETE_SPLIT, REGRESSION_CYCLE_SPLIT)
 
+# the one-point space, target of every stream's constant maps
+_POINT = preorder_data((1,))
+
 
 # -- row-level property checks --------------------------------------------
 
@@ -178,7 +158,7 @@ def _join_rows(case: BitopCase) -> list[int]:
 def _brute_antisym(case: BitopCase) -> bool:
     n = len(case.fwd.rows)
     full = (1 << n) - 1
-    bwd_opens = case.bwd.opens_set
+    bwd_opens = case.bwd.opens
     for a_mask in case.fwd.opens:
         if a_mask in (0, full):
             continue
@@ -397,24 +377,11 @@ def _bitop_stream(mode: str, n: int, seed: int, equal: bool) -> Iterable[BitopCa
     if not equal:
         yield from REGRESSION_CASES
     if mode == "exhaustive":
-        if n > 6:
-            raise ValueError("exhaustive mode capped at 6 points")
         for size in range(1, n + 1):
-            if size <= 5:
-                table = all_preorders(size)
-                if equal:
-                    for p in table:
-                        yield BitopCase(fwd=p, bwd=p, source="enumerated")
-                else:
-                    for p, q in itertools.product(table, table):
-                        yield BitopCase(fwd=p, bwd=q, source="enumerated")
-            else:
-                if equal:
-                    for p in _generate_preorders(size):
-                        yield BitopCase(fwd=p, bwd=p, source="enumerated")
-                else:
-                    for p, q in _diagonal_pairs(lambda s=size: _generate_preorders(s)):
-                        yield BitopCase(fwd=p, bwd=q, source="enumerated")
+            table = all_preorders(size)
+            pairs = ((p, p) for p in table) if equal else itertools.product(table, table)
+            for p, q in pairs:
+                yield BitopCase(fwd=p, bwd=q, source="enumerated")
     elif mode == "random":
         rng = random.Random(seed)
         while True:
@@ -432,8 +399,7 @@ def _map_stream(mode: str, n: int, seed: int) -> Iterable[MapCase]:
         size = len(case.fwd.rows)
         ident = tuple(range(size))
         yield MapCase(src=case, assignment=ident, tgt=case, source=case.source)
-        point = preorder_data((1,))
-        target1 = BitopCase(fwd=point, bwd=point, source=case.source)
+        target1 = BitopCase(fwd=_POINT, bwd=_POINT, source=case.source)
         yield MapCase(src=case, assignment=(0,) * size, tgt=target1,
                       source=case.source)
         tgt_size = rng.randint(1, max(2, size))
@@ -502,6 +468,8 @@ def search_counterexamples(target: str, n: int, mode: str = "exhaustive",
     if target not in TARGETS:
         raise UnknownProperty(f"unknown target {target!r}; known: "
                               + ", ".join(sorted(TARGETS)))
+    if mode == "exhaustive" and n > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive mode capped at {EXHAUSTIVE_MAX_N} points")
     tgt = TARGETS[target]
     if tgt.case_kind == "map":
         stream = _map_stream(mode, n, seed)

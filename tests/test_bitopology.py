@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from gen import rng_bitop, rng_family, rng_qpm
 from qconn import (
+    AsymNormSample,
     ScaleGauge,
+    from_asym_norm,
     is_open,
     is_T0,
     join,
@@ -20,7 +22,7 @@ from qconn import (
     validate_qpm,
 )
 from qconn.bitopology import AlexandrovTopology, BitopSpace
-from qconn.errors import CoherenceError, EmptySubset
+from qconn.errors import CarrierTooLarge, CoherenceError, EmptySubset
 from qconn.modular import QuasiModularFamily
 
 
@@ -123,6 +125,33 @@ def test_open_family_closed_under_union_intersection(seed, n):
             assert (u | v) in opens
             assert (u & v) in opens
         assert 0 in opens and (1 << n) - 1 in opens
+
+
+def test_open_sets_capped_at_16_points():
+    assert len(topo(tuple(range(16)), *[{i} for i in range(16)]).open_sets()) == 1 << 16
+    with pytest.raises(CarrierTooLarge):
+        topo(tuple(range(17)), *[{i} for i in range(17)]).open_sets()
+
+
+def test_minimal_ball_is_the_zero_set():
+    """The identity behind specialization_bitop: no distance lies strictly
+    between the zero relation and the least positive distance, so the
+    ball at that distance is the zero set (at any radius when there is
+    none)."""
+    rng = random.Random(20240805)
+    metrics = [rng_qpm(rng, n, density) for n in (1, 3, 6, 9)
+               for density in (0.2, 0.5, 0.9)]
+    for dim in (1, 2):
+        pts = tuple(tuple(Fraction(rng.choice((0, 3, 6, 10**9, 2 * 10**9)), 10**10)
+                          for _ in range(dim)) for _ in range(6))
+        metrics.append(from_asym_norm(AsymNormSample(dimension=dim, p=Fraction(2), points=pts),
+                                      mode="float", tol=1e-9))
+    metrics.append(validate_qpm([[0, "inf"], [0, 0]]))
+    assert not metrics[-1].positive_spectrum()
+    assert any(d.tol is not None and d.positive_spectrum() for d in metrics)
+    for d in metrics:
+        radius = min(d.positive_spectrum(), default=Fraction(1))
+        assert d.ball_rows(radius) == d.zero_mask_rows()
 
 
 def test_t0():

@@ -211,6 +211,39 @@ def test_float_mode_formal_balls_break_is_a_precondition(tmp_path, capsys):
     assert "float-mode" in diag["message"] and "tolerance" in diag["message"]
 
 
+def test_float_mode_intransitive_zero_relation_is_a_precondition(tmp_path, capsys):
+    # d(v0,v1) and d(v1,v2) are within tol = 1e-9, d(v0,v2) is not
+    p = tmp_path / "line.json"
+    p.write_text(json.dumps({"kind": "asym_norm_sample", "dimension": 1, "p": "2",
+                             "points": [["0"], ["6e-10"], ["12e-10"]]}))
+    code, _, err = run(capsys, "analyze", str(p), "--float-tol", "1e-9")
+    assert code == 2
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "PreconditionFailed"  # not CoherenceError
+    assert "tolerance" in diag["message"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "1e999", "-1"])
+def test_bad_float_tol_is_a_schema_error(tmp_path, capsys, tol):
+    p = tmp_path / "float_sample.json"
+    p.write_text(json.dumps(FLOAT_SAMPLE))
+    code, _, err = run(capsys, "analyze", str(p), "--float-tol", tol)
+    assert code == 2
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "SchemaError" and "--float-tol" in diag["message"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("--budget", "-1"), "--budget"),
+    (("--mode", "exhaustive", "--n", "7"), "--n"),
+], ids=["negative-budget", "exhaustive-n7"])
+def test_bad_search_arguments_are_schema_errors(capsys, argv, name):
+    code, _, err = run(capsys, "search", "--target", "prop54_inclusion", *argv)
+    assert code == 2
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "SchemaError" and name in diag["message"]
+
+
 def test_oversized_literals_exit_2_fast(tmp_path, capsys):
     p = tmp_path / "big.json"
     p.write_text('{"kind": "quasi_metric", "points": ["a"], "dist": [["1e9999999"]]}')

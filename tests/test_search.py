@@ -1,8 +1,13 @@
+import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
 
+from qconn.cli import main
 from qconn.errors import UnknownProperty
+from qconn.instances import canonical_json
 from qconn.search import (
     DEFAULT_SEED,
     BitopCase,
@@ -15,6 +20,9 @@ from qconn.search import (
     random_preorder,
     search_counterexamples,
 )
+
+
+ORACLE_TARGETS = ("antisym_oracle", "prop53_equivalence")
 
 
 def test_preorder_counts_match_known_values():
@@ -126,9 +134,137 @@ def test_lemma_check_flags_a_corrupt_transpose():
     # N+(0) = N-(0) = {0, 1}, so J(0) = {0, 1}; the cached backward
     # transpose drops the arc 1 -> 0 that 1 in N-(0) must supply
     fwd = preorder_data((0b11, 0b10))
-    broken = fwd._replace(transpose=(0b01, 0b10))
+    broken = dataclasses.replace(fwd, transpose=(0b01, 0b10))
     case = BitopCase(fwd=fwd, bwd=broken, source="seeded")
     detail = TARGETS["prop61_subspace"].check(case, random.Random(0))
     assert detail == {"point": 0, "missing_arcs_with": [1]}
     # the digraph decision and the subset oracle now disagree as well
     assert TARGETS["antisym_oracle"].check(case, random.Random(0)) is not None
+
+
+def test_only_the_oracle_targets_enumerate_open_sets():
+    rng = random.Random(41)
+    case = BitopCase(fwd=random_preorder(rng, 12), bwd=random_preorder(rng, 12),
+                     source="random")
+    for tid, target in TARGETS.items():
+        if target.case_kind != "map" and tid not in ORACLE_TARGETS:
+            target.check(case, random.Random(0))
+    assert "opens" not in vars(case.fwd) and "opens" not in vars(case.bwd)
+    for tid in ORACLE_TARGETS:
+        assert TARGETS[tid].check(case, random.Random(0)) is None
+    assert vars(case.fwd)["opens"] == case.fwd.opens  # enumerated once, then kept
+
+
+@pytest.mark.parametrize("target", ORACLE_TARGETS)
+def test_oracle_targets_refuse_carriers_past_the_enumeration_cap(capsys, target):
+    code = main(["search", "--target", target, "--n", "20", "--mode", "random"])
+    assert code == 2
+    diag = json.loads(capsys.readouterr().err)["error"]
+    assert diag["type"] == "CarrierTooLarge" and "16 points" in diag["message"]
+
+
+def test_exhaustive_mode_refuses_sizes_past_the_tables():
+    with pytest.raises(ValueError):
+        search_counterexamples("prop54_inclusion", n=6, mode="exhaustive", budget=10)
+
+
+# sha256 of canonical_json(findings_document()) per target, recorded before
+# the search stopped enumerating open sets for targets that never read them;
+# any change to a stream, a check or the document format shows up here
+SEARCH_DIGESTS = {
+    ("exhaustive", 3, None, None): {
+        "antisym_oracle":
+            "f5244d8cf9d9f9542dd8250e7461c8d93a870a49dc8ba1afdea955500e3960f6",
+        "cor61_join_local":
+            "08f914412e9daa9d9a19f7123b654808c9e932342fa973f46b5eb2c9ac8b1a88",
+        "prop53_equivalence":
+            "a6778a259c6d14b4c3553a5d71ec4077100b511b52362a48ef87819a98251dfb",
+        "prop54_inclusion":
+            "66066ec08dd1057f6f287c6d65e4dfc0897b4dd768b9e9ab6254030775f27cbd",
+        "prop61_subspace":
+            "0f772481878937de289a28e7b8a68fa356cc9316ecec92e80c145d7f5aa5b0ba",
+        "prop61_union":
+            "76930087717b366cf5f37a9db5d1f358e99738517bd72aa89f52d6ca1395108e",
+        "prop62_image":
+            "28029ecd1761b941eadf3e8d8275cdd23287b65187d0b4bc611cfc0b5fd99341",
+        "thm54_coincidence":
+            "4c5bc9d38941a416538dbebb1378004308e536e9fa0d85565948f686c0932ffe",
+        "thm74_local_image":
+            "812e74b45027ac0096f164ffc15871a9f216b64904ecf2e87570ff17885090fd",
+    },
+    ("exhaustive", 4, None, 20000): {
+        "antisym_oracle":
+            "de14425a4d2f988af9dd8933c4e5eb80a98cd92c4e518cd9d523eef9711cb81a",
+        "cor61_join_local":
+            "2328ac6d7d447bc443d2a111b3acd8d478bbc1de925618a7a41974e41933da50",
+        "prop53_equivalence":
+            "8876c2ccc6c263ef32ecc8ff3c652c239ac795dfbc4f507ce9a9058cbfb50f8d",
+        "prop54_inclusion":
+            "c8c76594cbb20e43c0a9691829e77234dd8a9be3017b56608c406978f78619f9",
+        "prop61_subspace":
+            "eb7607a565fe00e96fa8230a0e2a9a129c81b9e2289643407957db5ce45fc8d8",
+        "prop61_union":
+            "2bd0bf34f83c1c30adc1b2b0f468ffb888537c96a6f6c7560c73874501245d34",
+        "prop62_image":
+            "d7e1873caf60632e559165afc9cb7cab746ae471b5344f04ae56686f96a593b0",
+        "thm54_coincidence":
+            "1786a83ef92eb2da8b14f4fb0cbec2544cae164ec705c73d1fced51b1242d197",
+        "thm74_local_image":
+            "2004a24c2920cde964240ae3e9e563119e76c3d9dd3994fb4b042dacc52e88f2",
+    },
+    ("random", 8, 20240803, 1000): {
+        "antisym_oracle":
+            "dd5e93989798ccf430930ab04aa39238012a9a83fe6b8de1ab1a186f94cedddb",
+        "cor61_join_local":
+            "3a56c9c657c2407c37935962022aa55ac9bfd55135cd73053dd3485955f6a1ef",
+        "prop53_equivalence":
+            "c4248ed05baefc80d18847bf430aeeb9abaae48dd320ce9f24614b8d845106ac",
+        "prop54_inclusion":
+            "cdcfb54c0fcb046978f7dc095f896d364d9d346380b6350fa1bed64def3b9598",
+        "prop61_subspace":
+            "5955b2e40ccef9aef3be12e1c4db211f9f77bd9643fadf266d27827d3f0d356f",
+        "prop61_union":
+            "895f2de6339889c702e5d73e71f8fc7ef9f34bd9bee69b5a0b25efb6d4e10d12",
+        "prop62_image":
+            "e773f084a369fa18f99273562e4810fff39ad21a58057947af3ddd89ae812580",
+        "thm54_coincidence":
+            "23c2fd78085025ebff539120db61e144fc05db8f12db661458fbe597f70cfbff",
+        "thm74_local_image":
+            "d34250083aa442befceb2ba8b56ab42c64c112e36293c359426e388a1b09e08e",
+    },
+    ("random", 12, 7, 300): {
+        "antisym_oracle":
+            "e7313ec44b56e3c4280b2379dbd51460b0758d8e9df06e739ef3c8f05084bb13",
+        "cor61_join_local":
+            "dfc4364137fddb36be1eb0e9480d64ec27fe98a24c5393033a351513a5a285e4",
+        "prop53_equivalence":
+            "8e5f63878d9ba1448ac420f07f543cda410299c01dc38beeca4e5615213eb3fe",
+        "prop54_inclusion":
+            "728718432356c18ee09afc45a42b21aca84750eebe3c6bb7704a1cd9ecfc72b9",
+        "prop61_subspace":
+            "1d8c64e67bbd565355008c73dc73da311a8528ab160762200d1d70bb77d80a20",
+        "prop61_union":
+            "7ec682884abfd8d8d99610af747c194602ef729c042bb2c259503893a393dabb",
+        "prop62_image":
+            "ae59a44074405b7ac15180e9e38224375ec430ca70024812f5d2e9fef791261d",
+        "thm54_coincidence":
+            "b90954366f5ccf5032461d640221beeadc3762e02bf595454cc1400172a730f8",
+        "thm74_local_image":
+            "bde9c7fd863095dfd68ed18030469dd011ac7d21bb8638716a740daef17a035d",
+    },
+}
+
+
+@pytest.mark.parametrize("config", list(SEARCH_DIGESTS),
+                         ids=lambda c: f"{c[0]}-n{c[1]}")
+def test_search_output_pinned(config):
+    mode, n, seed, budget = config
+    digests = SEARCH_DIGESTS[config]
+    assert sorted(digests) == sorted(TARGETS)
+    kwargs = {} if seed is None else {"seed": seed}
+    got = {}
+    for target in digests:
+        doc = search_counterexamples(target, n=n, mode=mode, budget=budget,
+                                     **kwargs).findings_document()
+        got[target] = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+    assert got == digests
