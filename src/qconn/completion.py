@@ -30,11 +30,14 @@ class EventuallyPeriodicSeq:
         if not self.period:
             raise ValueError("period must be nonempty")
 
-    def prefix(self, length: int) -> list[int]:
-        out = list(self.preperiod)
-        while len(out) < length:
-            out.append(self.period[(len(out) - len(self.preperiod)) % len(self.period)])
-        return out[:length]
+
+def _broken(d: QuasiPseudoMetric, what: str, structure: str, cause: str) -> Exception:
+    """A bug on exact distances; on float-mode ones, which obey the laws only
+    up to the tolerance, a PreconditionFailed naming it."""
+    if d.tol is None:
+        return AssertionError(what)
+    return PreconditionFailed(f"float-mode distances break {structure} ({what}): "
+                              f"{cause} the tolerance {d.tol}")
 
 
 def _zero_from_all(rows, period) -> int:
@@ -78,7 +81,8 @@ def smyth_report(d: QuasiPseudoMetric) -> dict:
     through the class is the canonical representative sequence and each of
     its members is a forward limit.  Limits are additionally confirmed
     against the conjugate-side ball criterion: y is a limit iff every
-    period point sits inside every backward ball around y.
+    period point sits inside every backward ball around y.  Float-mode
+    zero distances compose only up to the tolerance (see _broken).
     """
     rows = d.zero_mask_rows()
     backward = transpose(rows)
@@ -86,7 +90,9 @@ def smyth_report(d: QuasiPseudoMetric) -> dict:
     for cls in scc_masks(rows):
         members = indices_of(cls)
         if _zero_from_all(rows, members) & cls != cls:
-            raise AssertionError(f"zero cycle through {members} is not a zero clique")
+            raise _broken(d, f"zero cycle through {members} is not a zero clique",
+                          "the completeness certificate",
+                          "zero distances compose only up to")
         limits = forward_limits(d, EventuallyPeriodicSeq(preperiod=(), period=tuple(members)))
         if any(backward[y] & cls != cls for y in limits):
             raise AssertionError("ball criterion failed for a reported limit")
@@ -121,7 +127,8 @@ def precompact_report(d: QuasiPseudoMetric, thresholds) -> dict:
     forward: a cover at eps still covers at any larger eps, so reporting
     the smaller of {fresh first-fit cover, previous cover} yields minimal
     greedy cover sizes that are nonincreasing in eps by construction
-    (first-fit alone does not guarantee that).
+    (first-fit alone does not guarantee that).  Float-mode self-distances
+    vanish only up to the tolerance (see _broken).
     """
     eps_list = sorted({Fraction(t) for t in thresholds})
     if any(t <= 0 for t in eps_list):
@@ -138,7 +145,9 @@ def precompact_report(d: QuasiPseudoMetric, thresholds) -> dict:
         for c in centers:
             union |= balls[c]
         if union != full:
-            raise AssertionError(f"cover at eps={eps} does not cover the carrier")
+            raise _broken(d, f"cover at eps={eps} does not cover the carrier",
+                          "the forward-ball cover",
+                          "self-distances vanish only up to")
         covers.append({"eps": str(eps), "centers": centers, "size": len(centers)})
         prev = centers
     return {"carrier_size": d.n, "covers": covers, "precompact": True}
@@ -247,13 +256,11 @@ def formal_ball_poset(d: QuasiPseudoMetric, radii) -> FormalBallPoset:
 
 
 def _check_poset_laws(p: FormalBallPoset, d: QuasiPseudoMetric) -> None:
-    """Exact distances satisfy the laws by the triangle inequality, so a
-    failure there is a bug; float-mode distances satisfy the triangle
-    inequality only up to the tolerance, which the order does not absorb."""
+    """The laws follow from the triangle inequality, which float-mode
+    distances obey only up to a tolerance the order does not absorb."""
     def broken(what: str) -> Exception:
-        return AssertionError(what) if d.tol is None else PreconditionFailed(
-            f"float-mode distances break the formal-ball order ({what}): the "
-            f"triangle inequality holds only up to the tolerance {d.tol}")
+        return _broken(d, what, "the formal-ball order",
+                       "the triangle inequality holds only up to")
 
     zero = d.zero_mask_rows()
     below = transpose(p.le_rows)

@@ -206,7 +206,13 @@ def qpm_violations(matrix, tol: Fraction | None = None) -> list:
     return _violations(den, rows, 0 if tol is None else int(Fraction(tol) * den))
 
 
-def _checked(points, den: int, rows, tol=None) -> QuasiPseudoMetric:
+def validate_qpm(matrix, points=None, tol: Fraction | None = None) -> QuasiPseudoMetric:
+    """Validate a square ExtNonNeg matrix against the axioms.
+
+    Returns the immutable structure, or raises QpmValidationError carrying
+    every violated triple and diagonal entry.
+    """
+    den, rows = _scale(matrix, tol)
     points = tuple(str(i) for i in range(len(rows))) if points is None else tuple(points)
     if len(points) != len(rows):
         raise ValueError("point labels do not match matrix size")
@@ -215,15 +221,6 @@ def _checked(points, den: int, rows, tol=None) -> QuasiPseudoMetric:
     if bad:
         raise QpmValidationError(bad)
     return d
-
-
-def validate_qpm(matrix, points=None, tol: Fraction | None = None) -> QuasiPseudoMetric:
-    """Validate a square ExtNonNeg matrix against the axioms.
-
-    Returns the immutable structure, or raises QpmValidationError carrying
-    every violated triple and diagonal entry.
-    """
-    return _checked(points, *_scale(matrix, tol), tol)
 
 
 def conjugate(d: QuasiPseudoMetric) -> QuasiPseudoMetric:
@@ -242,8 +239,8 @@ def from_digraph(g: WeightedDigraph) -> QuasiPseudoMetric:
 
     dist[i][j] = infimum of path weights i -> j (inf over the empty path
     set is infinity).  Self-distance is pinned to 0 regardless of cycles.
-    The output is transitively closed, hence triangle-valid; this is
-    asserted on every construction.
+    The output is transitively closed, hence triangle-valid by
+    construction and not re-validated.
     """
     n = len(g.vertices)
     idx = {v: i for i, v in enumerate(g.vertices)}
@@ -265,7 +262,7 @@ def from_digraph(g: WeightedDigraph) -> QuasiPseudoMetric:
                 via = dik + v
                 if via < row_i[j]:
                     row_i[j] = via
-    return _checked(g.vertices, den, dist)
+    return _metric(g.vertices, den, dist)
 
 
 def _pos_part(x: Fraction) -> Fraction:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import (
     EmptyGrid,
@@ -254,10 +255,12 @@ def validate_family(f: QuasiModularFamily, grid) -> ValidationReport:
 
 
 def _nonzero_witness(g: ScaleGauge, grid) -> Fraction:
+    """A positive scale where g is nonzero; the least grid point when no
+    breakpoint bounds g's first nonzero piece."""
     if g.kind == STEP:
-        for t, v in enumerate(g.values):
-            if v != ZERO:
-                return g.breakpoints[0] / 2 if t == 0 else g.breakpoints[t - 1]
+        t = next(t for t, v in enumerate(g.values) if v != ZERO)
+        if t or g.breakpoints:
+            return g.breakpoints[t - 1] if t else g.breakpoints[0] / 2
     return grid[0]
 
 
@@ -273,6 +276,7 @@ def _qm2_check(f: QuasiModularFamily, i: int, j: int, k: int, grid):
 
 def _qm2_step_corners(ga, gb, gc, i, j, k):
     out = []
+    t = None
     for la in (None, *ga.breakpoints):
         va = ga.values[0] if la is None else ga(la)
         for mu in (None, *gb.breakpoints):
@@ -286,27 +290,25 @@ def _qm2_step_corners(ga, gb, gc, i, j, k):
             else:
                 vc = gc(la + mu)
             if not vc <= va + vb:
-                out.append(_materialize_corner(ga, gb, gc, i, j, k, la, mu))
+                if t is None:
+                    t = _corner_scale(ga, gb, gc)
+                lam_w = t if la is None else la
+                mu_w = t if mu is None else mu
+                out.append(QM2Violation(i, j, k, lam_w, mu_w, gc(lam_w + mu_w),
+                                        ga(lam_w) + gb(mu_w)))
     return out
 
 
-def _materialize_corner(ga, gb, gc, i, j, k, la, mu):
-    """Replace a 0+ corner with a concrete violating scale.
-
-    The corner value is the exact limit, so a small enough positive scale
-    reproduces it; halving terminates because step gauges are constant on
-    a punctured neighbourhood of every corner.
-    """
-    positives = [b for g in (ga, gb, gc) for b in g.breakpoints]
-    t = (min(positives) if positives else Fraction(1)) / 2
-    for _ in range(80):
-        lam_w = la if la is not None else t
-        mu_w = mu if mu is not None else t
-        lhs, rhs = gc(lam_w + mu_w), ga(lam_w) + gb(mu_w)
-        if not lhs <= rhs:
-            return QM2Violation(i, j, k, lam_w, mu_w, lhs, rhs)
-        t /= 2
-    raise AssertionError("corner violation did not materialize")
+def _corner_scale(ga, gb, gc) -> Fraction:
+    """A scale t for every 0+ corner: below the first breakpoints of ga
+    and gb, 2t below gc's, and b + t crossing no breakpoint c of gc for
+    any breakpoint b of ga or gb (t < c - b)."""
+    bounds = [g.breakpoints[0] for g in (ga, gb) if g.breakpoints]
+    if gc.breakpoints:
+        bounds.append(gc.breakpoints[0] / 2)
+    bounds += [c - b for c in gc.breakpoints
+               for b in (*ga.breakpoints, *gb.breakpoints) if c > b]
+    return min(bounds, default=Fraction(2)) / 2
 
 
 def _qm2_homogeneous(a: ExtNonNeg, b: ExtNonNeg, c: ExtNonNeg, i, j, k):
@@ -329,27 +331,28 @@ def _qm2_homogeneous(a: ExtNonNeg, b: ExtNonNeg, c: ExtNonNeg, i, j, k):
 
 
 def _homogeneous_witness(af, bf, cf, i, j, k):
-    candidates = []
+    """Scales with c/(l+m) > a/l + b/m.  (l+m)(a/l + b/m) is least at
+    l : m = sqrt(a) : sqrt(b), so l and m come from integer square roots
+    of a and b at a precision that doubles until the inequality holds."""
     if af == 0 and bf == 0:
-        candidates.append((Fraction(1), Fraction(1)))
+        lam, mu = Fraction(1), Fraction(1)
     elif af == 0:
-        candidates.append(((cf / bf - 1) / 2, Fraction(1)))
+        lam, mu = (cf / bf - 1) / 2, Fraction(1)
     elif bf == 0:
-        candidates.append((Fraction(1), (cf / af - 1) / 2))
+        lam, mu = Fraction(1), (cf / af - 1) / 2
     else:
-        # real minimizer of a + b/m - c/(1+m) at l = 1, approximated
-        approx = Fraction((float(cf) / float(bf)) ** 0.5).limit_denominator(10**6)
-        if approx > 1:
-            candidates.append((Fraction(1), 1 / (approx - 1)))
-        candidates.extend((Fraction(1), Fraction(m, 16)) for m in range(1, 256))
-    for lam, mu in candidates:
-        if lam <= 0 or mu <= 0:
-            continue
-        lhs = cf / (lam + mu)
-        rhs = af / lam + bf / mu
-        if lhs > rhs:
-            return QM2Violation(i, j, k, lam, mu, ExtNonNeg(lhs), ExtNonNeg(rhs))
-    raise AssertionError("analytic violation without rational witness")
+        bits = 32
+        while True:
+            sa = isqrt((af.numerator << 2 * bits) // af.denominator)
+            sb = isqrt((bf.numerator << 2 * bits) // bf.denominator)
+            if sa and sb:
+                lam = Fraction(sa, sa + sb)
+                mu = 1 - lam
+                if cf > af / lam + bf / mu:
+                    break
+            bits *= 2
+    lhs, rhs = cf / (lam + mu), af / lam + bf / mu
+    return QM2Violation(i, j, k, lam, mu, ExtNonNeg(lhs), ExtNonNeg(rhs))
 
 
 def _qm2_grid(ga, gb, gc, i, j, k, grid):
@@ -478,8 +481,8 @@ def modular_balls(f: QuasiModularFamily, x: int, lam: Fraction, eps: Fraction):
 
 
 def entourages(f: QuasiModularFamily, r: Fraction, lam: Fraction):
-    """Relations ({(x,y): w_lam(x,y) < r}, inverse), with the section
-    identity E+(x) = forward ball at radius r asserted."""
+    """Relations ({(x,y): w_lam(x,y) < r}, inverse).  The section E+(x) is
+    the forward ball modular_balls(f, x, lam, r)[0] by definition."""
     lam, r = Fraction(lam), Fraction(r)
     if lam <= 0 or r <= 0:
         raise NonPositiveParameter("lambda and r must be positive")
@@ -487,11 +490,6 @@ def entourages(f: QuasiModularFamily, r: Fraction, lam: Fraction):
     fwd = frozenset((x, y) for x in range(f.n) for y in range(f.n)
                     if f.w(lam, x, y) < bound)
     bwd = frozenset((y, x) for (x, y) in fwd)
-    for x in range(f.n):
-        section = frozenset(y for (a, y) in fwd if a == x)
-        ball = modular_balls(f, x, lam, r)[0]
-        if section != ball:
-            raise AssertionError(f"section identity failed at point {x}")
     return fwd, bwd
 
 

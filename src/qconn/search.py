@@ -462,8 +462,9 @@ def search_counterexamples(target: str, n: int, mode: str = "exhaustive",
                            budget: int | None = None) -> SearchResult:
     """Run one property target over the instance stream.
 
-    Deterministic for fixed arguments: the stream order is fixed and each
-    case gets a generator seeded from (seed, position).
+    Deterministic for fixed arguments: the stream order is fixed and one
+    generator, seeded from ``seed``, serves every case of the run in
+    stream order; only ``prop61_union`` draws from it.
     """
     if target not in TARGETS:
         raise UnknownProperty(f"unknown target {target!r}; known: "
@@ -481,10 +482,11 @@ def search_counterexamples(target: str, n: int, mode: str = "exhaustive",
         raise ValueError("random mode requires a budget")
 
     start = time.perf_counter()
+    rng = random.Random(seed * 1_000_003)
     tested = 0
     findings = []
     for idx, case in enumerate(stream):
-        detail = tgt.check(case, random.Random(seed * 1_000_003 + idx))
+        detail = tgt.check(case, rng)
         tested += 1
         if detail is not None:
             findings.append({"index": idx, "source": case.source,

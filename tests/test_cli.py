@@ -223,6 +223,21 @@ def test_float_mode_intransitive_zero_relation_is_a_precondition(tmp_path, capsy
     assert "tolerance" in diag["message"]
 
 
+def test_float_mode_cover_below_self_distance_is_a_precondition(tmp_path, capsys):
+    # self-distances of 1e-10 count as zero at tol = 1e-9, yet no ball of
+    # radius 1e-12 contains its own centre
+    p = tmp_path / "float_qm.json"
+    p.write_text(json.dumps({"kind": "quasi_metric", "points": ["a", "b"],
+                             "dist": [["1/10000000000", "1"], ["1", "1/10000000000"]],
+                             "tol": "1/1000000000"}))
+    code, _, err = run(capsys, "analyze", str(p), "--smyth",
+                       "--thresholds", "1/1000000000000")
+    assert code == 2
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "PreconditionFailed"  # not InternalError
+    assert "float-mode" in diag["message"] and "tolerance 1/1000000000" in diag["message"]
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "1e999", "-1"])
 def test_bad_float_tol_is_a_schema_error(tmp_path, capsys, tol):
     p = tmp_path / "float_sample.json"

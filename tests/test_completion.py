@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from gen import rng_qpm
 from qconn import (
+    AsymNormSample,
     EventuallyPeriodicSeq,
     formal_ball_poset,
     forward_limits,
+    from_asym_norm,
     is_left_k_cauchy,
     join_compactness_check,
     precompact_report,
@@ -17,7 +19,7 @@ from qconn import (
     validate_qpm,
 )
 from qconn.completion import FormalBall, _first_fit_cover
-from qconn.errors import NegativeRadius, NotCauchy
+from qconn.errors import NegativeRadius, NotCauchy, PreconditionFailed
 from qconn.numbers import ZERO, enn
 
 RADII = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
@@ -156,6 +158,16 @@ def test_join_compactness_chain():
 
 
 # -- formal balls -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("report", [smyth_report, join_compactness_check])
+def test_float_mode_zero_cycle_without_clique_is_a_precondition(report):
+    # d(v0,v1) and d(v1,v2) are within tol = 1e-9, d(v0,v2) is not
+    line = AsymNormSample(dimension=1, p=Fraction(2), points=(
+        (Fraction(0),), (Fraction("6e-10"),), (Fraction("12e-10"),)))
+    d = from_asym_norm(line, mode="float", tol=1e-9)
+    with pytest.raises(PreconditionFailed, match=f"tolerance {d.tol}$"):
+        report(d)
 
 
 def test_formal_ball_reflexive_and_hand_example():

@@ -173,7 +173,7 @@ def test_certificate_is_lex_least(seed, n):
 @given(st.integers(0, 10**9), st.integers(1, 7))
 def test_symmetric_refines_antisym(seed, n):
     b = rng_bitop(random.Random(seed), n)
-    report = component_report(b)  # containment asserted inside
+    report = component_report(b)  # Prop 5.4: each symmetric block in an antisymmetric one
     sym_blocks = [set(blk) for blk in report.symmetric]
     anti_blocks = [set(blk) for blk in report.antisymmetric]
     for s in sym_blocks:

@@ -233,6 +233,7 @@ def test_from_digraph_matches_path_oracle(seed, n):
         (u, v, enn(Fraction(rng.randint(0, 400), rng.choice(PRIMES)))) for u, v, _ in g.edges))
     for graph in (g, coprime):
         d = from_digraph(graph)
+        assert qpm_violations(d.dist) == []  # from_digraph does not re-validate
         for i in range(n):
             for j in range(n):
                 assert d.d(i, j) == _oracle_path_infimum(graph, i, j)

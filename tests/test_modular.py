@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +34,7 @@ from qconn.modular import (
     ABSOLUTE_VALUE,
     POSITIVE_PART,
     PiecewiseConvex,
+    QM1Violation,
     QM2Violation,
     QM3Violation,
     merge_max,
@@ -152,6 +156,107 @@ def test_homogeneous_analytic_boundary():
     # witness must genuinely violate
     assert bad.gauge(w.i, w.k)(w.lam + w.mu) > \
         bad.gauge(w.i, w.j)(w.lam) + bad.gauge(w.j, w.k)(w.mu)
+
+
+def _assert_witnesses_violate(fam, report):
+    for v in report.violations:
+        if isinstance(v, QM1Violation):
+            assert v.lam > 0 and fam.gauge(v.i, v.i)(v.lam) == v.value != ZERO
+        elif isinstance(v, QM2Violation):
+            ga, gb, gc = fam.gauge(v.i, v.j), fam.gauge(v.j, v.k), fam.gauge(v.i, v.k)
+            assert v.lam > 0 and v.mu > 0
+            assert (gc(v.lam + v.mu), ga(v.lam) + gb(v.mu)) == (v.lhs, v.rhs)
+            assert not v.lhs <= v.rhs
+
+
+def test_constant_nonzero_diagonal_reports_qm1_at_a_positive_scale():
+    # a step gauge with no breakpoints has no piece boundary to report
+    fam = QuasiModularFamily(points=("a",), gauges=((ScaleGauge.constant(1),),))
+    report = validate_family(fam, GRID)
+    assert [type(v) for v in report.violations] == [QM1Violation]
+    assert report.violations[0].lam == GRID[0]
+    _assert_witnesses_violate(fam, report)
+
+
+def test_corner_witness_past_eighty_halvings():
+    # w(0,2) drops 2^-100 after w(0,1) does, so the corner (1, 0+) needs
+    # mu below 2^-100 to show the violation
+    zero = ScaleGauge.constant(0)
+    fam = QuasiModularFamily(points=("x", "y", "z"), gauges=(
+        (zero, ScaleGauge.step([1], [1, 0]),
+         ScaleGauge.step([1, 1 + Fraction(1, 2**100)], [9, 9, 0])),
+        (zero, zero, zero),
+        (zero, zero, zero),
+    ))
+    report = validate_family(fam, GRID)
+    # the corners (0+, 0+) and (1, 0+)
+    assert [(v.i, v.j, v.k, v.lam > 1 / 2) for v in report.violations] == [
+        (0, 1, 2, False), (0, 1, 2, True)]
+    assert report.violations[1].mu < Fraction(1, 2**100)
+    _assert_witnesses_violate(fam, report)
+
+
+def test_homogeneous_witness_just_past_the_boundary():
+    # c exceeds (sqrt(1) + sqrt(2))^2 = 3 + 2 sqrt(2) by less than 10^-39
+    s = Fraction(isqrt(2 * 10**80) + 1, 10**40)
+    fam = homog_family([[0, 1, 3 + 2 * s], [INF, 0, 2], [INF, INF, 0]])
+    report = validate_family(fam, GRID)
+    assert [(v.i, v.j, v.k) for v in report.violations] == [(0, 1, 2)]
+    _assert_witnesses_violate(fam, report)
+
+
+# -- validate_family decisions, pinned -------------------------------------
+
+LEVELS = [0, 0, Fraction(1, 2), 1, 2, 3, 5, 9, "inf"]
+FAMILY_BASES = {"step": lambda rng, n: rng_step_family(rng, n)[0],
+                "homogeneous": rng_homogeneous_family, "mixed": rng_family}
+FAMILY_KINDS = {"step": ("step",), "homogeneous": ("homogeneous",),
+                "mixed": ("step", "homogeneous", "power")}
+# sha256 of the decisions on seeds 0-79, generated before the QM1 and QM2
+# witnesses were computed in closed form
+FAMILY_DIGESTS = {
+    "step": "4169cb9a58f3e6a28ba82462c0202259b895767b288fd489f27b80ba89af205f",
+    "homogeneous": "67bb99f8ac5e1e3d5e1557d20461390bec5b0bcea75d5904a0c4719701a7ccdb",
+    "mixed": "af29b265cfd009250544b75be3973c81b6c9236c610a1ede3e3a59b7b091195e",
+}
+
+
+def _random_gauge(rng, kind, diagonal):
+    if kind == "homogeneous":
+        return ScaleGauge.homogeneous(rng.choice(LEVELS))
+    if kind == "power":
+        return ScaleGauge.power(rng.choice(LEVELS), rng.randint(1, 3))
+    # a constant diagonal step stays zero: the QM1 test above covers the rest
+    bps = sorted(Fraction(b, 4) for b in rng.sample(range(1, 13), rng.randint(diagonal, 3)))
+    values = [rng.choice(LEVELS) for _ in bps] + [rng.choice(LEVELS)]
+    if rng.random() < 0.8:
+        values.sort(key=float, reverse=True)
+    return ScaleGauge.step(bps, values)
+
+
+def _perturbed_family(kind, seed) -> QuasiModularFamily:
+    """A valid seeded family with up to three gauges replaced at random."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    gauges = [list(row) for row in FAMILY_BASES[kind](rng, n).gauges]
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        gauges[i][j] = _random_gauge(rng, rng.choice(FAMILY_KINDS[kind]), i == j)
+    return QuasiModularFamily(points=tuple(map(str, range(n))),
+                              gauges=tuple(map(tuple, gauges)))
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_DIGESTS))
+def test_validate_family_decisions_pinned(kind):
+    decisions = []
+    for seed in range(80):
+        fam = _perturbed_family(kind, seed)
+        report = validate_family(fam, GRID)
+        _assert_witnesses_violate(fam, report)
+        decisions.append([report.ok, [[type(v).__name__, v.i, getattr(v, "j", None),
+                                       getattr(v, "k", None)] for v in report.violations]])
+    digest = hashlib.sha256(json.dumps(decisions).encode()).hexdigest()
+    assert digest == FAMILY_DIGESTS[kind]
 
 
 def test_grid_errors():
