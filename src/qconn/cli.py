@@ -19,7 +19,8 @@ from .errors import ParseError, QconnError, SchemaError, UnknownProperty
 from .gauges import from_asym_norm, from_digraph
 from .instances import canonical_json, dump_instance, load_instance
 from .numbers import LiteralTooLarge, parse_rational
-from .search import DEFAULT_SEED, EXHAUSTIVE_MAX_N, TARGETS, search_counterexamples
+from .search import (DEFAULT_SEED, EXHAUSTIVE_MAX_N, RANDOM_MAX_N, TARGETS,
+                     search_counterexamples)
 
 
 def _fail(code: int, exc_type: str, message: str) -> int:
@@ -164,9 +165,10 @@ def cmd_analyze(args) -> int:
 def cmd_search(args) -> int:
     if args.budget < 0:
         raise SchemaError(f"argument --budget: must be >= 0, got {args.budget}")
-    if args.mode == "exhaustive" and args.n > EXHAUSTIVE_MAX_N:
-        raise SchemaError(f"argument --n: exhaustive mode is capped at "
-                          f"{EXHAUSTIVE_MAX_N} points, got {args.n}")
+    cap = EXHAUSTIVE_MAX_N if args.mode == "exhaustive" else RANDOM_MAX_N
+    if args.n > cap:
+        raise SchemaError(f"argument --n: {args.mode} mode is capped at "
+                          f"{cap} points, got {args.n}")
     result = search_counterexamples(
         target=args.target, n=args.n, mode=args.mode, seed=args.seed,
         budget=args.budget)

@@ -79,13 +79,13 @@ def smyth_report(d: QuasiPseudoMetric) -> dict:
     class all pairwise forward distances vanish (zero cycles close into
     zero cliques by the triangle inequality, asserted below), so cycling
     through the class is the canonical representative sequence and each of
-    its members is a forward limit.  Limits are additionally confirmed
-    against the conjugate-side ball criterion: y is a limit iff every
-    period point sits inside every backward ball around y.  Float-mode
-    zero distances compose only up to the tolerance (see _broken).
+    its members is a forward limit.  A limit y is by definition at zero
+    distance from every class member, which is the conjugate-side ball
+    criterion (every period point inside every backward ball around y),
+    so the report does not re-check it.  Float-mode zero distances
+    compose only up to the tolerance (see _broken).
     """
     rows = d.zero_mask_rows()
-    backward = transpose(rows)
     witnesses = []
     for cls in scc_masks(rows):
         members = indices_of(cls)
@@ -94,13 +94,10 @@ def smyth_report(d: QuasiPseudoMetric) -> dict:
                           "the completeness certificate",
                           "zero distances compose only up to")
         limits = forward_limits(d, EventuallyPeriodicSeq(preperiod=(), period=tuple(members)))
-        if any(backward[y] & cls != cls for y in limits):
-            raise AssertionError("ball criterion failed for a reported limit")
         witnesses.append({"class": members, "forward_limits": sorted(limits)})
     return {
         "complete": True,
         "classes": witnesses,
-        "ball_criterion_verified": True,
         "tolerance": None if d.tol is None else str(d.tol),
     }
 
@@ -157,11 +154,11 @@ def join_compactness_check(d: QuasiPseudoMetric, thresholds=None) -> dict:
     """Instantiate the implication chain 'precompact and directionally
     complete implies the join topology is compact' on one finite space.
 
-    Hypotheses are produced as sub-reports; the conclusion is verified
-    directly when the carrier is small enough to enumerate join-open sets
-    (every open cover drawn from them admits a finite subcover trivially,
-    checked on the canonical minimal-neighborhood cover), and otherwise
-    recorded as following from finiteness of the carrier.
+    Hypotheses are produced as sub-reports; the conclusion follows from
+    finiteness of the carrier (every open cover has a finite subcover).
+    Up to ``OPEN_MASK_LIMIT`` points the report also gives the size of the
+    canonical cover by minimal join neighborhoods, which covers the
+    carrier because each neighborhood contains its own point.
     """
     from .bitopology import join, specialization_bitop
 
@@ -173,15 +170,7 @@ def join_compactness_check(d: QuasiPseudoMetric, thresholds=None) -> dict:
     topo = join(specialization_bitop(d))
     conclusion = {"join_compact": True, "carrier_finite": True}
     if d.n <= OPEN_MASK_LIMIT:
-        full = (1 << d.n) - 1
-        canonical = [topo.nbhd[x] for x in range(d.n)]
-        union = 0
-        for m in canonical:
-            union |= m
-        conclusion["canonical_cover_size"] = len(set(canonical))
-        conclusion["canonical_cover_covers"] = union == full
-        if union != full:
-            raise AssertionError("canonical minimal-neighborhood cover failed")
+        conclusion["canonical_cover_size"] = len(set(topo.nbhd))
     return {
         "hypotheses": {"precompact": pre["precompact"], "smyth_complete": smyth["complete"]},
         "precompact_report": pre,

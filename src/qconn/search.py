@@ -3,12 +3,13 @@
 Instances are ordered pairs of preorders (equivalently, pairs of minimal
 neighborhood maps).  Exhaustive mode enumerates every pair up to a
 carrier size of ``EXHAUSTIVE_MAX_N``; random mode samples
-DAG-plus-equivalence preorders from a seed.  Every search stream is
-prefixed with fixed regression instances, and results are deterministic
-for a fixed (target, mode, n, seed, budget).  Every check works on
-bitmask rows through ``relations``; subsets are masks on the full
-combined digraph, never rebuilt spaces.  Only the two oracle targets read
-open sets, which each preorder enumerates on first read.
+DAG-plus-equivalence preorders of up to ``RANDOM_MAX_N`` points from a
+seed.  Every search stream is prefixed with fixed regression instances,
+and results are deterministic for a fixed (target, mode, n, seed,
+budget).  Every check works on bitmask rows through ``relations``;
+subsets are masks on the full combined digraph, never rebuilt spaces.
+Only the two oracle targets read open sets, which each preorder
+enumerates on first read.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .connectivity import masks_to_partition
 from .errors import UnknownProperty
 from .relations import (
     combined_rows,
-    is_closed,
     open_masks,
     preserves,
     reach_closure,
@@ -37,9 +37,11 @@ from .relations import (
 
 DEFAULT_SEED = 20240801
 EXHAUSTIVE_MAX_N = 5
+# random mode draws class DAGs in time that grows faster than cubically in n
+RANDOM_MAX_N = 256
 
-# count of reflexive transitive relations per labelled carrier size,
-# used as an enumeration self-check
+# count of reflexive transitive relations per labelled carrier size
+# (OEIS A000798); the tests pin the lengths of the preorder tables to it
 PREORDER_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
 
 
@@ -50,7 +52,8 @@ class PreorderData:
 
     @cached_property
     def opens(self) -> frozenset[int]:
-        """Every open mask, enumerated once on first read."""
+        """Every open mask, enumerated on first read at a cost per open set
+        (see ``relations.open_masks``) and kept."""
         return frozenset(open_masks(self.rows))
 
 
@@ -72,29 +75,46 @@ def preorder_data(rows) -> PreorderData:
     return PreorderData(rows=rows, transpose=tuple(transpose(rows)))
 
 
+def _offdiag_key(rows) -> int:
+    """The off-diagonal bit pattern of a relation: bit i*(n-1) + j' is
+    set for each arc i -> j, j != i, where j' is j with column i deleted
+    from row i."""
+    width = len(rows) - 1
+    key = 0
+    for i, row in enumerate(rows):
+        low = row & ((1 << i) - 1)
+        key |= (low | row >> (i + 1) << i) << (i * width)
+    return key
+
+
 @lru_cache(maxsize=None)
 def all_preorders(n: int) -> tuple[PreorderData, ...]:
     """Every reflexive transitive relation on n labelled points, in a
-    fixed order (off-diagonal bit patterns ascending); capped at
-    ``EXHAUSTIVE_MAX_N`` points (6942 relations)."""
+    fixed order (off-diagonal bit patterns ascending, see
+    ``_offdiag_key``); capped at ``EXHAUSTIVE_MAX_N`` points (6942
+    relations).
+
+    Built from the table for n-1 points by adding the point z = n-1: z
+    reaches {z} | U for an open set U of the smaller preorder P, and is
+    reached from a down-set D of P (an open set of P's transpose) whose
+    members each already reach all of U.  Every extension is transitive
+    and every preorder on n points restricts to exactly one (P, U, D)."""
     if n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"full preorder table capped at {EXHAUSTIVE_MAX_N} points")
-    diag = [1 << i for i in range(n)]
-    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    if n == 0:
+        return (preorder_data(()),)
+    z = 1 << (n - 1)
     table = []
-    for bits in range(1 << len(offdiag)):
-        rows = list(diag)
-        b = bits
-        pos = 0
-        while b:
-            if b & 1:
-                i, j = offdiag[pos]
-                rows[i] |= 1 << j
-            b >>= 1
-            pos += 1
-        if all(is_closed(rows, row) for row in rows):
-            table.append(preorder_data(rows))
-    return tuple(table)
+    for p in all_preorders(n - 1):
+        ups = open_masks(p.rows)
+        for down in open_masks(p.transpose):
+            common = -1  # the points every member of D reaches
+            for x in indices_of(down):
+                common &= p.rows[x]
+            rows = [row | z if down >> x & 1 else row for x, row in enumerate(p.rows)]
+            table.extend(rows + [z | up] for up in ups if not up & ~common)
+    table.sort(key=_offdiag_key)
+    return tuple(preorder_data(rows) for rows in table)
 
 
 def random_preorder(rng: random.Random, n: int) -> PreorderData:
@@ -471,6 +491,8 @@ def search_counterexamples(target: str, n: int, mode: str = "exhaustive",
                               + ", ".join(sorted(TARGETS)))
     if mode == "exhaustive" and n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive mode capped at {EXHAUSTIVE_MAX_N} points")
+    if mode == "random" and n > RANDOM_MAX_N:
+        raise ValueError(f"random mode capped at {RANDOM_MAX_N} points")
     tgt = TARGETS[target]
     if tgt.case_kind == "map":
         stream = _map_stream(mode, n, seed)

@@ -25,6 +25,7 @@ from qconn import (
     modular_bitop,
     precompact_report,
     smyth_report,
+    specialization_bitop,
     symmetrization_gap_report,
     symmetrize_family,
     validate_family,
@@ -134,9 +135,14 @@ def test_criterion_5_completion_suite():
             n = rng.randint(2, 8)
             d = rng_qpm(rng, n)
             report = smyth_report(d)
-            assert report["complete"] and report["ball_criterion_verified"]
+            assert report["complete"]
             for cls in report["classes"]:
                 assert cls["forward_limits"]
+                # ball criterion: y is a limit iff every class member is at
+                # zero distance to y, i.e. inside every backward ball around y
+                assert cls["forward_limits"] == [
+                    y for y in range(n)
+                    if all(d.is_zero(d.d(p, y)) for p in cls["class"])]
                 assert set(cls["class"]) <= set(cls["forward_limits"])
                 for p in cls["class"]:
                     for q in cls["class"]:
@@ -149,7 +155,9 @@ def test_criterion_5_completion_suite():
             assert chain["hypotheses"] == {"precompact": True,
                                            "smyth_complete": True}
             assert chain["conclusion"]["join_compact"]
-            assert chain["conclusion"]["canonical_cover_covers"]
+            nbhd = join(specialization_bitop(d)).nbhd
+            assert len(set(nbhd)) == chain["conclusion"]["canonical_cover_size"]
+            assert all(row >> x & 1 for x, row in enumerate(nbhd))  # covers
 
 
 def test_criterion_6_gauge_suite():

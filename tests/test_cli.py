@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import pathlib
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qconn.cli import main
+from qconn.search import TARGETS
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -251,12 +256,32 @@ def test_bad_float_tol_is_a_schema_error(tmp_path, capsys, tol):
 @pytest.mark.parametrize("argv, name", [
     (("--budget", "-1"), "--budget"),
     (("--mode", "exhaustive", "--n", "7"), "--n"),
-], ids=["negative-budget", "exhaustive-n7"])
+    (("--mode", "random", "--n", "257"), "--n"),
+], ids=["negative-budget", "exhaustive-n7", "random-n-over-cap"])
 def test_bad_search_arguments_are_schema_errors(capsys, argv, name):
     code, _, err = run(capsys, "search", "--target", "prop54_inclusion", *argv)
     assert code == 2
     diag = json.loads(err)["error"]
     assert diag["type"] == "SchemaError" and name in diag["message"]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(target=st.sampled_from(sorted(TARGETS) + ["no_such_target"]),
+       mode=st.sampled_from(["exhaustive", "random"]),
+       n=st.one_of(st.integers(-3, 20), st.integers(-3, 300), st.integers(-3, 10_000)),
+       budget=st.integers(-2, 5),
+       seed=st.integers(-2**40, 2**40))
+def test_search_exit_codes_under_fuzzing(target, mode, n, budget, seed):
+    """Any search arguments exit 0, 1 or 2, and an exit 2 names an
+    argument or a limit, never an internal error."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["search", "--target", target, "--mode", mode, "--n", str(n),
+                     "--budget", str(budget), "--seed", str(seed)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        diag = json.loads(err.getvalue())["error"]
+        assert diag["type"] in ("SchemaError", "UnknownProperty", "CarrierTooLarge")
 
 
 def test_oversized_literals_exit_2_fast(tmp_path, capsys):

@@ -13,9 +13,11 @@ from qconn import (
     forward_limits,
     from_asym_norm,
     is_left_k_cauchy,
+    join,
     join_compactness_check,
     precompact_report,
     smyth_report,
+    specialization_bitop,
     validate_qpm,
 )
 from qconn.completion import FormalBall, _first_fit_cover
@@ -154,7 +156,9 @@ def test_join_compactness_chain():
     report = join_compactness_check(d)
     assert report["hypotheses"] == {"precompact": True, "smyth_complete": True}
     assert report["conclusion"]["join_compact"]
-    assert report["conclusion"]["canonical_cover_covers"]
+    nbhd = join(specialization_bitop(d)).nbhd
+    assert report["conclusion"]["canonical_cover_size"] == len(set(nbhd))
+    assert all(row >> x & 1 for x, row in enumerate(nbhd))  # the cover covers
 
 
 # -- formal balls -----------------------------------------------------------

@@ -16,6 +16,7 @@ from qconn.relations import (
     transpose,
     undirected_components,
 )
+from qconn.search import all_preorders
 
 
 def _mask(nodes) -> int:
@@ -92,14 +93,35 @@ def test_transpose_and_combined_rows():
             for y, r in enumerate(rows)]
 
 
+def _closed_masks_by_scan(rows) -> list[int]:
+    """Reference oracle: every subset in ascending order, kept when the
+    union of its rows (built from the subset without its lowest bit)
+    stays inside it."""
+    n = len(rows)
+    union = [0] * (1 << n)
+    out = [0]
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        u = union[mask ^ low] | rows[low.bit_length() - 1]
+        union[mask] = u
+        if not u & ~mask:
+            out.append(mask)
+    return out
+
+
 def test_closed_masks_by_enumeration():
-    for _, n, rows in _cases(200, 6):
-        if n > 9:
-            continue
-        want = [m for m in range(1 << n)
-                if all(rows[x] & ~m == 0 for x in range(n) if m >> x & 1)]
+    assert open_masks([]) == [0]
+    for _, n, rows in _cases(300, 6):
+        want = _closed_masks_by_scan(rows)
         assert open_masks(rows) == want
-        assert [m for m in range(1 << n) if is_closed(rows, m)] == want
+        if n <= 9:
+            assert want == [m for m in range(1 << n)
+                            if all(rows[x] & ~m == 0 for x in range(n) if m >> x & 1)]
+            assert [m for m in range(1 << n) if is_closed(rows, m)] == want
+    for n in range(1, 5):
+        for data in all_preorders(n):
+            assert open_masks(data.rows) == _closed_masks_by_scan(data.rows)
+            assert open_masks(data.transpose) == _closed_masks_by_scan(data.transpose)
 
 
 def test_preserves_reports_first_violation():

@@ -8,10 +8,12 @@ import pytest
 from qconn.cli import main
 from qconn.errors import UnknownProperty
 from qconn.instances import canonical_json
+from qconn.relations import is_closed, transpose
 from qconn.search import (
     DEFAULT_SEED,
     BitopCase,
     PREORDER_COUNTS,
+    RANDOM_MAX_N,
     REGRESSION_CYCLE_SPLIT,
     TARGETS,
     _bitop_json,
@@ -25,9 +27,38 @@ from qconn.search import (
 ORACLE_TARGETS = ("antisym_oracle", "prop53_equivalence")
 
 
+def _offdiag(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
+
+
+def _preorders_by_pattern(n: int) -> list[tuple[int, ...]]:
+    """Reference oracle: every off-diagonal bit pattern in ascending
+    order, kept when the relation it sets is transitive."""
+    offdiag = _offdiag(n)
+    table = []
+    for bits in range(1 << len(offdiag)):
+        rows = [1 << i for i in range(n)]
+        for pos, (i, j) in enumerate(offdiag):
+            if bits >> pos & 1:
+                rows[i] |= 1 << j
+        if all(is_closed(rows, row) for row in rows):
+            table.append(tuple(rows))
+    return table
+
+
+def test_preorder_tables_match_the_pattern_scan():
+    for n in range(0, 5):
+        table = all_preorders(n)
+        assert [p.rows for p in table] == _preorders_by_pattern(n)
+        assert all(p.transpose == tuple(transpose(p.rows)) for p in table)
+
+
 def test_preorder_counts_match_known_values():
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         assert len(all_preorders(n)) == PREORDER_COUNTS[n]
+    keys = [sum(1 << pos for pos, (i, j) in enumerate(_offdiag(5)) if p.rows[i] >> j & 1)
+            for p in all_preorders(5)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_preorders_are_reflexive_transitive():
@@ -166,6 +197,13 @@ def test_oracle_targets_refuse_carriers_past_the_enumeration_cap(capsys, target)
 def test_exhaustive_mode_refuses_sizes_past_the_tables():
     with pytest.raises(ValueError):
         search_counterexamples("prop54_inclusion", n=6, mode="exhaustive", budget=10)
+
+
+def test_random_mode_refuses_sizes_past_the_cap():
+    search_counterexamples("prop54_inclusion", n=RANDOM_MAX_N, mode="random", budget=3)
+    with pytest.raises(ValueError):
+        search_counterexamples("prop54_inclusion", n=RANDOM_MAX_N + 1, mode="random",
+                               budget=3)
 
 
 # sha256 of canonical_json(findings_document()) per target, recorded before
