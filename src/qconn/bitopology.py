@@ -31,13 +31,13 @@ def mask_of(indices, n: int) -> int:
 
 
 def indices_of(mask: int) -> list[int]:
+    """The set bits of a nonnegative ``mask`` in ascending order, one step
+    per set bit."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

@@ -19,8 +19,7 @@ from .errors import ParseError, QconnError, SchemaError, UnknownProperty
 from .gauges import from_asym_norm, from_digraph
 from .instances import canonical_json, dump_instance, load_instance
 from .numbers import LiteralTooLarge, parse_rational
-from .search import (DEFAULT_SEED, EXHAUSTIVE_MAX_N, RANDOM_MAX_N, TARGETS,
-                     search_counterexamples)
+from .search import DEFAULT_SEED, N_RANGE, TARGETS, search_counterexamples
 
 
 def _fail(code: int, exc_type: str, message: str) -> int:
@@ -165,10 +164,10 @@ def cmd_analyze(args) -> int:
 def cmd_search(args) -> int:
     if args.budget < 0:
         raise SchemaError(f"argument --budget: must be >= 0, got {args.budget}")
-    cap = EXHAUSTIVE_MAX_N if args.mode == "exhaustive" else RANDOM_MAX_N
-    if args.n > cap:
-        raise SchemaError(f"argument --n: {args.mode} mode is capped at "
-                          f"{cap} points, got {args.n}")
+    low, high = N_RANGE[args.mode]
+    if not low <= args.n <= high:
+        raise SchemaError(f"argument --n: {args.mode} mode takes {low} to {high} "
+                          f"points, got {args.n}")
     result = search_counterexamples(
         target=args.target, n=args.n, mode=args.mode, seed=args.seed,
         budget=args.budget)

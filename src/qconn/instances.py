@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .bitopology import AlexandrovTopology, BitopSpace
@@ -27,6 +28,8 @@ from .modular import (
 )
 from .morphisms import PointMap
 from .numbers import ExtNonNeg, LiteralTooLarge, parse_rational
+
+_INF = float("inf")
 
 KINDS = ("quasi_metric", "digraph", "bitopology", "modular_family", "orlicz",
          "asym_norm_sample", "map", "sequence")
@@ -365,5 +368,76 @@ def _dump_phi(p: PiecewiseConvex) -> dict:
 
 
 def canonical_json(doc) -> str:
-    """Stable rendering: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+    """Stable rendering: sorted keys, two-space indent, ASCII only, and a
+    trailing newline.  Byte-equal to ``json.dumps(doc, indent=2,
+    sort_keys=True, ensure_ascii=True) + "\\n"`` on every value that call
+    accepts, in one pass that appends to a list and joins once (with an
+    indent, json runs its pure-Python encoder)."""
+    out = []
+    _write(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _float(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == _INF:
+        return "Infinity"
+    if o == -_INF:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+def _write(o, out: list, nl: str) -> None:
+    """Append the JSON of ``o``, whose lines start with ``nl``.  Tuples
+    render as lists and the leaf tests follow json's order (bool before
+    int); containers are tested first, as no value is both a container
+    and a leaf."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            if isinstance(k, str):
+                pass
+            elif isinstance(k, float):
+                k = _float(k)
+            elif k is True or k is False or k is None:
+                k = "true" if k is True else "false" if k is False else "null"
+            elif isinstance(k, int):
+                k = int.__repr__(k)
+            else:
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {type(k).__name__}")
+            out.append(sep + _quote(k) + ": ")
+            _write(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, str):
+        out.append(_quote(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float(o))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

@@ -25,9 +25,13 @@ def parse_rational(text: str) -> Fraction:
     Literals with more than MAX_LITERAL_DIGITS digits or an exponent beyond
     +-MAX_LITERAL_EXPONENT are refused before Fraction sees them (it would
     build a 33-million-bit integer for "1e9999999").  The limits admit
-    every IEEE double, as its shortest decimal or exactly as num/den.
+    every IEEE double, as its shortest decimal or exactly as num/den.  A
+    text of at most MAX_LITERAL_DIGITS characters without "e" or "E" can
+    break neither limit and goes straight to Fraction.
     """
     text = str(text)
+    if len(text) <= MAX_LITERAL_DIGITS and "e" not in text and "E" not in text:
+        return Fraction(text)
     digits = sum(c.isdigit() for c in text)
     _, marker, exponent = text.lower().partition("e")
     try:

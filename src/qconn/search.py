@@ -39,6 +39,8 @@ DEFAULT_SEED = 20240801
 EXHAUSTIVE_MAX_N = 5
 # random mode draws class DAGs in time that grows faster than cubically in n
 RANDOM_MAX_N = 256
+# carrier sizes each mode accepts: random mode draws 2 to n points
+N_RANGE = {"exhaustive": (1, EXHAUSTIVE_MAX_N), "random": (2, RANDOM_MAX_N)}
 
 # count of reflexive transitive relations per labelled carrier size
 # (OEIS A000798); the tests pin the lengths of the preorder tables to it
@@ -402,15 +404,13 @@ def _bitop_stream(mode: str, n: int, seed: int, equal: bool) -> Iterable[BitopCa
             pairs = ((p, p) for p in table) if equal else itertools.product(table, table)
             for p, q in pairs:
                 yield BitopCase(fwd=p, bwd=q, source="enumerated")
-    elif mode == "random":
+    else:
         rng = random.Random(seed)
         while True:
-            size = rng.randint(2, max(2, n))
+            size = rng.randint(2, n)
             p = random_preorder(rng, size)
             q = p if equal else random_preorder(rng, size)
             yield BitopCase(fwd=p, bwd=q, source="random")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
 
 def _map_stream(mode: str, n: int, seed: int) -> Iterable[MapCase]:
@@ -484,15 +484,18 @@ def search_counterexamples(target: str, n: int, mode: str = "exhaustive",
 
     Deterministic for fixed arguments: the stream order is fixed and one
     generator, seeded from ``seed``, serves every case of the run in
-    stream order; only ``prop61_union`` draws from it.
+    stream order; only ``prop61_union`` draws from it.  Raises
+    ``ValueError`` for an unknown mode or an ``n`` outside its
+    ``N_RANGE`` entry.
     """
     if target not in TARGETS:
         raise UnknownProperty(f"unknown target {target!r}; known: "
                               + ", ".join(sorted(TARGETS)))
-    if mode == "exhaustive" and n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive mode capped at {EXHAUSTIVE_MAX_N} points")
-    if mode == "random" and n > RANDOM_MAX_N:
-        raise ValueError(f"random mode capped at {RANDOM_MAX_N} points")
+    if mode not in N_RANGE:
+        raise ValueError(f"unknown mode {mode!r}")
+    low, high = N_RANGE[mode]
+    if not low <= n <= high:
+        raise ValueError(f"{mode} mode takes {low} to {high} points, got {n}")
     tgt = TARGETS[target]
     if tgt.case_kind == "map":
         stream = _map_stream(mode, n, seed)

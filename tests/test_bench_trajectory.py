@@ -1,0 +1,38 @@
+"""The trajectory reader and the BENCH files it reads."""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+READER = ROOT / "tools" / "bench_trajectory.py"
+
+
+def _run(*args):
+    return subprocess.run([sys.executable, str(READER), *args],
+                          capture_output=True, text=True)
+
+
+def test_one_row_per_bench_file():
+    files = sorted(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+    assert files
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"] for m in spec["end_to_end"]}
+    workloads = {w["name"] for w in spec["workloads"]}
+    done = _run()
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1 + len(files)
+    for path, line in zip(files, lines[1:]):
+        doc = json.loads(path.read_text())
+        assert line.split()[:2] == [str(doc["pr"]), doc["parent_commit"][:7]]
+        assert set(doc["workloads"]) <= workloads
+        for wl in doc["workloads"].values():
+            assert set(wl["metrics"]) == metrics
+
+
+def test_malformed_bench_file_is_refused(tmp_path):
+    (tmp_path / "BENCH_1.json").write_text(json.dumps({"pr": 1, "workloads": {}}))
+    done = _run(str(tmp_path))
+    assert done.returncode != 0 and "parent_commit" in done.stderr

@@ -21,13 +21,20 @@ from qconn import (
     symmetrize,
     validate_qpm,
 )
-from qconn.bitopology import AlexandrovTopology, BitopSpace
+from qconn.bitopology import AlexandrovTopology, BitopSpace, indices_of
 from qconn.errors import CarrierTooLarge, CoherenceError, EmptySubset
 from qconn.modular import QuasiModularFamily
 
 
 def topo(points, *sets) -> AlexandrovTopology:
     return AlexandrovTopology.from_sets(points, sets)
+
+
+def test_indices_of_lists_the_set_bits():
+    rng = random.Random(3)
+    for mask in [0, 1, 2**70, 2**300 - 1, *(rng.getrandbits(rng.randint(1, 200))
+                                          for _ in range(300))]:
+        assert indices_of(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def test_coherence_enforced():

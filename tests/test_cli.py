@@ -257,7 +257,10 @@ def test_bad_float_tol_is_a_schema_error(tmp_path, capsys, tol):
     (("--budget", "-1"), "--budget"),
     (("--mode", "exhaustive", "--n", "7"), "--n"),
     (("--mode", "random", "--n", "257"), "--n"),
-], ids=["negative-budget", "exhaustive-n7", "random-n-over-cap"])
+    (("--mode", "random", "--n", "1"), "takes 2 to 256 points"),
+    (("--mode", "exhaustive", "--n", "0"), "takes 1 to 5 points"),
+], ids=["negative-budget", "exhaustive-n7", "random-n-over-cap", "random-n-below-2",
+        "exhaustive-n0"])
 def test_bad_search_arguments_are_schema_errors(capsys, argv, name):
     code, _, err = run(capsys, "search", "--target", "prop54_inclusion", *argv)
     assert code == 2

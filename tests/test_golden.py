@@ -20,6 +20,7 @@ import tempfile
 
 import pytest
 
+from gen import reference_json
 from qconn.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -70,6 +71,10 @@ def test_all_instance_files_pinned():
 def test_analyze_matches_golden(path):
     pinned = json.loads((GOLDEN / path.name).read_text(encoding="utf-8"))
     assert _cases(path) == pinned
+    for case in pinned:  # every report and diagnostic, also through the json oracle
+        for text in (case["stdout"], case["stderr"]):
+            if text.startswith("{"):
+                assert reference_json(json.loads(text)) == text
 
 
 if __name__ == "__main__":

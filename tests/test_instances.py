@@ -1,10 +1,13 @@
 import json
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gen import rng_bitop, rng_family, rng_qpm, rng_vectors
+from gen import reference_json, rng_bitop, rng_family, rng_qpm, rng_vectors
 from qconn import EventuallyPeriodicSeq, OrliczSpec, PointMap, WeightedDigraph
 from qconn.errors import ParseError, SchemaError
 from qconn.instances import (
@@ -155,3 +158,48 @@ def test_canonical_json_is_stable():
     doc = {"b": 1, "a": [2, {"z": "3/2", "y": None}]}
     assert canonical_json(doc) == canonical_json(json.loads(canonical_json(doc)))
     assert canonical_json(doc).endswith("\n")
+
+
+Pair = namedtuple("Pair", "left right")
+
+
+class Sub(dict):
+    pass
+
+
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**80, 2**80),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324]),
+    st.text(), st.text(st.characters(max_codepoint=0x1f)),
+    st.text(st.characters(min_codepoint=0x80)))
+_keys = st.one_of(st.text(max_size=4), st.integers(-5, 5), st.booleans(), st.none())
+
+
+def _dict_of(values):
+    # mostly one key type, as keys that do not sort together raise TypeError
+    return st.one_of(st.dictionaries(st.text(max_size=4), values, max_size=4),
+                     st.dictionaries(st.one_of(st.integers(-5, 5), st.booleans()), values,
+                                     max_size=4),
+                     st.dictionaries(st.floats(), values, max_size=3),
+                     st.dictionaries(st.none(), values),
+                     st.dictionaries(_keys, values, max_size=2))
+
+
+_json_values = st.recursive(_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=5),
+    st.lists(st.text(max_size=3), max_size=5), st.lists(st.integers(), max_size=5),
+    st.lists(inner, max_size=3).map(tuple),
+    st.tuples(inner, inner).map(lambda t: Pair(*t)),
+    _dict_of(inner), _dict_of(inner).map(Sub)), max_leaves=20)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_json_values)
+def test_canonical_json_equals_json_dumps(doc):
+    try:
+        want = reference_json(doc)
+    except TypeError:
+        with pytest.raises(TypeError):
+            canonical_json(doc)
+    else:
+        assert canonical_json(doc) == want

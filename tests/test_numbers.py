@@ -91,3 +91,16 @@ def test_literal_limits():
             enn(text)
     with pytest.raises(ValueError):
         parse_rational("1e5x")
+
+
+@pytest.mark.parametrize("text, ok", [
+    ("7" * MAX_LITERAL_DIGITS, True), ("7" * (MAX_LITERAL_DIGITS + 1), False),
+    (f"1e{MAX_LITERAL_EXPONENT}", True), (f"1e{MAX_LITERAL_EXPONENT + 1}", False),
+    (f"1E{MAX_LITERAL_EXPONENT + 1}", False),
+])
+def test_literal_limit_boundaries(text, ok):
+    if ok:
+        assert parse_rational(text) == Fraction(text)
+    else:
+        with pytest.raises(LiteralTooLarge):
+            parse_rational(text)

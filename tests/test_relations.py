@@ -81,6 +81,27 @@ def test_reach_closure_matches_networkx():
             assert reach[x] == want
 
 
+def _transpose_by_bits(rows):
+    """The per-bit loop ``transpose`` replaced, kept as its oracle."""
+    cols = [0] * len(rows)
+    for x, row in enumerate(rows):
+        rest = row
+        while rest:
+            y = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            cols[y] |= 1 << x
+    return cols
+
+
+def test_transpose_matches_the_per_bit_loop():
+    rng = random.Random(7)
+    for n in [*range(71), 255, 256, 257, 600]:
+        for density in (0, 0.02, 0.3, 0.9, 1):
+            rows = [sum(1 << y for y in range(n) if rng.random() < density)
+                    for _ in range(n)]
+            assert transpose(rows) == _transpose_by_bits(rows), (n, density)
+
+
 def test_transpose_and_combined_rows():
     for _, n, rows in _cases(200, 5):
         g = _graph(rows)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from gen import reference_json
 from qconn.cli import main
 from qconn.errors import UnknownProperty
 from qconn.instances import canonical_json
@@ -195,15 +196,18 @@ def test_oracle_targets_refuse_carriers_past_the_enumeration_cap(capsys, target)
 
 
 def test_exhaustive_mode_refuses_sizes_past_the_tables():
-    with pytest.raises(ValueError):
-        search_counterexamples("prop54_inclusion", n=6, mode="exhaustive", budget=10)
+    search_counterexamples("prop54_inclusion", n=1, mode="exhaustive", budget=10)
+    for n in (6, 0, -3):
+        with pytest.raises(ValueError):
+            search_counterexamples("prop54_inclusion", n=n, mode="exhaustive", budget=10)
 
 
 def test_random_mode_refuses_sizes_past_the_cap():
     search_counterexamples("prop54_inclusion", n=RANDOM_MAX_N, mode="random", budget=3)
-    with pytest.raises(ValueError):
-        search_counterexamples("prop54_inclusion", n=RANDOM_MAX_N + 1, mode="random",
-                               budget=3)
+    search_counterexamples("prop54_inclusion", n=2, mode="random", budget=3)
+    for n in (RANDOM_MAX_N + 1, 1, -3):
+        with pytest.raises(ValueError):
+            search_counterexamples("prop54_inclusion", n=n, mode="random", budget=3)
 
 
 # sha256 of canonical_json(findings_document()) per target, recorded before
@@ -304,5 +308,7 @@ def test_search_output_pinned(config):
     for target in digests:
         doc = search_counterexamples(target, n=n, mode=mode, budget=budget,
                                      **kwargs).findings_document()
-        got[target] = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+        text = canonical_json(doc)
+        assert text == reference_json(doc)
+        got[target] = hashlib.sha256(text.encode()).hexdigest()
     assert got == digests

@@ -1,0 +1,65 @@
+"""Print the benchmark trajectory: one row per ``BENCH_<pr>.json``.
+
+    python3 tools/bench_trajectory.py [directory]
+
+The directory defaults to the repository root.  Each BENCH file records
+one change measured against its parent commit with ``bench/run.py``:
+per workload, the parent's and the change's median and quartiles of
+every end-to-end metric over alternating parent/change pairs, the
+``src/`` line counts of both sides and the parent commit.  A row gives
+the PR, the parent commit, the ``src/`` lines and each workload's
+``jobs_per_s`` median, parent -> change.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+STATS = ("q1", "median", "q3")
+
+
+def load(path: pathlib.Path) -> dict:
+    """One BENCH file, with its required fields checked."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for key in ("pr", "parent_commit", "src_lines", "workloads"):
+        if key not in doc:
+            raise ValueError(f"missing {key!r}")
+    for name, wl in doc["workloads"].items():
+        for metric, sides in wl["metrics"].items():
+            for side in SIDES:
+                if sorted(sides[side]) != sorted(STATS):
+                    raise ValueError(f"{name} {metric} {side} needs exactly "
+                                     f"{', '.join(STATS)}")
+    return doc
+
+
+def row(doc: dict) -> str:
+    lines = doc["src_lines"]
+    cells = [f"{doc['pr']:>3}", doc["parent_commit"][:7],
+             f"src {lines['parent']}->{lines['change']}"]
+    for name in sorted(doc["workloads"]):
+        jobs = doc["workloads"][name]["metrics"]["jobs_per_s"]
+        cells.append(f"{name} {jobs['parent']['median']:.4g}->{jobs['change']['median']:.4g}")
+    return "  ".join(cells)
+
+
+def main(argv: list[str]) -> int:
+    directory = pathlib.Path(argv[0]) if argv else ROOT
+    paths = sorted(directory.glob("BENCH_*.json"),
+                   key=lambda p: int(p.stem.split("_", 1)[1]))
+    print(" pr  parent   src lines      jobs_per_s median per workload, parent->change")
+    for path in paths:
+        try:
+            print(row(load(path)))
+        except (KeyError, ValueError) as exc:
+            print(f"bench_trajectory: {path.name}: {exc}", file=sys.stderr)
+            return 2
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
