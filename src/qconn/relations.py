@@ -104,26 +104,31 @@ def is_closed(rows, mask: int) -> bool:
 
 
 def open_masks(rows) -> list[int]:
-    """Every closed mask (see ``is_closed``) in ascending order; this is
-    the package's one open-set enumeration.
+    """Every closed mask (see ``is_closed``) of any relation, in ascending
+    order: the up-sets (see ``up_sets``) of its reflexive-transitive
+    closure."""
+    up = [r | 1 << x for x, r in enumerate(reach_closure(rows))]
+    return up_sets(up, transpose(up))
 
-    The closed masks are the up-sets of the reflexive-transitive closure
-    ``up``, found depth-first: branch on the highest undecided point,
-    first excluding it with everything below it in ``down`` (the
-    transpose of ``up``), then including it with everything in its
-    ``up`` row.  The in-mask stays up-closed and the out-mask
-    down-closed, so neither branch can meet the other mask and every
-    branch ends in an open set: the cost is O(n) per open set, not per
+
+def up_sets(up, down) -> list[int]:
+    """Every up-set of a preorder in ascending order, given its rows
+    ``up`` and their transpose ``down``; this is the package's one
+    open-set enumeration, and ``open_masks`` closes any relation first.
+
+    Depth-first: branch on the highest undecided point, first excluding
+    it with everything below it in ``down``, then including it with
+    everything in its ``up`` row.  The in-mask stays up-closed and the
+    out-mask down-closed, so neither branch can meet the other mask and
+    every branch ends in an up-set: the cost is O(n) per up-set, not per
     subset.  All bits above the branch point are fixed in its subtree,
-    so the output is ascending.  A discrete carrier still has 2**n open
-    sets, so carriers above ``OPEN_MASK_LIMIT`` points raise
+    so the output is ascending.  A discrete carrier still has 2**n
+    up-sets, so carriers above ``OPEN_MASK_LIMIT`` points raise
     ``CarrierTooLarge``."""
-    n = len(rows)
+    n = len(up)
     if n > OPEN_MASK_LIMIT:
         raise CarrierTooLarge(f"open-set enumeration capped at {OPEN_MASK_LIMIT} "
                               f"points (carrier has {n})")
-    up = [r | 1 << x for x, r in enumerate(reach_closure(rows))]
-    down = transpose(up)
     full = (1 << n) - 1
     out = []
     pending = [(0, 0)]  # (in-mask, out-mask) of include branches not yet taken

@@ -4,8 +4,11 @@ on seeded random digraphs (with and without loops) up to 12 points."""
 import random
 
 import networkx as nx
+import pytest
 
+from qconn.errors import CarrierTooLarge
 from qconn.relations import (
+    OPEN_MASK_LIMIT,
     combined_rows,
     is_closed,
     open_masks,
@@ -15,8 +18,9 @@ from qconn.relations import (
     strongly_connected,
     transpose,
     undirected_components,
+    up_sets,
 )
-from qconn.search import all_preorders
+from qconn.search import all_preorders, random_preorder
 
 
 def _mask(nodes) -> int:
@@ -131,7 +135,7 @@ def _closed_masks_by_scan(rows) -> list[int]:
 
 
 def test_closed_masks_by_enumeration():
-    assert open_masks([]) == [0]
+    assert open_masks([]) == up_sets([], []) == [0]
     for _, n, rows in _cases(300, 6):
         want = _closed_masks_by_scan(rows)
         assert open_masks(rows) == want
@@ -141,8 +145,22 @@ def test_closed_masks_by_enumeration():
             assert [m for m in range(1 << n) if is_closed(rows, m)] == want
     for n in range(1, 5):
         for data in all_preorders(n):
-            assert open_masks(data.rows) == _closed_masks_by_scan(data.rows)
-            assert open_masks(data.transpose) == _closed_masks_by_scan(data.transpose)
+            for up, down in ((data.rows, data.transpose), (data.transpose, data.rows)):
+                assert open_masks(up) == up_sets(up, down) == _closed_masks_by_scan(up)
+    rng = random.Random(12)
+    for _ in range(300):
+        data = random_preorder(rng, rng.randint(1, OPEN_MASK_LIMIT))
+        for up, down in ((data.rows, data.transpose), (data.transpose, data.rows)):
+            assert up_sets(up, down) == open_masks(up)
+
+
+def test_both_enumerations_refuse_carriers_past_the_cap():
+    p = random_preorder(random.Random(3), OPEN_MASK_LIMIT + 1)
+    assert len(p.rows) == OPEN_MASK_LIMIT + 1
+    with pytest.raises(CarrierTooLarge, match="capped at 16 points"):
+        open_masks(p.rows)
+    with pytest.raises(CarrierTooLarge, match="capped at 16 points"):
+        up_sets(p.rows, p.transpose)
 
 
 def test_preserves_reports_first_violation():

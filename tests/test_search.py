@@ -6,10 +6,11 @@ import random
 import pytest
 
 from gen import reference_json
+from qconn.bitopology import indices_of
 from qconn.cli import main
 from qconn.errors import UnknownProperty
 from qconn.instances import canonical_json
-from qconn.relations import is_closed, transpose
+from qconn.relations import combined_rows, is_closed, reach_closure, transpose
 from qconn.search import (
     DEFAULT_SEED,
     BitopCase,
@@ -18,6 +19,7 @@ from qconn.search import (
     REGRESSION_CYCLE_SPLIT,
     TARGETS,
     _bitop_json,
+    _lemma_gap,
     all_preorders,
     preorder_data,
     random_preorder,
@@ -86,6 +88,87 @@ def test_random_preorder_is_preorder():
                 y = (rest & -rest).bit_length() - 1
                 rest &= rest - 1
                 assert data.rows[y] & ~data.rows[x] == 0
+
+
+def _random_preorder_by_pairs(rng: random.Random, n: int):
+    """Reference oracle: the same draw built pair by pair.  It relabels
+    the classes that occur, sets one arc per winning coin, closes the
+    class DAG by ``reach_closure``, gathers each class's reachable
+    members in a k x k loop and transposes the n x n rows."""
+    k = rng.randint(1, n)
+    assignment = [rng.randrange(k) for _ in range(n)]
+    used = sorted(set(assignment))
+    relabel = {c: t for t, c in enumerate(used)}
+    assignment = [relabel[c] for c in assignment]
+    k = len(used)
+    order = list(range(k))
+    rng.shuffle(order)
+    class_rows = [1 << c for c in range(k)]
+    for a in range(k):
+        for b in range(a + 1, k):
+            if rng.random() < 0.35:
+                class_rows[order[a]] |= 1 << order[b]
+    class_reach = reach_closure(class_rows)
+    class_members = [0] * k
+    for x, c in enumerate(assignment):
+        class_members[c] |= 1 << x
+    class_up = [0] * k
+    for c in range(k):
+        for d in range(k):
+            if class_reach[c] >> d & 1:
+                class_up[c] |= class_members[d]
+    return preorder_data([class_up[c] for c in assignment])
+
+
+def test_random_preorder_matches_the_pairwise_reference():
+    for n, seeds in ((1, 50), (2, 300), (3, 300), (5, 300), (12, 300), (30, 100),
+                     (64, 100), (RANDOM_MAX_N, 20)):
+        for seed in range(seeds):
+            fast, slow = random.Random(seed), random.Random(seed)
+            got = random_preorder(fast, n)
+            want = _random_preorder_by_pairs(slow, n)
+            assert got.rows == want.rows, (n, seed)
+            assert got.transpose == want.transpose, (n, seed)
+            assert list(got.transpose) == transpose(got.rows), (n, seed)
+            assert fast.getstate() == slow.getstate(), (n, seed)
+
+
+def _lemma_gap_by_transpose(case: BitopCase, mask: int):
+    """Reference oracle: the lemma check on the transposed combined
+    digraph, built by ``relations.transpose``."""
+    rows = combined_rows(case.fwd.rows, case.bwd.transpose)
+    back = transpose(rows)
+    for x in range(len(rows)):
+        if mask >> x & 1:
+            missing = case.fwd.rows[x] & case.bwd.rows[x] & mask & ~(rows[x] & back[x])
+            if missing:
+                return {"point": x, "missing_arcs_with": indices_of(missing)}
+    return None
+
+
+def _corrupt(p, rng: random.Random):
+    """``p`` with one random bit of its cached transpose flipped."""
+    cols = list(p.transpose)
+    cols[rng.randrange(len(cols))] ^= 1 << rng.randrange(len(cols))
+    return dataclasses.replace(p, transpose=tuple(cols))
+
+
+def test_lemma_gap_matches_the_transposed_digraph():
+    pairs = [(p, q) for p in all_preorders(3) for q in all_preorders(3)]
+    rng = random.Random(5)
+    for _ in range(300):
+        size = rng.randint(1, 40)
+        pairs.append((random_preorder(rng, size), random_preorder(rng, size)))
+    flagged = 0
+    for p, q in pairs:
+        n = len(p.rows)
+        assert _lemma_gap(BitopCase(fwd=p, bwd=q, source="random"), (1 << n) - 1) is None
+        case = BitopCase(fwd=p, bwd=_corrupt(q, rng), source="random")
+        for mask in ((1 << n) - 1, rng.randrange(1 << n)):
+            want = _lemma_gap_by_transpose(case, mask)
+            assert _lemma_gap(case, mask) == want
+            flagged += want is not None
+    assert flagged > 100
 
 
 def test_unknown_target_rejected():
