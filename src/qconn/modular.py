@@ -10,7 +10,10 @@ nonincreasing and right-continuous in the scale lambda.  The axioms:
 Three gauge kinds are supported exactly: step functions, homogeneous
 c/lambda, and power c/lambda^p.  Validation of QM2 is a real decision
 procedure for step-only and homogeneous-only triples and a grid check
-otherwise.
+otherwise.  The decision runs on integers: one common denominator scales
+every step breakpoint and another every finite step value and
+homogeneous coefficient.  Fractions are used only for the witness of a
+violation and for the grid check of mixed-kind triples.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import isqrt, lcm
 
 from .errors import (
     EmptyGrid,
@@ -221,9 +225,12 @@ def validate_family(f: QuasiModularFamily, grid) -> ValidationReport:
     w_lambda(i,j) + w_mu(j,k) - w_{lambda+mu}(i,k) attains its infimum at
     piece left endpoints, so evaluating at {0+} union breakpoints decides
     the axiom.  All-homogeneous triples are decided analytically
-    (c_ik <= (sqrt(c_ij) + sqrt(c_jk))^2, tested exactly over rationals).
-    Mixed-kind triples are checked on the supplied grid augmented with
-    every breakpoint.
+    (c_ik <= (sqrt(c_ij) + sqrt(c_jk))^2, tested exactly by squaring).
+    Both decisions compare integers: every step breakpoint is scaled by
+    one common denominator and every finite step value and homogeneous
+    coefficient by another (see _scaled_gauges).  Fractions appear only in
+    the witness of a violation and in mixed-kind triples, which are
+    checked on the supplied grid augmented with every breakpoint.
     """
     grid = [Fraction(g) for g in grid]
     if not grid:
@@ -246,10 +253,7 @@ def validate_family(f: QuasiModularFamily, grid) -> ValidationReport:
             if mv is not None:
                 lam1, lam2, v1, v2 = mv
                 violations.append(QM3Violation(i, j, lam1, lam2, v1, v2))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                violations.extend(_qm2_check(f, i, j, k, grid))
+    violations += _qm2_violations(f, grid)
     return ValidationReport(ok=not violations, violations=tuple(violations),
                             grid=tuple(grid))
 
@@ -264,38 +268,88 @@ def _nonzero_witness(g: ScaleGauge, grid) -> Fraction:
     return grid[0]
 
 
-def _qm2_check(f: QuasiModularFamily, i: int, j: int, k: int, grid):
-    ga, gb, gc = f.gauges[i][j], f.gauges[j][k], f.gauges[i][k]
-    kinds = {ga.kind, gb.kind, gc.kind}
-    if kinds == {STEP}:
-        return _qm2_step_corners(ga, gb, gc, i, j, k)
-    if kinds == {HOMOGENEOUS}:
-        return _qm2_homogeneous(ga.coeff, gb.coeff, gc.coeff, i, j, k)
-    return _qm2_grid(ga, gb, gc, i, j, k, grid)
+def _scaled_gauges(f: QuasiModularFamily):
+    """(rows, inf): the step and homogeneous gauges of f as integers.
+
+    sden is the least common denominator of every step breakpoint and
+    vden that of every finite step value and homogeneous coefficient.
+    rows[i][j] is, for a step gauge, (corners, breakpoints * sden,
+    values * vden), where corners pairs each piece's left endpoint (0
+    standing for 0+) with its value; for a homogeneous gauge, coeff *
+    vden; for a power gauge, None.  Infinity becomes the int inf = 2 *
+    (largest finite value) + 1, which exceeds any sum of two finite
+    values and is never a float (an int beyond 10**308 plus a float
+    infinity overflows).
+    """
+    flat = [g for row in f.gauges for g in row]
+    steps = [g for g in flat if g.kind == STEP]
+    levels = [v for g in steps for v in g.values]
+    levels += [g.coeff for g in flat if g.kind == HOMOGENEOUS]
+    finite = {v.frac for v in levels if not v.is_inf}
+    sden = lcm(*{b.denominator for g in steps for b in g.breakpoints})
+    vden = lcm(*{v.denominator for v in finite})
+    top = max(finite, default=Fraction(0))
+    inf = 2 * top.numerator * (vden // top.denominator) + 1
+
+    def value(v):
+        if v.is_inf:
+            return inf
+        v = v.frac
+        return v.numerator * (vden // v.denominator)
+
+    def scaled(g):
+        if g.kind == HOMOGENEOUS:
+            return value(g.coeff)
+        if g.kind == POWER:
+            return None
+        bps = [b.numerator * (sden // b.denominator) for b in g.breakpoints]
+        vals = [value(v) for v in g.values]
+        return list(zip([0, *bps], vals)), bps, vals
+
+    return [[scaled(g) for g in row] for row in f.gauges], inf
 
 
-def _qm2_step_corners(ga, gb, gc, i, j, k):
+def _qm2_violations(f: QuasiModularFamily, grid):
+    """Every QM2 violation, triple by triple in (i, j, k) order."""
+    rows, inf = _scaled_gauges(f)
+    n = f.n
     out = []
-    t = None
-    for la in (None, *ga.breakpoints):
-        va = ga.values[0] if la is None else ga(la)
-        for mu in (None, *gb.breakpoints):
-            vb = gb.values[0] if mu is None else gb(mu)
-            if la is None and mu is None:
-                vc = gc.values[0]
-            elif la is None:
-                vc = gc(mu)
-            elif mu is None:
-                vc = gc(la)
-            else:
-                vc = gc(la + mu)
-            if not vc <= va + vb:
-                if t is None:
-                    t = _corner_scale(ga, gb, gc)
-                lam_w = t if la is None else la
-                mu_w = t if mu is None else mu
-                out.append(QM2Violation(i, j, k, lam_w, mu_w, gc(lam_w + mu_w),
-                                        ga(lam_w) + gb(mu_w)))
+    for i in range(n):
+        row_i = rows[i]
+        for j in range(n):
+            sa, row_j = row_i[j], rows[j]
+            for k in range(n):
+                sb, sc = row_j[k], row_i[k]
+                if type(sa) is type(sb) is type(sc) is tuple:
+                    bc, vc = sc[1], sc[2]
+                    bad = [(a, b) for a, (la, x) in enumerate(sa[0])
+                           for b, (mu, y) in enumerate(sb[0])
+                           if vc[bisect_right(bc, la + mu)] > x + y]
+                    if bad:
+                        out += _step_witnesses(f, i, j, k, bad)
+                elif type(sa) is type(sb) is type(sc) is int:
+                    if sa == inf or sb == inf or sc == 0:
+                        continue
+                    t = sc - sa - sb
+                    if sc == inf or (t > 0 and t * t > 4 * sa * sb):
+                        out.append(_homogeneous_violation(f, i, j, k))
+                else:
+                    out += _qm2_grid(f.gauges[i][j], f.gauges[j][k],
+                                     f.gauges[i][k], i, j, k, grid)
+    return out
+
+
+def _step_witnesses(f: QuasiModularFamily, i, j, k, corners):
+    """The violations of the step corners (a, b): a and b index the left
+    endpoints 0+, b_1, b_2, ... of ga's and gb's pieces; a 0+ endpoint is
+    witnessed at _corner_scale."""
+    ga, gb, gc = f.gauges[i][j], f.gauges[j][k], f.gauges[i][k]
+    t = _corner_scale(ga, gb, gc)
+    out = []
+    for a, b in corners:
+        lam = ga.breakpoints[a - 1] if a else t
+        mu = gb.breakpoints[b - 1] if b else t
+        out.append(QM2Violation(i, j, k, lam, mu, gc(lam + mu), ga(lam) + gb(mu)))
     return out
 
 
@@ -311,23 +365,16 @@ def _corner_scale(ga, gb, gc) -> Fraction:
     return min(bounds, default=Fraction(2)) / 2
 
 
-def _qm2_homogeneous(a: ExtNonNeg, b: ExtNonNeg, c: ExtNonNeg, i, j, k):
-    """Exact decision of c/(l+m) <= a/l + b/m for all l, m > 0.
-
-    Minimizing the right side times (l+m) gives the criterion
-    c <= (sqrt(a) + sqrt(b))^2, decided over rationals by squaring.
-    """
-    if a.is_inf or b.is_inf or c == ZERO:
-        return []
+def _homogeneous_violation(f: QuasiModularFamily, i, j, k):
+    """The witness of a homogeneous triple that fails c <= (sqrt(a) +
+    sqrt(b))^2, where a and b are finite: an infinite c fails at
+    lambda = mu = 1."""
+    a, b, c = f.gauges[i][j].coeff, f.gauges[j][k].coeff, f.gauges[i][k].coeff
     if c.is_inf:
         one = Fraction(1)
-        lhs, rhs = INF, a.divided_by(one) + b.divided_by(one)
-        return [QM2Violation(i, j, k, one, one, lhs, rhs)]
-    af, bf, cf = a.frac, b.frac, c.frac
-    t = cf - af - bf
-    if t <= 0 or t * t <= 4 * af * bf:
-        return []
-    return [_homogeneous_witness(af, bf, cf, i, j, k)]
+        return QM2Violation(i, j, k, one, one, INF,
+                            a.divided_by(one) + b.divided_by(one))
+    return _homogeneous_witness(a.frac, b.frac, c.frac, i, j, k)
 
 
 def _homogeneous_witness(af, bf, cf, i, j, k):
@@ -359,9 +406,7 @@ def _qm2_grid(ga, gb, gc, i, j, k, grid):
     pts = set(grid)
     for g in (ga, gb, gc):
         pts.update(g.breakpoints)
-    positives = sorted(pts)
-    if positives:
-        pts.add(positives[0] / 2)
+    pts.add(min(pts) / 2)
     pts = sorted(pts)
     out = []
     for lam in pts:
@@ -482,15 +527,28 @@ def modular_balls(f: QuasiModularFamily, x: int, lam: Fraction, eps: Fraction):
 
 def entourages(f: QuasiModularFamily, r: Fraction, lam: Fraction):
     """Relations ({(x,y): w_lam(x,y) < r}, inverse).  The section E+(x) is
-    the forward ball modular_balls(f, x, lam, r)[0] by definition."""
+    the forward ball modular_balls(f, x, lam, r)[0] by definition.
+
+    The pairs are taken from _pair_table(n), so every relation on an
+    n-point carrier shares the same (x, y) tuple objects: a caller that
+    keeps many entourages keeps n^2 pair tuples in all, not a fresh tuple
+    for every member of every relation.
+    """
     lam, r = Fraction(lam), Fraction(r)
     if lam <= 0 or r <= 0:
         raise NonPositiveParameter("lambda and r must be positive")
     bound = ExtNonNeg(r)
-    fwd = frozenset((x, y) for x in range(f.n) for y in range(f.n)
+    pairs = _pair_table(f.n)
+    fwd = frozenset(pairs[x][y] for x in range(f.n) for y in range(f.n)
                     if f.w(lam, x, y) < bound)
-    bwd = frozenset((y, x) for (x, y) in fwd)
+    bwd = frozenset(pairs[y][x] for (x, y) in fwd)
     return fwd, bwd
+
+
+@lru_cache(maxsize=16)
+def _pair_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """pairs[x][y] == (x, y) for x, y < n, built once per carrier size."""
+    return tuple(tuple((x, y) for y in range(n)) for x in range(n))
 
 
 def luxemburg_symmetrization_gap(f: QuasiModularFamily, grid=None) -> dict:

@@ -28,8 +28,14 @@ def test_one_row_per_bench_file():
         doc = json.loads(path.read_text())
         assert line.split()[:2] == [str(doc["pr"]), doc["parent_commit"][:7]]
         assert set(doc["workloads"]) <= workloads
-        for wl in doc["workloads"].values():
+        for name, wl in doc["workloads"].items():
             assert set(wl["metrics"]) == metrics
+            jobs, rss = (_medians(wl["metrics"][m]) for m in ("jobs_per_s", "peak_rss_mb"))
+            assert f"{name} {jobs} rss {rss}" in line
+
+
+def _medians(sides):
+    return f"{sides['parent']['median']:.4g}->{sides['change']['median']:.4g}"
 
 
 def test_malformed_bench_file_is_refused(tmp_path):

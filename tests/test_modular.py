@@ -37,6 +37,11 @@ from qconn.modular import (
     QM1Violation,
     QM2Violation,
     QM3Violation,
+    ValidationReport,
+    _corner_scale,
+    _homogeneous_witness,
+    _nonzero_witness,
+    _qm2_grid,
     merge_max,
 )
 from qconn.numbers import INF, ZERO, enn
@@ -259,6 +264,154 @@ def test_validate_family_decisions_pinned(kind):
     assert digest == FAMILY_DIGESTS[kind]
 
 
+# -- validate_family against the Fraction decisions -------------------------
+#
+# validate_family decides QM2 on scaled integers.  The reference below
+# decides it on Fractions: step corners compared through
+# ScaleGauge.__call__ and ExtNonNeg addition, homogeneous triples squared
+# over the rationals.  Witnesses follow the same rules in both.
+
+def _reference_step_corners(ga, gb, gc, i, j, k):
+    out = []
+    t = None
+    for la in (None, *ga.breakpoints):
+        va = ga.values[0] if la is None else ga(la)
+        for mu in (None, *gb.breakpoints):
+            vb = gb.values[0] if mu is None else gb(mu)
+            if la is None and mu is None:
+                vc = gc.values[0]
+            elif la is None:
+                vc = gc(mu)
+            elif mu is None:
+                vc = gc(la)
+            else:
+                vc = gc(la + mu)
+            if not vc <= va + vb:
+                if t is None:
+                    t = _corner_scale(ga, gb, gc)
+                lam_w = t if la is None else la
+                mu_w = t if mu is None else mu
+                out.append(QM2Violation(i, j, k, lam_w, mu_w, gc(lam_w + mu_w),
+                                        ga(lam_w) + gb(mu_w)))
+    return out
+
+
+def _reference_homogeneous(a, b, c, i, j, k):
+    if a.is_inf or b.is_inf or c == ZERO:
+        return []
+    if c.is_inf:
+        one = Fraction(1)
+        return [QM2Violation(i, j, k, one, one, INF,
+                             a.divided_by(one) + b.divided_by(one))]
+    af, bf, cf = a.frac, b.frac, c.frac
+    t = cf - af - bf
+    if t <= 0 or t * t <= 4 * af * bf:
+        return []
+    return [_homogeneous_witness(af, bf, cf, i, j, k)]
+
+
+def reference_validate_family(f, grid) -> ValidationReport:
+    grid = sorted({Fraction(g) for g in grid})
+    n = f.n
+    out = [QM1Violation(i, lam, f.gauges[i][i](lam))
+           for i in range(n) if not f.gauges[i][i].is_identically_zero()
+           for lam in [_nonzero_witness(f.gauges[i][i], grid)]]
+    out += [QM3Violation(i, j, *mv) for i in range(n) for j in range(n)
+            for mv in [f.gauges[i][j].monotone_violation()] if mv is not None]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                ga, gb, gc = f.gauges[i][j], f.gauges[j][k], f.gauges[i][k]
+                kinds = {ga.kind, gb.kind, gc.kind}
+                if kinds == {"step"}:
+                    out += _reference_step_corners(ga, gb, gc, i, j, k)
+                elif kinds == {"homogeneous"}:
+                    out += _reference_homogeneous(ga.coeff, gb.coeff, gc.coeff, i, j, k)
+                else:
+                    out += _qm2_grid(ga, gb, gc, i, j, k, grid)
+    return ValidationReport(ok=not out, violations=tuple(out), grid=tuple(grid))
+
+
+HUGE = Fraction(10**399 + 7, 3)  # a 400-digit numerator
+PRIMES = [1, 2, 3, 7, 11, 13, 97, 7919]
+ORACLE_LEVELS = [0, 0, Fraction(1, 7), Fraction(5, 13), 1, 2, Fraction(22, 7), 9,
+                 HUGE, 2 * HUGE, "inf", "inf"]
+
+
+def _oracle_gauge(rng, kind, diagonal):
+    """A random gauge with prime-denominator breakpoints and values that
+    include zero, infinity and 400-digit numerators."""
+    if kind == "homogeneous":
+        return ScaleGauge.homogeneous(rng.choice(ORACLE_LEVELS))
+    bps = sorted({Fraction(rng.randint(1, 60), rng.choice(PRIMES))
+                  for _ in range(rng.randint(diagonal, 4))})
+    values = [rng.choice(ORACLE_LEVELS) for _ in bps] + [rng.choice(ORACLE_LEVELS)]
+    if rng.random() < 0.8:
+        values.sort(key=lambda v: float("inf") if v == "inf" else v, reverse=True)
+    return ScaleGauge.step(bps, values)
+
+
+def _rescaled_gauge(g, vfac, sfac):
+    """g with every value times vfac and every scale times sfac, which
+    keeps each QM axiom."""
+    if g.kind == "homogeneous":
+        return ScaleGauge.homogeneous(g.coeff.scaled(vfac * sfac))
+    return ScaleGauge(kind="step",
+                      breakpoints=tuple(b * sfac for b in g.breakpoints),
+                      values=tuple(v.scaled(vfac) for v in g.values))
+
+
+def _oracle_family(kind, seed) -> QuasiModularFamily:
+    """A clean seeded family, its values and scales sometimes blown up to
+    400 digits or given prime denominators, with up to three gauges then
+    replaced at random (none on even seeds below 40)."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    base = FAMILY_BASES[kind](rng, n)
+    vfac = rng.choice([Fraction(1), Fraction(1, 7919), HUGE])
+    sfac = rng.choice([Fraction(1), Fraction(3, 97), Fraction(10**400, 13)])
+    gauges = [[_rescaled_gauge(g, vfac, sfac) for g in row] for row in base.gauges]
+    for _ in range(0 if seed < 40 and seed % 2 == 0 else rng.randint(0, 3)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        gauges[i][j] = _oracle_gauge(rng, kind, i == j)
+    return QuasiModularFamily(points=tuple(map(str, range(n))),
+                              gauges=tuple(map(tuple, gauges)))
+
+
+@pytest.mark.parametrize("kind", ["step", "homogeneous"])
+def test_validate_family_matches_fraction_reference(kind):
+    seen_ok = seen_bad = 0
+    for seed in range(150):
+        fam = _oracle_family(kind, seed)
+        report = validate_family(fam, GRID)
+        assert report == reference_validate_family(fam, GRID), seed
+        _assert_witnesses_violate(fam, report)
+        seen_ok += report.ok
+        seen_bad += not report.ok
+    assert seen_ok >= 20 and seen_bad >= 20
+
+
+def test_huge_numerator_next_to_infinity():
+    # an int beyond 10**308 meeting float("inf") raises OverflowError; the
+    # integer kernel must keep infinity an int
+    step = ScaleGauge.step
+    zero = ScaleGauge.constant(0)
+    fams = [
+        homog_family([[0, HUGE, "inf"], [INF, 0, HUGE], [HUGE, INF, 0]]),
+        homog_family([[0, HUGE, 5 * HUGE], [INF, 0, HUGE], [INF, INF, 0]]),
+        QuasiModularFamily(points=("x", "y", "z"), gauges=(
+            (zero, step([Fraction(1, 7919)], ["inf", HUGE]), step([HUGE], ["inf", 1])),
+            (zero, zero, step([Fraction(2, 3)], [HUGE, 0])),
+            (zero, zero, zero),
+        )),
+    ]
+    for fam in fams:
+        report = validate_family(fam, GRID)
+        assert report == reference_validate_family(fam, GRID)
+        assert not report.ok
+        _assert_witnesses_violate(fam, report)
+
+
 def test_grid_errors():
     fam = homog_family([[0]])
     with pytest.raises(EmptyGrid):
@@ -475,6 +628,8 @@ def test_entourage_section_identity_and_errors():
     for r in (Fraction(1, 2), Fraction(1), Fraction(2)):
         for lam in (Fraction(1, 2), Fraction(1), Fraction(3)):
             fwd, bwd = entourages(fam, r, lam)
+            assert fwd == {(x, y) for x in range(fam.n) for y in range(fam.n)
+                           if fam.w(lam, x, y) < enn(r)}
             assert bwd == frozenset((y, x) for (x, y) in fwd)
             for x in range(fam.n):
                 section = frozenset(y for (a, y) in fwd if a == x)
@@ -483,6 +638,16 @@ def test_entourage_section_identity_and_errors():
         modular_balls(fam, 0, Fraction(0), Fraction(1))
     with pytest.raises(NonPositiveParameter):
         entourages(fam, Fraction(-1), Fraction(1))
+
+
+def test_entourages_share_pair_tuples():
+    # two calls on the same carrier size hand out the very same tuples
+    first, first_inv = entourages(homog_family([[0] * 4] * 4), Fraction(1), Fraction(1))
+    second, _ = entourages(rng_homogeneous_family(random.Random(2), 4), Fraction(9), Fraction(1))
+    assert len(first) == 16
+    ids = {p: p for p in first}
+    assert second and all(ids[p] is p for p in second)
+    assert all(ids[p] is p for p in first_inv)
 
 
 def test_luxemburg_output_is_validated_metric():

@@ -7,8 +7,11 @@ one change measured against its parent commit with ``bench/run.py``:
 per workload, the parent's and the change's median and quartiles of
 every end-to-end metric over alternating parent/change pairs, the
 ``src/`` line counts of both sides and the parent commit.  A row gives
-the PR, the parent commit, the ``src/`` lines and each workload's
-``jobs_per_s`` median, parent -> change.  Stdlib only.
+its ``pr`` field, the parent commit, the ``src/`` lines and, per
+workload, the ``jobs_per_s`` and ``peak_rss_mb`` medians, parent ->
+change.  Memory sits next to throughput because a faster change that
+keeps more results alive can gain jobs per second and still fail the
+memory bound.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -42,16 +45,22 @@ def row(doc: dict) -> str:
     cells = [f"{doc['pr']:>3}", doc["parent_commit"][:7],
              f"src {lines['parent']}->{lines['change']}"]
     for name in sorted(doc["workloads"]):
-        jobs = doc["workloads"][name]["metrics"]["jobs_per_s"]
-        cells.append(f"{name} {jobs['parent']['median']:.4g}->{jobs['change']['median']:.4g}")
+        metrics = doc["workloads"][name]["metrics"]
+        cells.append(f"{name} {_medians(metrics['jobs_per_s'])} "
+                     f"rss {_medians(metrics['peak_rss_mb'])}")
     return "  ".join(cells)
+
+
+def _medians(sides: dict) -> str:
+    return f"{sides['parent']['median']:.4g}->{sides['change']['median']:.4g}"
 
 
 def main(argv: list[str]) -> int:
     directory = pathlib.Path(argv[0]) if argv else ROOT
     paths = sorted(directory.glob("BENCH_*.json"),
                    key=lambda p: int(p.stem.split("_", 1)[1]))
-    print(" pr  parent   src lines      jobs_per_s median per workload, parent->change")
+    print(" pr  parent   src lines      per workload: jobs_per_s median, "
+          "rss peak_rss_mb median (MB), parent->change")
     for path in paths:
         try:
             print(row(load(path)))
