@@ -31,11 +31,12 @@ class EventuallyPeriodicSeq:
             raise ValueError("period must be nonempty")
 
 
-def _broken(d: QuasiPseudoMetric, what: str, structure: str, cause: str) -> Exception:
-    """A bug on exact distances; on float-mode ones, which obey the laws only
-    up to the tolerance, a PreconditionFailed naming it."""
-    if d.tol is None:
-        return AssertionError(what)
+def _broken(d: QuasiPseudoMetric, what: str, structure: str, cause: str) -> PreconditionFailed:
+    """The PreconditionFailed of a float-mode metric, whose distances obey
+    the laws only up to the tolerance.  The checks that raise it run in
+    float mode only: on exact distances the laws hold, since a metric is
+    built either by validate_qpm or, unvalidated by contract, from a
+    matrix that satisfies them, and the tests check them as oracles."""
     return PreconditionFailed(f"float-mode distances break {structure} ({what}): "
                               f"{cause} the tolerance {d.tol}")
 
@@ -77,19 +78,20 @@ def smyth_report(d: QuasiPseudoMetric) -> dict:
     Every directional Cauchy sequence is tail-confined to one class of the
     zero-distance digraph's strongly connected partition; inside such a
     class all pairwise forward distances vanish (zero cycles close into
-    zero cliques by the triangle inequality, asserted below), so cycling
-    through the class is the canonical representative sequence and each of
-    its members is a forward limit.  A limit y is by definition at zero
-    distance from every class member, which is the conjugate-side ball
-    criterion (every period point inside every backward ball around y),
-    so the report does not re-check it.  Float-mode zero distances
-    compose only up to the tolerance (see _broken).
+    zero cliques by the triangle inequality), so cycling through the class
+    is the canonical representative sequence and each of its members is a
+    forward limit.  A limit y is by definition at zero distance from every
+    class member, which is the conjugate-side ball criterion (every period
+    point inside every backward ball around y), so the report does not
+    re-check it.  Float-mode zero distances compose only up to the
+    tolerance, so in float mode each class is checked to be a zero clique
+    (see _broken).
     """
     rows = d.zero_mask_rows()
     witnesses = []
     for cls in scc_masks(rows):
         members = indices_of(cls)
-        if _zero_from_all(rows, members) & cls != cls:
+        if d.tol is not None and _zero_from_all(rows, members) & cls != cls:
             raise _broken(d, f"zero cycle through {members} is not a zero clique",
                           "the completeness certificate",
                           "zero distances compose only up to")
@@ -102,8 +104,11 @@ def smyth_report(d: QuasiPseudoMetric) -> dict:
     }
 
 
-def _first_fit_cover(d: QuasiPseudoMetric, eps: Fraction) -> list[int]:
-    balls = d.ball_rows(eps)
+def _first_fit_cover(d: QuasiPseudoMetric, eps: Fraction, balls=None) -> list[int]:
+    """Centers taken in point order, each one not yet covered; ``balls``
+    are d.ball_rows(eps) when the caller already holds them."""
+    if balls is None:
+        balls = d.ball_rows(eps)
     full = (1 << d.n) - 1
     covered = 0
     centers = []
@@ -124,8 +129,10 @@ def precompact_report(d: QuasiPseudoMetric, thresholds) -> dict:
     forward: a cover at eps still covers at any larger eps, so reporting
     the smaller of {fresh first-fit cover, previous cover} yields minimal
     greedy cover sizes that are nonincreasing in eps by construction
-    (first-fit alone does not guarantee that).  Float-mode self-distances
-    vanish only up to the tolerance (see _broken).
+    (first-fit alone does not guarantee that).  Every point lies in its
+    own ball, so each cover covers; float-mode self-distances vanish only
+    up to the tolerance, so in float mode the union is checked (see
+    _broken).
     """
     eps_list = sorted({Fraction(t) for t in thresholds})
     if any(t <= 0 for t in eps_list):
@@ -134,17 +141,18 @@ def precompact_report(d: QuasiPseudoMetric, thresholds) -> dict:
     covers = []
     prev: list[int] | None = None
     for eps in eps_list:
-        centers = _first_fit_cover(d, eps)
+        balls = d.ball_rows(eps)
+        centers = _first_fit_cover(d, eps, balls)
         if prev is not None and len(prev) < len(centers):
             centers = prev
-        balls = d.ball_rows(eps)
-        union = 0
-        for c in centers:
-            union |= balls[c]
-        if union != full:
-            raise _broken(d, f"cover at eps={eps} does not cover the carrier",
-                          "the forward-ball cover",
-                          "self-distances vanish only up to")
+        if d.tol is not None:
+            union = 0
+            for c in centers:
+                union |= balls[c]
+            if union != full:
+                raise _broken(d, f"cover at eps={eps} does not cover the carrier",
+                              "the forward-ball cover",
+                              "self-distances vanish only up to")
         covers.append({"eps": str(eps), "centers": centers, "size": len(centers)})
         prev = centers
     return {"carrier_size": d.n, "covers": covers, "precompact": True}
@@ -194,9 +202,10 @@ class FormalBallPoset:
     """Pairs (point, radius) ordered by (x, r) <= (y, s) iff d(x,y) <= r - s.
 
     Reflexivity is d(x,x)=0 <= 0; transitivity follows from the triangle
-    inequality through (r-s) + (s-t) = r-t; both are checked exhaustively
-    on the grid at construction, and antisymmetry holds up to mutual zero
-    distance at equal radii.
+    inequality through (r-s) + (s-t) = r-t, and antisymmetry holds up to
+    mutual zero distance at equal radii.  Float-mode distances obey the
+    triangle inequality only up to the tolerance, so in float mode the
+    three laws are checked exhaustively on the grid at construction.
     """
 
     labels: tuple[str, ...]
@@ -226,26 +235,41 @@ def formal_ball_poset(d: QuasiPseudoMetric, radii) -> FormalBallPoset:
             raise NegativeRadius(f"radius {r} is negative")
     elements = tuple(FormalBall(point=x, radius=r) for x in range(d.n) for r in radii)
     k = len(radii)
-    # slack[t][u] = floor((r_t - r_u) * den) for u <= t, falling as u rises
+    # slack[t][u] = floor((r_t - r_u) * den) for u <= t: (x, r_t) <= (y, r_u)
+    # iff d(x, y) <= r_t - r_u iff the integer rows[x][y] <= slack[t][u]
     slack = [[(r - s).numerator * d.den // (r - s).denominator for s in radii[:t + 1]]
              for t, r in enumerate(radii)]
+    # table[b] moves bit i of the byte b to bit i * k
+    table = [0] * 256
+    for b in range(1, 256):
+        table[b] = table[b >> 1] << k | b & 1
+    # per distinct cap, each point's mask {y : rows[x][y] <= cap} spread to stride k
+    spread = {}
+    for cap in {cap for caps in slack for cap in caps}:
+        spread[cap] = out = []
+        for mask in d._rows_below(cap + 1):
+            wide, shift = 0, 0
+            while mask:
+                wide |= table[mask & 255] << shift
+                mask >>= 8
+                shift += 8 * k
+            out.append(wide)
     rows = []
-    for row in d.rows:
+    for x in range(d.n):
         for caps in slack:
             mask = 0
-            for y, v in enumerate(row):
-                for u, cap in enumerate(caps):
-                    if v > cap:
-                        break
-                    mask |= 1 << (y * k + u)
+            for u, cap in enumerate(caps):
+                mask |= spread[cap][x] << u
             rows.append(mask)
     poset = FormalBallPoset(labels=d.points, elements=elements, le_rows=tuple(rows))
-    _check_poset_laws(poset, d)
+    if d.tol is not None:
+        _check_poset_laws(poset, d)
     return poset
 
 
 def _check_poset_laws(p: FormalBallPoset, d: QuasiPseudoMetric) -> None:
-    """The laws follow from the triangle inequality, which float-mode
+    """Reflexivity, transitivity and antisymmetry up to mutual zero
+    distance.  They follow from the triangle inequality, which float-mode
     distances obey only up to a tolerance the order does not absorb."""
     def broken(what: str) -> Exception:
         return _broken(d, what, "the formal-ball order",

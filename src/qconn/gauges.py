@@ -19,10 +19,17 @@ entries only, so ``math.inf`` meets an integer only in comparisons, which
 Python decides exactly at any size.  ExtNonNeg values exist only at the
 boundary: ``dist`` and ``d(i, j)``, the violation records, and
 serialisation.
+
+Threshold index.  Every threshold question (zero relation, open balls,
+the closed balls of the formal-ball order, the spectrum) is answered from
+one index built on first use: per row, its distinct values in ascending
+order and the prefix masks ``masks[t] = {j : rows[i][j] < values[t]}``.
+A row's mask below any integer bound is then one ``bisect`` away.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -61,8 +68,10 @@ class QuasiPseudoMetric:
     ``tol`` is None in exact mode; in float mode it is the absolute
     tolerance applied to every comparison, recorded so reports can state
     which regime produced them.  ``QuasiPseudoMetric(points, dist, tol)``
-    scales a matrix of ExtNonNeg-coercible values without checking the
-    axioms; validate_qpm checks them.
+    scales a matrix of ExtNonNeg-coercible values and is unvalidated by
+    contract: it does not check the axioms, and the analyses that read a
+    metric (the completion reports among them) assume they hold in exact
+    mode.  validate_qpm checks them.
     """
 
     points: tuple[str, ...]
@@ -90,9 +99,25 @@ class QuasiPseudoMetric:
         return (not value.is_inf
                 and value.frac.numerator * self.den <= self.eps * value.frac.denominator)
 
+    @cached_property
+    def _index(self) -> tuple[tuple[list, list[int]], ...]:
+        """Per row, its ascending distinct values and the prefix masks
+        masks[t] of the entries below values[t]; masks[-1] is the whole row."""
+        index = []
+        for row in self.rows:
+            at: dict = {}
+            for j, v in enumerate(row):
+                at[v] = at.get(v, 0) | 1 << j
+            values = sorted(at)
+            masks = [0]
+            for v in values:
+                masks.append(masks[-1] | at[v])
+            index.append((values, masks))
+        return tuple(index)
+
     def _rows_below(self, bound: int) -> list[int]:
         """Row bitmasks of {(i, j): rows[i][j] < bound}."""
-        return [sum(1 << j for j, v in enumerate(row) if v < bound) for row in self.rows]
+        return [masks[bisect_left(values, bound)] for values, masks in self._index]
 
     @cached_property
     def _zero_rows(self) -> tuple[int, ...]:
@@ -110,7 +135,7 @@ class QuasiPseudoMetric:
 
     def positive_spectrum(self) -> list[Fraction]:
         """Sorted distinct positive finite distances."""
-        vals = {v for row in self.rows for v in row if self.eps < v < inf}
+        vals = {v for values, _ in self._index for v in values if self.eps < v < inf}
         return [Fraction(v, self.den) for v in sorted(vals)]
 
 
@@ -216,6 +241,10 @@ def validate_qpm(matrix, points=None, tol: Fraction | None = None) -> QuasiPseud
     points = tuple(str(i) for i in range(len(rows))) if points is None else tuple(points)
     if len(points) != len(rows):
         raise ValueError("point labels do not match matrix size")
+    return _validated(points, den, rows, tol)
+
+
+def _validated(points, den: int, rows, tol=None) -> QuasiPseudoMetric:
     d = _metric(points, den, rows, tol)
     bad = _violations(d.den, d.rows, d.eps)
     if bad:
@@ -299,10 +328,16 @@ def from_asym_norm(s: AsymNormSample, mode: str = "exact",
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
+    labels = [f"v{i}" for i in range(len(s.points))]
+    if s.p == 1 and mode == "exact":
+        # one common denominator makes every coordinate, so every gauge value, an int
+        den = lcm(*{c.denominator for v in s.points for c in v})
+        vecs = [[c.numerator * (den // c.denominator) for c in v] for v in s.points]
+        rows = [[sum(b - a for a, b in zip(x, y) if b > a) for y in vecs] for x in vecs]
+        return _validated(labels, den, rows)
     dist = [[ZERO if i == j else one_sided_lp(x, y, s.p, mode=mode)
              for j, y in enumerate(s.points)] for i, x in enumerate(s.points)]
-    return validate_qpm(dist, points=[f"v{i}" for i in range(len(dist))],
-                        tol=None if mode == "exact" else Fraction(tol))
+    return validate_qpm(dist, points=labels, tol=None if mode == "exact" else Fraction(tol))
 
 
 def symmetrization_gap_report(s: AsymNormSample) -> dict:

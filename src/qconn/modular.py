@@ -380,7 +380,13 @@ def _homogeneous_violation(f: QuasiModularFamily, i, j, k):
 def _homogeneous_witness(af, bf, cf, i, j, k):
     """Scales with c/(l+m) > a/l + b/m.  (l+m)(a/l + b/m) is least at
     l : m = sqrt(a) : sqrt(b), so l and m come from integer square roots
-    of a and b at a precision that doubles until the inequality holds."""
+    of a and b at a precision that doubles until the inequality holds.
+
+    With L the total bit length of the six integers a, b and c are made
+    of, a violating triple has c - (sqrt(a) + sqrt(b))^2 >= 2^-(3L+1), and
+    (3L + 8)-bit roots bring (l+m)(a/l + b/m) closer than that to its
+    least value.  Past the limit 4L + 64 the triple satisfies QM2, so it
+    reached this function through a wrong decision: AssertionError."""
     if af == 0 and bf == 0:
         lam, mu = Fraction(1), Fraction(1)
     elif af == 0:
@@ -388,6 +394,8 @@ def _homogeneous_witness(af, bf, cf, i, j, k):
     elif bf == 0:
         lam, mu = Fraction(1), (cf / af - 1) / 2
     else:
+        limit = 4 * sum(v.numerator.bit_length() + v.denominator.bit_length()
+                        for v in (af, bf, cf)) + 64
         bits = 32
         while True:
             sa = isqrt((af.numerator << 2 * bits) // af.denominator)
@@ -397,7 +405,10 @@ def _homogeneous_witness(af, bf, cf, i, j, k):
                 mu = 1 - lam
                 if cf > af / lam + bf / mu:
                     break
-            bits *= 2
+            if bits >= limit:
+                raise AssertionError(f"QM2 holds on ({i}, {j}, {k}): no witness "
+                                     f"at {bits}-bit precision")
+            bits = min(2 * bits, limit)
     lhs, rhs = cf / (lam + mu), af / lam + bf / mu
     return QM2Violation(i, j, k, lam, mu, ExtNonNeg(lhs), ExtNonNeg(rhs))
 

@@ -32,6 +32,21 @@ def test_one_row_per_bench_file():
             assert set(wl["metrics"]) == metrics
             jobs, rss = (_medians(wl["metrics"][m]) for m in ("jobs_per_s", "peak_rss_mb"))
             assert f"{name} {jobs} rss {rss}" in line
+        claim = doc.get("claim")
+        if claim:
+            sides = doc["workloads"][claim["workload"]]["metrics"][claim["metric"]]
+            assert f" claim {claim['metric']} on {claim['workload']} {_medians(sides)} " in line
+        else:
+            assert " claim - " in line
+
+
+def test_file_without_claim_prints_a_dash(tmp_path):
+    doc = json.loads(max(ROOT.glob("BENCH_*.json")).read_text())
+    del doc["claim"]
+    (tmp_path / "BENCH_3.json").write_text(json.dumps(doc))
+    done = _run(str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1].split()[4:6] == ["claim", "-"]
 
 
 def _medians(sides):

@@ -304,3 +304,54 @@ def test_oversized_literals_exit_2_fast(tmp_path, capsys):
     assert code == 2
     diag = json.loads(err)["error"]
     assert diag["type"] == "SchemaError" and "MAX_LITERAL_EXPONENT" in diag["message"]
+
+
+def _sized(kind, n):
+    """The smallest file of its kind whose capped field holds n entries."""
+    labels = [f"p{i}" for i in range(n)]
+    if kind == "quasi_metric":
+        return {"kind": kind, "points": labels, "dist": [["0"] * n] * n}
+    if kind == "digraph":
+        return {"kind": kind, "vertices": labels, "edges": []}
+    if kind == "asym_norm_sample":
+        return {"kind": kind, "dimension": 1, "p": "1", "points": [["0"]] * n}
+    if kind == "bitopology":
+        nbhd = [[i] for i in range(n)]
+        return {"kind": kind, "points": labels, "forward_min_nbhd": nbhd,
+                "backward_min_nbhd": nbhd}
+    if kind == "modular_family":
+        zero = {"kind": "homogeneous", "coeff": "0"}
+        return {"kind": kind, "points": labels, "gauges": [[zero] * n] * n}
+    if kind == "orlicz":
+        return {"kind": kind, "atoms": [["a", "1"]], "phi": [{"pos_slopes": ["1"]}],
+                "functions": [["0"]] * n, "scaling": {"kind": "homogeneous"}}
+    if kind == "orlicz_atoms":
+        return {"kind": "orlicz", "atoms": [[f"a{t}", "1"] for t in range(n)],
+                "phi": [{"pos_slopes": ["1"]}] * n, "functions": [["0"] * n],
+                "scaling": {"kind": "homogeneous"}}
+    if kind == "map":
+        return {"kind": kind, "source_points": labels, "target_points": ["t"],
+                "assignment": [0] * n}
+    return {"kind": "sequence", "preperiod": [0] * (n - 1), "period": [0]}
+
+
+@pytest.mark.parametrize("kind", ["quasi_metric", "digraph", "asym_norm_sample",
+                                  "bitopology", "modular_family", "orlicz",
+                                  "orlicz_atoms", "map", "sequence"])
+def test_over_cap_files_exit_2_promptly(tmp_path, capsys, kind):
+    from qconn.instances import MAX_ORLICZ_ATOMS, MAX_POINTS, MAX_SEQUENCE_LENGTH
+    name, cap = {"orlicz_atoms": ("MAX_ORLICZ_ATOMS", MAX_ORLICZ_ATOMS),
+                 "sequence": ("MAX_SEQUENCE_LENGTH", MAX_SEQUENCE_LENGTH)}.get(
+        kind, (f"MAX_POINTS[{kind!r}]", MAX_POINTS.get(kind)))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_sized(kind, cap + 1)))
+    for command in ("validate", "analyze"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, str(path))
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        message = json.loads(err)["error"]["message"]
+        assert message.endswith(f"{cap + 1} entries exceed the limit {name} = {cap}")
+    if kind in ("map", "sequence", "asym_norm_sample", "orlicz", "orlicz_atoms"):
+        path.write_text(json.dumps(_sized(kind, cap)))  # at the cap: accepted
+        assert run(capsys, "validate", str(path))[0] == 0

@@ -246,3 +246,88 @@ def test_hasse_dot_renders():
     text = hasse_dot(poset)
     assert text.startswith("digraph formal_balls {")
     assert "->" in text
+
+
+def test_float_mode_formal_ball_order_without_transitivity_is_a_precondition():
+    # d(0,2) exceeds d(0,1) + d(1,2) by half the tolerance: (0,2) <= (1,1) <= (2,0)
+    # but not (0,2) <= (2,0)
+    tol = Fraction(1, 10**9)
+    d = validate_qpm([[0, 1, 2 + tol / 2], ["inf", 0, 1], ["inf", "inf", 0]], tol=tol)
+    with pytest.raises(PreconditionFailed, match="transitivity"):
+        formal_ball_poset(d, [0, 1, 2])
+
+
+# -- exact-mode laws and the replaced loops, kept as oracles -----------------
+
+
+def _quadruple_le_rows(d, radii):
+    """The formal-ball order by walking every (x, y, r_t, r_u)."""
+    radii = sorted({Fraction(r) for r in radii})
+    k = len(radii)
+    slack = [[(r - s).numerator * d.den // (r - s).denominator for s in radii[:t + 1]]
+             for t, r in enumerate(radii)]
+    rows = []
+    for row in d.rows:
+        for caps in slack:
+            mask = 0
+            for y, v in enumerate(row):
+                for u, cap in enumerate(caps):
+                    if v > cap:
+                        break
+                    mask |= 1 << (y * k + u)
+            rows.append(mask)
+    return tuple(rows)
+
+
+def _exact_metric(seed, n):
+    rng = random.Random(seed)
+    return rng, rng_qpm(rng, n, density=rng.choice([0.2, 0.4, 0.8]))
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.integers(0, 10**9), st.integers(1, 12),
+       st.sampled_from(["zero", "duplicates", "random"]))
+def test_le_rows_match_quadruple_loop(seed, n, radii_kind):
+    rng, d = _exact_metric(seed, n)
+    if radii_kind == "zero":
+        radii = [Fraction(0)]
+    else:
+        radii = [Fraction(rng.randint(0, 12), rng.choice([1, 2, 3, 7]))
+                 for _ in range(rng.randint(1, 4))]
+        if radii_kind == "duplicates":
+            radii += radii[:2]
+    assert formal_ball_poset(d, radii).le_rows == _quadruple_le_rows(d, radii)
+
+
+@settings(max_examples=40, derandomize=True)
+@given(st.integers(0, 10**9), st.integers(1, 7))
+def test_exact_formal_ball_order_obeys_the_laws(seed, n):
+    rng, d = _exact_metric(seed, n)
+    radii = sorted({Fraction(rng.randint(0, 8), rng.choice([1, 2, 3])) for _ in range(3)})
+    p = formal_ball_poset(d, radii)
+    m = len(p.elements)
+    for a in range(m):
+        assert p.le(a, a)
+        for b in range(m):
+            if not p.le(a, b):
+                continue
+            assert all(p.le(a, c) for c in range(m) if p.le(b, c))
+            if a != b and p.le(b, a):
+                ba, bb = p.elements[a], p.elements[b]
+                assert ba.radius == bb.radius
+                assert d.is_zero(d.d(ba.point, bb.point))
+                assert d.is_zero(d.d(bb.point, ba.point))
+
+
+@settings(max_examples=40, derandomize=True)
+@given(st.integers(0, 10**9), st.integers(1, 10))
+def test_exact_covers_cover_and_zero_classes_are_cliques(seed, n):
+    rng, d = _exact_metric(seed, n)
+    thresholds = [Fraction(rng.randint(1, 12), rng.choice([1, 2, 3])) for _ in range(4)]
+    for cover in precompact_report(d, thresholds)["covers"]:
+        balls = d.ball_rows(Fraction(cover["eps"]))
+        covered = {y for c in cover["centers"] for y in range(n) if balls[c] >> y & 1}
+        assert covered == set(range(n))
+    for cls in smyth_report(d)["classes"]:
+        members = cls["class"]
+        assert all(d.is_zero(d.d(x, y)) for x in members for y in members)

@@ -353,3 +353,59 @@ def test_float_mode_records_tolerance():
 def test_p_below_one_rejected():
     with pytest.raises(ValueError):
         AsymNormSample(dimension=1, p=Fraction(1, 2), points=((Fraction(0),),))
+
+
+# -- the threshold index against direct scans of the rows --------------------
+
+
+def _scan(d, keep):
+    return [sum(1 << j for j, v in enumerate(row) if keep(v)) for row in d.rows]
+
+
+def _indexed_metric(rng, n, mode):
+    """Exact closures with inf and zero entries, or a float-mode metric
+    whose entries lie below, on and above its tolerance."""
+    if mode == "exact":
+        return rng_qpm(rng, n, density=rng.choice([0.1, 0.4, 0.8]))
+    tol = Fraction(1e-9)
+    pts = tuple((Fraction(rng.randint(0, 4) * 5, 10**10), Fraction(rng.randint(-3, 3)))
+                for _ in range(n))
+    return from_asym_norm(AsymNormSample(dimension=2, p=Fraction(2), points=pts),
+                          mode="float", tol=float(tol))
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.integers(0, 10**9), st.integers(1, 8), st.sampled_from(["exact", "float"]))
+def test_threshold_index_matches_direct_scan(seed, n, mode):
+    d = _indexed_metric(random.Random(seed), n, mode)
+    finite = sorted({v for row in d.rows for v in row if v != float("inf")})
+    bounds = {b + s for b in finite + [d.eps, 10**30] for s in (-1, 0, 1)}
+    for b in bounds:
+        assert d._rows_below(b) == _scan(d, lambda v: v < b)
+    assert d.zero_mask_rows() == _scan(d, lambda v: v <= d.eps)
+    assert d.positive_spectrum() == [Fraction(v, d.den) for v in finite if v > d.eps]
+    for r in d.positive_spectrum() + [Fraction(1, 3), Fraction(10**9)]:
+        for radius in (r, r + Fraction(1, 7 * d.den)):
+            assert d.ball_rows(radius) == [
+                sum(1 << y for y in range(d.n) if d.d(x, y) < radius) for x in range(d.n)]
+
+
+def _sample(rng, count, dim):
+    """Coordinates with negative values, prime denominators and repeats."""
+    pool = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 101])) for _ in range(4)]
+    pts = [tuple(rng.choice(pool) for _ in range(dim)) for _ in range(count)]
+    if count > 1:
+        pts[-1] = pts[0]
+    return AsymNormSample(dimension=dim, p=Fraction(1), points=tuple(pts))
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.integers(0, 10**9), st.integers(0, 7), st.integers(1, 4))
+def test_integer_p1_norm_matches_one_sided_lp(seed, count, dim):
+    s = _sample(random.Random(seed), count, dim)
+    via_lp = validate_qpm(
+        [[ZERO if i == j else one_sided_lp(x, y, s.p) for j, y in enumerate(s.points)]
+         for i, x in enumerate(s.points)], points=[f"v{i}" for i in range(count)])
+    d = from_asym_norm(s)
+    assert d == via_lp
+    assert (d.den, d.rows, d.eps, d.tol) == (via_lp.den, via_lp.rows, 0, None)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import reference_json, rng_bitop, rng_family, rng_qpm, rng_vectors
-from qconn import EventuallyPeriodicSeq, OrliczSpec, PointMap, WeightedDigraph
+from qconn import EventuallyPeriodicSeq, OrliczSpec, PointMap, WeightedDigraph, validate_qpm
 from qconn.errors import ParseError, SchemaError
 from qconn.instances import (
     canonical_json,
@@ -203,3 +203,36 @@ def test_canonical_json_equals_json_dumps(doc):
             canonical_json(doc)
     else:
         assert canonical_json(doc) == want
+
+
+# -- literals parsed once per file -------------------------------------------
+
+
+def test_repeated_literals_parse_to_equal_instances():
+    weights = ["1/2", "3", "1/2", 3, "0.5", "3"]
+    doc = {"kind": "digraph", "vertices": ["a", "b", "c"],
+           "edges": [[u, v, w] for (u, v), w in
+                     zip([("a", "b"), ("b", "c"), ("c", "a"), ("a", "c"),
+                          ("b", "a"), ("c", "b")], weights)]}
+    _, g = parse_instance(doc)
+    assert g == WeightedDigraph(vertices=("a", "b", "c"), edges=tuple(
+        (u, v, enn(str(w))) for u, v, w in doc["edges"]))
+    dist = [["0", "1/2", "1/2"], ["inf", "0", "1/2"], ["inf", "inf", 0]]
+    _, d = parse_instance({"kind": "quasi_metric", "points": ["a", "b", "c"],
+                           "dist": dist})
+    assert d == validate_qpm([[enn(str(v)) for v in row] for row in dist],
+                             points=["a", "b", "c"])
+
+
+@pytest.mark.parametrize("bad", ["x", [1], "1e999"])
+def test_repeated_bad_literal_names_its_first_field(bad):
+    doc = {"kind": "digraph", "vertices": ["a", "b"],
+           "edges": [["a", "b", "1"], ["b", "a", bad], ["a", "b", bad]]}
+    with pytest.raises(SchemaError, match=r"^field 'edges\[1\]': ") as err:
+        parse_instance(doc)
+    if bad == [1]:
+        assert str(err.value) == "field 'edges[1]': bad value [1]"
+    doc = {"kind": "quasi_metric", "points": ["a", "b"],
+           "dist": [["0", bad], [bad, "0"]]}
+    with pytest.raises(SchemaError, match=r"^field 'dist\[0\]': "):
+        parse_instance(doc)

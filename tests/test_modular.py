@@ -654,3 +654,10 @@ def test_luxemburg_output_is_validated_metric():
     fam = rng_homogeneous_family(random.Random(5), 5)
     d = luxemburg_gauge(fam)
     validate_qpm([[d.d(i, j) for j in range(5)] for i in range(5)])
+
+
+@pytest.mark.parametrize("a, b, c", [(1, 1, 4), (2, 3, 9), (Fraction(1, 3), 5, 1)])
+def test_homogeneous_witness_refuses_a_satisfying_triple(a, b, c):
+    # c <= (sqrt(a) + sqrt(b))^2: QM2 holds, so no precision finds a witness
+    with pytest.raises(AssertionError, match=r"\(4, 5, 6\)"):
+        _homogeneous_witness(Fraction(a), Fraction(b), Fraction(c), 4, 5, 6)

@@ -7,11 +7,13 @@ one change measured against its parent commit with ``bench/run.py``:
 per workload, the parent's and the change's median and quartiles of
 every end-to-end metric over alternating parent/change pairs, the
 ``src/`` line counts of both sides and the parent commit.  A row gives
-its ``pr`` field, the parent commit, the ``src/`` lines and, per
-workload, the ``jobs_per_s`` and ``peak_rss_mb`` medians, parent ->
-change.  Memory sits next to throughput because a faster change that
-keeps more results alive can gain jobs per second and still fail the
-memory bound.  Stdlib only.
+its ``pr`` field, the parent commit, the ``src/`` lines, the claim (the
+claimed metric on its workload with its medians, parent -> change, or
+``claim -`` for a change that claims no gain) and, per workload, the
+``jobs_per_s`` and ``peak_rss_mb`` medians, parent -> change.  Memory
+sits next to throughput because a faster change that keeps more results
+alive can gain jobs per second and still fail the memory bound.  Stdlib
+only.
 """
 
 from __future__ import annotations
@@ -43,12 +45,20 @@ def load(path: pathlib.Path) -> dict:
 def row(doc: dict) -> str:
     lines = doc["src_lines"]
     cells = [f"{doc['pr']:>3}", doc["parent_commit"][:7],
-             f"src {lines['parent']}->{lines['change']}"]
+             f"src {lines['parent']}->{lines['change']}", _claim(doc)]
     for name in sorted(doc["workloads"]):
         metrics = doc["workloads"][name]["metrics"]
         cells.append(f"{name} {_medians(metrics['jobs_per_s'])} "
                      f"rss {_medians(metrics['peak_rss_mb'])}")
     return "  ".join(cells)
+
+
+def _claim(doc: dict) -> str:
+    claim = doc.get("claim")
+    if not claim:
+        return "claim -"
+    sides = doc["workloads"][claim["workload"]]["metrics"][claim["metric"]]
+    return f"claim {claim['metric']} on {claim['workload']} {_medians(sides)}"
 
 
 def _medians(sides: dict) -> str:
@@ -59,8 +69,8 @@ def main(argv: list[str]) -> int:
     directory = pathlib.Path(argv[0]) if argv else ROOT
     paths = sorted(directory.glob("BENCH_*.json"),
                    key=lambda p: int(p.stem.split("_", 1)[1]))
-    print(" pr  parent   src lines      per workload: jobs_per_s median, "
-          "rss peak_rss_mb median (MB), parent->change")
+    print(" pr  parent   src lines      claimed metric on workload, then per "
+          "workload: jobs_per_s median, rss peak_rss_mb median (MB), parent->change")
     for path in paths:
         try:
             print(row(load(path)))
