@@ -49,6 +49,24 @@ def _rational_list(text: str, name: str) -> list[Fraction]:
     return [_rational_arg(part, name) for part in text.split(",") if part.strip()]
 
 
+# formal balls per poset, points x distinct radii: building the order and
+# its Hasse edges costs time quadratic in this count.  At the cap, analyze
+# --formal-balls took 2.4 s for 256 points at distance zero with 3 radii and
+# 2.2 s for 1 point with 768 radii (float mode, best of 2, 2-core VM,
+# CPython 3.11); 256 points with 8 radii took 7.2 s and 275 MB
+MAX_FORMAL_BALLS = 768
+
+
+def _formal_balls(metric, text: str, name: str) -> completion.FormalBallPoset:
+    radii = _rational_list(text, name)
+    k = len(set(radii))
+    if metric.n * k > MAX_FORMAL_BALLS:
+        raise SchemaError(f"argument {name}: {metric.n} points x {k} radii make "
+                          f"{metric.n * k} formal balls, over MAX_FORMAL_BALLS "
+                          f"= {MAX_FORMAL_BALLS}")
+    return completion.formal_ball_poset(metric, radii)
+
+
 def _float_tol(args) -> float:
     if not (math.isfinite(args.float_tol) and args.float_tol >= 0):
         raise SchemaError(f"argument --float-tol: must be a finite number >= 0, "
@@ -126,8 +144,7 @@ def cmd_analyze(args) -> int:
     if args.formal_balls:
         if metric is None:
             raise SchemaError("--formal-balls needs a metric-backed instance")
-        radii = _rational_list(args.formal_balls, "--formal-balls")
-        poset = completion.formal_ball_poset(metric, radii)
+        poset = _formal_balls(metric, args.formal_balls, "--formal-balls")
         analyses["formal_balls"] = {
             "elements": [poset.describe(a) for a in range(len(poset.elements))],
             "hasse_edges": poset.hasse_edges(),
@@ -184,8 +201,8 @@ def cmd_export_dot(args) -> int:
         metric, _ = _as_spaces(kind, value, args)
         if metric is None:
             raise SchemaError("formal-balls export needs a metric-backed instance")
-        radii = _rational_list(args.radii or "0,1", "--radii")
-        _emit(dot.hasse_dot(completion.formal_ball_poset(metric, radii)), args.out)
+        _emit(dot.hasse_dot(_formal_balls(metric, args.radii or "0,1", "--radii")),
+              args.out)
     else:
         _, bitop = _as_spaces(kind, value, args)
         _emit(dot.components_dot(bitop), args.out)

@@ -73,27 +73,19 @@ def is_nonexpansive(f: PointMap, dX: QuasiPseudoMetric, dY: QuasiPseudoMetric) -
 
 def is_uniformly_continuous(f: PointMap, dX: QuasiPseudoMetric,
                             dY: QuasiPseudoMetric) -> bool:
-    """Finite criterion: for every eps in the target's positive spectrum
-    there is a delta in the source's spectrum with d_X < delta forcing
-    d_Y < eps.
+    """True iff every eps > 0 has a delta > 0 with d_X(x, y) < delta
+    forcing d_Y(f(x), f(y)) < eps.
 
-    Testing spectrum values is exhaustive: the sets {d_X < delta} and
-    {d_Y < eps} change only as the thresholds cross spectrum values, and
-    shrinking delta only helps, so the least positive source distance
-    realizes the strongest available delta.  A fallback threshold of 1
-    covers spectra that are empty (all distances zero or infinite).
+    On a finite carrier this is preservation of the zero relation (zero
+    under each metric's numeric mode).  No source distance lies below the
+    least positive one except zero, so that delta (any delta when there is
+    none) gives {d_X < delta} exactly the zero relation, and no delta > 0
+    gives less.  Each zero pair must then land in {d_Y < eps} for every
+    eps > 0, which is the target's zero relation: a zero pair sent to a
+    distance c > 0 fails at eps = c (at eps = 1 when c is infinite).
     """
     _check_carriers(f, dX, dY)
-    eps_candidates = dY.positive_spectrum() or [Fraction(1)]
-    delta_candidates = dX.positive_spectrum() or [Fraction(1)]
-    for eps in eps_candidates:
-        near_y = dY.ball_rows(eps)
-        if not any(all(near_y[f(x)] >> f(y) & 1
-                       for x, near in enumerate(dX.ball_rows(delta))
-                       for y in indices_of(near & ~(1 << x)))
-                   for delta in delta_candidates):
-            return False
-    return True
+    return preserves(f.assignment, dX.zero_mask_rows(), dY.zero_mask_rows()) is None
 
 
 def specialization_preserving(f: PointMap, bX: BitopSpace,

@@ -12,6 +12,15 @@ works on bitmask rows through ``relations``; subsets are masks on the
 full combined digraph, never rebuilt spaces.  Only the two oracle
 targets read open sets, which each preorder enumerates on first read
 from the rows and transpose it already holds.
+
+On carriers of at most ``MEMO_MAX_N`` = 4 points the checks read two
+decompositions from per-process memos keyed by the relation's rows: the
+SCCs of the combined digraph (whole-carrier inseparability is one SCC)
+and the components of the join relation.  Those carriers hold only
+1 + 4 + 64 + 4,096 = 4,165 reflexive relations, against 126,885 cases in
+an exhaustive n = 4 run, so each memo stays that small whatever runs in
+the process.  Larger carriers repeat too rarely to pay for a memo, so
+their checks call the kernel directly.
 """
 
 from __future__ import annotations
@@ -49,6 +58,12 @@ N_RANGE = {"exhaustive": (1, EXHAUSTIVE_MAX_N), "random": (2, RANDOM_MAX_N)}
 # count of reflexive transitive relations per labelled carrier size
 # (OEIS A000798); the tests pin the lengths of the preorder tables to it
 PREORDER_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
+# largest carrier whose combined-digraph SCCs and join components are
+# memoized: every check's relation is reflexive, and there are
+# 1 + 4 + 64 + 4,096 = 4,165 reflexive relations (2**(n*(n-1)) on n points)
+# on carriers of 1 to 4 points, which bounds each memo; an exhaustive n = 4
+# run decides 126,885 cases on them
+MEMO_MAX_N = 4
 
 
 @dataclass(frozen=True)
@@ -204,6 +219,18 @@ def _join_rows(case: BitopCase) -> list[int]:
     return [f & g for f, g in zip(case.fwd.rows, case.bwd.rows)]
 
 
+# the two decompositions of a relation on at most MEMO_MAX_N points, keyed
+# by its rows as a tuple; each is a tuple, so a shared entry cannot change
+@lru_cache(maxsize=None)
+def _memo_sccs(rows: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(scc_masks(rows))
+
+
+@lru_cache(maxsize=None)
+def _memo_components(rows: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(undirected_components(rows))
+
+
 def _brute_antisym(case: BitopCase) -> bool:
     n = len(case.fwd.rows)
     full = (1 << n) - 1
@@ -239,7 +266,9 @@ def _bitop_json(case: BitopCase) -> dict:
 
 
 def check_antisym_oracle(case: BitopCase, rng) -> dict | None:
-    fast = strongly_connected(combined_rows(case.fwd.rows, case.bwd.transpose))
+    rows = combined_rows(case.fwd.rows, case.bwd.transpose)
+    fast = (len(_memo_sccs(tuple(rows))) == 1 if len(rows) <= MEMO_MAX_N
+            else strongly_connected(rows))
     slow = _brute_antisym(case)
     if fast != slow:
         return {"scc_decision": fast, "brute_force": slow}
@@ -251,7 +280,9 @@ def check_prop53_equivalence(case: BitopCase, rng) -> dict | None:
     the partition enumeration, and the disjoint-open-pair scan."""
     n = len(case.fwd.rows)
     full = (1 << n) - 1
-    f1 = strongly_connected(combined_rows(case.fwd.rows, case.bwd.transpose))
+    rows = combined_rows(case.fwd.rows, case.bwd.transpose)
+    f1 = (len(_memo_sccs(tuple(rows))) == 1 if n <= MEMO_MAX_N
+          else strongly_connected(rows))
     f2 = _brute_antisym(case)
     f3 = True
     for u in case.fwd.opens:
@@ -271,8 +302,13 @@ def check_prop53_equivalence(case: BitopCase, rng) -> dict | None:
 
 
 def check_prop54_inclusion(case: BitopCase, rng) -> dict | None:
-    anti = scc_masks(combined_rows(case.fwd.rows, case.bwd.transpose))
-    for sym in undirected_components(_join_rows(case)):
+    rows = combined_rows(case.fwd.rows, case.bwd.transpose)
+    join = _join_rows(case)
+    if len(rows) <= MEMO_MAX_N:
+        anti, syms = _memo_sccs(tuple(rows)), _memo_components(tuple(join))
+    else:
+        anti, syms = scc_masks(rows), undirected_components(join)
+    for sym in syms:
         if not any(sym & ~a == 0 for a in anti):
             return {"symmetric_component": indices_of(sym),
                     "antisymmetric_components": [indices_of(a) for a in anti]}
@@ -281,8 +317,12 @@ def check_prop54_inclusion(case: BitopCase, rng) -> dict | None:
 
 def check_thm54_coincidence(case: BitopCase, rng) -> dict | None:
     rows = combined_rows(case.fwd.rows, case.bwd.transpose)
-    anti = masks_to_partition(scc_masks(rows))
-    sym = masks_to_partition(undirected_components(_join_rows(case)))
+    join = _join_rows(case)
+    if len(rows) <= MEMO_MAX_N:
+        anti, sym = _memo_sccs(tuple(rows)), _memo_components(tuple(join))
+    else:
+        anti, sym = scc_masks(rows), undirected_components(join)
+    anti, sym = masks_to_partition(anti), masks_to_partition(sym)
     if anti != sym:
         return {"antisymmetric": anti, "symmetric": sym}
     return None
@@ -292,7 +332,8 @@ def check_prop61_union(case: BitopCase, rng) -> dict | None:
     """Two inseparable subsets with a common point must have an
     inseparable union; sampled inside strongly connected blocks."""
     rows = combined_rows(case.fwd.rows, case.bwd.transpose)
-    blocks = [indices_of(m) for m in scc_masks(rows) if m & (m - 1)]
+    sccs = _memo_sccs(tuple(rows)) if len(rows) <= MEMO_MAX_N else scc_masks(rows)
+    blocks = [indices_of(m) for m in sccs if m & (m - 1)]
     for blk in blocks:
         for _ in range(6):
             s = rng.sample(blk, rng.randint(1, len(blk)))
@@ -349,9 +390,12 @@ def check_cor61_join_local(case: BitopCase, rng) -> dict | None:
     """Searches the global claim 'inseparable implies join-connected',
     which is where the local corollary would need a converse; every
     inseparable but join-disconnected space is a finding."""
-    if not strongly_connected(combined_rows(case.fwd.rows, case.bwd.transpose)):
+    rows = combined_rows(case.fwd.rows, case.bwd.transpose)
+    small = len(rows) <= MEMO_MAX_N
+    if not (len(_memo_sccs(tuple(rows))) == 1 if small else strongly_connected(rows)):
         return None
-    sym = undirected_components(_join_rows(case))
+    join = _join_rows(case)
+    sym = _memo_components(tuple(join)) if small else undirected_components(join)
     if len(sym) > 1:
         return {"antisym_connected": True,
                 "symmetric_components": masks_to_partition(sym)}
@@ -363,7 +407,9 @@ def check_prop62_image(case: MapCase, rng) -> dict | None:
     must be inseparable in the image trace."""
     src_rows = combined_rows(case.src.fwd.rows, case.src.bwd.transpose)
     tgt_rows = combined_rows(case.tgt.fwd.rows, case.tgt.bwd.transpose)
-    for blk_mask in scc_masks(src_rows):
+    sccs = (_memo_sccs(tuple(src_rows)) if len(src_rows) <= MEMO_MAX_N
+            else scc_masks(src_rows))
+    for blk_mask in sccs:
         blk = indices_of(blk_mask)
         image_mask = 0
         for p in blk:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qconn.cli import main
+from qconn.cli import MAX_FORMAL_BALLS, main
 from qconn.search import TARGETS
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -142,6 +142,25 @@ def test_export_dot_formal_balls(tmp_path, capsys):
                      "--out", str(out))
     assert code == 0
     assert out.read_text().startswith("digraph formal_balls {")
+
+
+def test_formal_balls_past_the_cap_are_a_schema_error(tmp_path, capsys):
+    chain = str(DATA / "chain_digraph.json")  # 3 points
+    most = MAX_FORMAL_BALLS // 3
+    radii = ",".join(str(r) for r in range(most))
+    code, out, _ = run(capsys, "analyze", chain, "--formal-balls", radii + ",0,1")
+    assert code == 0  # repeated radii count once
+    assert len(json.loads(out)["analyses"]["formal_balls"]["elements"]) == 3 * most
+    over = radii + f",{most}"
+    for args in (("analyze", chain, "--formal-balls", over),
+                 ("export-dot", chain, "--what", "formal-balls", "--radii", over,
+                  "--out", str(tmp_path / "balls.dot"))):
+        code, _, err = run(capsys, *args)
+        assert code == 2
+        diag = json.loads(err)["error"]
+        assert diag["type"] == "SchemaError"
+        assert f"MAX_FORMAL_BALLS = {MAX_FORMAL_BALLS}" in diag["message"]
+    assert not (tmp_path / "balls.dot").exists()
 
 
 def test_search_exit_codes_and_determinism(tmp_path, capsys):

@@ -17,7 +17,7 @@ from qconn import (
     specialization_preserving,
     validate_qpm,
 )
-from qconn.bitopology import AlexandrovTopology, BitopSpace
+from qconn.bitopology import AlexandrovTopology, BitopSpace, indices_of
 from qconn.errors import (
     CarrierMismatch,
     PreconditionFailed,
@@ -83,6 +83,37 @@ def test_nonexpansive_implies_uniformly_continuous(seed, n, m):
                  assignment=assignment)
     if is_nonexpansive(f, dX, dY):
         assert is_uniformly_continuous(f, dX, dY)
+
+
+def _uniformly_continuous_by_spectrum(f, dX, dY) -> bool:
+    """Reference oracle: for every eps in the target's positive spectrum
+    some delta in the source's spectrum has d_X < delta forcing
+    d_Y < eps; the sets {d < r} change only as r crosses spectrum values,
+    and 1 stands in for an empty spectrum."""
+    eps_candidates = dY.positive_spectrum() or [Fraction(1)]
+    delta_candidates = dX.positive_spectrum() or [Fraction(1)]
+    for eps in eps_candidates:
+        near_y = dY.ball_rows(eps)
+        if not any(all(near_y[f(x)] >> f(y) & 1
+                       for x, near in enumerate(dX.ball_rows(delta))
+                       for y in indices_of(near & ~(1 << x)))
+                   for delta in delta_candidates):
+            return False
+    return True
+
+
+def test_uniform_continuity_matches_the_spectrum_scan():
+    verdicts = []
+    for seed in range(400):
+        rng = random.Random(seed)
+        dX = rng_qpm(rng, rng.randint(1, 7))
+        dY = rng_qpm(rng, rng.randint(1, 5))
+        f = PointMap(source_points=dX.points, target_points=dY.points,
+                     assignment=tuple(rng.randrange(dY.n) for _ in range(dX.n)))
+        verdict = is_uniformly_continuous(f, dX, dY)
+        assert verdict == _uniformly_continuous_by_spectrum(f, dX, dY), seed
+        verdicts.append(verdict)
+    assert 50 < sum(verdicts) < 350
 
 
 def test_carrier_mismatch():

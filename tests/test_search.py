@@ -10,16 +10,28 @@ from qconn.bitopology import indices_of
 from qconn.cli import main
 from qconn.errors import UnknownProperty
 from qconn.instances import canonical_json
-from qconn.relations import combined_rows, is_closed, reach_closure, transpose
+from qconn.relations import (
+    combined_rows,
+    is_closed,
+    reach_closure,
+    scc_masks,
+    strongly_connected,
+    transpose,
+    undirected_components,
+)
 from qconn.search import (
     DEFAULT_SEED,
+    MEMO_MAX_N,
     BitopCase,
+    MapCase,
     PREORDER_COUNTS,
     RANDOM_MAX_N,
     REGRESSION_CYCLE_SPLIT,
     TARGETS,
     _bitop_json,
     _lemma_gap,
+    _memo_components,
+    _memo_sccs,
     all_preorders,
     preorder_data,
     random_preorder,
@@ -291,6 +303,48 @@ def test_random_mode_refuses_sizes_past_the_cap():
     for n in (RANDOM_MAX_N + 1, 1, -3):
         with pytest.raises(ValueError):
             search_counterexamples("prop54_inclusion", n=n, mode="random", budget=3)
+
+
+# reflexive relations on carriers of 1 to MEMO_MAX_N points: 2**(n*(n-1)) each
+SMALL_RELATIONS = sum(2 ** (n * (n - 1)) for n in range(1, MEMO_MAX_N + 1))
+
+
+def test_memoized_decompositions_match_the_kernel():
+    combined, joins = set(), set()
+    for n in range(1, MEMO_MAX_N + 1):
+        table = all_preorders(n)
+        for p in table:
+            for q in table:
+                combined.add(tuple(combined_rows(p.rows, q.transpose)))
+                joins.add(tuple(f & g for f, g in zip(p.rows, q.rows)))
+    for rows in combined:
+        sccs = _memo_sccs(rows)
+        assert sccs == tuple(scc_masks(rows))
+        assert (len(sccs) == 1) == strongly_connected(rows)
+    for rows in joins:
+        assert _memo_components(rows) == tuple(undirected_components(rows))
+    assert SMALL_RELATIONS == 4165
+    assert len(combined) <= SMALL_RELATIONS and len(joins) <= SMALL_RELATIONS
+
+
+def test_memos_stay_within_the_small_relation_count():
+    for tid in TARGETS:
+        search_counterexamples(tid, n=4, mode="exhaustive", budget=20_000)
+        search_counterexamples(tid, n=12, mode="random", seed=7, budget=60)
+    for memo in (_memo_sccs, _memo_components):
+        assert 0 < memo.cache_info().currsize <= SMALL_RELATIONS
+
+
+def test_carriers_past_the_memo_bypass_it():
+    rng = random.Random(3)
+    size = MEMO_MAX_N + 1
+    case = BitopCase(fwd=random_preorder(rng, size), bwd=random_preorder(rng, size),
+                     source="random")
+    mapped = MapCase(src=case, assignment=tuple(range(size)), tgt=case, source="random")
+    before = (_memo_sccs.cache_info(), _memo_components.cache_info())
+    for target in TARGETS.values():
+        target.check(mapped if target.case_kind == "map" else case, random.Random(0))
+    assert (_memo_sccs.cache_info(), _memo_components.cache_info()) == before
 
 
 # sha256 of canonical_json(findings_document()) per target, recorded before
