@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .bitopology import indices_of, mask_of
 from .errors import NegativeRadius, NotCauchy, PreconditionFailed
@@ -228,6 +229,17 @@ class FormalBallPoset:
         return f"({self.labels[ball.point]},{ball.radius})"
 
 
+def _slack_table(radii: list[Fraction], den: int) -> list[list[int]]:
+    """slack[t][u] = floor((r_t - r_u) * den) for u <= t, over ascending
+    radii: (x, r_t) <= (y, r_u) iff d(x, y) <= r_t - r_u iff the integer
+    rows[x][y] <= slack[t][u].  The radii are scaled once by their common
+    denominator, so the table takes integer subtractions only."""
+    rden = lcm(*(r.denominator for r in radii))
+    scaled = [r.numerator * (rden // r.denominator) for r in radii]
+    return [[(big - small) * den // rden for small in scaled[:t + 1]]
+            for t, big in enumerate(scaled)]
+
+
 def formal_ball_poset(d: QuasiPseudoMetric, radii) -> FormalBallPoset:
     radii = sorted({Fraction(r) for r in radii})
     for r in radii:
@@ -235,10 +247,7 @@ def formal_ball_poset(d: QuasiPseudoMetric, radii) -> FormalBallPoset:
             raise NegativeRadius(f"radius {r} is negative")
     elements = tuple(FormalBall(point=x, radius=r) for x in range(d.n) for r in radii)
     k = len(radii)
-    # slack[t][u] = floor((r_t - r_u) * den) for u <= t: (x, r_t) <= (y, r_u)
-    # iff d(x, y) <= r_t - r_u iff the integer rows[x][y] <= slack[t][u]
-    slack = [[(r - s).numerator * d.den // (r - s).denominator for s in radii[:t + 1]]
-             for t, r in enumerate(radii)]
+    slack = _slack_table(radii, d.den)
     # table[b] moves bit i of the byte b to bit i * k
     table = [0] * 256
     for b in range(1, 256):

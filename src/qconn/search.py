@@ -13,14 +13,16 @@ full combined digraph, never rebuilt spaces.  Only the two oracle
 targets read open sets, which each preorder enumerates on first read
 from the rows and transpose it already holds.
 
-On carriers of at most ``MEMO_MAX_N`` = 4 points the checks read two
-decompositions from per-process memos keyed by the relation's rows: the
-SCCs of the combined digraph (whole-carrier inseparability is one SCC)
-and the components of the join relation.  Those carriers hold only
+On carriers of at most ``MEMO_MAX_N`` = 4 points the checks read three
+results from per-process memos keyed by the relation's rows: the SCCs of
+the combined digraph (whole-carrier inseparability is one SCC), the
+components of the join relation, and ``prop61_union``'s decision over
+every pair of subsets of the combined digraph.  Those carriers hold only
 1 + 4 + 64 + 4,096 = 4,165 reflexive relations, against 126,885 cases in
 an exhaustive n = 4 run, so each memo stays that small whatever runs in
 the process.  Larger carriers repeat too rarely to pay for a memo, so
-their checks call the kernel directly.
+their checks call the kernel directly, and ``prop61_union`` samples
+subset pairs there instead of enumerating them.
 """
 
 from __future__ import annotations
@@ -58,11 +60,11 @@ N_RANGE = {"exhaustive": (1, EXHAUSTIVE_MAX_N), "random": (2, RANDOM_MAX_N)}
 # count of reflexive transitive relations per labelled carrier size
 # (OEIS A000798); the tests pin the lengths of the preorder tables to it
 PREORDER_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
-# largest carrier whose combined-digraph SCCs and join components are
-# memoized: every check's relation is reflexive, and there are
-# 1 + 4 + 64 + 4,096 = 4,165 reflexive relations (2**(n*(n-1)) on n points)
-# on carriers of 1 to 4 points, which bounds each memo; an exhaustive n = 4
-# run decides 126,885 cases on them
+# largest carrier whose combined-digraph SCCs, join components and
+# subset-pair union decision are memoized: every check's relation is
+# reflexive, and there are 1 + 4 + 64 + 4,096 = 4,165 reflexive relations
+# (2**(n*(n-1)) on n points) on carriers of 1 to 4 points, which bounds
+# each memo; an exhaustive n = 4 run decides 126,885 cases on them
 MEMO_MAX_N = 4
 
 
@@ -328,28 +330,52 @@ def check_thm54_coincidence(case: BitopCase, rng) -> dict | None:
     return None
 
 
+@lru_cache(maxsize=None)
+def _memo_union_gap(rows: tuple[int, ...]) -> tuple[int, int] | None:
+    """The first ordered pair (S, T) of overlapping strongly connected
+    masks whose union is not strongly connected, or None.  Each of the
+    2**n masks is decided once and every pair is read from that table;
+    overlapping strongly connected sets lie in one SCC, so no SCC pass is
+    needed."""
+    connected = [strongly_connected(rows, m) for m in range(1 << len(rows))]
+    sets = [m for m in range(1, len(connected)) if connected[m]]
+    for s in sets:
+        for t in sets:
+            if s & t and not connected[s | t]:
+                return s, t
+    return None
+
+
+def _sampled_union_gap(rows, rng) -> tuple[int, int] | None:
+    """Like ``_memo_union_gap``, from 6 tries per strongly connected block
+    of two or more points, each drawing S and T as uniform random subsets
+    of the block."""
+    n = len(rows)
+    for blk in scc_masks(rows):
+        if not blk & (blk - 1):
+            continue
+        for _ in range(6):
+            s = rng.getrandbits(n) & blk
+            t = rng.getrandbits(n) & blk
+            if (s & t and strongly_connected(rows, s) and strongly_connected(rows, t)
+                    and not strongly_connected(rows, s | t)):
+                return s, t
+    return None
+
+
 def check_prop61_union(case: BitopCase, rng) -> dict | None:
     """Two inseparable subsets with a common point must have an
-    inseparable union; sampled inside strongly connected blocks."""
+    inseparable union.  Decided over every pair of subsets on carriers of
+    at most ``MEMO_MAX_N`` points, once per combined relation; larger
+    carriers draw pairs inside their strongly connected blocks from
+    ``rng``."""
     rows = combined_rows(case.fwd.rows, case.bwd.transpose)
-    sccs = _memo_sccs(tuple(rows)) if len(rows) <= MEMO_MAX_N else scc_masks(rows)
-    blocks = [indices_of(m) for m in sccs if m & (m - 1)]
-    for blk in blocks:
-        for _ in range(6):
-            s = rng.sample(blk, rng.randint(1, len(blk)))
-            t = rng.sample(blk, rng.randint(1, len(blk)))
-            s_mask = sum(1 << p for p in s)
-            t_mask = sum(1 << p for p in t)
-            if not s_mask & t_mask:
-                continue
-            if not strongly_connected(rows, s_mask):
-                continue
-            if not strongly_connected(rows, t_mask):
-                continue
-            if not strongly_connected(rows, s_mask | t_mask):
-                return {"S": sorted(s), "T": sorted(t),
-                        "union": indices_of(s_mask | t_mask)}
-    return None
+    gap = (_memo_union_gap(tuple(rows)) if len(rows) <= MEMO_MAX_N
+           else _sampled_union_gap(rows, rng))
+    if gap is None:
+        return None
+    s, t = gap
+    return {"S": indices_of(s), "T": indices_of(t), "union": indices_of(s | t)}
 
 
 def _lemma_gap(case: BitopCase, mask: int) -> dict | None:
@@ -567,7 +593,8 @@ def search_counterexamples(target: str, n: int, mode: str = "exhaustive",
 
     Deterministic for fixed arguments: the stream order is fixed and one
     generator, seeded from ``seed``, serves every case of the run in
-    stream order; only ``prop61_union`` draws from it.  Raises
+    stream order; only ``prop61_union`` draws from it, and only on
+    carriers of more than ``MEMO_MAX_N`` points.  Raises
     ``ValueError`` for an unknown mode or an ``n`` outside its
     ``N_RANGE`` entry.
     """

@@ -26,6 +26,7 @@ def test_one_row_per_bench_file():
     assert len(lines) == 1 + len(files)
     for path, line in zip(files, lines[1:]):
         doc = json.loads(path.read_text())
+        assert doc["pr"] == int(path.stem.split("_")[1])
         assert line.split()[:2] == [str(doc["pr"]), doc["parent_commit"][:7]]
         assert set(doc["workloads"]) <= workloads
         for name, wl in doc["workloads"].items():
@@ -34,6 +35,7 @@ def test_one_row_per_bench_file():
             assert f"{name} {jobs} rss {rss}" in line
         claim = doc.get("claim")
         if claim:
+            assert claim["workload"] in workloads and claim["metric"] in metrics
             sides = doc["workloads"][claim["workload"]]["metrics"][claim["metric"]]
             assert f" claim {claim['metric']} on {claim['workload']} {_medians(sides)} " in line
         else:

@@ -20,7 +20,7 @@ from qconn import (
     specialization_bitop,
     validate_qpm,
 )
-from qconn.completion import FormalBall, _first_fit_cover
+from qconn.completion import FormalBall, _first_fit_cover, _slack_table
 from qconn.errors import NegativeRadius, NotCauchy, PreconditionFailed
 from qconn.numbers import ZERO, enn
 
@@ -260,12 +260,17 @@ def test_float_mode_formal_ball_order_without_transitivity_is_a_precondition():
 # -- exact-mode laws and the replaced loops, kept as oracles -----------------
 
 
+def _fraction_slack_table(radii, den):
+    """The slack table from one Fraction subtraction per pair of radii."""
+    return [[(r - s).numerator * den // (r - s).denominator for s in radii[:t + 1]]
+            for t, r in enumerate(radii)]
+
+
 def _quadruple_le_rows(d, radii):
     """The formal-ball order by walking every (x, y, r_t, r_u)."""
     radii = sorted({Fraction(r) for r in radii})
     k = len(radii)
-    slack = [[(r - s).numerator * d.den // (r - s).denominator for s in radii[:t + 1]]
-             for t, r in enumerate(radii)]
+    slack = _fraction_slack_table(radii, d.den)
     rows = []
     for row in d.rows:
         for caps in slack:
@@ -277,6 +282,20 @@ def _quadruple_le_rows(d, radii):
                     mask |= 1 << (y * k + u)
             rows.append(mask)
     return tuple(rows)
+
+
+@settings(max_examples=80, derandomize=True)
+@given(st.integers(0, 10**9))
+def test_integer_slack_table_matches_fraction_subtraction(seed):
+    rng = random.Random(seed)
+    primes = [2, 3, 7, 11, 101, 65537, 2**61 - 1]
+    radii = [Fraction(rng.randint(0, 10**6), rng.choice(primes + [1, 4, 12, 360]))
+             for _ in range(rng.randint(1, 30))]
+    radii += rng.sample(radii, rng.randint(0, len(radii)))  # duplicates
+    radii.append(Fraction(0))
+    radii.sort()
+    den = rng.choice(primes + [1, 6, 10**9, rng.randint(1, 10**12)])
+    assert _slack_table(radii, den) == _fraction_slack_table(radii, den)
 
 
 def _exact_metric(seed, n):

@@ -3,9 +3,11 @@ import hashlib
 import json
 import random
 
+import networkx as nx
 import pytest
 
 from gen import reference_json
+from qconn import search
 from qconn.bitopology import indices_of
 from qconn.cli import main
 from qconn.errors import UnknownProperty
@@ -32,6 +34,7 @@ from qconn.search import (
     _lemma_gap,
     _memo_components,
     _memo_sccs,
+    _memo_union_gap,
     all_preorders,
     preorder_data,
     random_preorder,
@@ -46,19 +49,22 @@ def _offdiag(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
-def _preorders_by_pattern(n: int) -> list[tuple[int, ...]]:
-    """Reference oracle: every off-diagonal bit pattern in ascending
-    order, kept when the relation it sets is transitive."""
+def _reflexive_relations(n: int):
+    """Every reflexive relation on n points, by off-diagonal bit pattern
+    in ascending order."""
     offdiag = _offdiag(n)
-    table = []
     for bits in range(1 << len(offdiag)):
         rows = [1 << i for i in range(n)]
         for pos, (i, j) in enumerate(offdiag):
             if bits >> pos & 1:
                 rows[i] |= 1 << j
-        if all(is_closed(rows, row) for row in rows):
-            table.append(tuple(rows))
-    return table
+        yield tuple(rows)
+
+
+def _preorders_by_pattern(n: int) -> list[tuple[int, ...]]:
+    """Reference oracle: the reflexive relations that are transitive."""
+    return [rows for rows in _reflexive_relations(n)
+            if all(is_closed(rows, row) for row in rows)]
 
 
 def test_preorder_tables_match_the_pattern_scan():
@@ -331,7 +337,7 @@ def test_memos_stay_within_the_small_relation_count():
     for tid in TARGETS:
         search_counterexamples(tid, n=4, mode="exhaustive", budget=20_000)
         search_counterexamples(tid, n=12, mode="random", seed=7, budget=60)
-    for memo in (_memo_sccs, _memo_components):
+    for memo in (_memo_sccs, _memo_components, _memo_union_gap):
         assert 0 < memo.cache_info().currsize <= SMALL_RELATIONS
 
 
@@ -341,10 +347,82 @@ def test_carriers_past_the_memo_bypass_it():
     case = BitopCase(fwd=random_preorder(rng, size), bwd=random_preorder(rng, size),
                      source="random")
     mapped = MapCase(src=case, assignment=tuple(range(size)), tgt=case, source="random")
-    before = (_memo_sccs.cache_info(), _memo_components.cache_info())
+    memos = (_memo_sccs, _memo_components, _memo_union_gap)
+    before = [memo.cache_info() for memo in memos]
     for target in TARGETS.values():
         target.check(mapped if target.case_kind == "map" else case, random.Random(0))
-    assert (_memo_sccs.cache_info(), _memo_components.cache_info()) == before
+    assert [memo.cache_info() for memo in memos] == before
+
+
+def _union_gap_by_enumeration(rows):
+    """Reference: the first ordered pair of overlapping strongly connected
+    subsets, in ascending mask order, whose union is not strongly
+    connected; each subset decided by networkx on its induced subgraph."""
+    n = len(rows)
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from((x, y) for x, row in enumerate(rows) for y in range(n)
+                     if row >> y & 1)
+    connected = {m: nx.is_strongly_connected(g.subgraph(indices_of(m)))
+                 for m in range(1, 1 << n)}
+    for s in range(1, 1 << n):
+        for t in range(1, 1 << n):
+            if s & t and connected[s] and connected[t] and not connected[s | t]:
+                return s, t
+    return None
+
+
+def test_union_gap_matches_subset_pair_enumeration():
+    relations = [rows for n in (1, 2, 3) for rows in _reflexive_relations(n)]
+    assert len(relations) == 1 + 4 + 64
+    rng = random.Random(12)
+    for _ in range(300):
+        relations.append(tuple(1 << i | rng.getrandbits(4) for i in range(4)))
+    for rows in relations:
+        assert _memo_union_gap(rows) == _union_gap_by_enumeration(rows)
+
+
+@pytest.fixture
+def fresh_union_memo():
+    _memo_union_gap.cache_clear()
+    yield
+    _memo_union_gap.cache_clear()
+
+
+def _complete_case(n: int) -> BitopCase:
+    """An indiscrete forward preorder: the combined digraph is complete."""
+    full = (1 << n) - 1
+    return BitopCase(fwd=preorder_data((full,) * n),
+                     bwd=preorder_data(tuple(1 << i for i in range(n))),
+                     source="seeded")
+
+
+def _misjudge_carrier(monkeypatch, n: int) -> None:
+    """Make the kernel call the whole carrier of ``n`` points, and only it,
+    not strongly connected."""
+    full = (1 << n) - 1
+    monkeypatch.setattr(search, "strongly_connected",
+                        lambda rows, sub=None: sub != full
+                        and strongly_connected(rows, sub))
+
+
+def test_union_check_reports_a_misjudged_union(monkeypatch, fresh_union_memo):
+    check = TARGETS["prop61_union"].check
+    # the two-way 3-cycle: every pair of points is strongly connected, so
+    # {0, 1} and {0, 2} overlap with the whole carrier as their union
+    _misjudge_carrier(monkeypatch, 3)
+    for seed in range(5):
+        rng = random.Random(seed)
+        state = rng.getstate()
+        assert check(_complete_case(3), rng) == {"S": [0, 1], "T": [0, 2],
+                                                 "union": [0, 1, 2]}
+        assert rng.getstate() == state  # small carriers draw nothing
+    _misjudge_carrier(monkeypatch, 6)
+    rng = random.Random(0)
+    details = [check(_complete_case(6), rng) for _ in range(20)]
+    hit = next(d for d in details if d is not None)
+    assert hit["union"] == list(range(6))
+    assert len(hit["S"]) < 6 and len(hit["T"]) < 6
 
 
 # sha256 of canonical_json(findings_document()) per target, recorded before
