@@ -105,11 +105,9 @@ def smyth_report(d: QuasiPseudoMetric) -> dict:
     }
 
 
-def _first_fit_cover(d: QuasiPseudoMetric, eps: Fraction, balls=None) -> list[int]:
+def _first_fit_cover(d: QuasiPseudoMetric, eps: Fraction, balls) -> list[int]:
     """Centers taken in point order, each one not yet covered; ``balls``
-    are d.ball_rows(eps) when the caller already holds them."""
-    if balls is None:
-        balls = d.ball_rows(eps)
+    are d.ball_rows(eps)."""
     full = (1 << d.n) - 1
     covered = 0
     centers = []

@@ -4,7 +4,6 @@ fixed resolution."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
@@ -23,7 +22,7 @@ from .errors import (
     SampleOnHyperplane,
 )
 from .gauges import AsymNormSample, QuasiPseudoMetric, from_asym_norm
-from .relations import preserves, strongly_connected
+from .relations import image_gaps, preserves, scc_masks
 
 
 @dataclass(frozen=True)
@@ -104,54 +103,34 @@ def specialization_preserving(f: PointMap, bX: BitopSpace,
     return fwd
 
 
-def check_image_preservation(f: PointMap, bX: BitopSpace, bY: BitopSpace,
-                             subset_samples: int = 8, seed: int = 0) -> dict:
+def check_image_preservation(f: PointMap, bX: BitopSpace, bY: BitopSpace) -> dict:
     """Verify that images of inseparable subsets stay inseparable inside
     the image's trace bitopology, and that the per-point local property
     transfers to image points.
 
-    Sampled subsets are drawn from the source's antisymmetric components
-    (with a seeded generator) and filtered to the inseparable ones;
-    components themselves are always included.  A trace's combined digraph
-    is the full one restricted to the subset, so subsets and images are
-    decided as masks.  Failures are returned as counterexample records
-    rather than raised.
+    Raises ``PreconditionFailed`` unless the map preserves both
+    specializations.  The image of each antisymmetric component (an SCC
+    of the source's combined digraph) is then decided as a mask, since a
+    trace's combined digraph is the full one restricted to it; every
+    inseparable subset lies in one component, so ``subsets_checked`` is
+    the number of components.  Failures are returned as counterexample
+    records rather than raised.
     """
     bad = specialization_preserving(f, bX, bY)
     if bad is not None:
         raise PreconditionFailed(
             f"map does not preserve specialization at pair {bad}", witness=bad)
-    rng = random.Random(seed)
-    src_rows = combined_digraph(bX).out_rows
-    tgt_rows = combined_digraph(bY).out_rows
-    failures = []
-    checked = 0
-    subsets = [tuple(blk) for blk in antisym_components(bX)]
-    for blk in list(subsets):
-        for _ in range(subset_samples):
-            if len(blk) < 2:
-                continue
-            size = rng.randint(1, len(blk))
-            cand = tuple(sorted(rng.sample(blk, size)))
-            if cand not in subsets:
-                subsets.append(cand)
-    for subset_pts in subsets:
-        mask = img = 0
-        for p in subset_pts:
-            mask |= 1 << p
-            img |= 1 << f(p)
-        if not strongly_connected(src_rows, mask):
-            continue
-        checked += 1
-        if not strongly_connected(tgt_rows, img):
-            failures.append({"subset": list(subset_pts), "image": indices_of(img)})
+    blocks = scc_masks(combined_digraph(bX).out_rows)
+    failures = [{"subset": indices_of(blk), "image": indices_of(img)}
+                for blk, img in image_gaps(f.assignment, blocks,
+                                           combined_digraph(bY).out_rows)]
     local_src = is_locally_antisym_connected(bX)
     local_img = is_locally_antisym_connected(subspace(bY, sorted(set(f.assignment))))
     local_transfer = (all(st.connected for st in local_src)
                       <= all(st.connected for st in local_img))
     return {
         "continuity_rendering": "specialization-preservation",
-        "subsets_checked": checked,
+        "subsets_checked": len(blocks),
         "failures": failures,
         "image_preserved": not failures,
         "local_source_all": all(st.connected for st in local_src),

@@ -250,3 +250,18 @@ def preserves(assignment, src_rows, tgt_rows) -> tuple[int, int] | None:
             if not img >> assignment[y] & 1:
                 return (x, y)
     return None
+
+
+def image_gaps(assignment, blocks, tgt_rows):
+    """Yield (block, image) for each mask in ``blocks``, in order, whose
+    image under ``assignment`` does not induce a strongly connected
+    subgraph of ``tgt_rows``."""
+    for blk in blocks:
+        img = 0
+        rest = blk
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            img |= 1 << assignment[x]
+        if not strongly_connected(tgt_rows, img):
+            yield blk, img

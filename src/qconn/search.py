@@ -13,16 +13,17 @@ full combined digraph, never rebuilt spaces.  Only the two oracle
 targets read open sets, which each preorder enumerates on first read
 from the rows and transpose it already holds.
 
-On carriers of at most ``MEMO_MAX_N`` = 4 points the checks read three
-results from per-process memos keyed by the relation's rows: the SCCs of
-the combined digraph (whole-carrier inseparability is one SCC), the
-components of the join relation, and ``prop61_union``'s decision over
-every pair of subsets of the combined digraph.  Those carriers hold only
-1 + 4 + 64 + 4,096 = 4,165 reflexive relations, against 126,885 cases in
-an exhaustive n = 4 run, so each memo stays that small whatever runs in
-the process.  Larger carriers repeat too rarely to pay for a memo, so
-their checks call the kernel directly, and ``prop61_union`` samples
-subset pairs there instead of enumerating them.
+Every check reads its decisions on a relation (strong connectivity, the
+SCCs of the combined digraph, the components of the join relation, and
+``prop61_union``'s decision over every pair of subsets) through
+``_decided``, one per-process memo keyed by the decision and the rows.
+It memoizes only carriers of at most ``MEMO_MAX_N`` = 4 points, which
+hold 1 + 4 + 64 + 4,096 = 4,165 reflexive relations against 126,885
+cases in an exhaustive n = 4 run, so the memo holds at most 4,165
+entries per decision whatever runs in the process.  Larger carriers
+repeat too rarely to pay for an entry, so there the kernel runs on the
+rows as given, and ``prop61_union`` samples subset pairs instead of
+enumerating them.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .connectivity import masks_to_partition
 from .errors import UnknownProperty
 from .relations import (
     combined_rows,
+    image_gaps,
     preserves,
     scc_masks,
     strongly_connected,
@@ -60,11 +62,11 @@ N_RANGE = {"exhaustive": (1, EXHAUSTIVE_MAX_N), "random": (2, RANDOM_MAX_N)}
 # count of reflexive transitive relations per labelled carrier size
 # (OEIS A000798); the tests pin the lengths of the preorder tables to it
 PREORDER_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
-# largest carrier whose combined-digraph SCCs, join components and
-# subset-pair union decision are memoized: every check's relation is
-# reflexive, and there are 1 + 4 + 64 + 4,096 = 4,165 reflexive relations
-# (2**(n*(n-1)) on n points) on carriers of 1 to 4 points, which bounds
-# each memo; an exhaustive n = 4 run decides 126,885 cases on them
+# largest carrier whose decisions ``_decided`` memoizes: every check's
+# relation is reflexive, and there are 1 + 4 + 64 + 4,096 = 4,165
+# reflexive relations (2**(n*(n-1)) on n points) on carriers of 1 to 4
+# points, which bounds the entries per decision; an exhaustive n = 4 run
+# decides 126,885 cases on them
 MEMO_MAX_N = 4
 
 
@@ -221,16 +223,19 @@ def _join_rows(case: BitopCase) -> list[int]:
     return [f & g for f, g in zip(case.fwd.rows, case.bwd.rows)]
 
 
-# the two decompositions of a relation on at most MEMO_MAX_N points, keyed
-# by its rows as a tuple; each is a tuple, so a shared entry cannot change
 @lru_cache(maxsize=None)
-def _memo_sccs(rows: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(scc_masks(rows))
+def _memo(decide: Callable, rows: tuple[int, ...]):
+    out = decide(rows)
+    # a shared entry must not change, so a list is frozen to a tuple
+    return tuple(out) if type(out) is list else out
 
 
-@lru_cache(maxsize=None)
-def _memo_components(rows: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(undirected_components(rows))
+def _decided(decide: Callable, rows):
+    """``decide(rows)``, read from the memo on carriers of at most
+    ``MEMO_MAX_N`` points and computed on the rows as given above that."""
+    if len(rows) <= MEMO_MAX_N:
+        return _memo(decide, tuple(rows))
+    return decide(rows)
 
 
 def _brute_antisym(case: BitopCase) -> bool:
@@ -268,9 +273,8 @@ def _bitop_json(case: BitopCase) -> dict:
 
 
 def check_antisym_oracle(case: BitopCase, rng) -> dict | None:
-    rows = combined_rows(case.fwd.rows, case.bwd.transpose)
-    fast = (len(_memo_sccs(tuple(rows))) == 1 if len(rows) <= MEMO_MAX_N
-            else strongly_connected(rows))
+    fast = _decided(strongly_connected,
+                    combined_rows(case.fwd.rows, case.bwd.transpose))
     slow = _brute_antisym(case)
     if fast != slow:
         return {"scc_decision": fast, "brute_force": slow}
@@ -283,8 +287,7 @@ def check_prop53_equivalence(case: BitopCase, rng) -> dict | None:
     n = len(case.fwd.rows)
     full = (1 << n) - 1
     rows = combined_rows(case.fwd.rows, case.bwd.transpose)
-    f1 = (len(_memo_sccs(tuple(rows))) == 1 if n <= MEMO_MAX_N
-          else strongly_connected(rows))
+    f1 = _decided(strongly_connected, rows)
     f2 = _brute_antisym(case)
     f3 = True
     for u in case.fwd.opens:
@@ -305,11 +308,8 @@ def check_prop53_equivalence(case: BitopCase, rng) -> dict | None:
 
 def check_prop54_inclusion(case: BitopCase, rng) -> dict | None:
     rows = combined_rows(case.fwd.rows, case.bwd.transpose)
-    join = _join_rows(case)
-    if len(rows) <= MEMO_MAX_N:
-        anti, syms = _memo_sccs(tuple(rows)), _memo_components(tuple(join))
-    else:
-        anti, syms = scc_masks(rows), undirected_components(join)
+    anti = _decided(scc_masks, rows)
+    syms = _decided(undirected_components, _join_rows(case))
     for sym in syms:
         if not any(sym & ~a == 0 for a in anti):
             return {"symmetric_component": indices_of(sym),
@@ -319,19 +319,14 @@ def check_prop54_inclusion(case: BitopCase, rng) -> dict | None:
 
 def check_thm54_coincidence(case: BitopCase, rng) -> dict | None:
     rows = combined_rows(case.fwd.rows, case.bwd.transpose)
-    join = _join_rows(case)
-    if len(rows) <= MEMO_MAX_N:
-        anti, sym = _memo_sccs(tuple(rows)), _memo_components(tuple(join))
-    else:
-        anti, sym = scc_masks(rows), undirected_components(join)
-    anti, sym = masks_to_partition(anti), masks_to_partition(sym)
+    anti = masks_to_partition(_decided(scc_masks, rows))
+    sym = masks_to_partition(_decided(undirected_components, _join_rows(case)))
     if anti != sym:
         return {"antisymmetric": anti, "symmetric": sym}
     return None
 
 
-@lru_cache(maxsize=None)
-def _memo_union_gap(rows: tuple[int, ...]) -> tuple[int, int] | None:
+def _union_gap(rows) -> tuple[int, int] | None:
     """The first ordered pair (S, T) of overlapping strongly connected
     masks whose union is not strongly connected, or None.  Each of the
     2**n masks is decided once and every pair is read from that table;
@@ -347,7 +342,7 @@ def _memo_union_gap(rows: tuple[int, ...]) -> tuple[int, int] | None:
 
 
 def _sampled_union_gap(rows, rng) -> tuple[int, int] | None:
-    """Like ``_memo_union_gap``, from 6 tries per strongly connected block
+    """Like ``_union_gap``, from 6 tries per strongly connected block
     of two or more points, each drawing S and T as uniform random subsets
     of the block."""
     n = len(rows)
@@ -370,7 +365,7 @@ def check_prop61_union(case: BitopCase, rng) -> dict | None:
     carriers draw pairs inside their strongly connected blocks from
     ``rng``."""
     rows = combined_rows(case.fwd.rows, case.bwd.transpose)
-    gap = (_memo_union_gap(tuple(rows)) if len(rows) <= MEMO_MAX_N
+    gap = (_decided(_union_gap, rows) if len(rows) <= MEMO_MAX_N
            else _sampled_union_gap(rows, rng))
     if gap is None:
         return None
@@ -416,12 +411,10 @@ def check_cor61_join_local(case: BitopCase, rng) -> dict | None:
     """Searches the global claim 'inseparable implies join-connected',
     which is where the local corollary would need a converse; every
     inseparable but join-disconnected space is a finding."""
-    rows = combined_rows(case.fwd.rows, case.bwd.transpose)
-    small = len(rows) <= MEMO_MAX_N
-    if not (len(_memo_sccs(tuple(rows))) == 1 if small else strongly_connected(rows)):
+    if not _decided(strongly_connected,
+                    combined_rows(case.fwd.rows, case.bwd.transpose)):
         return None
-    join = _join_rows(case)
-    sym = _memo_components(tuple(join)) if small else undirected_components(join)
+    sym = _decided(undirected_components, _join_rows(case))
     if len(sym) > 1:
         return {"antisym_connected": True,
                 "symmetric_components": masks_to_partition(sym)}
@@ -433,15 +426,9 @@ def check_prop62_image(case: MapCase, rng) -> dict | None:
     must be inseparable in the image trace."""
     src_rows = combined_rows(case.src.fwd.rows, case.src.bwd.transpose)
     tgt_rows = combined_rows(case.tgt.fwd.rows, case.tgt.bwd.transpose)
-    sccs = (_memo_sccs(tuple(src_rows)) if len(src_rows) <= MEMO_MAX_N
-            else scc_masks(src_rows))
-    for blk_mask in sccs:
-        blk = indices_of(blk_mask)
-        image_mask = 0
-        for p in blk:
-            image_mask |= 1 << case.assignment[p]
-        if not strongly_connected(tgt_rows, image_mask):
-            return {"block": blk, "image": indices_of(image_mask)}
+    for blk, img in image_gaps(case.assignment, _decided(scc_masks, src_rows),
+                               tgt_rows):
+        return {"block": indices_of(blk), "image": indices_of(img)}
     return None
 
 

@@ -10,6 +10,7 @@ from qconn import (
     AsymNormSample,
     LinearFunctionalSpec,
     PointMap,
+    antisym_components,
     check_image_preservation,
     halfspace_separation,
     is_nonexpansive,
@@ -182,7 +183,8 @@ def test_random_preserving_maps_keep_images_connected(seed, n):
         f = PointMap(source_points=src.points, target_points=tgt.points,
                      assignment=assignment)
         if specialization_preserving(f, src, tgt) is None:
-            report = check_image_preservation(f, src, tgt, seed=seed)
+            report = check_image_preservation(f, src, tgt)
+            assert report["subsets_checked"] == len(antisym_components(src))
             assert report["image_preserved"]
             assert report["local_transferred"]
             break

@@ -10,6 +10,7 @@ from qconn.errors import CarrierTooLarge
 from qconn.relations import (
     OPEN_MASK_LIMIT,
     combined_rows,
+    image_gaps,
     is_closed,
     open_masks,
     preserves,
@@ -172,3 +173,24 @@ def test_preserves_reports_first_violation():
                      if rows[x] >> y & 1 and not tgt[assignment[x]] >> assignment[y] & 1),
                     None)
         assert preserves(assignment, rows, tgt) == want
+
+
+def test_image_gaps_match_networkx():
+    """Arbitrary maps, most of them not preserving, so some images split."""
+    rng = random.Random(8)
+    gaps = kept = 0
+    for _ in range(300):
+        n, m = rng.randint(1, 10), rng.randint(1, 10)
+        src, tgt = _random_rows(rng, n), _random_rows(rng, m)
+        assignment = [rng.randrange(m) for _ in range(n)]
+        blocks = scc_masks(src)
+        g = _graph(tgt)
+        want = []
+        for blk in blocks:
+            img = _mask({assignment[x] for x in range(n) if blk >> x & 1})
+            if not nx.is_strongly_connected(g.subgraph(v for v in range(m) if img >> v & 1)):
+                want.append((blk, img))
+        assert list(image_gaps(assignment, blocks, tgt)) == want
+        gaps += len(want)
+        kept += len(blocks) - len(want)
+    assert gaps > 50 and kept > 50

@@ -31,10 +31,10 @@ from qconn.search import (
     REGRESSION_CYCLE_SPLIT,
     TARGETS,
     _bitop_json,
+    _decided,
     _lemma_gap,
-    _memo_components,
-    _memo_sccs,
-    _memo_union_gap,
+    _memo,
+    _union_gap,
     all_preorders,
     preorder_data,
     random_preorder,
@@ -315,6 +315,10 @@ def test_random_mode_refuses_sizes_past_the_cap():
 SMALL_RELATIONS = sum(2 ** (n * (n - 1)) for n in range(1, MEMO_MAX_N + 1))
 
 
+# every decision the checks read through the memo
+MEMO_DECISIONS = (strongly_connected, scc_masks, undirected_components, _union_gap)
+
+
 def test_memoized_decompositions_match_the_kernel():
     combined, joins = set(), set()
     for n in range(1, MEMO_MAX_N + 1):
@@ -324,11 +328,12 @@ def test_memoized_decompositions_match_the_kernel():
                 combined.add(tuple(combined_rows(p.rows, q.transpose)))
                 joins.add(tuple(f & g for f, g in zip(p.rows, q.rows)))
     for rows in combined:
-        sccs = _memo_sccs(rows)
+        sccs = _decided(scc_masks, list(rows))
         assert sccs == tuple(scc_masks(rows))
+        assert _decided(strongly_connected, list(rows)) == strongly_connected(rows)
         assert (len(sccs) == 1) == strongly_connected(rows)
     for rows in joins:
-        assert _memo_components(rows) == tuple(undirected_components(rows))
+        assert _decided(undirected_components, rows) == tuple(undirected_components(rows))
     assert SMALL_RELATIONS == 4165
     assert len(combined) <= SMALL_RELATIONS and len(joins) <= SMALL_RELATIONS
 
@@ -337,8 +342,7 @@ def test_memos_stay_within_the_small_relation_count():
     for tid in TARGETS:
         search_counterexamples(tid, n=4, mode="exhaustive", budget=20_000)
         search_counterexamples(tid, n=12, mode="random", seed=7, budget=60)
-    for memo in (_memo_sccs, _memo_components, _memo_union_gap):
-        assert 0 < memo.cache_info().currsize <= SMALL_RELATIONS
+    assert 0 < _memo.cache_info().currsize <= len(MEMO_DECISIONS) * SMALL_RELATIONS
 
 
 def test_carriers_past_the_memo_bypass_it():
@@ -347,11 +351,10 @@ def test_carriers_past_the_memo_bypass_it():
     case = BitopCase(fwd=random_preorder(rng, size), bwd=random_preorder(rng, size),
                      source="random")
     mapped = MapCase(src=case, assignment=tuple(range(size)), tgt=case, source="random")
-    memos = (_memo_sccs, _memo_components, _memo_union_gap)
-    before = [memo.cache_info() for memo in memos]
+    before = _memo.cache_info()
     for target in TARGETS.values():
         target.check(mapped if target.case_kind == "map" else case, random.Random(0))
-    assert [memo.cache_info() for memo in memos] == before
+    assert _memo.cache_info() == before
 
 
 def _union_gap_by_enumeration(rows):
@@ -379,14 +382,14 @@ def test_union_gap_matches_subset_pair_enumeration():
     for _ in range(300):
         relations.append(tuple(1 << i | rng.getrandbits(4) for i in range(4)))
     for rows in relations:
-        assert _memo_union_gap(rows) == _union_gap_by_enumeration(rows)
+        assert _decided(_union_gap, rows) == _union_gap_by_enumeration(rows)
 
 
 @pytest.fixture
-def fresh_union_memo():
-    _memo_union_gap.cache_clear()
+def fresh_memo():
+    _memo.cache_clear()
     yield
-    _memo_union_gap.cache_clear()
+    _memo.cache_clear()
 
 
 def _complete_case(n: int) -> BitopCase:
@@ -406,7 +409,7 @@ def _misjudge_carrier(monkeypatch, n: int) -> None:
                         and strongly_connected(rows, sub))
 
 
-def test_union_check_reports_a_misjudged_union(monkeypatch, fresh_union_memo):
+def test_union_check_reports_a_misjudged_union(monkeypatch, fresh_memo):
     check = TARGETS["prop61_union"].check
     # the two-way 3-cycle: every pair of points is strongly connected, so
     # {0, 1} and {0, 2} overlap with the whole carrier as their union
@@ -423,6 +426,17 @@ def test_union_check_reports_a_misjudged_union(monkeypatch, fresh_union_memo):
     hit = next(d for d in details if d is not None)
     assert hit["union"] == list(range(6))
     assert len(hit["S"]) < 6 and len(hit["T"]) < 6
+
+
+def test_image_check_reports_a_split_image():
+    # the cycle's one block sent onto two points that no arc joins; the
+    # stream never yields such a map, since it does not preserve the rows
+    discrete = BitopCase(fwd=preorder_data((1, 2)), bwd=preorder_data((1, 2)),
+                         source="seeded")
+    case = MapCase(src=REGRESSION_CYCLE_SPLIT, assignment=(0, 1, 1), tgt=discrete,
+                   source="seeded")
+    detail = TARGETS["prop62_image"].check(case, random.Random(0))
+    assert detail == {"block": [0, 1, 2], "image": [0, 1]}
 
 
 # sha256 of canonical_json(findings_document()) per target, recorded before
