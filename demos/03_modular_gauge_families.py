@@ -3,7 +3,8 @@
 A finite weighted-atom modular with a positive-part integrand produces an
 asymmetric family w_lambda(f, g) = rho((g - f)/lambda).  From it we read
 off unit-level distances, scale-indexed balls and entourage relations,
-and the bitopology of all-scale zero sets.
+and the bitopology of all-scale zero sets.  A kinked integrand gives
+gauges alpha + beta/lambda on lambda-pieces, held exactly.
 """
 
 from fractions import Fraction
@@ -15,13 +16,12 @@ from qconn import (
     entourages,
     from_orlicz,
     luxemburg_gauge,
-    luxemburg_symmetrization_gap,
     modular_balls,
     modular_bitop,
     symmetrize_family,
     validate_family,
 )
-from qconn.modular import ABSOLUTE_VALUE, POSITIVE_PART, QuasiModularFamily
+from qconn.modular import ABSOLUTE_VALUE, POSITIVE_PART, PiecewiseConvex, QuasiModularFamily
 
 print("== a two-atom modular with positive-part integrand ==")
 spec = OrliczSpec(
@@ -58,11 +58,23 @@ sym = symmetrize_family(fam)
 print("symmetrized coefficients:")
 for i in range(3):
     print("  ", [str(sym.gauge(i, j).coeff) for j in range(3)])
-gap = luxemburg_symmetrization_gap(fam)
-print("threshold distance of the symmetrized family vs max of one-sided:")
-for row in gap["pairs"]:
-    print(f"  ({row['i']},{row['j']}): {row['luxemburg_of_symmetrized']} vs "
-          f"{row['max_of_one_sided']} (equal: {row['equal']})")
+
+print("\n== a kinked integrand: slopes 1 and 3, break at 1, atom weight 1/2 ==")
+kinked = from_orlicz(OrliczSpec(
+    atoms=(("w0", Fraction(1, 2)),),
+    phi=(PiecewiseConvex(pos_breaks=(Fraction(1),), pos_slopes=(Fraction(1), Fraction(3))),),
+    functions=((Fraction(0),), (Fraction(2),)),
+    scaling=("homogeneous",),
+))
+g = kinked.gauge(0, 1)
+ends = ["0", *map(str, g.breakpoints), "inf"]
+print(f"w(f,g) is {g.kind}, exact on each lambda-piece:")
+for t, (alpha, beta) in enumerate(g.pieces):
+    print(f"  {'[('[t == 0]}{ends[t]}, {ends[t + 1]}): {alpha} + {beta}/lambda")
+print("w_1(f,g) =", g(Fraction(1)), " w_3(f,g) =", g(Fraction(3)))
+print("axioms on the validation grid:", validate_family(kinked, grid).ok)
+print("threshold distance d+(f,g) =", luxemburg_gauge(kinked).d(0, 1),
+      "(first piece to reach 1: lambda >= beta/(1 - alpha))")
 
 print("\n== an even integrand erases direction ==")
 even = from_orlicz(OrliczSpec(

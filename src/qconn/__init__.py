@@ -67,7 +67,6 @@ from .modular import (
     entourages,
     from_orlicz,
     luxemburg_gauge,
-    luxemburg_symmetrization_gap,
     modular_balls,
     symmetrize_family,
     validate_family,

@@ -105,10 +105,10 @@ def smyth_report(d: QuasiPseudoMetric) -> dict:
     }
 
 
-def _first_fit_cover(d: QuasiPseudoMetric, eps: Fraction, balls) -> list[int]:
+def _first_fit_cover(balls) -> list[int]:
     """Centers taken in point order, each one not yet covered; ``balls``
-    are d.ball_rows(eps)."""
-    full = (1 << d.n) - 1
+    are the forward-ball rows d.ball_rows(eps)."""
+    full = (1 << len(balls)) - 1
     covered = 0
     centers = []
     for x, ball in enumerate(balls):
@@ -141,7 +141,7 @@ def precompact_report(d: QuasiPseudoMetric, thresholds) -> dict:
     prev: list[int] | None = None
     for eps in eps_list:
         balls = d.ball_rows(eps)
-        centers = _first_fit_cover(d, eps, balls)
+        centers = _first_fit_cover(balls)
         if prev is not None and len(prev) < len(centers):
             centers = prev
         if d.tol is not None:

@@ -155,7 +155,6 @@ class ComponentReport:
 
     symmetric: tuple[tuple[int, ...], ...]
     antisymmetric: tuple[tuple[int, ...], ...]
-    local: tuple[LocalStatus, ...]
 
 
 def is_locally_antisym_connected(b: BitopSpace) -> list[LocalStatus]:
@@ -181,7 +180,6 @@ def component_report(b: BitopSpace) -> ComponentReport:
     return ComponentReport(
         symmetric=tuple(tuple(blk) for blk in symmetric_components(b)),
         antisymmetric=tuple(tuple(blk) for blk in antisym_components(b)),
-        local=tuple(is_locally_antisym_connected(b)),
     )
 
 

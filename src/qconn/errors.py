@@ -46,7 +46,7 @@ class NonPositiveScale(QconnError):
 
 
 class KindMismatch(QconnError):
-    """Gauge kinds admit no exact symbolic merge and no grid was supplied."""
+    """A power gauge met a gauge of another kind or exponent in a merge."""
 
 
 class NonPositiveParameter(QconnError):

@@ -37,12 +37,14 @@ KINDS = ("quasi_metric", "digraph", "bitopology", "modular_family", "orlicz",
 # Size caps, so that every accepted file is validated and analysed in
 # bounded time.  Each was sized by timing ``validate`` and ``analyze`` with
 # every analysis of the densest instance at the cap (complete digraphs, full
-# matrices and neighbourhoods, 3-breakpoint step gauges, 32 atoms):
-# 0.4-2.6 s on a 2-core VM under CPython 3.11.  A larger file is a SchemaError naming
-# its limit.
+# matrices and neighbourhoods, 3-breakpoint step gauges, 32 atoms, and
+# MAX_PHI_BREAKPOINTS on each side of 0 summed over every phi, since a
+# gauge and its transpose together reach at most both sums): 0.4-2.6 s on a
+# 2-core VM under CPython 3.11.  A larger file is a SchemaError naming its limit.
 MAX_POINTS = {"quasi_metric": 256, "digraph": 256, "asym_norm_sample": 256,
               "bitopology": 512, "modular_family": 128, "orlicz": 64, "map": 100_000}
 MAX_ORLICZ_ATOMS = 32
+MAX_PHI_BREAKPOINTS = 32
 MAX_SEQUENCE_LENGTH = 100_000
 
 
@@ -257,7 +259,11 @@ def _parse_orlicz(obj: dict) -> OrliczSpec:
         if weight <= 0:
             raise SchemaError(f"atom {a} weight must be positive")
         atoms.append((str(item[0]), weight))
-    phi = tuple(_parse_phi(p, f"phi[{t}]") for t, p in enumerate(_need(obj, "phi", list)))
+    phi_raw = _need(obj, "phi", list)
+    for key in ("pos_breakpoints", "neg_breakpoints"):  # summed over every phi
+        _capped([b for p in phi_raw if isinstance(p, dict) for b in p.get(key) or ()],
+                f"phi[*].{key}", MAX_PHI_BREAKPOINTS, "MAX_PHI_BREAKPOINTS")
+    phi = tuple(_parse_phi(p, f"phi[{t}]") for t, p in enumerate(phi_raw))
     functions = tuple(
         tuple(_rational(v, f"functions[{r}]") for v in row)
         for r, row in enumerate(_points(obj, "functions", "orlicz"))
@@ -391,7 +397,9 @@ def _dump_gauge(g: ScaleGauge) -> dict:
                 "values": [str(v) for v in g.values]}
     if g.kind == HOMOGENEOUS:
         return {"kind": HOMOGENEOUS, "coeff": str(g.coeff)}
-    return {"kind": POWER, "coeff": str(g.coeff), "exponent": str(g.exponent)}
+    if g.kind == POWER:
+        return {"kind": POWER, "coeff": str(g.coeff), "exponent": str(g.exponent)}
+    raise TypeError(f"a {g.kind} gauge has no file form")
 
 
 def _dump_phi(p: PiecewiseConvex) -> dict:

@@ -7,13 +7,16 @@ nonincreasing and right-continuous in the scale lambda.  The axioms:
   QM2  w_{lambda+mu}(x, z) <= w_lambda(x, y) + w_mu(y, z)
   QM3  lambda -> w_lambda(x, y) nonincreasing and right-continuous
 
-Three gauge kinds are supported exactly: step functions, homogeneous
-c/lambda, and power c/lambda^p.  Validation of QM2 is a real decision
-procedure for step-only and homogeneous-only triples and a grid check
-otherwise.  The decision runs on integers: one common denominator scales
-every step breakpoint and another every finite step value and
-homogeneous coefficient.  Fractions are used only for the witness of a
-violation and for the grid check of mixed-kind triples.
+Every p = 1 gauge is held exactly in one form, alpha_t + beta_t/lambda on
+lambda-pieces: step functions (beta = 0), homogeneous c/lambda (one
+piece, alpha = 0), and the piecewise gauges of pointwise maxima and of
+Orlicz modulars with a kinked phi.  Power c/lambda^p is a separate kind.
+Validation of QM2 is a real decision procedure for step-only and
+homogeneous-only triples and an exact check on a grid otherwise.  The
+decision runs on integers: one common denominator scales every step
+breakpoint and another every finite step value and homogeneous
+coefficient.  Fractions are used only for the witness of a violation and
+for the grid check of the other triples.
 """
 
 from __future__ import annotations
@@ -36,18 +39,24 @@ from .numbers import INF, ZERO, ExtNonNeg, enn_max, exact_root
 
 STEP = "step"
 HOMOGENEOUS = "homogeneous"
+PIECEWISE = "piecewise"
 POWER = "power"
+_NIL = Fraction(0)
 
 
 @dataclass(frozen=True)
 class ScaleGauge:
     """One gauge lambda -> value, tagged by kind.
 
-    step: value is values[t] on piece t, where piece 0 is (0, breakpoints[0])
-    and piece t >= 1 is [breakpoints[t-1], breakpoints[t]); right-continuous
-    by construction.  homogeneous: coeff / lambda.  power: coeff / lambda^p.
-    Structural invariants are checked here; the QM3 monotonicity of step
-    values is a family-level validation concern, not a construction error.
+    Every p = 1 gauge is one form: breakpoints cut the scales into piece
+    0 = (0, b_1) and pieces t = [b_t, b_{t+1}), right-continuous, with
+    value alpha_t + beta_t/lambda on piece t; beta_t >= 0 is rational and
+    alpha_t a signed rational (Orlicz intercepts are <= 0) or None for
+    +inf.  The pieces property gives the form, from values[t] =
+    alpha_t (step, beta = 0), coeff = beta (homogeneous, one piece) or
+    terms (piecewise).  power: coeff / lambda^p, whose pieces are read in
+    lambda^p.  Structural invariants are checked here; QM3 monotonicity
+    is a family-level validation concern, not a construction error.
     """
 
     kind: str
@@ -55,11 +64,12 @@ class ScaleGauge:
     values: tuple[ExtNonNeg, ...] = ()
     coeff: ExtNonNeg = ZERO
     exponent: Fraction = Fraction(1)
+    terms: tuple[tuple[Fraction | None, Fraction], ...] = ()
 
     def __post_init__(self):
-        if self.kind == STEP:
-            if len(self.values) != len(self.breakpoints) + 1:
-                raise ValueError("step gauge needs len(values) == len(breakpoints) + 1")
+        if self.kind in (STEP, PIECEWISE):
+            if len(self.values or self.terms) != len(self.breakpoints) + 1:
+                raise ValueError(f"{self.kind} gauge needs one piece per breakpoint, plus one")
             for a, b in zip(self.breakpoints, self.breakpoints[1:]):
                 if not a < b:
                     raise ValueError("breakpoints must be strictly increasing")
@@ -92,6 +102,17 @@ class ScaleGauge:
         return ScaleGauge(kind=POWER, coeff=ExtNonNeg(coeff),
                           exponent=Fraction(exponent))
 
+    # -- the p = 1 form -------------------------------------------------
+
+    @property
+    def pieces(self) -> tuple[tuple[Fraction | None, Fraction], ...]:
+        """(alpha_t, beta_t) per piece (in lambda^p for a power gauge)."""
+        if self.kind == STEP:
+            return tuple((None if v.is_inf else v.frac, 0) for v in self.values)
+        if self.kind == PIECEWISE:
+            return self.terms
+        return ((None, 0),) if self.coeff.is_inf else ((_NIL, self.coeff.frac),)
+
     # -- evaluation -----------------------------------------------------
 
     def __call__(self, lam: Fraction) -> ExtNonNeg:
@@ -102,44 +123,72 @@ class ScaleGauge:
             return self.values[bisect_right(self.breakpoints, lam)]
         if self.kind == HOMOGENEOUS:
             return self.coeff.divided_by(lam)
+        if self.kind == PIECEWISE:
+            return _value(self.terms[bisect_right(self.breakpoints, lam)], lam)
         # power
         if self.coeff == ZERO:
             return ZERO
         if self.exponent.denominator == 1:
             return self.coeff.divided_by(lam ** int(self.exponent))
-        scaled = _exact_rational_power(lam, self.exponent)
+        scaled = exact_root(lam ** self.exponent.numerator, self.exponent.denominator)
         if scaled is None:
             raise NonRepresentable(self.exponent,
                                    f"lambda={lam} has no exact power")
         return self.coeff.divided_by(scaled)
 
-    def leading_value(self) -> ExtNonNeg:
-        """Limit of the gauge as lambda -> 0+."""
-        if self.kind == STEP:
-            return self.values[0]
-        return ZERO if self.coeff == ZERO else INF
-
     def is_identically_zero(self) -> bool:
-        if self.kind == STEP:
-            return all(v == ZERO for v in self.values)
-        return self.coeff == ZERO
+        return all(a == 0 and not b for a, b in self.pieces)
 
     def monotone_violation(self):
-        """First (lam1, lam2, v1, v2) with lam1 < lam2 but v1 < v2, or None."""
-        if self.kind != STEP:
-            return None
-        for t in range(len(self.values) - 1):
-            if self.values[t] < self.values[t + 1]:
-                lam1 = self.breakpoints[0] / 2 if t == 0 else self.breakpoints[t - 1]
-                lam2 = self.breakpoints[t]
-                return (lam1, lam2, self.values[t], self.values[t + 1])
+        """First (lam1, lam2, v1, v2) with lam1 < lam2 but v1 < v2, or None.
+        Pieces are nonincreasing, so QM3 fails only where a piece's limit
+        at its right end b is below the value at b; lam1 is taken in that
+        piece, past beta/(v2 - alpha)."""
+        terms, bps = self.pieces, self.breakpoints
+        for t, b in enumerate(bps):
+            right = _at(terms[t + 1], b)
+            if _at(terms[t], b) < right:
+                lo = bps[t - 1] if t else _NIL
+                alpha, beta = terms[t]
+                thr = beta / (right[1] - alpha) if beta and not right[0] else _NIL
+                lam1 = lo if lo > thr else (thr + b) / 2
+                return (lam1, b, _value(terms[t], lam1), _value(terms[t + 1], b))
         return None
 
 
-def _exact_rational_power(lam: Fraction, p: Fraction) -> Fraction | None:
-    """lam**p for rational p, or None when irrational."""
-    raised = lam ** p.numerator
-    return exact_root(raised, p.denominator)
+def _z(q: Fraction, den: int) -> int:
+    """q * den for a den that q's denominator divides."""
+    return q.numerator * (den // q.denominator)
+
+
+def _at(piece, lam: Fraction) -> tuple[bool, Fraction]:
+    """(is +inf, alpha + beta/lam) for one (alpha, beta) piece, which
+    orders pieces as their values at lam."""
+    alpha, beta = piece
+    if alpha is None or not beta:
+        return alpha is None, alpha or 0
+    return False, alpha + beta / lam if alpha else beta / lam
+
+
+def _value(piece, lam: Fraction) -> ExtNonNeg:
+    inf, v = _at(piece, lam)
+    return INF if inf else ExtNonNeg(v)
+
+
+def _from_pieces(cuts, kind=None) -> ScaleGauge:
+    """The gauge of (left end, (alpha, beta)) pieces in scale order, equal
+    neighbours merged.  It is a step gauge when every beta is 0 and a
+    homogeneous one when it is one piece beta/lambda, or when kind asks
+    for homogeneous and the piece is 0 or inf; else piecewise."""
+    keep = [t for t, (_, piece) in enumerate(cuts) if not t or piece != cuts[t - 1][1]]
+    bps, terms = [cuts[t][0] for t in keep[1:]], [cuts[t][1] for t in keep]
+    (alpha, beta), *rest = terms
+    if not rest and (alpha is None or alpha == 0) and (beta or kind == HOMOGENEOUS):
+        return ScaleGauge.homogeneous(INF if alpha is None else beta)
+    if not any(b for _, b in terms):
+        return ScaleGauge(kind=STEP, breakpoints=tuple(bps),
+                          values=tuple(INF if a is None else ExtNonNeg(a) for a, _ in terms))
+    return ScaleGauge(kind=PIECEWISE, breakpoints=tuple(bps), terms=tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -228,9 +277,10 @@ def validate_family(f: QuasiModularFamily, grid) -> ValidationReport:
     (c_ik <= (sqrt(c_ij) + sqrt(c_jk))^2, tested exactly by squaring).
     Both decisions compare integers: every step breakpoint is scaled by
     one common denominator and every finite step value and homogeneous
-    coefficient by another (see _scaled_gauges).  Fractions appear only in
-    the witness of a violation and in mixed-kind triples, which are
-    checked on the supplied grid augmented with every breakpoint.
+    coefficient by another (see _scaled_gauges).  The other triples (mixed
+    kinds, piecewise or power gauges) are evaluated exactly, on Fractions,
+    on the supplied grid augmented with every breakpoint (_qm2_grid);
+    Fractions appear only there and in the witness of a violation.
     """
     grid = [Fraction(g) for g in grid]
     if not grid:
@@ -259,12 +309,12 @@ def validate_family(f: QuasiModularFamily, grid) -> ValidationReport:
 
 
 def _nonzero_witness(g: ScaleGauge, grid) -> Fraction:
-    """A positive scale where g is nonzero; the least grid point when no
-    breakpoint bounds g's first nonzero piece."""
-    if g.kind == STEP:
-        t = next(t for t, v in enumerate(g.values) if v != ZERO)
-        if t or g.breakpoints:
-            return g.breakpoints[t - 1] if t else g.breakpoints[0] / 2
+    """A positive scale where g is nonzero: the left end of its first
+    nonzero piece, where it is largest (half the first breakpoint for
+    piece 0); the least grid point when g has no breakpoint."""
+    if g.breakpoints:
+        t = next(t for t, (a, b) in enumerate(g.pieces) if a != 0 or b)
+        return g.breakpoints[t - 1] if t else g.breakpoints[0] / 2
     return grid[0]
 
 
@@ -276,8 +326,8 @@ def _scaled_gauges(f: QuasiModularFamily):
     rows[i][j] is, for a step gauge, (corners, breakpoints * sden,
     values * vden), where corners pairs each piece's left endpoint (0
     standing for 0+) with its value; for a homogeneous gauge, coeff *
-    vden; for a power gauge, None.  Infinity becomes the int inf = 2 *
-    (largest finite value) + 1, which exceeds any sum of two finite
+    vden; for a piecewise or power gauge, None.  Infinity becomes the int
+    inf = 2 * (largest finite value) + 1, which exceeds any sum of two finite
     values and is never a float (an int beyond 10**308 plus a float
     infinity overflows).
     """
@@ -300,7 +350,7 @@ def _scaled_gauges(f: QuasiModularFamily):
     def scaled(g):
         if g.kind == HOMOGENEOUS:
             return value(g.coeff)
-        if g.kind == POWER:
+        if g.kind != STEP:
             return None
         bps = [b.numerator * (sden // b.denominator) for b in g.breakpoints]
         vals = [value(v) for v in g.values]
@@ -414,17 +464,23 @@ def _homogeneous_witness(af, bf, cf, i, j, k):
 
 
 def _qm2_grid(ga, gb, gc, i, j, k, grid):
+    """The violations at every (lambda, mu) drawn from the grid, the three
+    gauges' breakpoints and half the least of these; exact evaluation, so
+    every one is real."""
     pts = set(grid)
     for g in (ga, gb, gc):
         pts.update(g.breakpoints)
     pts.add(min(pts) / 2)
     pts = sorted(pts)
     out = []
+    if gc.is_identically_zero():  # then every lhs is 0
+        return out
+    vb = [gb(mu) for mu in pts]
     for lam in pts:
         va = ga(lam)
-        for mu in pts:
+        for mu, b in zip(pts, vb):
             lhs = gc(lam + mu)
-            rhs = va + gb(mu)
+            rhs = va + b
             if not lhs <= rhs:
                 out.append(QM2Violation(i, j, k, lam, mu, lhs, rhs))
     return out
@@ -435,7 +491,7 @@ def _qm2_grid(ga, gb, gc, i, j, k, grid):
 
 def luxemburg_gauge(f: QuasiModularFamily) -> QuasiPseudoMetric:
     """Per pair, inf{lambda > 0 : w_lambda <= 1} (inf of the empty set is
-    infinity), evaluated in closed form per kind.  The output must pass
+    infinity), evaluated in closed form.  The output must pass
     validate_qpm; a failure there propagates, since the family then lies
     outside the class for which the threshold construction is sound.
     """
@@ -445,20 +501,19 @@ def luxemburg_gauge(f: QuasiModularFamily) -> QuasiPseudoMetric:
 
 
 def _luxemburg_one(g: ScaleGauge) -> ExtNonNeg:
-    one = ExtNonNeg(1)
-    if g.kind == STEP:
-        if g.values[0] <= one:
-            return ZERO
-        for t in range(1, len(g.values)):
-            if g.values[t] <= one:
-                return ExtNonNeg(g.breakpoints[t - 1])
+    """inf{lambda : g(lambda) <= 1}: on the first piece that reaches 1,
+    the larger of its left end and beta/(1 - alpha)."""
+    if g.kind != POWER:
+        bps = g.breakpoints
+        for t, (alpha, beta) in enumerate(g.pieces):
+            if alpha is None or alpha > 1 or (alpha == 1 and beta):
+                continue
+            lam = max(bps[t - 1] if t else _NIL, beta / (1 - alpha) if alpha and beta else beta)
+            if t == len(bps) or lam < bps[t]:
+                return ExtNonNeg(lam)
         return INF
-    if g.kind == HOMOGENEOUS:
-        return g.coeff
     if g.coeff.is_inf:
         return INF
-    if g.coeff == ZERO:
-        return ZERO
     root = exact_root(g.coeff.frac ** g.exponent.denominator,
                       g.exponent.numerator)
     if root is None:
@@ -473,56 +528,51 @@ def conjugate_family(f: QuasiModularFamily) -> QuasiModularFamily:
     return QuasiModularFamily(points=f.points, gauges=gauges)
 
 
-def symmetrize_family(f: QuasiModularFamily, grid=None) -> QuasiModularFamily:
-    """Pointwise max of each gauge with its transpose.
-
-    Steps merge exactly over the union of breakpoints and matching
-    analytic kinds merge by max of coefficients; mismatched kinds are
-    sampled to a step gauge on the supplied grid (KindMismatch without
-    one).
-    """
+def symmetrize_family(f: QuasiModularFamily) -> QuasiModularFamily:
+    """Pointwise max of each gauge with its transpose, exactly (merge_max).
+    The max is symmetric, so each unordered pair is merged once."""
     n = f.n
-    rows = []
+    rows = [[None] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(merge_max(f.gauges[i][j], f.gauges[j][i], grid=grid))
-        rows.append(tuple(row))
-    return QuasiModularFamily(points=f.points, gauges=tuple(rows))
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = merge_max(f.gauges[i][j], f.gauges[j][i])
+    return QuasiModularFamily(points=f.points, gauges=tuple(tuple(row) for row in rows))
 
 
-def merge_max(g1: ScaleGauge, g2: ScaleGauge, grid=None) -> ScaleGauge:
-    if g1.kind == STEP and g2.kind == STEP:
-        bps = sorted(set(g1.breakpoints) | set(g2.breakpoints))
-        values = [enn_max(g1.values[0], g2.values[0])]
-        values += [enn_max(g1(b), g2(b)) for b in bps]
-        return _compressed_step(bps, values)
-    if g1.kind == g2.kind == HOMOGENEOUS:
-        return ScaleGauge.homogeneous(enn_max(g1.coeff, g2.coeff))
-    if g1.kind == g2.kind == POWER and g1.exponent == g2.exponent:
+def merge_max(g1: ScaleGauge, g2: ScaleGauge) -> ScaleGauge:
+    """The pointwise max of two gauges.  p = 1 gauges merge on the union
+    of their breakpoints, each piece split where the two forms cross, at
+    the rational lambda = (beta_1 - beta_2)/(alpha_2 - alpha_1); equal
+    neighbours are then merged; two step or two homogeneous gauges keep
+    their kind.  Power gauges merge only with power gauges of their
+    exponent (KindMismatch otherwise).
+    """
+    if POWER in (g1.kind, g2.kind):
+        if g1.kind != g2.kind or g1.exponent != g2.exponent:
+            raise KindMismatch(f"cannot merge {g1.kind} with {g2.kind} exactly")
         return ScaleGauge(kind=POWER, coeff=enn_max(g1.coeff, g2.coeff),
                           exponent=g1.exponent)
-    if grid is None:
-        raise KindMismatch(
-            f"cannot merge {g1.kind} with {g2.kind} exactly; supply a grid")
-    bps = sorted({Fraction(g) for g in grid})
-    if not bps:
-        raise EmptyGrid("merge grid is empty")
-    if any(b <= 0 for b in bps):
-        raise NonPositiveScale("merge grid values must be positive")
-    values = [enn_max(g1.leading_value(), g2.leading_value())]
-    values += [enn_max(g1(b), g2(b)) for b in bps]
-    return _compressed_step(bps, values)
+    b1, b2, p1, p2 = g1.breakpoints, g2.breakpoints, g1.pieces, g2.pieces
+    ends = sorted({*b1, *b2})
+    cuts = []
+    for lo, hi in zip([_NIL, *ends], [*ends, None]):
+        x, y = p1[bisect_right(b1, lo)], p2[bisect_right(b2, lo)]
+        if x[0] != y[0] and x[1] != y[1] and x[0] is not None and y[0] is not None:
+            cross = (x[1] - y[1]) / (y[0] - x[0])
+            if lo < cross and (hi is None or cross < hi):
+                cuts.append((lo, _larger(x, y, lo, cross)))
+                lo = cross
+        cuts.append((lo, _larger(x, y, lo, hi)))
+    return _from_pieces(cuts, g1.kind if g1.kind == g2.kind else None)
 
 
-def _compressed_step(bps, values) -> ScaleGauge:
-    out_b, out_v = [], [values[0]]
-    for b, v in zip(bps, values[1:]):
-        if v == out_v[-1]:
-            continue
-        out_b.append(b)
-        out_v.append(v)
-    return ScaleGauge(kind=STEP, breakpoints=tuple(out_b), values=tuple(out_v))
+def _larger(x, y, lo: Fraction, hi: Fraction | None):
+    """The piece that is larger on [lo, hi), where x and y do not cross:
+    the larger beta under one alpha, else the larger value inside."""
+    if x[0] == y[0]:
+        return x if x[1] >= y[1] else y
+    mid = (x[1] or y[1]) and (lo + 1 if hi is None else (lo + hi) / 2)
+    return x if _at(x, mid) >= _at(y, mid) else y
 
 
 def modular_balls(f: QuasiModularFamily, x: int, lam: Fraction, eps: Fraction):
@@ -560,33 +610,6 @@ def entourages(f: QuasiModularFamily, r: Fraction, lam: Fraction):
 def _pair_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """pairs[x][y] == (x, y) for x, y < n, built once per carrier size."""
     return tuple(tuple((x, y) for y in range(n)) for x in range(n))
-
-
-def luxemburg_symmetrization_gap(f: QuasiModularFamily, grid=None) -> dict:
-    """Pointwise comparison of luxemburg(symmetrized family) with the
-    symmetrization of the one-sided luxemburg gauges.  Reported, not
-    asserted; the one-sided >= inequality is the only law tested
-    elsewhere."""
-    via_family = luxemburg_gauge(symmetrize_family(f, grid=grid))
-    one_sided = luxemburg_gauge(f)
-    rows = []
-    ge_everywhere = True
-    for i in range(f.n):
-        for j in range(f.n):
-            if i == j:
-                continue
-            sym = via_family.d(i, j)
-            m = enn_max(one_sided.d(i, j), one_sided.d(j, i))
-            if not m <= sym:
-                ge_everywhere = False
-            rows.append({
-                "i": i,
-                "j": j,
-                "luxemburg_of_symmetrized": str(sym),
-                "max_of_one_sided": str(m),
-                "equal": sym == m,
-            })
-    return {"pairs": rows, "symmetrized_ge_max": ge_everywhere}
 
 
 # -- Musielak-Orlicz style finite modulars --------------------------------
@@ -629,43 +652,23 @@ class PiecewiseConvex:
         if any(s < 0 for s in self.pos_slopes) or any(s > 0 for s in self.neg_slopes):
             raise ValueError("phi must be nonnegative with minimum at 0")
 
+    def side(self, t) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        """(breakpoints, slopes) of the side of 0 that t lies on."""
+        if t >= 0:
+            return self.pos_breaks, self.pos_slopes
+        return (self.neg_breaks, self.neg_slopes) if self.neg_slopes else ((), (_NIL,))
+
     def __call__(self, t: Fraction) -> Fraction:
+        """c + s*t on the piece holding t; past each breakpoint b the
+        intercept c moves by (s_before - s_after)*b."""
         t = Fraction(t)
-        if t == 0:
-            return Fraction(0)
-        total = Fraction(0)
-        if t > 0:
-            prev = Fraction(0)
-            for b, s in zip(self.pos_breaks, self.pos_slopes):
-                if t <= b:
-                    return total + s * (t - prev)
-                total += s * (b - prev)
-                prev = b
-            return total + self.pos_slopes[-1] * (t - prev)
-        if not self.neg_slopes:
-            return Fraction(0)
-        prev = Fraction(0)
-        for b, s in zip(self.neg_breaks, self.neg_slopes):
-            if t >= b:
-                return total + s * (t - prev)
-            total += s * (b - prev)
-            prev = b
-        return total + self.neg_slopes[-1] * (t - prev)
-
-    def is_single_slope(self) -> bool:
-        return not self.pos_breaks and not self.neg_breaks
-
-    def limit(self, sign: int) -> ExtNonNeg:
-        """Exact limit of phi(t) as t -> sign * infinity."""
-        if sign > 0:
-            if self.pos_slopes[-1] > 0:
-                return INF
-            anchor = self.pos_breaks[-1] if self.pos_breaks else Fraction(1)
-            return ExtNonNeg(self(anchor))
-        if not self.neg_slopes or self.neg_slopes[-1] == 0:
-            anchor = self.neg_breaks[-1] if self.neg_breaks else Fraction(-1)
-            return ExtNonNeg(self(anchor))
-        return INF
+        breaks, slopes = self.side(t)
+        c = _NIL
+        for k, b in enumerate(breaks):
+            if abs(t) <= abs(b):
+                return c + slopes[k] * t
+            c += (slopes[k] - slopes[k + 1]) * b
+        return c + slopes[-1] * t
 
 
 POSITIVE_PART = PiecewiseConvex()
@@ -698,56 +701,60 @@ class OrliczSpec:
                    Fraction(0))
 
 
-def from_orlicz(spec: OrliczSpec, lambda_grid=None) -> QuasiModularFamily:
-    """Family w_lambda(f, g) = rho((g - f) / scale(lambda)).
+def from_orlicz(spec: OrliczSpec) -> QuasiModularFamily:
+    """Family w_lambda(f, g) = rho((g - f) / scale(lambda)), exactly.
 
-    When every phi has a single slope per side the dependence on lambda is
-    exactly c/scale(lambda) and the result uses the matching analytic
-    kind.  Otherwise the family is sampled onto step gauges whose values
-    are exact at the declared grid points (the off-grid step approximation
-    of a strictly convex modular need not satisfy QM2, which validation
-    will surface honestly).
+    Where delta_a/lambda lies on a piece c + s*x of phi_a, atom a adds
+    w_a*c to alpha and w_a*s*delta_a to beta.  Each atom starts on its
+    outermost piece and moves inwards at lambda = delta_a/b for each
+    breakpoint b on delta_a's side (_phi_side): one sweep over those cuts,
+    on integers, gives the p = 1 form.  Under power scaling that form, in
+    lambda^p, must be one piece c/lambda^p (NonRepresentable otherwise).
     """
-    n = len(spec.functions)
-    labels = tuple(f"f{i}" for i in range(n))
-    analytic = all(p.is_single_slope() for p in spec.phi)
-    if not analytic and lambda_grid is None:
-        raise EmptyGrid("general phi requires a declared lambda grid")
-    exponent = Fraction(1) if spec.scaling[0] == HOMOGENEOUS else Fraction(spec.scaling[1])
-    rows = []
-    for i in range(n):
+    sides = [[_phi_side(w, phi, sign) for sign in (1, -1)]
+             for (_, w), phi in zip(spec.atoms, spec.phi)]
+    rows = [row for atom in sides for side in atom for row in side]
+    fden = lcm(*{v.denominator for f in spec.functions for v in f})
+    cden, aden, bden = (lcm(*{r[c].denominator for r in rows}) for c in range(3))
+    sides = [[[(_z(c, cden), _z(a, aden), _z(b, bden)) for c, a, b in side] for side in atom]
+             for atom in sides]
+    funcs = [[_z(v, fden) for v in f] for f in spec.functions]
+    cden, bden = cden * fden, bden * fden
+    gauges = []
+    for fi in funcs:
         row = []
-        for j in range(n):
-            delta = tuple(b - a for a, b in zip(spec.functions[i], spec.functions[j]))
-            if analytic:
-                c = spec.rho(delta)
-                if spec.scaling[0] == HOMOGENEOUS:
-                    row.append(ScaleGauge.homogeneous(c))
-                else:
-                    row.append(ScaleGauge.power(c, exponent))
-            else:
-                row.append(_sampled_gauge(spec, delta, lambda_grid, exponent))
-        rows.append(tuple(row))
-    return QuasiModularFamily(points=labels, gauges=tuple(rows))
+        for fj in funcs:
+            alpha = beta = 0
+            events = []
+            for atom, d in zip(sides, (b - a for a, b in zip(fi, fj))):
+                if d:
+                    (_, a0, b0), *ev = atom[d < 0]
+                    alpha, beta = alpha + a0, beta + b0 * d
+                    events += [(c * d, da, db * d) for c, da, db in ev]
+            cuts = [(0, alpha, beta)]
+            for key, da, db in sorted(events):
+                alpha, beta = alpha + da, beta + db
+                if cuts[-1][0] == key:
+                    cuts.pop()
+                cuts.append((key, alpha, beta))
+            g = _from_pieces([(Fraction(k, cden), (Fraction(a, aden), Fraction(b, bden)))
+                              for k, a, b in cuts], HOMOGENEOUS)
+            if spec.scaling[0] == POWER:
+                if g.kind != HOMOGENEOUS:
+                    raise NonRepresentable(spec.scaling[1], "phi has a breakpoint "
+                                           "that a difference of functions reaches")
+                g = ScaleGauge.power(g.coeff, spec.scaling[1])
+            row.append(g)
+        gauges.append(tuple(row))
+    return QuasiModularFamily(points=tuple(f"f{i}" for i in range(len(spec.functions))),
+                              gauges=tuple(gauges))
 
 
-def _sampled_gauge(spec: OrliczSpec, delta, lambda_grid, exponent) -> ScaleGauge:
-    bps = sorted({Fraction(g) for g in lambda_grid})
-    if any(b <= 0 for b in bps):
-        raise NonPositiveScale("lambda grid values must be positive")
-    leading = ZERO
-    for a, (_, w) in enumerate(spec.atoms):
-        if delta[a] == 0:
-            continue
-        lim = spec.phi[a].limit(1 if delta[a] > 0 else -1)
-        leading = leading + lim.scaled(w)
-    values = [leading]
-    for b in bps:
-        if exponent == 1:
-            scale = b
-        else:
-            scale = _exact_rational_power(b, exponent)
-            if scale is None:
-                raise NonRepresentable(exponent, f"grid point {b}")
-        values.append(ExtNonNeg(spec.rho(tuple(d / scale for d in delta))))
-    return _compressed_step(bps, values)
+def _phi_side(w: Fraction, phi: PiecewiseConvex, sign: int):
+    """Rows (cut/delta, alpha, beta/delta) of w*phi on one side of 0: the
+    outermost piece's intercept and slope (cut 0), then per breakpoint b
+    the changes inwards, slope by j = w*(inner - outer slope), alpha by -j*b."""
+    breaks, slopes = phi.side(sign)
+    jumps = [w * (s_in - s_out) for s_in, s_out in zip(slopes, slopes[1:])]
+    rows = [(1 / b, -j * b, j) for j, b in zip(jumps, breaks)]
+    return [(_NIL, -sum((r[1] for r in rows), _NIL), w * slopes[-1]), *rows]

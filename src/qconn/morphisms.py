@@ -8,13 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .bitopology import BitopSpace, indices_of, subspace
-from .connectivity import (
-    antisym_components,
-    combined_digraph,
-    is_locally_antisym_connected,
-    scale_connectivity,
-)
+from .bitopology import BitopSpace, indices_of
+from .connectivity import combined_digraph, scale_connectivity
 from .errors import (
     CarrierMismatch,
     NonPositiveEpsilon,
@@ -105,8 +100,7 @@ def specialization_preserving(f: PointMap, bX: BitopSpace,
 
 def check_image_preservation(f: PointMap, bX: BitopSpace, bY: BitopSpace) -> dict:
     """Verify that images of inseparable subsets stay inseparable inside
-    the image's trace bitopology, and that the per-point local property
-    transfers to image points.
+    the image's trace bitopology.
 
     Raises ``PreconditionFailed`` unless the map preserves both
     specializations.  The image of each antisymmetric component (an SCC
@@ -124,18 +118,11 @@ def check_image_preservation(f: PointMap, bX: BitopSpace, bY: BitopSpace) -> dic
     failures = [{"subset": indices_of(blk), "image": indices_of(img)}
                 for blk, img in image_gaps(f.assignment, blocks,
                                            combined_digraph(bY).out_rows)]
-    local_src = is_locally_antisym_connected(bX)
-    local_img = is_locally_antisym_connected(subspace(bY, sorted(set(f.assignment))))
-    local_transfer = (all(st.connected for st in local_src)
-                      <= all(st.connected for st in local_img))
     return {
         "continuity_rendering": "specialization-preservation",
         "subsets_checked": len(blocks),
         "failures": failures,
         "image_preserved": not failures,
-        "local_source_all": all(st.connected for st in local_src),
-        "local_image_all": all(st.connected for st in local_img),
-        "local_transferred": bool(local_transfer),
     }
 
 

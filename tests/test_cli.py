@@ -348,6 +348,11 @@ def _sized(kind, n):
         return {"kind": "orlicz", "atoms": [[f"a{t}", "1"] for t in range(n)],
                 "phi": [{"pos_slopes": ["1"]}] * n, "functions": [["0"] * n],
                 "scaling": {"kind": "homogeneous"}}
+    if kind == "phi_breakpoints":  # counted over every phi: n - 1 kinks on one, 1 on another
+        kinked = [{"pos_breakpoints": [str(i + 1) for i in range(k)],
+                   "pos_slopes": [str(i + 1) for i in range(k + 1)]} for k in (n - 1, 1)]
+        return {"kind": "orlicz", "atoms": [["a", "1"], ["b", "1"]], "phi": kinked,
+                "functions": [["0", "0"], ["1", "-1"]], "scaling": {"kind": "homogeneous"}}
     if kind == "map":
         return {"kind": kind, "source_points": labels, "target_points": ["t"],
                 "assignment": [0] * n}
@@ -356,10 +361,12 @@ def _sized(kind, n):
 
 @pytest.mark.parametrize("kind", ["quasi_metric", "digraph", "asym_norm_sample",
                                   "bitopology", "modular_family", "orlicz",
-                                  "orlicz_atoms", "map", "sequence"])
+                                  "orlicz_atoms", "phi_breakpoints", "map", "sequence"])
 def test_over_cap_files_exit_2_promptly(tmp_path, capsys, kind):
-    from qconn.instances import MAX_ORLICZ_ATOMS, MAX_POINTS, MAX_SEQUENCE_LENGTH
+    from qconn.instances import (MAX_ORLICZ_ATOMS, MAX_PHI_BREAKPOINTS, MAX_POINTS,
+                                 MAX_SEQUENCE_LENGTH)
     name, cap = {"orlicz_atoms": ("MAX_ORLICZ_ATOMS", MAX_ORLICZ_ATOMS),
+                 "phi_breakpoints": ("MAX_PHI_BREAKPOINTS", MAX_PHI_BREAKPOINTS),
                  "sequence": ("MAX_SEQUENCE_LENGTH", MAX_SEQUENCE_LENGTH)}.get(
         kind, (f"MAX_POINTS[{kind!r}]", MAX_POINTS.get(kind)))
     path = tmp_path / "big.json"
@@ -371,6 +378,36 @@ def test_over_cap_files_exit_2_promptly(tmp_path, capsys, kind):
         assert code == 2 and out == ""
         message = json.loads(err)["error"]["message"]
         assert message.endswith(f"{cap + 1} entries exceed the limit {name} = {cap}")
-    if kind in ("map", "sequence", "asym_norm_sample", "orlicz", "orlicz_atoms"):
+    if kind in ("map", "sequence", "asym_norm_sample", "orlicz", "orlicz_atoms",
+                "phi_breakpoints"):
         path.write_text(json.dumps(_sized(kind, cap)))  # at the cap: accepted
         assert run(capsys, "validate", str(path))[0] == 0
+
+
+KINKED = {"kind": "orlicz", "atoms": [["w0", "1"], ["w1", "1"]],
+          "phi": [{"pos_breakpoints": ["1"], "pos_slopes": ["1", "3"]}] * 2,
+          "functions": [["0", "0"], ["2", "-1"], ["1", "1"]],
+          "scaling": {"kind": "homogeneous"}}
+
+
+def test_kinked_orlicz_file_is_analyzed_exactly(tmp_path, capsys):
+    from fractions import Fraction
+
+    from qconn.instances import load_instance
+    path, dot = tmp_path / "kinked.json", tmp_path / "kinked.dot"
+    path.write_text(json.dumps(KINKED))
+    code, out, err = run(capsys, "analyze", "--components", "--dot", str(dot), str(path))
+    assert (code, err) == (0, "")
+    # brute force: w(x, y) is identically zero iff rho((y - x)/lambda)
+    # vanishes at every sampled scale, and the combined arcs are that relation
+    spec = load_instance(str(path))[1]
+    zero = {(x, y) for x, fx in enumerate(spec.functions) for y, fy in enumerate(spec.functions)
+            if x != y and all(spec.rho([(b - a) / Fraction(lam, 8) for a, b in zip(fx, fy)]) == 0
+                              for lam in range(1, 65))}
+    arcs = {tuple(int(v[1:]) for v in line.strip().rstrip(";").split(" -> "))
+            for line in dot.read_text().splitlines() if "->" in line}
+    assert arcs == zero == {(2, 0)}
+    assert json.loads(out)["analyses"]["components"]["antisymmetric"] == [[0], [1], [2]]
+    path.write_text(json.dumps(dict(KINKED, scaling={"kind": "power", "p": "2"})))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out, json.loads(err)["error"]["type"]) == (2, "", "NonRepresentable")

@@ -144,8 +144,8 @@ def test_carried_cover_beats_nonmonotone_first_fit():
         [enn(4), enn(4), enn(4), enn(0)],
     ]
     d = validate_qpm(m)
-    assert len(_first_fit_cover(d, Fraction(1), d.ball_rows(Fraction(1)))) == 2
-    assert len(_first_fit_cover(d, Fraction(2), d.ball_rows(Fraction(2)))) == 3
+    assert len(_first_fit_cover(d.ball_rows(Fraction(1)))) == 2
+    assert len(_first_fit_cover(d.ball_rows(Fraction(2)))) == 3
     report = precompact_report(d, [Fraction(1), Fraction(2)])
     sizes = [c["size"] for c in report["covers"]]
     assert sizes == [2, 2]

@@ -17,8 +17,8 @@ from qconn import (
     entourages,
     from_orlicz,
     luxemburg_gauge,
-    luxemburg_symmetrization_gap,
     modular_balls,
+    symmetrize,
     symmetrize_family,
     validate_family,
     validate_qpm,
@@ -28,6 +28,7 @@ from qconn.errors import (
     KindMismatch,
     NonPositiveParameter,
     NonPositiveScale,
+    NonRepresentable,
     QpmValidationError,
 )
 from qconn.modular import (
@@ -512,23 +513,43 @@ def test_step_max_example():
     assert merged(Fraction(10)) == enn(1)
 
 
-def test_kind_mismatch_needs_grid():
+def test_mixed_kinds_merge_exactly():
+    # max(2 on (0, 1), 1/lambda) crosses at lambda = 1/2; no grid involved
     g1 = ScaleGauge.step([1], [2, 0])
     g2 = ScaleGauge.homogeneous(1)
+    merged = merge_max(g1, g2)
+    assert merged.kind == "piecewise"
+    assert merged.breakpoints == (Fraction(1, 2), Fraction(1))
+    assert merged.pieces == ((0, 1), (2, 0), (0, 1))
+    # forms that fit a stored kind keep it
+    assert merge_max(ScaleGauge.constant(0), g2) == g2
+    assert merge_max(ScaleGauge.homogeneous(0), ScaleGauge.homogeneous(0)).kind == "homogeneous"
+    assert merge_max(ScaleGauge.constant(0), ScaleGauge.homogeneous(0)).kind == "step"
     with pytest.raises(KindMismatch):
-        merge_max(g1, g2)
-    sampled = merge_max(g1, g2, grid=GRID)
-    assert sampled.kind == "step"
-    for lam in GRID:
-        assert sampled(lam) == max(g1(lam), g2(lam))
+        merge_max(g1, ScaleGauge.power(1, 2))
+    with pytest.raises(KindMismatch):
+        merge_max(ScaleGauge.power(1, 2), ScaleGauge.power(1, 3))
 
 
-@settings(max_examples=25, derandomize=True)
-@given(st.integers(0, 10**9), st.integers(2, 4))
-def test_symmetrized_luxemburg_dominates_one_sided(seed, n):
-    fam = rng_family(random.Random(seed), n)
-    report = luxemburg_symmetrization_gap(fam)
-    assert report["symmetrized_ge_max"]
+def _max_family(f1, f2) -> QuasiModularFamily:
+    return QuasiModularFamily(points=f1.points, gauges=tuple(
+        tuple(merge_max(a, b) for a, b in zip(r1, r2))
+        for r1, r2 in zip(f1.gauges, f2.gauges)))
+
+
+def test_luxemburg_commutes_with_symmetrization():
+    # {lambda : max(g, h) <= 1} is the intersection of two up-rays, so the
+    # threshold of a symmetrized gauge is the max of the two thresholds
+    rng = random.Random(20240815)
+    families = [rng_family(rng, rng.randint(2, 5)) for _ in range(400)]
+    mixed = []
+    for _ in range(100):
+        n = rng.randint(2, 5)
+        mixed.append(_max_family(rng_step_family(rng, n)[0], rng_homogeneous_family(rng, n)))
+    assert sum(g.kind == "piecewise" for f in mixed for row in f.gauges for g in row) > 100
+    for fam in families + mixed:
+        via_family = luxemburg_gauge(symmetrize_family(fam))
+        assert via_family.dist == symmetrize(luxemburg_gauge(fam)).dist
 
 
 # -- Orlicz construction ----------------------------------------------------
@@ -558,7 +579,7 @@ def test_orlicz_even_phi_symmetric():
             assert fam.gauge(i, j) == fam.gauge(j, i)
 
 
-def test_orlicz_piecewise_needs_grid_and_samples_exactly():
+def test_orlicz_kinked_phi_is_exact():
     kinked = PiecewiseConvex(pos_breaks=(Fraction(1),),
                              pos_slopes=(Fraction(1), Fraction(2)))
     spec = OrliczSpec(
@@ -567,14 +588,128 @@ def test_orlicz_piecewise_needs_grid_and_samples_exactly():
         functions=((Fraction(0),), (Fraction(2),)),
         scaling=("homogeneous",),
     )
-    with pytest.raises(EmptyGrid):
-        from_orlicz(spec)
-    fam = from_orlicz(spec, lambda_grid=[Fraction(1), Fraction(2), Fraction(4)])
-    # exact at grid points: phi(2/1)=1+2=3, phi(2/2)=1, phi(2/4)=1/2
-    g = fam.gauge(0, 1)
+    g = from_orlicz(spec).gauge(0, 1)
+    # phi(t) = 2t - 1 past t = 1, so -1 + 4/lambda on (0, 2) and 2/lambda after
+    assert (g.kind, g.breakpoints, g.pieces) == ("piecewise", (2,), ((-1, 4), (0, 2)))
     assert g(Fraction(1)) == enn(3)
     assert g(Fraction(2)) == enn(1)
     assert g(Fraction(4)) == enn("1/2")
+    assert luxemburg_gauge(from_orlicz(spec)).d(0, 1) == enn(2)
+    # the reverse difference never reaches the kink: still homogeneous 0
+    assert from_orlicz(spec).gauge(1, 0) == ScaleGauge.homogeneous(0)
+    with pytest.raises(NonRepresentable):
+        from_orlicz(OrliczSpec(atoms=spec.atoms, phi=spec.phi, functions=spec.functions,
+                               scaling=("power", Fraction(2))))
+
+
+KINKS = [(Fraction(1),), (Fraction(1, 2), Fraction(2))]
+ACCEPTANCE_GRID = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3), Fraction(5)]
+QUARTERS = [Fraction(k, 4) for k in range(1, 21)]
+
+
+def _kinked_phi(rng, breaks) -> PiecewiseConvex:
+    """A convex phi kinked at breaks on the positive side and, half the
+    time, at their mirror images on the negative side."""
+    count = len(breaks) + 1
+    pos = sorted(Fraction(rng.randint(0, 8), rng.choice([1, 2])) for _ in range(count))
+    if rng.random() < 0.5:
+        return PiecewiseConvex(pos_breaks=breaks, pos_slopes=tuple(pos))
+    neg = sorted((Fraction(-rng.randint(0, 8), rng.choice([1, 3])) for _ in range(count)),
+                 reverse=True)
+    return PiecewiseConvex(pos_breaks=breaks, pos_slopes=tuple(pos),
+                           neg_breaks=tuple(-b for b in breaks), neg_slopes=tuple(neg))
+
+
+def _kinked_spec(rng, count=3, atoms=2) -> OrliczSpec:
+    return OrliczSpec(
+        atoms=tuple((f"a{t}", Fraction(rng.randint(1, 4), rng.choice([1, 3])))
+                    for t in range(atoms)),
+        phi=tuple(_kinked_phi(rng, rng.choice(KINKS)) for _ in range(atoms)),
+        functions=tuple(tuple(Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+                              for _ in range(atoms)) for _ in range(count)),
+        scaling=("homogeneous",))
+
+
+def _rationals(rng, count):
+    return [Fraction(rng.randint(1, 400), rng.choice([1, 3, 7, 16, 60])) for _ in range(count)]
+
+
+def test_kinked_orlicz_gauges_equal_rho():
+    rng = random.Random(20240816)
+    pieces = 0
+    for _ in range(60):
+        spec = _kinked_spec(rng)
+        fam = from_orlicz(spec)
+        for i, fi in enumerate(spec.functions):
+            for j, fj in enumerate(spec.functions):
+                g = fam.gauge(i, j)
+                delta = [b - a for a, b in zip(fi, fj)]
+                pieces += len(g.breakpoints) + 1
+                for lam in _rationals(rng, 8) + list(g.breakpoints):
+                    assert g(lam) == enn(spec.rho([d / lam for d in delta])), (spec, i, j, lam)
+                # the Luxemburg threshold: rho <= 1 there, > 1 just below it
+                t = luxemburg_gauge(fam).d(i, j)
+                assert spec.rho(delta if t == 0 else [d / t.frac for d in delta]) <= 1
+                if t != 0:
+                    assert spec.rho([d / (t.frac * Fraction(999, 1000)) for d in delta]) > 1
+    assert pieces > 600
+
+
+def test_kinked_orlicz_families_validate():
+    # rho is convex with rho(0) = 0, so QM2 holds for every such family
+    # (Musielak, Orlicz Spaces and Modular Spaces, LNM 1034)
+    rng = random.Random(20240817)
+    kinds = set()
+    for _ in range(200):
+        fam = from_orlicz(_kinked_spec(rng))
+        kinds |= {g.kind for row in fam.gauges for g in row}
+        for grid in (ACCEPTANCE_GRID, QUARTERS):
+            report = validate_family(fam, grid)
+            assert report.ok, report
+    assert kinds == {"homogeneous", "piecewise"}
+
+
+def _merge_operand(rng, kind):
+    if kind == "homogeneous":
+        return ScaleGauge.homogeneous(rng.choice(LEVELS))
+    if kind == "step":
+        return _random_gauge(rng, "step", False)
+    spec = _kinked_spec(rng, count=2, atoms=rng.randint(1, 2))
+    g = from_orlicz(spec).gauge(0, 1)
+    return g if rng.random() < 0.5 else merge_max(g, _merge_operand(rng, "step"))
+
+
+def test_merge_max_is_the_pointwise_max():
+    rng = random.Random(20240818)
+    kinds = ["step", "homogeneous", "piecewise"]
+    checked = crossings = rising = 0
+    for a_kind in kinds:
+        for b_kind in kinds:
+            for _ in range(40):
+                a, b = _merge_operand(rng, a_kind), _merge_operand(rng, b_kind)
+                m = merge_max(a, b)
+                cross = [(pb - qb) / (qa - pa)
+                         for pa, pb in a.pieces for qa, qb in b.pieces
+                         if None not in (pa, qa) and pa != qa and (pb - qb) / (qa - pa) > 0]
+                crossings += len(cross)
+                scales = _rationals(rng, 4) + cross
+                scales += [x for g in (a, b, m) for bp in g.breakpoints
+                           for x in (bp, bp * Fraction(999, 1000))]
+                for lam in scales:
+                    assert m(lam) == max(a(lam), b(lam)), (a, b, lam)
+                checked += len(scales)
+                assert all(p != q for p, q in zip(m.pieces, m.pieces[1:]))
+                if a.kind == b.kind != "piecewise":
+                    assert m.kind == a.kind
+                mv = m.monotone_violation()
+                if mv is None:
+                    values = [m(lam) for lam in sorted(set(scales))]
+                    assert all(u >= v for u, v in zip(values, values[1:]))
+                else:
+                    lam1, lam2, v1, v2 = mv
+                    assert lam1 < lam2 and m(lam1) == v1 < v2 == m(lam2)
+                    rising += 1
+    assert checked >= 1000 and crossings >= 100 and rising >= 20
 
 
 def test_orlicz_power_scaling():

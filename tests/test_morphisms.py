@@ -133,7 +133,6 @@ def test_identity_preserves(indiscrete_split_space):
     f = identity_map(b.points)
     report = check_image_preservation(f, b, b)
     assert report["image_preserved"]
-    assert report["local_transferred"]
 
 
 def test_quotient_of_split_space(indiscrete_split_space):
@@ -186,7 +185,6 @@ def test_random_preserving_maps_keep_images_connected(seed, n):
             report = check_image_preservation(f, src, tgt)
             assert report["subsets_checked"] == len(antisym_components(src))
             assert report["image_preserved"]
-            assert report["local_transferred"]
             break
 
 
