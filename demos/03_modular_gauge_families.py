@@ -23,6 +23,13 @@ from qconn import (
 )
 from qconn.modular import ABSOLUTE_VALUE, POSITIVE_PART, PiecewiseConvex, QuasiModularFamily
 
+
+def coeff(g):
+    """c of a homogeneous gauge c/lambda, read off its one piece (0, c)."""
+    alpha, beta = g.pieces[0]
+    return "inf" if alpha is None else str(beta)
+
+
 print("== a two-atom modular with positive-part integrand ==")
 spec = OrliczSpec(
     atoms=(("w0", Fraction(1)), ("w1", Fraction(1))),
@@ -35,7 +42,7 @@ spec = OrliczSpec(
 fam = from_orlicz(spec)
 print("gauge kinds are homogeneous c/lambda; coefficient matrix:")
 for i in range(3):
-    print("  ", [str(fam.gauge(i, j).coeff) for j in range(3)])
+    print("  ", [coeff(fam.gauge(i, j)) for j in range(3)])
 
 grid = [Fraction(1, 2), Fraction(1), Fraction(2)]
 print("axioms on the validation grid:", validate_family(fam, grid).ok)
@@ -57,7 +64,7 @@ print("\n== symmetrization ==")
 sym = symmetrize_family(fam)
 print("symmetrized coefficients:")
 for i in range(3):
-    print("  ", [str(sym.gauge(i, j).coeff) for j in range(3)])
+    print("  ", [coeff(sym.gauge(i, j)) for j in range(3)])
 
 print("\n== a kinked integrand: slopes 1 and 3, break at 1, atom weight 1/2 ==")
 kinked = from_orlicz(OrliczSpec(
@@ -83,7 +90,7 @@ even = from_orlicz(OrliczSpec(
     functions=((Fraction(0), Fraction(0)), (Fraction(2), Fraction(-1))),
     scaling=("homogeneous",),
 ))
-print("w(f,g) coeff:", even.gauge(0, 1).coeff, " w(g,f) coeff:", even.gauge(1, 0).coeff)
+print("w(f,g) coeff:", coeff(even.gauge(0, 1)), " w(g,f) coeff:", coeff(even.gauge(1, 0)))
 
 print("\n== step gauges and the induced bitopology ==")
 fam2 = QuasiModularFamily(

@@ -391,14 +391,15 @@ def dump_instance(value) -> dict:
 
 
 def _dump_gauge(g: ScaleGauge) -> dict:
+    """A step gauge's values are its alphas; a homogeneous or power
+    gauge's coeff is its one beta."""
+    levels = ["inf" if a is None else str(a if g.kind == STEP else b) for a, b in g.pieces]
     if g.kind == STEP:
-        return {"kind": STEP,
-                "breakpoints": [str(b) for b in g.breakpoints],
-                "values": [str(v) for v in g.values]}
+        return {"kind": STEP, "breakpoints": [str(b) for b in g.breakpoints], "values": levels}
     if g.kind == HOMOGENEOUS:
-        return {"kind": HOMOGENEOUS, "coeff": str(g.coeff)}
+        return {"kind": HOMOGENEOUS, "coeff": levels[0]}
     if g.kind == POWER:
-        return {"kind": POWER, "coeff": str(g.coeff), "exponent": str(g.exponent)}
+        return {"kind": POWER, "coeff": levels[0], "exponent": str(g.exponent)}
     raise TypeError(f"a {g.kind} gauge has no file form")
 
 

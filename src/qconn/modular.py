@@ -7,16 +7,16 @@ nonincreasing and right-continuous in the scale lambda.  The axioms:
   QM2  w_{lambda+mu}(x, z) <= w_lambda(x, y) + w_mu(y, z)
   QM3  lambda -> w_lambda(x, y) nonincreasing and right-continuous
 
-Every p = 1 gauge is held exactly in one form, alpha_t + beta_t/lambda on
+Every gauge is stored exactly as one form, alpha_t + beta_t/lambda^p on
 lambda-pieces: step functions (beta = 0), homogeneous c/lambda (one
-piece, alpha = 0), and the piecewise gauges of pointwise maxima and of
-Orlicz modulars with a kinked phi.  Power c/lambda^p is a separate kind.
-Validation of QM2 is a real decision procedure for step-only and
-homogeneous-only triples and an exact check on a grid otherwise.  The
-decision runs on integers: one common denominator scales every step
-breakpoint and another every finite step value and homogeneous
-coefficient.  Fractions are used only for the witness of a violation and
-for the grid check of the other triples.
+piece, alpha = 0) and the piecewise gauges of pointwise maxima and of
+Orlicz modulars with a kinked phi, all with p = 1, and power c/lambda^p,
+the homogeneous form read in lambda^p.  Validation of QM2 is a real
+decision procedure for step-only and homogeneous-only triples and an
+exact check on a grid otherwise.  The decision runs on integers: one
+common denominator scales every step breakpoint and another every finite
+step value and homogeneous coefficient.  Fractions are used only for the
+witness of a violation and for the grid check of the other triples.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     NonRepresentable,
 )
 from .gauges import QuasiPseudoMetric, validate_qpm
-from .numbers import INF, ZERO, ExtNonNeg, enn_max, exact_root
+from .numbers import INF, ExtNonNeg, exact_root
 
 STEP = "step"
 HOMOGENEOUS = "homogeneous"
@@ -44,50 +44,59 @@ POWER = "power"
 _NIL = Fraction(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScaleGauge:
-    """One gauge lambda -> value, tagged by kind.
+    """One gauge lambda -> value, stored as its form.
 
-    Every p = 1 gauge is one form: breakpoints cut the scales into piece
-    0 = (0, b_1) and pieces t = [b_t, b_{t+1}), right-continuous, with
-    value alpha_t + beta_t/lambda on piece t; beta_t >= 0 is rational and
-    alpha_t a signed rational (Orlicz intercepts are <= 0) or None for
-    +inf.  The pieces property gives the form, from values[t] =
-    alpha_t (step, beta = 0), coeff = beta (homogeneous, one piece) or
-    terms (piecewise).  power: coeff / lambda^p, whose pieces are read in
-    lambda^p.  Structural invariants are checked here; QM3 monotonicity
-    is a family-level validation concern, not a construction error.
+    Breakpoints cut the scales into piece 0 = (0, b_1) and pieces t =
+    [b_t, b_{t+1}), right-continuous; pieces[t] = (alpha_t, beta_t) gives
+    the value alpha_t + beta_t/lambda^p on piece t, with p the exponent.
+    beta_t >= 0 is rational and alpha_t a signed rational (Orlicz
+    intercepts are <= 0) or None for +inf.  The kind names the file form
+    and the QM2 rule: step (every beta = 0), homogeneous c/lambda and
+    power c/lambda^p (one piece, alpha in {0, None}), piecewise for the
+    rest; only a power gauge has p != 1.  Structural invariants are
+    checked here; QM3 monotonicity is a family-level validation concern,
+    not a construction error.
     """
 
     kind: str
+    pieces: tuple[tuple[Fraction | None, Fraction], ...]
     breakpoints: tuple[Fraction, ...] = ()
-    values: tuple[ExtNonNeg, ...] = ()
-    coeff: ExtNonNeg = ZERO
     exponent: Fraction = Fraction(1)
-    terms: tuple[tuple[Fraction | None, Fraction], ...] = ()
 
     def __post_init__(self):
-        if self.kind in (STEP, PIECEWISE):
-            if len(self.values or self.terms) != len(self.breakpoints) + 1:
-                raise ValueError(f"{self.kind} gauge needs one piece per breakpoint, plus one")
-            for a, b in zip(self.breakpoints, self.breakpoints[1:]):
-                if not a < b:
-                    raise ValueError("breakpoints must be strictly increasing")
-            if self.breakpoints and self.breakpoints[0] <= 0:
-                raise ValueError("breakpoints must be positive")
-        elif self.kind in (HOMOGENEOUS, POWER):
-            if self.kind == POWER and self.exponent < 1:
-                raise ValueError("power exponent must be >= 1")
-        else:
-            raise ValueError(f"unknown gauge kind {self.kind!r}")
+        kind, pieces, bps = self.kind, self.pieces, self.breakpoints
+        if kind not in (STEP, HOMOGENEOUS, PIECEWISE, POWER):
+            raise ValueError(f"unknown gauge kind {kind!r}")
+        if len(pieces) != len(bps) + 1:
+            raise ValueError(f"{kind} gauge needs one piece per breakpoint, plus one")
+        for a, b in zip(bps, bps[1:]):
+            if not a < b:
+                raise ValueError("breakpoints must be strictly increasing")
+        if bps and bps[0] <= 0:
+            raise ValueError("breakpoints must be positive")
+        for alpha, beta in pieces:
+            if beta < 0 or (beta and (alpha is None or kind == STEP)):
+                raise ValueError(f"{kind} gauge piece {(alpha, beta)} needs beta >= 0, "
+                                 "and beta = 0 on an infinite or step piece")
+            if kind == STEP and alpha is not None and alpha < 0:
+                raise ValueError(f"step gauge value {alpha} is negative")
+        if kind in (HOMOGENEOUS, POWER) and (bps or pieces[0][0] not in (0, None)):
+            raise ValueError(f"{kind} gauge is one piece c/lambda or +inf")
+        if kind == POWER and self.exponent < 1:
+            raise ValueError("power exponent must be >= 1")
+        if kind != POWER and self.exponent != 1:
+            raise ValueError(f"{kind} gauge has exponent 1")
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def step(breakpoints, values) -> "ScaleGauge":
+        levels = [ExtNonNeg(v) for v in values]
         return ScaleGauge(kind=STEP,
-                          breakpoints=tuple(Fraction(b) for b in breakpoints),
-                          values=tuple(ExtNonNeg(v) for v in values))
+                          pieces=tuple((None if v.is_inf else v.frac, _NIL) for v in levels),
+                          breakpoints=tuple(Fraction(b) for b in breakpoints))
 
     @staticmethod
     def constant(value) -> "ScaleGauge":
@@ -95,23 +104,12 @@ class ScaleGauge:
 
     @staticmethod
     def homogeneous(coeff) -> "ScaleGauge":
-        return ScaleGauge(kind=HOMOGENEOUS, coeff=ExtNonNeg(coeff))
+        return ScaleGauge(kind=HOMOGENEOUS, pieces=(_coeff_piece(coeff),))
 
     @staticmethod
     def power(coeff, exponent) -> "ScaleGauge":
-        return ScaleGauge(kind=POWER, coeff=ExtNonNeg(coeff),
+        return ScaleGauge(kind=POWER, pieces=(_coeff_piece(coeff),),
                           exponent=Fraction(exponent))
-
-    # -- the p = 1 form -------------------------------------------------
-
-    @property
-    def pieces(self) -> tuple[tuple[Fraction | None, Fraction], ...]:
-        """(alpha_t, beta_t) per piece (in lambda^p for a power gauge)."""
-        if self.kind == STEP:
-            return tuple((None if v.is_inf else v.frac, 0) for v in self.values)
-        if self.kind == PIECEWISE:
-            return self.terms
-        return ((None, 0),) if self.coeff.is_inf else ((_NIL, self.coeff.frac),)
 
     # -- evaluation -----------------------------------------------------
 
@@ -119,22 +117,18 @@ class ScaleGauge:
         lam = Fraction(lam)
         if lam <= 0:
             raise NonPositiveScale(f"scale must be positive, got {lam}")
-        if self.kind == STEP:
-            return self.values[bisect_right(self.breakpoints, lam)]
-        if self.kind == HOMOGENEOUS:
-            return self.coeff.divided_by(lam)
-        if self.kind == PIECEWISE:
-            return _value(self.terms[bisect_right(self.breakpoints, lam)], lam)
-        # power
-        if self.coeff == ZERO:
-            return ZERO
-        if self.exponent.denominator == 1:
-            return self.coeff.divided_by(lam ** int(self.exponent))
-        scaled = exact_root(lam ** self.exponent.numerator, self.exponent.denominator)
-        if scaled is None:
-            raise NonRepresentable(self.exponent,
-                                   f"lambda={lam} has no exact power")
-        return self.coeff.divided_by(scaled)
+        return _enn(self._level(lam))
+
+    def _level(self, lam: Fraction) -> tuple[bool, Fraction]:
+        """_at's (is +inf, value) pair at a positive Fraction lam."""
+        piece = self.pieces[bisect_right(self.breakpoints, lam)]
+        if piece[1] and self.exponent != 1:
+            p = self.exponent
+            root = exact_root(lam ** p.numerator, p.denominator)
+            if root is None:
+                raise NonRepresentable(p, f"lambda={lam} has no exact power")
+            lam = root
+        return _at(piece, lam)
 
     def is_identically_zero(self) -> bool:
         return all(a == 0 and not b for a, b in self.pieces)
@@ -152,8 +146,14 @@ class ScaleGauge:
                 alpha, beta = terms[t]
                 thr = beta / (right[1] - alpha) if beta and not right[0] else _NIL
                 lam1 = lo if lo > thr else (thr + b) / 2
-                return (lam1, b, _value(terms[t], lam1), _value(terms[t + 1], b))
+                return (lam1, b, _enn(_at(terms[t], lam1)), _enn(right))
         return None
+
+
+def _coeff_piece(coeff) -> tuple[Fraction | None, Fraction]:
+    """The one piece of c/lambda: (0, c), or (None, 0) for c = +inf."""
+    c = ExtNonNeg(coeff)
+    return (None, _NIL) if c.is_inf else (_NIL, c.frac)
 
 
 def _z(q: Fraction, den: int) -> int:
@@ -170,9 +170,9 @@ def _at(piece, lam: Fraction) -> tuple[bool, Fraction]:
     return False, alpha + beta / lam if alpha else beta / lam
 
 
-def _value(piece, lam: Fraction) -> ExtNonNeg:
-    inf, v = _at(piece, lam)
-    return INF if inf else ExtNonNeg(v)
+def _enn(level) -> ExtNonNeg:
+    """The ExtNonNeg of an (is +inf, value) pair."""
+    return INF if level[0] else ExtNonNeg(level[1])
 
 
 def _from_pieces(cuts, kind=None) -> ScaleGauge:
@@ -181,14 +181,12 @@ def _from_pieces(cuts, kind=None) -> ScaleGauge:
     homogeneous one when it is one piece beta/lambda, or when kind asks
     for homogeneous and the piece is 0 or inf; else piecewise."""
     keep = [t for t, (_, piece) in enumerate(cuts) if not t or piece != cuts[t - 1][1]]
-    bps, terms = [cuts[t][0] for t in keep[1:]], [cuts[t][1] for t in keep]
+    bps, terms = tuple(cuts[t][0] for t in keep[1:]), tuple(cuts[t][1] for t in keep)
     (alpha, beta), *rest = terms
     if not rest and (alpha is None or alpha == 0) and (beta or kind == HOMOGENEOUS):
-        return ScaleGauge.homogeneous(INF if alpha is None else beta)
-    if not any(b for _, b in terms):
-        return ScaleGauge(kind=STEP, breakpoints=tuple(bps),
-                          values=tuple(INF if a is None else ExtNonNeg(a) for a, _ in terms))
-    return ScaleGauge(kind=PIECEWISE, breakpoints=tuple(bps), terms=tuple(terms))
+        return ScaleGauge(kind=HOMOGENEOUS, pieces=terms)
+    return ScaleGauge(kind=PIECEWISE if any(b for _, b in terms) else STEP,
+                      pieces=terms, breakpoints=bps)
 
 
 @dataclass(frozen=True)
@@ -322,8 +320,8 @@ def _scaled_gauges(f: QuasiModularFamily):
     """(rows, inf): the step and homogeneous gauges of f as integers.
 
     sden is the least common denominator of every step breakpoint and
-    vden that of every finite step value and homogeneous coefficient.
-    rows[i][j] is, for a step gauge, (corners, breakpoints * sden,
+    vden that of every finite step value alpha and homogeneous coefficient
+    beta.  rows[i][j] is, for a step gauge, (corners, breakpoints * sden,
     values * vden), where corners pairs each piece's left endpoint (0
     standing for 0+) with its value; for a homogeneous gauge, coeff *
     vden; for a piecewise or power gauge, None.  Infinity becomes the int
@@ -333,27 +331,21 @@ def _scaled_gauges(f: QuasiModularFamily):
     """
     flat = [g for row in f.gauges for g in row]
     steps = [g for g in flat if g.kind == STEP]
-    levels = [v for g in steps for v in g.values]
-    levels += [g.coeff for g in flat if g.kind == HOMOGENEOUS]
-    finite = {v.frac for v in levels if not v.is_inf}
+    finite = {a for g in steps for a, _ in g.pieces if a is not None}
+    finite.update(g.pieces[0][1] for g in flat if g.kind == HOMOGENEOUS)
     sden = lcm(*{b.denominator for g in steps for b in g.breakpoints})
     vden = lcm(*{v.denominator for v in finite})
-    top = max(finite, default=Fraction(0))
-    inf = 2 * top.numerator * (vden // top.denominator) + 1
-
-    def value(v):
-        if v.is_inf:
-            return inf
-        v = v.frac
-        return v.numerator * (vden // v.denominator)
+    top = max(finite, default=_NIL)
+    inf = 2 * _z(top, vden) + 1
 
     def scaled(g):
         if g.kind == HOMOGENEOUS:
-            return value(g.coeff)
+            alpha, beta = g.pieces[0]
+            return inf if alpha is None else _z(beta, vden)
         if g.kind != STEP:
             return None
-        bps = [b.numerator * (sden // b.denominator) for b in g.breakpoints]
-        vals = [value(v) for v in g.values]
+        bps = [_z(b, sden) for b in g.breakpoints]
+        vals = [inf if a is None else _z(a, vden) for a, _ in g.pieces]
         return list(zip([0, *bps], vals)), bps, vals
 
     return [[scaled(g) for g in row] for row in f.gauges], inf
@@ -419,12 +411,11 @@ def _homogeneous_violation(f: QuasiModularFamily, i, j, k):
     """The witness of a homogeneous triple that fails c <= (sqrt(a) +
     sqrt(b))^2, where a and b are finite: an infinite c fails at
     lambda = mu = 1."""
-    a, b, c = f.gauges[i][j].coeff, f.gauges[j][k].coeff, f.gauges[i][k].coeff
-    if c.is_inf:
+    (_, a), (_, b), (gamma, c) = (f.gauges[x][y].pieces[0] for x, y in ((i, j), (j, k), (i, k)))
+    if gamma is None:
         one = Fraction(1)
-        return QM2Violation(i, j, k, one, one, INF,
-                            a.divided_by(one) + b.divided_by(one))
-    return _homogeneous_witness(a.frac, b.frac, c.frac, i, j, k)
+        return QM2Violation(i, j, k, one, one, INF, ExtNonNeg(a + b))
+    return _homogeneous_witness(Fraction(a), Fraction(b), Fraction(c), i, j, k)
 
 
 def _homogeneous_witness(af, bf, cf, i, j, k):
@@ -466,7 +457,9 @@ def _homogeneous_witness(af, bf, cf, i, j, k):
 def _qm2_grid(ga, gb, gc, i, j, k, grid):
     """The violations at every (lambda, mu) drawn from the grid, the three
     gauges' breakpoints and half the least of these; exact evaluation, so
-    every one is real."""
+    every one is real.  A lambda or mu where ga or gb is +inf satisfies
+    QM2; the levels are compared as Fractions and only a violation's two
+    sides become ExtNonNeg."""
     pts = set(grid)
     for g in (ga, gb, gc):
         pts.update(g.breakpoints)
@@ -475,14 +468,15 @@ def _qm2_grid(ga, gb, gc, i, j, k, grid):
     out = []
     if gc.is_identically_zero():  # then every lhs is 0
         return out
-    vb = [gb(mu) for mu in pts]
+    vb = [(mu, v) for mu in pts for inf, v in [gb._level(mu)] if not inf]
     for lam in pts:
-        va = ga(lam)
-        for mu, b in zip(pts, vb):
-            lhs = gc(lam + mu)
-            rhs = va + b
-            if not lhs <= rhs:
-                out.append(QM2Violation(i, j, k, lam, mu, lhs, rhs))
+        inf, va = ga._level(lam)
+        if inf:
+            continue
+        for mu, b in vb:
+            lhs = gc._level(lam + mu)
+            if lhs[0] or lhs[1] > va + b:
+                out.append(QM2Violation(i, j, k, lam, mu, _enn(lhs), ExtNonNeg(va + b)))
     return out
 
 
@@ -502,24 +496,24 @@ def luxemburg_gauge(f: QuasiModularFamily) -> QuasiPseudoMetric:
 
 def _luxemburg_one(g: ScaleGauge) -> ExtNonNeg:
     """inf{lambda : g(lambda) <= 1}: on the first piece that reaches 1,
-    the larger of its left end and beta/(1 - alpha)."""
-    if g.kind != POWER:
-        bps = g.breakpoints
-        for t, (alpha, beta) in enumerate(g.pieces):
-            if alpha is None or alpha > 1 or (alpha == 1 and beta):
-                continue
-            lam = max(bps[t - 1] if t else _NIL, beta / (1 - alpha) if alpha and beta else beta)
-            if t == len(bps) or lam < bps[t]:
-                return ExtNonNeg(lam)
+    the larger of its left end and beta/(1 - alpha), a threshold on
+    lambda^p; its exact p-th root when p != 1."""
+    bps = g.breakpoints
+    for t, (alpha, beta) in enumerate(g.pieces):
+        if alpha is None or alpha > 1 or (alpha == 1 and beta):
+            continue
+        lam = max(bps[t - 1] if t else _NIL, beta / (1 - alpha) if alpha and beta else beta)
+        if t == len(bps) or lam < bps[t]:
+            break
+    else:
         return INF
-    if g.coeff.is_inf:
-        return INF
-    root = exact_root(g.coeff.frac ** g.exponent.denominator,
-                      g.exponent.numerator)
-    if root is None:
-        raise NonRepresentable(g.exponent,
-                               f"coefficient {g.coeff} has no exact root")
-    return ExtNonNeg(root)
+    p = g.exponent
+    if p != 1:
+        root = exact_root(lam ** p.denominator, p.numerator)
+        if root is None:
+            raise NonRepresentable(p, f"coefficient {lam} has no exact root")
+        lam = root
+    return ExtNonNeg(lam)
 
 
 def conjugate_family(f: QuasiModularFamily) -> QuasiModularFamily:
@@ -544,14 +538,11 @@ def merge_max(g1: ScaleGauge, g2: ScaleGauge) -> ScaleGauge:
     of their breakpoints, each piece split where the two forms cross, at
     the rational lambda = (beta_1 - beta_2)/(alpha_2 - alpha_1); equal
     neighbours are then merged; two step or two homogeneous gauges keep
-    their kind.  Power gauges merge only with power gauges of their
-    exponent (KindMismatch otherwise).
+    their kind.  Power gauges merge the same way, in lambda^p, and only
+    with power gauges of their exponent (KindMismatch otherwise).
     """
-    if POWER in (g1.kind, g2.kind):
-        if g1.kind != g2.kind or g1.exponent != g2.exponent:
-            raise KindMismatch(f"cannot merge {g1.kind} with {g2.kind} exactly")
-        return ScaleGauge(kind=POWER, coeff=enn_max(g1.coeff, g2.coeff),
-                          exponent=g1.exponent)
+    if (g1.kind == POWER) != (g2.kind == POWER) or g1.exponent != g2.exponent:
+        raise KindMismatch(f"cannot merge {g1.kind} with {g2.kind} exactly")
     b1, b2, p1, p2 = g1.breakpoints, g2.breakpoints, g1.pieces, g2.pieces
     ends = sorted({*b1, *b2})
     cuts = []
@@ -563,7 +554,8 @@ def merge_max(g1: ScaleGauge, g2: ScaleGauge) -> ScaleGauge:
                 cuts.append((lo, _larger(x, y, lo, cross)))
                 lo = cross
         cuts.append((lo, _larger(x, y, lo, hi)))
-    return _from_pieces(cuts, g1.kind if g1.kind == g2.kind else None)
+    g = _from_pieces(cuts, g1.kind if g1.kind == g2.kind else None)
+    return g if g1.kind != POWER else ScaleGauge(POWER, g.pieces, exponent=g1.exponent)
 
 
 def _larger(x, y, lo: Fraction, hi: Fraction | None):
@@ -580,9 +572,9 @@ def modular_balls(f: QuasiModularFamily, x: int, lam: Fraction, eps: Fraction):
     lam, eps = Fraction(lam), Fraction(eps)
     if lam <= 0 or eps <= 0:
         raise NonPositiveParameter("lambda and epsilon must be positive")
-    bound = ExtNonNeg(eps)
-    fwd = frozenset(y for y in range(f.n) if f.w(lam, x, y) < bound)
-    bwd = frozenset(y for y in range(f.n) if f.w(lam, y, x) < bound)
+    bound = (False, eps)
+    fwd = frozenset(y for y in range(f.n) if f.gauges[x][y]._level(lam) < bound)
+    bwd = frozenset(y for y in range(f.n) if f.gauges[y][x]._level(lam) < bound)
     return fwd, bwd
 
 
@@ -598,10 +590,10 @@ def entourages(f: QuasiModularFamily, r: Fraction, lam: Fraction):
     lam, r = Fraction(lam), Fraction(r)
     if lam <= 0 or r <= 0:
         raise NonPositiveParameter("lambda and r must be positive")
-    bound = ExtNonNeg(r)
+    bound = (False, r)
     pairs = _pair_table(f.n)
-    fwd = frozenset(pairs[x][y] for x in range(f.n) for y in range(f.n)
-                    if f.w(lam, x, y) < bound)
+    fwd = frozenset(pairs[x][y] for x, row in enumerate(f.gauges)
+                    for y, g in enumerate(row) if g._level(lam) < bound)
     bwd = frozenset(pairs[y][x] for (x, y) in fwd)
     return fwd, bwd
 
@@ -743,7 +735,7 @@ def from_orlicz(spec: OrliczSpec) -> QuasiModularFamily:
                 if g.kind != HOMOGENEOUS:
                     raise NonRepresentable(spec.scaling[1], "phi has a breakpoint "
                                            "that a difference of functions reaches")
-                g = ScaleGauge.power(g.coeff, spec.scaling[1])
+                g = ScaleGauge(POWER, g.pieces, exponent=Fraction(spec.scaling[1]))
             row.append(g)
         gauges.append(tuple(row))
     return QuasiModularFamily(points=tuple(f"f{i}" for i in range(len(spec.functions))),

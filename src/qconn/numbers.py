@@ -93,24 +93,6 @@ class ExtNonNeg:
 
     __radd__ = __add__
 
-    def scaled(self, factor: Fraction) -> "ExtNonNeg":
-        """Multiply by a positive rational factor (inf stays inf)."""
-        factor = Fraction(factor)
-        if factor <= 0:
-            raise ValueError("scaling factor must be positive")
-        if self._v is None:
-            return INF
-        return ExtNonNeg(self._v * factor)
-
-    def divided_by(self, divisor: Fraction) -> "ExtNonNeg":
-        """Divide by a positive rational divisor (inf stays inf)."""
-        divisor = Fraction(divisor)
-        if divisor <= 0:
-            raise ValueError("divisor must be positive")
-        if self._v is None:
-            return INF
-        return ExtNonNeg(self._v / divisor)
-
     # -- comparisons ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -160,14 +142,6 @@ def enn(x) -> ExtNonNeg:
 
 ZERO = ExtNonNeg(0)
 INF = ExtNonNeg(None)
-
-
-def enn_min(a: ExtNonNeg, b: ExtNonNeg) -> ExtNonNeg:
-    return a if a <= b else b
-
-
-def enn_max(a: ExtNonNeg, b: ExtNonNeg) -> ExtNonNeg:
-    return a if a >= b else b
 
 
 def exact_root(value: Fraction, degree: int) -> Fraction | None:

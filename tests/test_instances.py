@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import reference_json, rng_bitop, rng_family, rng_qpm, rng_vectors
-from qconn import EventuallyPeriodicSeq, OrliczSpec, PointMap, WeightedDigraph, validate_qpm
+from qconn import (
+    EventuallyPeriodicSeq,
+    OrliczSpec,
+    PointMap,
+    QuasiModularFamily,
+    ScaleGauge,
+    WeightedDigraph,
+    validate_qpm,
+)
 from qconn.errors import ParseError, SchemaError
 from qconn.instances import (
     canonical_json,
@@ -52,6 +60,20 @@ def test_modular_family_roundtrip():
     fam = rng_family(random.Random(2), 4)
     kind, parsed = roundtrip(fam)
     assert kind == "modular_family" and parsed.gauges == fam.gauges
+    # inf step values, homogeneous coefficients 0 and inf, power gauges
+    edge = QuasiModularFamily(points=("a", "b"), gauges=(
+        (ScaleGauge.step(["1/2", 3], ["inf", "5/2", 0]), ScaleGauge.homogeneous("inf")),
+        (ScaleGauge.homogeneous(0), ScaleGauge.power("9/4", "3/2")),
+    ))
+    doc = dump_instance(edge)
+    assert doc["gauges"] == [
+        [{"kind": "step", "breakpoints": ["1/2", "3"], "values": ["inf", "5/2", "0"]},
+         {"kind": "homogeneous", "coeff": "inf"}],
+        [{"kind": "homogeneous", "coeff": "0"},
+         {"kind": "power", "coeff": "9/4", "exponent": "3/2"}]]
+    kind, parsed = roundtrip(edge)
+    assert kind == "modular_family" and parsed.gauges == edge.gauges
+    assert canonical_json(dump_instance(parsed)) == canonical_json(doc)
 
 
 def test_orlicz_roundtrip():

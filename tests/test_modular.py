@@ -83,6 +83,37 @@ def test_power_gauge_integer_exponent():
     assert g(Fraction(1, 2)) == enn(64)
 
 
+CONTRADICTIONS = [
+    ("homogeneous", ((0, 2),), (Fraction(1),), 1),               # a piece short
+    ("step", ((1, 0), (0, 0)), (), 1),                          # a piece too many
+    ("homogeneous", ((0, 2), (0, 1)), (Fraction(1),), 1),       # a breakpoint
+    ("power", ((0, 2), (0, 1)), (Fraction(1),), 2),
+    ("homogeneous", ((1, 2),), (), 1),                          # alpha not in {0, inf}
+    ("power", ((Fraction(-1), 2),), (), 2),
+    ("step", ((2, 1), (0, 0)), (Fraction(1),), 1),              # a step with beta
+    ("step", ((Fraction(-1), 0),), (), 1),                      # a negative step value
+    ("piecewise", ((None, 1), (0, 1)), (Fraction(1),), 1),      # beta on an inf piece
+    ("homogeneous", ((None, 3),), (), 1),
+    ("piecewise", ((1, Fraction(-1)), (0, 1)), (Fraction(1),), 1),  # a negative beta
+    ("homogeneous", ((0, 2),), (), 2),                          # exponent off power
+    ("step", ((0, 0),), (), Fraction(1, 2)),
+    ("power", ((0, 2),), (), Fraction(1, 2)),                   # power exponent below 1
+    ("step", ((2, 0), (1, 0), (0, 0)), (Fraction(2), Fraction(1)), 1),  # unordered
+    ("step", ((2, 0), (0, 0)), (Fraction(0),), 1),              # a breakpoint at 0
+    ("orlicz", ((0, 0),), (), 1),                               # an unknown kind
+]
+
+
+def test_gauge_pieces_must_fit_the_kind():
+    for kind, pieces, breakpoints, exponent in CONTRADICTIONS:
+        with pytest.raises(ValueError):
+            ScaleGauge(kind, pieces, breakpoints, exponent)
+    # gauges that fit their kinds, inf pieces included, are accepted
+    ScaleGauge("homogeneous", ((0, 2),))
+    ScaleGauge("piecewise", ((None, 0), (Fraction(-1), 4)), (Fraction(1),))
+    ScaleGauge("power", ((None, 0),), (), Fraction(3, 2))
+
+
 # -- validation -------------------------------------------------------------
 
 
@@ -272,15 +303,22 @@ def test_validate_family_decisions_pinned(kind):
 # ScaleGauge.__call__ and ExtNonNeg addition, homogeneous triples squared
 # over the rationals.  Witnesses follow the same rules in both.
 
+def _first_level(g):
+    """The value on piece 0 of a step gauge, or a homogeneous gauge's
+    coefficient: the one piece's beta."""
+    alpha, beta = g.pieces[0]
+    return INF if alpha is None else enn(alpha if g.kind == "step" else beta)
+
+
 def _reference_step_corners(ga, gb, gc, i, j, k):
     out = []
     t = None
     for la in (None, *ga.breakpoints):
-        va = ga.values[0] if la is None else ga(la)
+        va = _first_level(ga) if la is None else ga(la)
         for mu in (None, *gb.breakpoints):
-            vb = gb.values[0] if mu is None else gb(mu)
+            vb = _first_level(gb) if mu is None else gb(mu)
             if la is None and mu is None:
-                vc = gc.values[0]
+                vc = _first_level(gc)
             elif la is None:
                 vc = gc(mu)
             elif mu is None:
@@ -302,8 +340,7 @@ def _reference_homogeneous(a, b, c, i, j, k):
         return []
     if c.is_inf:
         one = Fraction(1)
-        return [QM2Violation(i, j, k, one, one, INF,
-                             a.divided_by(one) + b.divided_by(one))]
+        return [QM2Violation(i, j, k, one, one, INF, a + b)]
     af, bf, cf = a.frac, b.frac, c.frac
     t = cf - af - bf
     if t <= 0 or t * t <= 4 * af * bf:
@@ -327,7 +364,7 @@ def reference_validate_family(f, grid) -> ValidationReport:
                 if kinds == {"step"}:
                     out += _reference_step_corners(ga, gb, gc, i, j, k)
                 elif kinds == {"homogeneous"}:
-                    out += _reference_homogeneous(ga.coeff, gb.coeff, gc.coeff, i, j, k)
+                    out += _reference_homogeneous(*map(_first_level, (ga, gb, gc)), i, j, k)
                 else:
                     out += _qm2_grid(ga, gb, gc, i, j, k, grid)
     return ValidationReport(ok=not out, violations=tuple(out), grid=tuple(grid))
@@ -356,10 +393,10 @@ def _rescaled_gauge(g, vfac, sfac):
     """g with every value times vfac and every scale times sfac, which
     keeps each QM axiom."""
     if g.kind == "homogeneous":
-        return ScaleGauge.homogeneous(g.coeff.scaled(vfac * sfac))
-    return ScaleGauge(kind="step",
-                      breakpoints=tuple(b * sfac for b in g.breakpoints),
-                      values=tuple(v.scaled(vfac) for v in g.values))
+        alpha, beta = g.pieces[0]
+        return ScaleGauge.homogeneous(INF if alpha is None else beta * vfac * sfac)
+    return ScaleGauge.step([b * sfac for b in g.breakpoints],
+                           [INF if a is None else a * vfac for a, _ in g.pieces])
 
 
 def _oracle_family(kind, seed) -> QuasiModularFamily:
@@ -525,8 +562,13 @@ def test_mixed_kinds_merge_exactly():
     assert merge_max(ScaleGauge.constant(0), g2) == g2
     assert merge_max(ScaleGauge.homogeneous(0), ScaleGauge.homogeneous(0)).kind == "homogeneous"
     assert merge_max(ScaleGauge.constant(0), ScaleGauge.homogeneous(0)).kind == "step"
+    # power gauges merge in lambda^p and stay power gauges
+    assert merge_max(ScaleGauge.power(1, 2), ScaleGauge.power(3, 2)) == ScaleGauge.power(3, 2)
+    assert merge_max(ScaleGauge.power(INF, 3), ScaleGauge.power(0, 3)) == ScaleGauge.power(INF, 3)
     with pytest.raises(KindMismatch):
         merge_max(g1, ScaleGauge.power(1, 2))
+    with pytest.raises(KindMismatch):
+        merge_max(ScaleGauge.homogeneous(1), ScaleGauge.power(1, 1))
     with pytest.raises(KindMismatch):
         merge_max(ScaleGauge.power(1, 2), ScaleGauge.power(1, 3))
 
@@ -758,17 +800,40 @@ def test_orlicz_ball_hand_example():
     assert 1 in bwd      # w_1(g,f) = 1
 
 
+def _entourage_families():
+    """rng_family, then a step family with inf values, a homogeneous one
+    with coefficients 0 and inf, a piecewise one (the symmetrization of
+    step gauges above the diagonal and homogeneous ones below it) and a
+    power family with integer exponents."""
+    rng = random.Random(11)
+    fams = [rng_family(rng, 4)]
+    levels = [(2, Fraction(1, 2)), (INF, 3), (INF, 0), (1, 0)]
+    fams.append(QuasiModularFamily(points=("a", "b", "c"), gauges=tuple(
+        tuple(ScaleGauge.constant(0) if i == j else ScaleGauge.step([Fraction(i + 1, j + 1)],
+                                                                    levels[(i + j) % 4])
+              for j in range(3)) for i in range(3))))
+    fams.append(homog_family([[0, INF, 2], [0, 0, INF], [Fraction(1, 3), 0, 0]]))
+    step, homog = rng_step_family(rng, 4)[0], rng_homogeneous_family(rng, 4)
+    fams.append(symmetrize_family(QuasiModularFamily(points=step.points, gauges=tuple(
+        tuple((step if i < j else homog).gauges[i][j] for j in range(4)) for i in range(4)))))
+    assert any(g.kind == "piecewise" for row in fams[-1].gauges for g in row)
+    fams.append(QuasiModularFamily(points=("a", "b", "c"), gauges=tuple(
+        tuple(ScaleGauge.power(c, 2 + (i + j) % 2) for j, c in enumerate(row))
+        for i, row in enumerate([[0, 8, INF], [Fraction(9, 4), 0, 1], [INF, 3, 0]]))))
+    return fams
+
+
 def test_entourage_section_identity_and_errors():
-    fam = rng_family(random.Random(11), 4)
-    for r in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        for lam in (Fraction(1, 2), Fraction(1), Fraction(3)):
-            fwd, bwd = entourages(fam, r, lam)
-            assert fwd == {(x, y) for x in range(fam.n) for y in range(fam.n)
-                           if fam.w(lam, x, y) < enn(r)}
-            assert bwd == frozenset((y, x) for (x, y) in fwd)
-            for x in range(fam.n):
-                section = frozenset(y for (a, y) in fwd if a == x)
-                assert section == modular_balls(fam, x, lam, r)[0]
+    for fam in _entourage_families():
+        for r in (Fraction(1, 2), Fraction(1), Fraction(2)):
+            for lam in (Fraction(1, 2), Fraction(1), Fraction(3)):
+                fwd, bwd = entourages(fam, r, lam)
+                assert fwd == {(x, y) for x in range(fam.n) for y in range(fam.n)
+                               if fam.w(lam, x, y) < enn(r)}
+                assert bwd == frozenset((y, x) for (x, y) in fwd)
+                for x in range(fam.n):
+                    section = frozenset(y for (a, y) in fwd if a == x)
+                    assert section == modular_balls(fam, x, lam, r)[0]
     with pytest.raises(NonPositiveParameter):
         modular_balls(fam, 0, Fraction(0), Fraction(1))
     with pytest.raises(NonPositiveParameter):

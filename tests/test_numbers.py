@@ -10,8 +10,6 @@ from qconn.numbers import (
     ExtNonNeg,
     LiteralTooLarge,
     enn,
-    enn_max,
-    enn_min,
     exact_root,
     parse_rational,
 )
@@ -41,22 +39,12 @@ def test_infinity_is_maximal():
     assert enn(10**9) < INF
     assert INF <= INF
     assert not INF < INF
-    assert enn_max(INF, enn(3)) == INF
-    assert enn_min(INF, enn(3)) == enn(3)
 
 
 def test_comparisons_coerce_rationals():
     assert enn("1/2") < Fraction(2, 3)
     assert enn(2) >= 2
     assert not INF < Fraction(10**12)
-
-
-def test_scaling_and_division():
-    assert enn(3).scaled(Fraction(1, 2)) == enn("3/2")
-    assert enn(3).divided_by(Fraction(2)) == enn("3/2")
-    assert INF.divided_by(Fraction(7)) == INF
-    with pytest.raises(ValueError):
-        enn(1).divided_by(Fraction(0))
 
 
 def test_exact_root():
