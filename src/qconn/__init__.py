@@ -9,80 +9,110 @@ local analysis, directional Cauchy limits and completeness certificates,
 formal-ball posets, and a seeded counterexample search over small
 bitopological spaces.  Everything is immutable after construction and
 safe to share across threads.
+
+Importing the package loads none of its modules.  Each exported name
+loads its owning module on first use (PEP 562), so ``from qconn import
+X`` costs only X's module and what that imports, and ``qconn.search``
+loads just the bitmask relation kernel (``qconn.relations``) and
+``qconn.errors``.  The command line (``qconn.cli``) loads every module.
 """
 
-from .bitopology import (
-    AlexandrovTopology,
-    BitopSpace,
-    is_open,
-    is_T0,
-    join,
-    join_matches_symmetrization,
-    modular_bitop,
-    specialization_bitop,
-    subspace,
-)
-from .completion import (
-    EventuallyPeriodicSeq,
-    FormalBall,
-    FormalBallPoset,
-    formal_ball_poset,
-    forward_limits,
-    is_left_k_cauchy,
-    join_compactness_check,
-    precompact_report,
-    smyth_report,
-)
-from .connectivity import (
-    CombinedDigraph,
-    ComponentReport,
-    SeparationCertificate,
-    antisym_certificate,
-    antisym_components,
-    brute_force_antisym,
-    combined_digraph,
-    component_report,
-    is_antisym_connected,
-    is_locally_antisym_connected,
-    scale_connectivity,
-    symmetric_components,
-)
-from .gauges import (
-    AsymNormSample,
-    QuasiPseudoMetric,
-    WeightedDigraph,
-    conjugate,
-    from_asym_norm,
-    from_digraph,
-    symmetrization_gap_report,
-    symmetrize,
-    validate_qpm,
-)
-from .modular import (
-    OrliczSpec,
-    PiecewiseConvex,
-    QuasiModularFamily,
-    ScaleGauge,
-    conjugate_family,
-    entourages,
-    from_orlicz,
-    luxemburg_gauge,
-    modular_balls,
-    symmetrize_family,
-    validate_family,
-)
-from .morphisms import (
-    LinearFunctionalSpec,
-    PointMap,
-    check_image_preservation,
-    halfspace_separation,
-    is_nonexpansive,
-    is_uniformly_continuous,
-    specialization_preserving,
-)
-from .numbers import INF, ZERO, ExtNonNeg, enn
-from .search import DEFAULT_SEED, TARGETS, search_counterexamples
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# owning module -> the names the package exports from it
+_EXPORTS = {
+    "bitopology": (
+        "AlexandrovTopology",
+        "BitopSpace",
+        "is_open",
+        "is_T0",
+        "join",
+        "join_matches_symmetrization",
+        "modular_bitop",
+        "specialization_bitop",
+        "subspace",
+    ),
+    "completion": (
+        "EventuallyPeriodicSeq",
+        "FormalBall",
+        "FormalBallPoset",
+        "formal_ball_poset",
+        "forward_limits",
+        "is_left_k_cauchy",
+        "join_compactness_check",
+        "precompact_report",
+        "smyth_report",
+    ),
+    "connectivity": (
+        "CombinedDigraph",
+        "ComponentReport",
+        "SeparationCertificate",
+        "antisym_certificate",
+        "antisym_components",
+        "brute_force_antisym",
+        "combined_digraph",
+        "component_report",
+        "is_antisym_connected",
+        "is_locally_antisym_connected",
+        "scale_connectivity",
+        "symmetric_components",
+    ),
+    "gauges": (
+        "AsymNormSample",
+        "QuasiPseudoMetric",
+        "WeightedDigraph",
+        "conjugate",
+        "from_asym_norm",
+        "from_digraph",
+        "symmetrization_gap_report",
+        "symmetrize",
+        "validate_qpm",
+    ),
+    "modular": (
+        "OrliczSpec",
+        "PiecewiseConvex",
+        "QuasiModularFamily",
+        "ScaleGauge",
+        "conjugate_family",
+        "entourages",
+        "from_orlicz",
+        "luxemburg_gauge",
+        "modular_balls",
+        "symmetrize_family",
+        "validate_family",
+    ),
+    "morphisms": (
+        "LinearFunctionalSpec",
+        "PointMap",
+        "check_image_preservation",
+        "halfspace_separation",
+        "is_nonexpansive",
+        "is_uniformly_continuous",
+        "specialization_preserving",
+    ),
+    "numbers": ("INF", "ZERO", "ExtNonNeg", "enn"),
+    "search": ("DEFAULT_SEED", "TARGETS", "search_counterexamples"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset({*_EXPORTS, "errors", "relations"})
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    """Load an exported name's module, or a submodule, on first access and
+    keep the result in the package namespace."""
+    if name in _OWNER:
+        value = getattr(import_module(f".{_OWNER[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -18,27 +18,7 @@ from dataclasses import dataclass
 from .errors import CoherenceError, EmptySubset, PreconditionFailed
 from .gauges import QuasiPseudoMetric, symmetrize
 from .modular import QuasiModularFamily
-from .relations import is_closed, open_masks, transpose
-
-
-def mask_of(indices, n: int) -> int:
-    m = 0
-    for i in indices:
-        if not 0 <= i < n:
-            raise ValueError(f"index {i} out of range for {n} points")
-        m |= 1 << i
-    return m
-
-
-def indices_of(mask: int) -> list[int]:
-    """The set bits of a nonnegative ``mask`` in ascending order, one step
-    per set bit."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+from .relations import indices_of, is_closed, mask_of, open_masks, transpose
 
 
 def coherence_violation(nbhd: tuple[int, ...]) -> tuple[int, int] | None:

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .bitopology import indices_of, mask_of
 from .errors import NegativeRadius, NotCauchy, PreconditionFailed
 from .gauges import QuasiPseudoMetric
-from .relations import OPEN_MASK_LIMIT, is_closed, scc_masks, transpose
+from .relations import OPEN_MASK_LIMIT, indices_of, is_closed, mask_of, scc_masks, transpose
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,10 @@ def smyth_report(d: QuasiPseudoMetric) -> dict:
     re-check it.  Float-mode zero distances compose only up to the
     tolerance, so in float mode each class is checked to be a zero clique
     (see _broken).
+
+    A finite space is always complete, so ``complete`` is True in every
+    report this returns and decides nothing; the report's content is its
+    witnesses, the zero classes with their forward limits.
     """
     rows = d.zero_mask_rows()
     witnesses = []
@@ -132,6 +135,9 @@ def precompact_report(d: QuasiPseudoMetric, thresholds) -> dict:
     own ball, so each cover covers; float-mode self-distances vanish only
     up to the tolerance, so in float mode the union is checked (see
     _broken).
+
+    A finite space is always precompact, so ``precompact`` is True in
+    every report this returns; the report's content is its covers.
     """
     eps_list = sorted({Fraction(t) for t in thresholds})
     if any(t <= 0 for t in eps_list):
@@ -166,6 +172,11 @@ def join_compactness_check(d: QuasiPseudoMetric, thresholds=None) -> dict:
     Up to ``OPEN_MASK_LIMIT`` points the report also gives the size of the
     canonical cover by minimal join neighborhoods, which covers the
     carrier because each neighborhood contains its own point.
+
+    On a finite carrier ``conclusion.join_compact``,
+    ``conclusion.carrier_finite`` and both ``hypotheses`` entries are
+    True in every report this returns; its content is the witnesses of
+    the two sub-reports and the canonical cover size.
     """
     from .bitopology import join, specialization_bitop
 

@@ -22,11 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitopology import BitopSpace, indices_of, join
+from .bitopology import BitopSpace, join
 from .errors import CarrierTooLarge, NonPositiveEpsilon
 from .gauges import QuasiPseudoMetric
 from .relations import (
     combined_rows,
+    indices_of,
+    masks_to_partition,
     reach_closure,
     scc_masks,
     strongly_connected,
@@ -73,12 +75,6 @@ class SeparationCertificate:
 def combined_digraph(b: BitopSpace) -> CombinedDigraph:
     rows = combined_rows(b.forward.nbhd, transpose(b.backward.nbhd))
     return CombinedDigraph(carrier=b.points, out_rows=tuple(rows))
-
-
-def masks_to_partition(masks) -> list[list[int]]:
-    """Index lists of component masks, which the relation kernel already
-    orders by least member."""
-    return [indices_of(m) for m in masks]
 
 
 def is_antisym_connected(b: BitopSpace) -> bool:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .bitopology import BitopSpace, indices_of
+from .bitopology import BitopSpace
 from .connectivity import combined_digraph, scale_connectivity
 from .errors import (
     CarrierMismatch,
@@ -17,7 +17,7 @@ from .errors import (
     SampleOnHyperplane,
 )
 from .gauges import AsymNormSample, QuasiPseudoMetric, from_asym_norm
-from .relations import image_gaps, preserves, scc_masks
+from .relations import image_gaps, indices_of, preserves, scc_masks
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,33 @@ OPEN_MASK_LIMIT = 16
 TILE = 256
 
 
+def mask_of(indices, n: int) -> int:
+    """The mask of the point indices ``indices``, each in range(n)."""
+    m = 0
+    for i in indices:
+        if not 0 <= i < n:
+            raise ValueError(f"index {i} out of range for {n} points")
+        m |= 1 << i
+    return m
+
+
+def indices_of(mask: int) -> list[int]:
+    """The set bits of a nonnegative ``mask`` in ascending order, one step
+    per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def masks_to_partition(masks) -> list[list[int]]:
+    """Index lists of component masks, which the relation kernel already
+    orders by least member."""
+    return [indices_of(m) for m in masks]
+
+
 def transpose(rows) -> list[int]:
     """Converse relation: bit x of the result's row y iff bit y of rows[x].
 

@@ -35,12 +35,12 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, NamedTuple
 
-from .bitopology import indices_of
-from .connectivity import masks_to_partition
 from .errors import UnknownProperty
 from .relations import (
     combined_rows,
     image_gaps,
+    indices_of,
+    masks_to_partition,
     preserves,
     scc_masks,
     strongly_connected,

@@ -24,6 +24,7 @@ def test_one_row_per_bench_file():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert len(lines) == 1 + len(files)
+    assert all(m in lines[0] for m in ("jobs_per_s", "peak_rss_mb", "setup_s"))
     for path, line in zip(files, lines[1:]):
         doc = json.loads(path.read_text())
         assert doc["pr"] == int(path.stem.split("_")[1])
@@ -31,8 +32,9 @@ def test_one_row_per_bench_file():
         assert set(doc["workloads"]) <= workloads
         for name, wl in doc["workloads"].items():
             assert set(wl["metrics"]) == metrics
-            jobs, rss = (_medians(wl["metrics"][m]) for m in ("jobs_per_s", "peak_rss_mb"))
-            assert f"{name} {jobs} rss {rss}" in line
+            jobs, rss, setup = (_medians(wl["metrics"][m])
+                                for m in ("jobs_per_s", "peak_rss_mb", "setup_s"))
+            assert f"{name} {jobs} rss {rss} setup {setup}" in line
         claim = doc.get("claim")
         if claim:
             assert claim["workload"] in workloads and claim["metric"] in metrics

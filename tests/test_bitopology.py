@@ -21,9 +21,10 @@ from qconn import (
     symmetrize,
     validate_qpm,
 )
-from qconn.bitopology import AlexandrovTopology, BitopSpace, indices_of
+from qconn.bitopology import AlexandrovTopology, BitopSpace
 from qconn.errors import CarrierTooLarge, CoherenceError, EmptySubset
 from qconn.modular import QuasiModularFamily
+from qconn.relations import indices_of
 
 
 def topo(points, *sets) -> AlexandrovTopology:

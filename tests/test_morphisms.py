@@ -18,12 +18,13 @@ from qconn import (
     specialization_preserving,
     validate_qpm,
 )
-from qconn.bitopology import AlexandrovTopology, BitopSpace, indices_of
+from qconn.bitopology import AlexandrovTopology, BitopSpace
 from qconn.errors import (
     CarrierMismatch,
     PreconditionFailed,
     SampleOnHyperplane,
 )
+from qconn.relations import indices_of
 
 
 def identity_map(points):

@@ -8,12 +8,12 @@ import pytest
 
 from gen import reference_json
 from qconn import search
-from qconn.bitopology import indices_of
 from qconn.cli import main
 from qconn.errors import UnknownProperty
 from qconn.instances import canonical_json
 from qconn.relations import (
     combined_rows,
+    indices_of,
     is_closed,
     reach_closure,
     scc_masks,

@@ -10,10 +10,11 @@ every end-to-end metric over alternating parent/change pairs, the
 its ``pr`` field, the parent commit, the ``src/`` lines, the claim (the
 claimed metric on its workload with its medians, parent -> change, or
 ``claim -`` for a change that claims no gain) and, per workload, the
-``jobs_per_s`` and ``peak_rss_mb`` medians, parent -> change.  Memory
-sits next to throughput because a faster change that keeps more results
-alive can gain jobs per second and still fail the memory bound.  Stdlib
-only.
+``jobs_per_s``, ``peak_rss_mb`` and ``setup_s`` medians, parent ->
+change.  Memory sits next to throughput because a faster change that
+keeps more results alive can gain jobs per second and still fail the
+memory bound; set-up time sits there because work moved into or out of
+set-up changes it and not the per-job numbers.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ def row(doc: dict) -> str:
     for name in sorted(doc["workloads"]):
         metrics = doc["workloads"][name]["metrics"]
         cells.append(f"{name} {_medians(metrics['jobs_per_s'])} "
-                     f"rss {_medians(metrics['peak_rss_mb'])}")
+                     f"rss {_medians(metrics['peak_rss_mb'])} "
+                     f"setup {_medians(metrics['setup_s'])}")
     return "  ".join(cells)
 
 
@@ -70,7 +72,8 @@ def main(argv: list[str]) -> int:
     paths = sorted(directory.glob("BENCH_*.json"),
                    key=lambda p: int(p.stem.split("_", 1)[1]))
     print(" pr  parent   src lines      claimed metric on workload, then per "
-          "workload: jobs_per_s median, rss peak_rss_mb median (MB), parent->change")
+          "workload: jobs_per_s median, rss peak_rss_mb median (MB), "
+          "setup setup_s median (s), parent->change")
     for path in paths:
         try:
             print(row(load(path)))
