@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import CoherenceError, EmptySubset, PreconditionFailed
 from .gauges import QuasiPseudoMetric, symmetrize
 from .modular import QuasiModularFamily
-from .relations import indices_of, is_closed, mask_of, open_masks, transpose
+from .relations import indices_of, is_closed, mask_of, transpose, up_sets
 
 
 def coherence_violation(nbhd: tuple[int, ...]) -> tuple[int, int] | None:
@@ -71,7 +71,7 @@ class AlexandrovTopology:
     def open_sets(self) -> list[int]:
         """All open sets as ascending bitmasks; exponential, so carriers
         above ``relations.OPEN_MASK_LIMIT`` points raise ``CarrierTooLarge``."""
-        return open_masks(self.nbhd)
+        return up_sets(self.nbhd, transpose(self.nbhd))
 
 
 @dataclass(frozen=True)
@@ -111,18 +111,14 @@ def specialization_bitop(d: QuasiPseudoMetric) -> BitopSpace:
     zero relation is d <= tol, and two hops of up to tol each need not
     compose; that breaks coherence and raises ``PreconditionFailed``.
     """
-    rows = d.zero_mask_rows()
-    cols = transpose(rows)
     try:
-        fwd = AlexandrovTopology(points=d.points, nbhd=tuple(rows))
+        return _zero_bitop(d.points, d.zero_mask_rows())
     except CoherenceError as exc:
         if d.tol is None:
             raise
         raise PreconditionFailed(
             f"float-mode zero relation is not transitive ({exc}): distances "
             f"within the tolerance {d.tol} do not compose") from exc
-    bwd = AlexandrovTopology(points=d.points, nbhd=tuple(cols))
-    return BitopSpace(forward=fwd, backward=bwd)
 
 
 def modular_bitop(f: QuasiModularFamily) -> BitopSpace:
@@ -133,10 +129,14 @@ def modular_bitop(f: QuasiModularFamily) -> BitopSpace:
     neighborhood of the forward modular topology.  Coherence is asserted
     by construction of the topology objects.
     """
-    rows = f.zero_mask_rows()
-    cols = transpose(rows)
-    fwd = AlexandrovTopology(points=f.points, nbhd=tuple(rows))
-    bwd = AlexandrovTopology(points=f.points, nbhd=tuple(cols))
+    return _zero_bitop(f.points, f.zero_mask_rows())
+
+
+def _zero_bitop(points, rows) -> BitopSpace:
+    """Forward neighborhoods ``rows``, backward ones their transpose; an
+    incoherent ``rows`` fails the forward topology's check first."""
+    fwd = AlexandrovTopology(points=points, nbhd=tuple(rows))
+    bwd = AlexandrovTopology(points=points, nbhd=tuple(transpose(rows)))
     return BitopSpace(forward=fwd, backward=bwd)
 
 

@@ -17,8 +17,7 @@ from fractions import Fraction
 from . import bitopology, completion, connectivity, dot, modular
 from .errors import ParseError, QconnError, SchemaError, UnknownProperty
 from .gauges import from_asym_norm, from_digraph
-from .instances import canonical_json, dump_instance, load_instance
-from .numbers import LiteralTooLarge, parse_rational
+from .instances import canonical_json, dump_instance, load_instance, read_literal
 from .search import DEFAULT_SEED, N_RANGE, TARGETS, search_counterexamples
 
 
@@ -36,17 +35,9 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _rational_arg(text: str, name: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except LiteralTooLarge as exc:
-        raise SchemaError(f"argument {name}: {exc}") from exc
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"argument {name}: bad rational {text!r}") from exc
-
-
 def _rational_list(text: str, name: str) -> list[Fraction]:
-    return [_rational_arg(part, name) for part in text.split(",") if part.strip()]
+    return [read_literal(part, f"argument {name}")
+            for part in text.split(",") if part.strip()]
 
 
 # formal balls per poset, points x distinct radii: building the order and
@@ -133,7 +124,7 @@ def cmd_analyze(args) -> int:
     if args.scale:
         if metric is None:
             raise SchemaError("--scale needs a metric-backed instance")
-        eps = _rational_arg(args.scale, "--scale")
+        eps = read_literal(args.scale, "argument --scale")
         anti, sym = connectivity.scale_connectivity(metric, eps)
         analyses["scale"] = {"eps": str(eps), "antisymmetric": anti,
                              "symmetric": sym}
@@ -182,15 +173,18 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.budget < 0:
-        raise SchemaError(f"argument --budget: must be >= 0, got {args.budget}")
+    budget = args.budget
+    if budget is None and args.mode == "random":
+        budget = 200  # a random stream has no end
+    if budget is not None and budget < 0:
+        raise SchemaError(f"argument --budget: must be >= 0, got {budget}")
     low, high = N_RANGE[args.mode]
     if not low <= args.n <= high:
         raise SchemaError(f"argument --n: {args.mode} mode takes {low} to {high} "
                           f"points, got {args.n}")
     result = search_counterexamples(
         target=args.target, n=args.n, mode=args.mode, seed=args.seed,
-        budget=args.budget)
+        budget=budget)
     _emit(canonical_json(result.findings_document()), args.out)
     sys.stderr.write(
         f"search {args.target}: {result.instances_tested} instances, "
@@ -245,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--mode", choices=("exhaustive", "random"),
                       default="random")
     p_se.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_se.add_argument("--budget", type=int, default=200)
+    p_se.add_argument("--budget", type=int, default=None,
+                      help="cases to test; default: all (exhaustive), 200 (random)")
     p_se.add_argument("--out", default=None)
     p_se.set_defaults(func=cmd_search)
 

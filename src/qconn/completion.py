@@ -85,7 +85,8 @@ def smyth_report(d: QuasiPseudoMetric) -> dict:
     point inside every backward ball around y), so the report does not
     re-check it.  Float-mode zero distances compose only up to the
     tolerance, so in float mode each class is checked to be a zero clique
-    (see _broken).
+    (see _broken).  A zero clique is left K-Cauchy, so the limits are read
+    off the zero rows without forward_limits' Cauchy check.
 
     A finite space is always complete, so ``complete`` is True in every
     report this returns and decides nothing; the report's content is its
@@ -95,12 +96,12 @@ def smyth_report(d: QuasiPseudoMetric) -> dict:
     witnesses = []
     for cls in scc_masks(rows):
         members = indices_of(cls)
-        if d.tol is not None and _zero_from_all(rows, members) & cls != cls:
+        limits = _zero_from_all(rows, members)
+        if d.tol is not None and limits & cls != cls:
             raise _broken(d, f"zero cycle through {members} is not a zero clique",
                           "the completeness certificate",
                           "zero distances compose only up to")
-        limits = forward_limits(d, EventuallyPeriodicSeq(preperiod=(), period=tuple(members)))
-        witnesses.append({"class": members, "forward_limits": sorted(limits)})
+        witnesses.append({"class": members, "forward_limits": indices_of(limits)})
     return {
         "complete": True,
         "classes": witnesses,

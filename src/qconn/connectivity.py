@@ -22,14 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitopology import BitopSpace, join
+from .bitopology import BitopSpace
 from .errors import CarrierTooLarge, NonPositiveEpsilon
 from .gauges import QuasiPseudoMetric
 from .relations import (
     combined_rows,
     indices_of,
     masks_to_partition,
-    reach_closure,
+    reach,
     scc_masks,
     strongly_connected,
     transpose,
@@ -97,7 +97,6 @@ def antisym_certificate(b: BitopSpace) -> SeparationCertificate | None:
     g = combined_digraph(b)
     if strongly_connected(g.out_rows):
         return None
-    reach = reach_closure(g.out_rows)
     full = (1 << b.n) - 1
     acc = 0
     for i in range(b.n):
@@ -105,7 +104,7 @@ def antisym_certificate(b: BitopSpace) -> SeparationCertificate | None:
             continue
         if acc and i > acc.bit_length() - 1:
             break
-        cand = acc | reach[i]
+        cand = acc | reach(g.out_rows, 1 << i, full)
         if cand != full:
             acc = cand
     return SeparationCertificate(A=frozenset(indices_of(acc)),
@@ -133,8 +132,10 @@ def antisym_components(b: BitopSpace) -> list[list[int]]:
 def symmetric_components(b: BitopSpace) -> list[list[int]]:
     """Connected components of the join topology, via the undirected
     reachability graph x -- y iff either join neighborhood contains the
-    other point."""
-    return masks_to_partition(undirected_components(join(b).nbhd))
+    other point.  The join rows N+(x) & N-(x) are read off directly: a
+    meet of preorders is a preorder, so they need no coherence check."""
+    return masks_to_partition(undirected_components(
+        [f & g for f, g in zip(b.forward.nbhd, b.backward.nbhd)]))
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,8 @@ def is_locally_antisym_connected(b: BitopSpace) -> list[LocalStatus]:
     prop61_subspace and thm74_local_image targets recheck the two arcs,
     and the test suite compares with the subspace construction.
     """
-    return [LocalStatus(point=x, connected=True, witness=tuple(indices_of(j)))
-            for x, j in enumerate(join(b).nbhd)]
+    return [LocalStatus(point=x, connected=True, witness=tuple(indices_of(f & g)))
+            for x, (f, g) in enumerate(zip(b.forward.nbhd, b.backward.nbhd))]
 
 
 def component_report(b: BitopSpace) -> ComponentReport:

@@ -15,7 +15,7 @@ from typing import Any
 
 from .bitopology import AlexandrovTopology, BitopSpace
 from .completion import EventuallyPeriodicSeq
-from .errors import ParseError, QconnError, QpmValidationError, SchemaError
+from .errors import ParseError, QconnError, SchemaError
 from .gauges import AsymNormSample, QuasiPseudoMetric, WeightedDigraph, validate_qpm
 from .modular import (
     HOMOGENEOUS,
@@ -57,22 +57,23 @@ def _need(obj: dict, key: str, typ=None):
     return val
 
 
-def _rational(text, field: str) -> Fraction:
+def read_literal(text, where: str, parse=parse_rational, what: str = "rational"):
+    """``parse(text)``, with a bad or oversized literal raised as a
+    SchemaError that names ``where`` (a file field or a CLI argument)."""
     try:
-        return parse_rational(text)
+        return parse(text)
     except LiteralTooLarge as exc:
-        raise SchemaError(f"field {field!r}: {exc}") from exc
+        raise SchemaError(f"{where}: {exc}") from exc
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"field {field!r}: bad rational {text!r}") from exc
+        raise SchemaError(f"{where}: bad {what} {text!r}") from exc
+
+
+def _rational(text, field: str) -> Fraction:
+    return read_literal(text, f"field {field!r}")
 
 
 def _extnonneg(text, field: str) -> ExtNonNeg:
-    try:
-        return ExtNonNeg(str(text))
-    except LiteralTooLarge as exc:
-        raise SchemaError(f"field {field!r}: {exc}") from exc
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"field {field!r}: bad value {text!r}") from exc
+    return read_literal(text, f"field {field!r}", lambda t: ExtNonNeg(str(t)), "value")
 
 
 def _memo(parsed: dict, text, field: str) -> ExtNonNeg:
@@ -126,8 +127,6 @@ def parse_instance(obj: Any):
         return kind, _PARSERS[kind](obj)
     except (ParseError, SchemaError):
         raise
-    except QpmValidationError as exc:
-        raise SchemaError(f"invalid quasi_metric: {exc}") from exc
     except QconnError as exc:
         raise SchemaError(f"invalid {kind}: {exc}") from exc
     except (ValueError, TypeError, KeyError, AssertionError) as exc:

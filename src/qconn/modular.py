@@ -687,6 +687,8 @@ class OrliczSpec:
                 raise ValueError("function vectors must cover every atom")
         if self.scaling[0] not in (HOMOGENEOUS, POWER):
             raise ValueError(f"unknown scaling {self.scaling!r}")
+        if self.scaling[0] == POWER and self.scaling[1] < 1:
+            raise ValueError(f"power scaling needs p >= 1, got {self.scaling[1]}")
 
     def rho(self, vec) -> Fraction:
         return sum((w * self.phi[a](vec[a]) for a, (_, w) in enumerate(self.atoms)),

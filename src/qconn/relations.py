@@ -130,18 +130,10 @@ def is_closed(rows, mask: int) -> bool:
     return True
 
 
-def open_masks(rows) -> list[int]:
-    """Every closed mask (see ``is_closed``) of any relation, in ascending
-    order: the up-sets (see ``up_sets``) of its reflexive-transitive
-    closure."""
-    up = [r | 1 << x for x, r in enumerate(reach_closure(rows))]
-    return up_sets(up, transpose(up))
-
-
 def up_sets(up, down) -> list[int]:
     """Every up-set of a preorder in ascending order, given its rows
     ``up`` and their transpose ``down``; this is the package's one
-    open-set enumeration, and ``open_masks`` closes any relation first.
+    open-set enumeration.
 
     Depth-first: branch on the highest undecided point, first excluding
     it with everything below it in ``down``, then including it with
@@ -172,28 +164,7 @@ def up_sets(up, down) -> list[int]:
     return out
 
 
-def reach_closure(rows) -> list[int]:
-    """Reachability rows (paths of length >= 1) by iterated bitmask
-    expansion."""
-    n = len(rows)
-    reach = list(rows)
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            acc = reach[x]
-            rest = acc
-            while rest:
-                y = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                acc |= reach[y]
-            if acc != reach[x]:
-                reach[x] = acc
-                changed = True
-    return reach
-
-
-def _flood(rows, start: int, within: int) -> int:
+def reach(rows, start: int, within: int) -> int:
     """Points reachable from the mask ``start`` along arcs that stay
     inside ``within``, start included."""
     seen = front = start
@@ -220,7 +191,7 @@ def scc_masks(rows) -> list[int]:
     for x in range(len(rows)):
         if not free >> x & 1:
             continue
-        comp = _flood(rows, 1 << x, free) & _flood(back, 1 << x, free)
+        comp = reach(rows, 1 << x, free) & reach(back, 1 << x, free)
         comps.append(comp)
         free &= ~comp
     return comps
@@ -235,7 +206,7 @@ def strongly_connected(rows, sub: int | None = None) -> bool:
     if sub & (sub - 1) == 0:
         return True
     seed = sub & -sub
-    if _flood(rows, seed, sub) != sub:
+    if reach(rows, seed, sub) != sub:
         return False
     seen = front = seed
     while front:
@@ -259,7 +230,7 @@ def undirected_components(rows) -> list[int]:
     comps = []
     for x in range(len(rows)):
         if free >> x & 1:
-            comp = _flood(sym, 1 << x, free)
+            comp = reach(sym, 1 << x, free)
             comps.append(comp)
             free &= ~comp
     return comps

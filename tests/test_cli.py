@@ -186,6 +186,22 @@ def test_search_clean_target_exit_zero(capsys):
     assert stats["tautological"] is False
 
 
+@pytest.mark.parametrize("target, cases", [
+    ("antisym_oracle", 860), ("prop62_image", 2542), ("thm54_coincidence", 34)])
+def test_exhaustive_search_without_budget_runs_every_case(capsys, target, cases):
+    code, out, _ = run(capsys, "search", "--target", target, "--mode", "exhaustive",
+                       "--n", "3")
+    doc = json.loads(out)
+    assert code in (0, 1)
+    assert (doc["budget"], doc["stats"]["instances_tested"]) == (None, cases)
+
+
+def test_random_search_budget_defaults_to_200(capsys):
+    code, out, _ = run(capsys, "search", "--target", "prop54_inclusion", "--n", "3")
+    doc = json.loads(out)
+    assert (code, doc["budget"], doc["stats"]["instances_tested"]) == (0, 200, 200)
+
+
 def test_search_unknown_target_exit_2(capsys):
     code, _, err = run(capsys, "search", "--target", "nope")
     assert code == 2
@@ -325,6 +341,31 @@ def test_oversized_literals_exit_2_fast(tmp_path, capsys):
     assert diag["type"] == "SchemaError" and "MAX_LITERAL_EXPONENT" in diag["message"]
 
 
+BIG = "literal with 4 digits and exponent 999 exceeds the limits " \
+      "MAX_LITERAL_DIGITS = 400, MAX_LITERAL_EXPONENT = 400"
+
+
+@pytest.mark.parametrize("field, text, message", [
+    ("dist", "x", "field 'dist[0]': bad value 'x'"),
+    ("dist", "1e999", "field 'dist[0]': " + BIG),
+    ("tol", "1/0", "field 'tol': bad rational '1/0'"),
+    ("tol", "1e-999", "field 'tol': " + BIG),
+    ("--scale", "x", "argument --scale: bad rational 'x'"),
+    ("--scale", "1e-999", "argument --scale: " + BIG),
+])
+def test_bad_literal_messages(tmp_path, capsys, field, text, message):
+    doc = {"kind": "quasi_metric", "points": ["a"], "dist": [["0"]]}
+    if field == "--scale":
+        argv = ("analyze", str(DATA / "asym_pair.json"), "--scale", text)
+    else:
+        doc[field] = [[text]] if field == "dist" else text
+        (tmp_path / "lit.json").write_text(json.dumps(doc))
+        argv = ("validate", str(tmp_path / "lit.json"))
+    code, _, err = run(capsys, *argv)
+    assert (code, json.loads(err)["error"]) == (
+        2, {"code": 2, "type": "SchemaError", "message": message})
+
+
 def _sized(kind, n):
     """The smallest file of its kind whose capped field holds n entries."""
     labels = [f"p{i}" for i in range(n)]
@@ -411,3 +452,12 @@ def test_kinked_orlicz_file_is_analyzed_exactly(tmp_path, capsys):
     path.write_text(json.dumps(dict(KINKED, scaling={"kind": "power", "p": "2"})))
     code, out, err = run(capsys, "analyze", str(path))
     assert (code, out, json.loads(err)["error"]["type"]) == (2, "", "NonRepresentable")
+
+
+@pytest.mark.parametrize("p", ["1/2", "-3"])
+def test_orlicz_power_scaling_below_one_is_a_schema_error(tmp_path, capsys, p):
+    path = tmp_path / "sublinear.json"
+    path.write_text(json.dumps(dict(KINKED, scaling={"kind": "power", "p": p})))
+    for command in ("validate", "analyze"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, json.loads(err)["error"]["type"]) == (2, "", "SchemaError")

@@ -25,7 +25,7 @@ from qconn.bitopology import AlexandrovTopology, BitopSpace, join, subspace
 from qconn.connectivity import LocalStatus
 from qconn.errors import CarrierTooLarge, NonPositiveEpsilon
 from qconn.numbers import enn
-from qconn.relations import reach_closure
+from qconn.relations import reach
 from qconn.search import all_preorders
 
 
@@ -313,7 +313,20 @@ def test_scale_separation_criterion_collapses_to_out_closure():
         assert fwd_closed == complement_ok
 
 
-def test_reach_closure_small():
+def test_reach_small():
     rows = [0b010, 0b100, 0b100]
-    closure = reach_closure(rows)
-    assert closure[0] == 0b110
+    assert reach(rows, 0b001, 0b111) == 0b111
+    assert reach(rows, 0b001, 0b011) == 0b011
+
+
+def test_component_decisions_build_no_topology(monkeypatch, cycle_split_space):
+    built = []
+    check = AlexandrovTopology.__post_init__
+    monkeypatch.setattr(AlexandrovTopology, "__post_init__",
+                        lambda self: built.append(self) or check(self))
+    symmetric_components(cycle_split_space)
+    is_locally_antisym_connected(cycle_split_space)
+    antisym_components(cycle_split_space)
+    assert built == []
+    join(cycle_split_space)
+    assert len(built) == 1  # the counter sees a topology being built

@@ -6,15 +6,15 @@ import random
 import networkx as nx
 import pytest
 
+from qconn.bitopology import AlexandrovTopology
 from qconn.errors import CarrierTooLarge
 from qconn.relations import (
     OPEN_MASK_LIMIT,
     combined_rows,
     image_gaps,
     is_closed,
-    open_masks,
     preserves,
-    reach_closure,
+    reach,
     scc_masks,
     strongly_connected,
     transpose,
@@ -74,16 +74,12 @@ def test_undirected_components_match_networkx():
         assert undirected_components(rows) == want
 
 
-def test_reach_closure_matches_networkx():
+def test_reach_matches_networkx():
     for _, n, rows in _cases(300, 4):
         g = _graph(rows)
-        reach = reach_closure(rows)
+        full = (1 << n) - 1
         for x in range(n):
-            # a point reaches itself only along a cycle (or a loop)
-            want = _mask(nx.descendants(g, x))
-            if any(nx.has_path(g, y, x) for y in g.successors(x)):
-                want |= 1 << x
-            assert reach[x] == want
+            assert reach(rows, 1 << x, full) == _mask(nx.descendants(g, x)) | 1 << x
 
 
 def _transpose_by_bits(rows):
@@ -136,10 +132,9 @@ def _closed_masks_by_scan(rows) -> list[int]:
 
 
 def test_closed_masks_by_enumeration():
-    assert open_masks([]) == up_sets([], []) == [0]
+    assert up_sets([], []) == [0]
     for _, n, rows in _cases(300, 6):
         want = _closed_masks_by_scan(rows)
-        assert open_masks(rows) == want
         if n <= 9:
             assert want == [m for m in range(1 << n)
                             if all(rows[x] & ~m == 0 for x in range(n) if m >> x & 1)]
@@ -147,19 +142,20 @@ def test_closed_masks_by_enumeration():
     for n in range(1, 5):
         for data in all_preorders(n):
             for up, down in ((data.rows, data.transpose), (data.transpose, data.rows)):
-                assert open_masks(up) == up_sets(up, down) == _closed_masks_by_scan(up)
+                assert up_sets(up, down) == _closed_masks_by_scan(up)
     rng = random.Random(12)
     for _ in range(300):
         data = random_preorder(rng, rng.randint(1, OPEN_MASK_LIMIT))
         for up, down in ((data.rows, data.transpose), (data.transpose, data.rows)):
-            assert up_sets(up, down) == open_masks(up)
+            assert up_sets(up, down) == _closed_masks_by_scan(up)
 
 
 def test_both_enumerations_refuse_carriers_past_the_cap():
     p = random_preorder(random.Random(3), OPEN_MASK_LIMIT + 1)
     assert len(p.rows) == OPEN_MASK_LIMIT + 1
+    topo = AlexandrovTopology(points=tuple(map(str, range(len(p.rows)))), nbhd=p.rows)
     with pytest.raises(CarrierTooLarge, match="capped at 16 points"):
-        open_masks(p.rows)
+        topo.open_sets()
     with pytest.raises(CarrierTooLarge, match="capped at 16 points"):
         up_sets(p.rows, p.transpose)
 

@@ -15,7 +15,7 @@ from qconn.relations import (
     combined_rows,
     indices_of,
     is_closed,
-    reach_closure,
+    reach,
     scc_masks,
     strongly_connected,
     transpose,
@@ -111,7 +111,7 @@ def test_random_preorder_is_preorder():
 def _random_preorder_by_pairs(rng: random.Random, n: int):
     """Reference oracle: the same draw built pair by pair.  It relabels
     the classes that occur, sets one arc per winning coin, closes the
-    class DAG by ``reach_closure``, gathers each class's reachable
+    class DAG by ``reach``, gathers each class's reachable
     members in a k x k loop and transposes the n x n rows."""
     k = rng.randint(1, n)
     assignment = [rng.randrange(k) for _ in range(n)]
@@ -126,7 +126,7 @@ def _random_preorder_by_pairs(rng: random.Random, n: int):
         for b in range(a + 1, k):
             if rng.random() < 0.35:
                 class_rows[order[a]] |= 1 << order[b]
-    class_reach = reach_closure(class_rows)
+    class_reach = [reach(class_rows, 1 << c, (1 << k) - 1) for c in range(k)]
     class_members = [0] * k
     for x, c in enumerate(assignment):
         class_members[c] |= 1 << x
