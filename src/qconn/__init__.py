@@ -14,7 +14,12 @@ Importing the package loads none of its modules.  Each exported name
 loads its owning module on first use (PEP 562), so ``from qconn import
 X`` costs only X's module and what that imports, and ``qconn.search``
 loads just the bitmask relation kernel (``qconn.relations``) and
-``qconn.errors``.  The command line (``qconn.cli``) loads every module.
+``qconn.errors``.  The command line (``qconn.cli``) loads what ``analyze``
+runs on metric, digraph, bitopology and norm-sample files: ``instances``,
+``gauges``, ``bitopology``, ``connectivity``, ``completion``,
+``relations``, ``numbers`` and ``errors``.  It adds ``modular`` for
+``modular_family`` and ``orlicz`` files, ``morphisms`` for ``map`` files,
+``search`` for ``qconn search`` and ``dot`` for DOT output.
 """
 
 from importlib import import_module

@@ -14,11 +14,14 @@ inside exhaustive enumerations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import CoherenceError, EmptySubset, PreconditionFailed
 from .gauges import QuasiPseudoMetric, symmetrize
-from .modular import QuasiModularFamily
 from .relations import indices_of, is_closed, mask_of, transpose, up_sets
+
+if TYPE_CHECKING:  # the annotation alone: a caller's family has loaded modular
+    from .modular import QuasiModularFamily
 
 
 def coherence_violation(nbhd: tuple[int, ...]) -> tuple[int, int] | None:

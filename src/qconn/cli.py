@@ -13,12 +13,12 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 
-from . import bitopology, completion, connectivity, dot, modular
+from . import bitopology, completion, connectivity
 from .errors import ParseError, QconnError, SchemaError, UnknownProperty
 from .gauges import from_asym_norm, from_digraph
 from .instances import canonical_json, dump_instance, load_instance, read_literal
-from .search import DEFAULT_SEED, N_RANGE, TARGETS, search_counterexamples
 
 
 def _fail(code: int, exc_type: str, message: str) -> int:
@@ -87,8 +87,9 @@ def _as_spaces(kind, value, args):
     if kind == "modular_family":
         return None, bitopology.modular_bitop(value)
     if kind == "orlicz":
-        fam = modular.from_orlicz(value)
-        return None, bitopology.modular_bitop(fam)
+        from .modular import from_orlicz
+
+        return None, bitopology.modular_bitop(from_orlicz(value))
     if kind == "asym_norm_sample":
         if value.p == 1:
             d = from_asym_norm(value)
@@ -106,7 +107,7 @@ def cmd_analyze(args) -> int:
                              args.smyth, args.formal_balls, args.cauchy))
     if args.components or wants_default:
         report = connectivity.component_report(bitop)
-        cert = connectivity.antisym_certificate(bitop)
+        cert = report.certificate
         analyses["components"] = {
             "antisym_connected": cert is None,
             "symmetric": [list(blk) for blk in report.symmetric],
@@ -144,7 +145,9 @@ def cmd_analyze(args) -> int:
             "hasse_edges": poset.hasse_edges(),
         }
         if args.dot:
-            _emit(dot.hasse_dot(poset), args.dot)
+            from .dot import hasse_dot
+
+            _emit(hasse_dot(poset), args.dot)
     if args.cauchy:
         if metric is None:
             raise SchemaError("--cauchy needs a metric-backed instance")
@@ -161,7 +164,9 @@ def cmd_analyze(args) -> int:
                                if cauchy else None),
         }
     if args.dot and not args.formal_balls:
-        _emit(dot.components_dot(bitop), args.dot)
+        from .dot import components_dot
+
+        _emit(components_dot(bitop), args.dot)
     report = {
         "kind": kind,
         "numeric_tolerance": None if metric is None or metric.tol is None
@@ -173,6 +178,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .search import DEFAULT_SEED, N_RANGE, search_counterexamples
+
     budget = args.budget
     if budget is None and args.mode == "random":
         budget = 200  # a random stream has no end
@@ -183,8 +190,8 @@ def cmd_search(args) -> int:
         raise SchemaError(f"argument --n: {args.mode} mode takes {low} to {high} "
                           f"points, got {args.n}")
     result = search_counterexamples(
-        target=args.target, n=args.n, mode=args.mode, seed=args.seed,
-        budget=budget)
+        target=args.target, n=args.n, mode=args.mode,
+        seed=DEFAULT_SEED if args.seed is None else args.seed, budget=budget)
     _emit(canonical_json(result.findings_document()), args.out)
     sys.stderr.write(
         f"search {args.target}: {result.instances_tested} instances, "
@@ -193,20 +200,25 @@ def cmd_search(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
+    from .dot import components_dot, hasse_dot
+
     kind, value = load_instance(args.path)
     if args.what == "formal-balls":
         metric, _ = _as_spaces(kind, value, args)
         if metric is None:
             raise SchemaError("formal-balls export needs a metric-backed instance")
-        _emit(dot.hasse_dot(_formal_balls(metric, args.radii or "0,1", "--radii")),
+        _emit(hasse_dot(_formal_balls(metric, args.radii or "0,1", "--radii")),
               args.out)
     else:
         _, bitop = _as_spaces(kind, value, args)
-        _emit(dot.components_dot(bitop), args.out)
+        _emit(components_dot(bitop), args.out)
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call; parse_args keeps
+    no state in it, so every call of main can share it."""
     parser = argparse.ArgumentParser(
         prog="qconn",
         description="Asymmetric distances, bitopologies, and directional "
@@ -234,11 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_se = sub.add_parser("search", help="search for property failures")
     p_se.add_argument("--target", required=True,
-                      help="one of: " + ", ".join(sorted(TARGETS)))
+                      help="a property id from qconn.search.TARGETS; an unknown "
+                           "id exits 2 and lists them all")
     p_se.add_argument("--n", type=int, default=4)
     p_se.add_argument("--mode", choices=("exhaustive", "random"),
                       default="random")
-    p_se.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_se.add_argument("--seed", type=int, default=None,
+                      help="default: qconn.search.DEFAULT_SEED")
     p_se.add_argument("--budget", type=int, default=None,
                       help="cases to test; default: all (exhaustive), 200 (random)")
     p_se.add_argument("--out", default=None)
@@ -257,9 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

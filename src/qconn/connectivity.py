@@ -94,17 +94,20 @@ def antisym_certificate(b: BitopSpace) -> SeparationCertificate | None:
     always loses to stopping, hence the break.  Unions of reach closures
     are out-closed, so the result is a separation by construction.
     """
-    g = combined_digraph(b)
-    if strongly_connected(g.out_rows):
-        return None
-    full = (1 << b.n) - 1
+    rows = combined_digraph(b).out_rows
+    return None if strongly_connected(rows) else _least_separation(rows)
+
+
+def _least_separation(rows) -> SeparationCertificate:
+    """antisym_certificate's scan on combined rows known to be disconnected."""
+    full = (1 << len(rows)) - 1
     acc = 0
-    for i in range(b.n):
+    for i in range(len(rows)):
         if acc >> i & 1:
             continue
         if acc and i > acc.bit_length() - 1:
             break
-        cand = acc | reach(g.out_rows, 1 << i, full)
+        cand = acc | reach(rows, 1 << i, full)
         if cand != full:
             acc = cand
     return SeparationCertificate(A=frozenset(indices_of(acc)),
@@ -148,10 +151,12 @@ class LocalStatus:
 @dataclass(frozen=True)
 class ComponentReport:
     """Each symmetric component lies in an antisymmetric one (Prop 5.4):
-    a forward-open set with backward-open complement is join-clopen."""
+    a forward-open set with backward-open complement is join-clopen.
+    ``certificate`` is antisym_certificate's answer."""
 
     symmetric: tuple[tuple[int, ...], ...]
     antisymmetric: tuple[tuple[int, ...], ...]
+    certificate: SeparationCertificate | None
 
 
 def is_locally_antisym_connected(b: BitopSpace) -> list[LocalStatus]:
@@ -174,9 +179,14 @@ def is_locally_antisym_connected(b: BitopSpace) -> list[LocalStatus]:
 
 
 def component_report(b: BitopSpace) -> ComponentReport:
+    """Both partitions and the certificate, from one combined digraph: the
+    space is inseparable iff it has at most one antisymmetric component."""
+    rows = combined_digraph(b).out_rows
+    blocks = masks_to_partition(scc_masks(rows))
     return ComponentReport(
         symmetric=tuple(tuple(blk) for blk in symmetric_components(b)),
-        antisymmetric=tuple(tuple(blk) for blk in antisym_components(b)),
+        antisymmetric=tuple(tuple(blk) for blk in blocks),
+        certificate=None if len(blocks) <= 1 else _least_separation(rows),
     )
 
 

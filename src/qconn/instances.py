@@ -4,30 +4,30 @@ All numbers travel as rational strings ("0", "3/2", "inf"); indices refer
 to the declared point order.  Parsing validates the kind-specific schema
 and the semantic invariants (triangle inequality, coherence, ...) before
 any computation, so a loaded instance is always usable.
+
+Importing this module loads the types of the quasi_metric, digraph,
+bitopology, asym_norm_sample and sequence kinds.  ``modular`` loads when
+a ``modular_family`` or ``orlicz`` file is parsed and ``morphisms`` when
+a ``map`` file is; a dump loads neither.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .bitopology import AlexandrovTopology, BitopSpace
 from .completion import EventuallyPeriodicSeq
 from .errors import ParseError, QconnError, SchemaError
 from .gauges import AsymNormSample, QuasiPseudoMetric, WeightedDigraph, validate_qpm
-from .modular import (
-    HOMOGENEOUS,
-    POWER,
-    STEP,
-    OrliczSpec,
-    PiecewiseConvex,
-    QuasiModularFamily,
-    ScaleGauge,
-)
-from .morphisms import PointMap
 from .numbers import ExtNonNeg, LiteralTooLarge, parse_rational
+
+if TYPE_CHECKING:
+    from .modular import OrliczSpec, PiecewiseConvex, QuasiModularFamily, ScaleGauge
+    from .morphisms import PointMap
 
 _INF = float("inf")
 
@@ -203,6 +203,8 @@ def _parse_bitopology(obj: dict) -> BitopSpace:
 
 
 def _parse_gauge(obj: dict, field: str) -> ScaleGauge:
+    from .modular import HOMOGENEOUS, POWER, STEP, ScaleGauge
+
     if not isinstance(obj, dict):
         raise SchemaError(f"{field}: gauge must be an object")
     kind = _need(obj, "kind", str)
@@ -219,6 +221,8 @@ def _parse_gauge(obj: dict, field: str) -> ScaleGauge:
 
 
 def _parse_modular_family(obj: dict) -> QuasiModularFamily:
+    from .modular import QuasiModularFamily
+
     points = _labels(obj, "points", "modular_family")
     n = len(points)
     rows_raw = _need(obj, "gauges", list)
@@ -234,6 +238,8 @@ def _parse_modular_family(obj: dict) -> QuasiModularFamily:
 
 
 def _parse_phi(obj: dict, field: str) -> PiecewiseConvex:
+    from .modular import PiecewiseConvex
+
     if not isinstance(obj, dict):
         raise SchemaError(f"{field}: phi must be an object")
 
@@ -248,6 +254,8 @@ def _parse_phi(obj: dict, field: str) -> PiecewiseConvex:
 
 
 def _parse_orlicz(obj: dict) -> OrliczSpec:
+    from .modular import HOMOGENEOUS, POWER, OrliczSpec
+
     atoms_raw = _capped(_need(obj, "atoms", list), "atoms", MAX_ORLICZ_ATOMS,
                         "MAX_ORLICZ_ATOMS")
     atoms = []
@@ -290,6 +298,8 @@ def _parse_asym_norm_sample(obj: dict) -> AsymNormSample:
 
 
 def _parse_map(obj: dict) -> PointMap:
+    from .morphisms import PointMap
+
     src = _labels(obj, "source_points", "map")
     tgt = _labels(obj, "target_points", "map")
     assignment = tuple(_index_list(_need(obj, "assignment", list), len(tgt),
@@ -351,21 +361,6 @@ def dump_instance(value) -> dict:
             "backward_min_nbhd": [sorted(value.backward.min_nbhd(x))
                                   for x in range(value.n)],
         }
-    if isinstance(value, QuasiModularFamily):
-        return {
-            "kind": "modular_family",
-            "points": list(value.points),
-            "gauges": [[_dump_gauge(g) for g in row] for row in value.gauges],
-        }
-    if isinstance(value, OrliczSpec):
-        return {
-            "kind": "orlicz",
-            "atoms": [[label, str(w)] for label, w in value.atoms],
-            "phi": [_dump_phi(p) for p in value.phi],
-            "functions": [[str(v) for v in row] for row in value.functions],
-            "scaling": ({"kind": HOMOGENEOUS} if value.scaling[0] == HOMOGENEOUS
-                        else {"kind": POWER, "p": str(value.scaling[1])}),
-        }
     if isinstance(value, AsymNormSample):
         return {
             "kind": "asym_norm_sample",
@@ -373,25 +368,51 @@ def dump_instance(value) -> dict:
             "p": str(value.p),
             "points": [[str(v) for v in row] for row in value.points],
         }
-    if isinstance(value, PointMap):
-        return {
-            "kind": "map",
-            "source_points": list(value.source_points),
-            "target_points": list(value.target_points),
-            "assignment": list(value.assignment),
-        }
     if isinstance(value, EventuallyPeriodicSeq):
         return {
             "kind": "sequence",
             "preperiod": list(value.preperiod),
             "period": list(value.period),
         }
+    modular = _loaded("modular")
+    if modular and isinstance(value, modular.QuasiModularFamily):
+        return {
+            "kind": "modular_family",
+            "points": list(value.points),
+            "gauges": [[_dump_gauge(g) for g in row] for row in value.gauges],
+        }
+    if modular and isinstance(value, modular.OrliczSpec):
+        return {
+            "kind": "orlicz",
+            "atoms": [[label, str(w)] for label, w in value.atoms],
+            "phi": [_dump_phi(p) for p in value.phi],
+            "functions": [[str(v) for v in row] for row in value.functions],
+            "scaling": ({"kind": modular.HOMOGENEOUS}
+                        if value.scaling[0] == modular.HOMOGENEOUS
+                        else {"kind": modular.POWER, "p": str(value.scaling[1])}),
+        }
+    morphisms = _loaded("morphisms")
+    if morphisms and isinstance(value, morphisms.PointMap):
+        return {
+            "kind": "map",
+            "source_points": list(value.source_points),
+            "target_points": list(value.target_points),
+            "assignment": list(value.assignment),
+        }
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _loaded(name: str):
+    """The package module ``name`` if it is loaded, else None: no value of
+    its types exists before that, so a dump need not load it."""
+    return sys.modules.get(f"{__package__}.{name}")
 
 
 def _dump_gauge(g: ScaleGauge) -> dict:
     """A step gauge's values are its alphas; a homogeneous or power
     gauge's coeff is its one beta."""
+    from .modular import HOMOGENEOUS, POWER, STEP
+
     levels = ["inf" if a is None else str(a if g.kind == STEP else b) for a, b in g.pieces]
     if g.kind == STEP:
         return {"kind": STEP, "breakpoints": [str(b) for b in g.breakpoints], "values": levels}

@@ -202,10 +202,20 @@ def test_random_search_budget_defaults_to_200(capsys):
     assert (code, doc["budget"], doc["stats"]["instances_tested"]) == (0, 200, 200)
 
 
+def test_search_seed_defaults_to_the_pinned_seed(capsys):
+    argv = ("search", "--target", "cor61_join_local", "--n", "4", "--budget", "40")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == run(capsys, *argv, "--seed", "20240801")[:2]
+    assert json.loads(out)["seed"] == 20240801
+
+
 def test_search_unknown_target_exit_2(capsys):
     code, _, err = run(capsys, "search", "--target", "nope")
     assert code == 2
-    assert json.loads(err)["error"]["type"] == "UnknownProperty"
+    error = json.loads(err)["error"]
+    assert error["type"] == "UnknownProperty"
+    assert len(TARGETS) == 9
+    assert error["message"].endswith("; known: " + ", ".join(sorted(TARGETS)))
 
 
 def test_malformed_inputs_never_crash(tmp_path, capsys):

@@ -159,6 +159,7 @@ def _out_closed_sets(b: BitopSpace):
 def test_certificate_is_lex_least(seed, n):
     b = rng_bitop(random.Random(seed), n)
     cert = antisym_certificate(b)
+    assert component_report(b).certificate == cert
     closed = _out_closed_sets(b)
     if cert is None:
         assert not closed

@@ -1,15 +1,22 @@
-"""The package's lazy exports and the modules each import loads."""
+"""The package's lazy exports and the modules each import and command
+loads."""
 
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import types
 
+import pytest
+
 import qconn
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+DATA = ROOT / "tests" / "data"
+DEMOS = ROOT / "demos" / "instances"
 
 
 def _fresh(code: str):
@@ -71,3 +78,112 @@ def test_submodules_stay_reachable():
 
     assert qconn.bitopology is bitopology and qconn.search is search
     assert qconn.relations.indices_of(0b1011) == [0, 1, 3]
+
+
+# what ``analyze`` and ``validate`` run on quasi_metric, digraph,
+# bitopology, asym_norm_sample and sequence files
+CLI_EAGER = ["qconn", "qconn.bitopology", "qconn.cli", "qconn.completion",
+             "qconn.connectivity", "qconn.errors", "qconn.gauges",
+             "qconn.instances", "qconn.numbers", "qconn.relations"]
+
+RUN_MAIN = """
+import contextlib, io
+from qconn.cli import main
+
+def run(argv, outputs):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    files = {}
+    for path in outputs:
+        with open(path, encoding="utf-8") as fh:
+            files[path] = fh.read()
+        os.remove(path)
+    return [code, out.getvalue(), err.getvalue(), files]
+"""
+
+
+def _cli_loads(*argv) -> list[str]:
+    """The package modules a fresh interpreter holds after one
+    ``qconn.cli.main(argv)`` call that exits 0."""
+    got = _fresh(f"""import os
+{RUN_MAIN}
+code = run({[str(a) for a in argv]!r}, [])[0]
+print(json.dumps({{"code": code, "loaded": {LOADED}}}))
+""")
+    assert got["code"] == 0
+    return got["loaded"]
+
+
+def test_cli_import_loads_only_what_analyze_runs():
+    assert _fresh(f"import qconn.cli\nprint(json.dumps({LOADED}))") == CLI_EAGER
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", DATA / "chain_digraph.json", "--components", "--local", "--scale",
+     "1", "--smyth", "--formal-balls", "0,1,2"),
+    ("analyze", DATA / "asym_pair.json", "--cauchy", DATA / "constant_seq.json"),
+    ("analyze", DEMOS / "norm_samples.json", "--scale", "1", "--smyth"),
+    ("analyze", DATA / "indiscrete_split.json", "--local"),
+    ("validate", DATA / "constant_seq.json"),
+], ids=["digraph", "quasi_metric", "asym_norm_sample", "bitopology", "sequence"])
+def test_analysis_loads_nothing_beyond_the_cli(argv):
+    assert _cli_loads(*argv) == CLI_EAGER
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", DATA / "chain_digraph.json", "--dot", "{tmp}/c.dot"),
+    ("analyze", DATA / "chain_digraph.json", "--formal-balls", "0,1", "--dot",
+     "{tmp}/b.dot"),
+    ("export-dot", DATA / "chain_digraph.json", "--what", "formal-balls"),
+], ids=["components", "formal-balls", "export-dot"])
+def test_dot_output_adds_only_dot(tmp_path, argv):
+    argv = [str(a).format(tmp=tmp_path) for a in argv]
+    assert _cli_loads(*argv) == sorted([*CLI_EAGER, "qconn.dot"])
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize("path", [DEMOS / "step_family.json", DATA / "orlicz_pair.json"],
+                         ids=["modular_family", "orlicz"])
+def test_gauge_family_files_add_only_modular(command, path):
+    assert _cli_loads(command, path) == sorted([*CLI_EAGER, "qconn.modular"])
+
+
+def test_map_files_add_only_morphisms():
+    assert (_cli_loads("validate", DEMOS / "squeeze_map.json")
+            == sorted([*CLI_EAGER, "qconn.morphisms"]))
+
+
+def test_search_adds_only_search():
+    assert (_cli_loads("search", "--target", "prop54_inclusion", "--n", "3",
+                       "--budget", "5")
+            == sorted([*CLI_EAGER, "qconn.search"]))
+
+
+def test_reused_parser_gives_each_call_its_fresh_result(tmp_path):
+    """One process parses every call with the same parser; each call's exit
+    code, stdout, stderr and files must equal its run in a fresh process,
+    so no flag of one call reaches the next."""
+    digraph, out, dot = str(DATA / "chain_digraph.json"), f"{tmp_path}/a.json", f"{tmp_path}/a.dot"
+    calls = [
+        (["analyze", digraph, "--components", "--local", "--scale", "1", "--smyth",
+          "--thresholds", "1,2", "--formal-balls", "0,1", "--cauchy",
+          str(DATA / "constant_seq.json"), "--dot", dot, "--float-tol", "1e-6",
+          "--out", out], [out, dot]),
+        (["analyze", digraph], []),
+        (["validate", str(DEMOS / "step_family.json")], []),
+        (["search", "--target", "prop54_inclusion", "--n", "3", "--budget", "20"], []),
+        (["analyze", digraph, "--scale"], []),
+        (["export-dot", digraph], []),
+    ]
+    code = f"import os\n{RUN_MAIN}\nprint(json.dumps([run(*call) for call in CALLS]))"
+    in_sequence = _fresh(f"CALLS = {calls!r}\n{code}")
+    alone = [_fresh(f"CALLS = {[call]!r}\n{code}")[0] for call in calls]
+
+    def stable(result):  # the search's wall time is the one varying byte
+        code, out, err, files = result
+        return [code, out, re.sub(r"[0-9.]+s wall", "s wall", err), files]
+
+    assert [stable(r) for r in in_sequence] == [stable(r) for r in alone]
+    assert [r[0] for r in in_sequence] == [0, 0, 0, 0, 2, 0]
+    assert all(in_sequence[0][3].values())
