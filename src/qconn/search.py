@@ -52,9 +52,8 @@ from .relations import (
 DEFAULT_SEED = 20240801
 EXHAUSTIVE_MAX_N = 5
 # random mode draws a preorder in time quadratic in its number of classes
-# (one coin per pair): 2.5-3.3 ms at n = 256, against 4.2-6.6 ms for the
-# fixed-point closure this replaced (best of 7 x 20 draws, five alternating
-# process pairs, shared 2-core VM, CPython 3.11)
+# (one coin per pair): 0.56-0.64 ms at n = 256 (best of 7 x 20 draws in
+# each of five processes, shared 2-core VM, CPython 3.11)
 RANDOM_MAX_N = 256
 # carrier sizes each mode accepts: random mode draws 2 to n points
 N_RANGE = {"exhaustive": (1, EXHAUSTIVE_MAX_N), "random": (2, RANDOM_MAX_N)}
@@ -145,50 +144,60 @@ def all_preorders(n: int) -> tuple[PreorderData, ...]:
 
 def random_preorder(rng: random.Random, n: int) -> PreorderData:
     """Random equivalence classes glued along a random DAG, transitively
-    closed by construction.
+    closed by construction; ``rng`` must be a ``random.Random``.
 
-    Draws a class count k, a class for each point, a shuffled ``order``
-    of the classes that occur, then one coin per pair of positions a < b
-    in ``order`` (an arc from a to b with probability 0.35).  Arcs only
-    run forward, so one pass from the last position down closes the DAG.
-    The same pass ORs each reachable class's members into the class's up
-    row, and the class's own members into the reached class's down row.
-    Every point takes its class's two rows, so the rows arrive with
-    their transpose and no n x n transpose is needed."""
-    k = rng.randint(1, n)
-    assignment = [rng.randrange(k) for _ in range(n)]
+    Draws a class count k, a class for each point and a shuffle of the
+    classes that occur, then one coin per pair of positions a < b in the
+    shuffled list (an arc from a to b with probability 0.35).  Arcs only
+    run forward and the coins come in lexicographic order, so when the
+    coins of position a are drawn its down row (the members of every
+    class that reaches it) is final and each winning arc ORs it into the
+    down row of b.  One backward pass over the winning arcs then ORs
+    each up row (the members of every class it reaches) into its
+    predecessor's.  Every point takes its class's two rows, so the rows
+    arrive with their transpose and no n x n transpose is needed.
+
+    Each draw below a bound m is CPython's ``Random._randbelow(m)``
+    written out: ``getrandbits(m.bit_length())`` until the value is
+    below m.  So the draws are those of ``randint(1, n)``, n
+    ``randrange(k)`` and ``shuffle``, consuming the same generator
+    words, and each coin is one ``random()`` call."""
+    if n < 1:
+        raise ValueError(f"a random preorder needs at least one point, got {n}")
+    bits = rng.getrandbits
+    coin = rng.random
+    b = n.bit_length()
+    r = bits(b)
+    while r >= n:
+        r = bits(b)
+    k = r + 1
+    b = k.bit_length()
+    assignment = []
     members = [0] * k
-    for x, c in enumerate(assignment):
-        members[c] |= 1 << x
+    for x in range(n):
+        r = bits(b)
+        while r >= k:
+            r = bits(b)
+        assignment.append(r)
+        members[r] |= 1 << x
     used = [c for c in range(k) if members[c]]
-    k = len(used)
-    order = list(range(k))
-    rng.shuffle(order)
-    # one coin per pair of positions (a, b), a < b, in lexicographic order
-    coins = [rng.random() for _ in range(k * (k - 1) // 2)]
-    cls = [used[t] for t in order]  # the class at each position
-    up = [0] * len(members)
-    down = [0] * len(members)
-    reach = [0] * k  # the positions each position reaches, itself included
-    end = len(coins)
-    for a in range(k - 1, -1, -1):
-        start = end - (k - 1 - a)  # the coins of (a, a+1), ..., (a, k-1)
-        r = 1 << a
-        for b, coin in enumerate(coins[start:end], a + 1):
-            if coin < 0.35:
-                r |= reach[b]
-        reach[a] = r
-        end = start
-        c = cls[a]
-        own = members[c]
-        row = 0
-        while r:
-            low = r & -r
-            r ^= low
-            d = cls[low.bit_length() - 1]
-            row |= members[d]
-            down[d] |= own
-        up[c] = row
+    for i in range(len(used) - 1, 0, -1):
+        b = (i + 1).bit_length()
+        r = bits(b)
+        while r > i:
+            r = bits(b)
+        used[i], used[r] = used[r], used[i]
+    up = members[:]
+    down = members[:]
+    arcs = []
+    for a, c in enumerate(used, 1):
+        row = down[c]
+        for d in used[a:]:
+            if coin() < 0.35:
+                down[d] |= row
+                arcs.append((c, d))
+    for c, d in reversed(arcs):
+        up[c] |= up[d]
     return PreorderData(rows=tuple([up[c] for c in assignment]),
                         transpose=tuple([down[c] for c in assignment]))
 
@@ -501,32 +510,59 @@ def _bitop_stream(mode: str, n: int, seed: int, equal: bool) -> Iterable[BitopCa
             for p, q in pairs:
                 yield BitopCase(fwd=p, bwd=q, source="enumerated")
     else:
+        # sizes 2 to n, drawn as ``randint(2, n)`` is (see ``random_preorder``)
+        span = n - 1
+        if span < 1:
+            raise ValueError(f"random mode draws 2 to n points, got n = {n}")
         rng = random.Random(seed)
+        bits = rng.getrandbits
+        b = span.bit_length()
         while True:
-            size = rng.randint(2, n)
+            r = bits(b)
+            while r >= span:
+                r = bits(b)
+            size = 2 + r
             p = random_preorder(rng, size)
             q = p if equal else random_preorder(rng, size)
             yield BitopCase(fwd=p, bwd=q, source="random")
 
 
 def _map_stream(mode: str, n: int, seed: int) -> Iterable[MapCase]:
+    """Per source case: the identity, the constant map to the one-point
+    space, and the first of 6 random assignments into a random target
+    of 1 to max(2, size) points that preserves both specializations.
+    Sizes and assignments are drawn as ``randint`` and ``randrange`` do
+    (see ``random_preorder``)."""
     rng = random.Random(seed ^ 0x5EED)
+    bits = rng.getrandbits
     for case in _bitop_stream(mode, n, seed, equal=False):
         size = len(case.fwd.rows)
-        ident = tuple(range(size))
-        yield MapCase(src=case, assignment=ident, tgt=case, source=case.source)
-        target1 = BitopCase(fwd=_POINT, bwd=_POINT, source=case.source)
+        source = case.source
+        yield MapCase(src=case, assignment=tuple(range(size)), tgt=case,
+                      source=source)
+        target1 = BitopCase(fwd=_POINT, bwd=_POINT, source=source)
         yield MapCase(src=case, assignment=(0,) * size, tgt=target1,
-                      source=case.source)
-        tgt_size = rng.randint(1, max(2, size))
+                      source=source)
+        span = max(2, size)
+        b = span.bit_length()
+        r = bits(b)
+        while r >= span:
+            r = bits(b)
+        tgt_size = r + 1
         tgt = BitopCase(fwd=random_preorder(rng, tgt_size),
-                        bwd=random_preorder(rng, tgt_size), source=case.source)
+                        bwd=random_preorder(rng, tgt_size), source=source)
+        b = tgt_size.bit_length()
         for _ in range(6):
-            assignment = tuple(rng.randrange(tgt_size) for _ in range(size))
+            assignment = []
+            for _ in range(size):
+                r = bits(b)
+                while r >= tgt_size:
+                    r = bits(b)
+                assignment.append(r)
             if (preserves(assignment, case.fwd.rows, tgt.fwd.rows) is None
                     and preserves(assignment, case.bwd.rows, tgt.bwd.rows) is None):
-                yield MapCase(src=case, assignment=assignment, tgt=tgt,
-                              source=case.source)
+                yield MapCase(src=case, assignment=tuple(assignment), tgt=tgt,
+                              source=source)
                 break
 
 
@@ -582,8 +618,8 @@ def search_counterexamples(target: str, n: int, mode: str = "exhaustive",
     generator, seeded from ``seed``, serves every case of the run in
     stream order; only ``prop61_union`` draws from it, and only on
     carriers of more than ``MEMO_MAX_N`` points.  Raises
-    ``ValueError`` for an unknown mode or an ``n`` outside its
-    ``N_RANGE`` entry.
+    ``ValueError`` for an unknown mode, an ``n`` outside its
+    ``N_RANGE`` entry or a negative ``budget``.
     """
     if target not in TARGETS:
         raise UnknownProperty(f"unknown target {target!r}; known: "
@@ -593,6 +629,8 @@ def search_counterexamples(target: str, n: int, mode: str = "exhaustive",
     low, high = N_RANGE[mode]
     if not low <= n <= high:
         raise ValueError(f"{mode} mode takes {low} to {high} points, got {n}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     tgt = TARGETS[target]
     if tgt.case_kind == "map":
         stream = _map_stream(mode, n, seed)

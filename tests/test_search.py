@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 
@@ -15,6 +16,7 @@ from qconn.relations import (
     combined_rows,
     indices_of,
     is_closed,
+    preserves,
     reach,
     scc_masks,
     strongly_connected,
@@ -139,8 +141,8 @@ def _random_preorder_by_pairs(rng: random.Random, n: int):
 
 
 def test_random_preorder_matches_the_pairwise_reference():
-    for n, seeds in ((1, 50), (2, 300), (3, 300), (5, 300), (12, 300), (30, 100),
-                     (64, 100), (RANDOM_MAX_N, 20)):
+    for n, seeds in ((1, 50), (2, 300), (3, 300), (4, 300), (5, 300), (8, 300),
+                     (12, 300), (30, 100), (64, 100), (RANDOM_MAX_N, 20)):
         for seed in range(seeds):
             fast, slow = random.Random(seed), random.Random(seed)
             got = random_preorder(fast, n)
@@ -149,6 +151,129 @@ def test_random_preorder_matches_the_pairwise_reference():
             assert got.transpose == want.transpose, (n, seed)
             assert list(got.transpose) == transpose(got.rows), (n, seed)
             assert fast.getstate() == slow.getstate(), (n, seed)
+
+
+def _below(bits, bound: int) -> int:
+    """The draw ``search`` writes out inline: ``getrandbits`` of the
+    bound's bit length until the value is below the bound."""
+    b = bound.bit_length()
+    r = bits(b)
+    while r >= bound:
+        r = bits(b)
+    return r
+
+
+@pytest.mark.parametrize("seed", (0, 1, 99, DEFAULT_SEED, 2**61 - 1))
+def test_inline_draw_matches_randrange_randint_and_shuffle(seed):
+    """The search streams stay byte-identical only while CPython's
+    ``randrange``, ``randint`` and ``shuffle`` draw below a bound as
+    ``_below`` does; this names that cause if a Python release changes
+    them."""
+    cause = "Random._randbelow no longer matches the inline getrandbits draw"
+    ours, theirs = random.Random(seed), random.Random(seed)
+    bits = ours.getrandbits
+    for bound in range(1, 301):
+        assert _below(bits, bound) == theirs.randrange(bound), (cause, bound)
+        assert 1 + _below(bits, bound) == theirs.randint(1, bound), (cause, bound)
+        assert 2 + _below(bits, bound) == theirs.randint(2, bound + 1), (cause, bound)
+        items = list(range(bound))
+        want = items[:]
+        theirs.shuffle(want)
+        for i in range(bound - 1, 0, -1):
+            j = _below(bits, i + 1)
+            items[i], items[j] = items[j], items[i]
+        assert items == want, (cause, bound)
+        assert ours.getstate() == theirs.getstate(), (cause, bound)
+
+
+class _NoDraws(random.Random):
+    """A generator that fails any draw, so a draw below 0, which
+    ``getrandbits(0)`` would repeat forever, fails instead of hanging."""
+
+    def getrandbits(self, k):
+        raise AssertionError(f"drew getrandbits({k})")
+
+    def random(self):
+        raise AssertionError("drew random()")
+
+
+def test_random_draws_refuse_empty_ranges_before_drawing(monkeypatch):
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            random_preorder(_NoDraws(3), n)
+    monkeypatch.setattr(search.random, "Random", _NoDraws)
+    with pytest.raises(ValueError):
+        next(search._bitop_stream("random", 1, 3, equal=True))
+
+
+def _bitop_stream_by_randint(mode: str, n: int, seed: int, equal: bool):
+    """Reference oracle for the random bitopological stream: sizes drawn
+    by ``randint`` and preorders by ``_random_preorder_by_pairs``.  The
+    exhaustive stream draws nothing, so it is taken as it is."""
+    if mode == "exhaustive":
+        yield from search._bitop_stream(mode, n, seed, equal)
+        return
+    if not equal:
+        yield from search.REGRESSION_CASES
+    rng = random.Random(seed)
+    while True:
+        size = rng.randint(2, n)
+        p = _random_preorder_by_pairs(rng, size)
+        q = p if equal else _random_preorder_by_pairs(rng, size)
+        yield BitopCase(fwd=p, bwd=q, source="random")
+
+
+def _map_stream_by_randrange(mode: str, n: int, seed: int):
+    """Reference oracle for the map stream: the target size by
+    ``randint``, each assignment by ``randrange`` and each target
+    preorder by ``_random_preorder_by_pairs``."""
+    rng = random.Random(seed ^ 0x5EED)
+    for case in _bitop_stream_by_randint(mode, n, seed, equal=False):
+        size = len(case.fwd.rows)
+        yield MapCase(src=case, assignment=tuple(range(size)), tgt=case,
+                      source=case.source)
+        point = preorder_data((1,))
+        yield MapCase(src=case, assignment=(0,) * size,
+                      tgt=BitopCase(fwd=point, bwd=point, source=case.source),
+                      source=case.source)
+        tgt_size = rng.randint(1, max(2, size))
+        tgt = BitopCase(fwd=_random_preorder_by_pairs(rng, tgt_size),
+                        bwd=_random_preorder_by_pairs(rng, tgt_size),
+                        source=case.source)
+        for _ in range(6):
+            assignment = tuple(rng.randrange(tgt_size) for _ in range(size))
+            if (preserves(assignment, case.fwd.rows, tgt.fwd.rows) is None
+                    and preserves(assignment, case.bwd.rows, tgt.bwd.rows) is None):
+                yield MapCase(src=case, assignment=assignment, tgt=tgt,
+                              source=case.source)
+                break
+
+
+def _bitop_key(case: BitopCase):
+    return (case.fwd.rows, case.fwd.transpose, case.bwd.rows, case.bwd.transpose,
+            case.source)
+
+
+@pytest.mark.parametrize("mode,n,cases", (("exhaustive", 4, 30_000),
+                                          ("random", 12, 2_000)))
+@pytest.mark.parametrize("seed", (DEFAULT_SEED, 911))
+def test_map_stream_matches_the_randrange_reference(mode, n, cases, seed):
+    got = itertools.islice(search._map_stream(mode, n, seed), cases)
+    want = itertools.islice(_map_stream_by_randrange(mode, n, seed), cases)
+    count = 0
+    for a, b in itertools.zip_longest(got, want):
+        assert (_bitop_key(a.src), a.assignment, _bitop_key(a.tgt), a.source) == \
+            (_bitop_key(b.src), b.assignment, _bitop_key(b.tgt), b.source), count
+        count += 1
+    assert count == cases
+
+
+@pytest.mark.parametrize("equal", (False, True))
+@pytest.mark.parametrize("seed", (DEFAULT_SEED, 911))
+def test_random_bitop_stream_matches_the_randint_reference(seed, equal):
+    got = itertools.islice(search._bitop_stream("random", 12, seed, equal), 2_000)
+    want = itertools.islice(_bitop_stream_by_randint("random", 12, seed, equal), 2_000)
+    assert [_bitop_key(c) for c in got] == [_bitop_key(c) for c in want]
 
 
 def _lemma_gap_by_transpose(case: BitopCase, mask: int):
@@ -231,6 +356,12 @@ def test_random_mode_requires_budget():
     with pytest.raises(ValueError):
         search_counterexamples("antisym_oracle", n=4, mode="random",
                                budget=None)
+
+
+@pytest.mark.parametrize("mode", ("exhaustive", "random"))
+def test_negative_budget_is_refused_by_name(mode):
+    with pytest.raises(ValueError, match="budget"):
+        search_counterexamples("antisym_oracle", n=3, mode=mode, budget=-1)
 
 
 def test_map_targets_run_clean():
