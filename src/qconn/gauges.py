@@ -324,7 +324,8 @@ def from_asym_norm(s: AsymNormSample, mode: str = "exact",
 
     Exact for p = 1 (and for integer p when every root is rational);
     otherwise requires mode="float", whose absolute tolerance is recorded
-    on the result and applied to every downstream comparison.
+    on the result and applied to every downstream comparison.  At p = 1
+    the triangle law holds by (u + v)+ <= u+ + v+, so it is not checked.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -334,7 +335,7 @@ def from_asym_norm(s: AsymNormSample, mode: str = "exact",
         den = lcm(*{c.denominator for v in s.points for c in v})
         vecs = [[c.numerator * (den // c.denominator) for c in v] for v in s.points]
         rows = [[sum(b - a for a, b in zip(x, y) if b > a) for y in vecs] for x in vecs]
-        return _validated(labels, den, rows)
+        return _metric(labels, den, rows)
     dist = [[ZERO if i == j else one_sided_lp(x, y, s.p, mode=mode)
              for j, y in enumerate(s.points)] for i, x in enumerate(s.points)]
     return validate_qpm(dist, points=labels, tol=None if mode == "exact" else Fraction(tol))

@@ -37,12 +37,14 @@ KINDS = ("quasi_metric", "digraph", "bitopology", "modular_family", "orlicz",
 # Size caps, so that every accepted file is validated and analysed in
 # bounded time.  Each was sized by timing ``validate`` and ``analyze`` with
 # every analysis of the densest instance at the cap (complete digraphs, full
-# matrices and neighbourhoods, 3-breakpoint step gauges, 32 atoms, and
-# MAX_PHI_BREAKPOINTS on each side of 0 summed over every phi, since a
-# gauge and its transpose together reach at most both sums): 0.4-2.6 s on a
-# 2-core VM under CPython 3.11.  A larger file is a SchemaError naming its limit.
+# matrices and neighbourhoods, 128 points whose gauges share
+# MAX_FAMILY_PIECES, 32 atoms, and MAX_PHI_BREAKPOINTS on each side of 0
+# summed over every phi, since a gauge and its transpose together reach at
+# most both sums): 0.4-2.6 s on a 2-core VM under CPython 3.11.  A larger
+# file is a SchemaError naming its limit.
 MAX_POINTS = {"quasi_metric": 256, "digraph": 256, "asym_norm_sample": 256,
               "bitopology": 512, "modular_family": 128, "orlicz": 64, "map": 100_000}
+MAX_FAMILY_PIECES = 65_536  # breakpoints + 1 per gauge, summed over a modular_family
 MAX_ORLICZ_ATOMS = 32
 MAX_PHI_BREAKPOINTS = 32
 MAX_SEQUENCE_LENGTH = 100_000
@@ -86,7 +88,9 @@ def _memo(parsed: dict, text, field: str) -> ExtNonNeg:
     return value
 
 
-def _capped(raw: list, field: str, cap: int, name: str) -> list:
+def _capped(raw, field: str, cap: int, name: str):
+    """raw, unless it has more than cap entries (raw may be a range that
+    stands for a count)."""
     if len(raw) > cap:
         raise SchemaError(f"field {field!r}: {len(raw)} entries exceed the limit "
                           f"{name} = {cap}")
@@ -203,7 +207,7 @@ def _parse_bitopology(obj: dict) -> BitopSpace:
 
 
 def _parse_gauge(obj: dict, field: str) -> ScaleGauge:
-    from .modular import HOMOGENEOUS, POWER, STEP, ScaleGauge
+    from .modular import HOMOGENEOUS, PIECEWISE, POWER, STEP, ScaleGauge
 
     if not isinstance(obj, dict):
         raise SchemaError(f"{field}: gauge must be an object")
@@ -217,7 +221,23 @@ def _parse_gauge(obj: dict, field: str) -> ScaleGauge:
     if kind == POWER:
         return ScaleGauge.power(_extnonneg(_need(obj, "coeff"), f"{field}.coeff"),
                                 _rational(_need(obj, "exponent"), f"{field}.exponent"))
+    if kind == PIECEWISE:
+        bps = [_rational(b, f"{field}.breakpoints") for b in _need(obj, "breakpoints", list)]
+        pieces = []
+        for piece in _need(obj, "pieces", list):
+            if not isinstance(piece, list) or len(piece) != 2:
+                raise SchemaError(f"{field}.pieces: a piece must be [alpha, beta]")
+            alpha, beta = piece
+            pieces.append((None if alpha == "inf" else _rational(alpha, f"{field}.pieces"),
+                           _rational(beta, f"{field}.pieces")))
+        return ScaleGauge(PIECEWISE, tuple(pieces), tuple(bps))
     raise SchemaError(f"{field}: unknown gauge kind {kind!r}")
+
+
+def _pieces(raw) -> int:
+    """The pieces a gauge object declares: its breakpoints, plus one."""
+    bps = raw.get("breakpoints") if isinstance(raw, dict) else None
+    return 1 + len(bps) if isinstance(bps, list) else 1
 
 
 def _parse_modular_family(obj: dict) -> QuasiModularFamily:
@@ -228,6 +248,8 @@ def _parse_modular_family(obj: dict) -> QuasiModularFamily:
     rows_raw = _need(obj, "gauges", list)
     if len(rows_raw) != n:
         raise SchemaError("gauges must have one row per point")
+    _capped(range(sum(_pieces(g) for row in rows_raw if isinstance(row, list) for g in row)),
+            "gauges", MAX_FAMILY_PIECES, "MAX_FAMILY_PIECES")
     rows = []
     for r, row in enumerate(rows_raw):
         if not isinstance(row, list) or len(row) != n:
@@ -410,17 +432,19 @@ def _loaded(name: str):
 
 def _dump_gauge(g: ScaleGauge) -> dict:
     """A step gauge's values are its alphas; a homogeneous or power
-    gauge's coeff is its one beta."""
+    gauge's coeff is its one beta; a piecewise gauge lists its pieces."""
     from .modular import HOMOGENEOUS, POWER, STEP
 
+    bps = [str(b) for b in g.breakpoints]
     levels = ["inf" if a is None else str(a if g.kind == STEP else b) for a, b in g.pieces]
     if g.kind == STEP:
-        return {"kind": STEP, "breakpoints": [str(b) for b in g.breakpoints], "values": levels}
+        return {"kind": STEP, "breakpoints": bps, "values": levels}
     if g.kind == HOMOGENEOUS:
         return {"kind": HOMOGENEOUS, "coeff": levels[0]}
     if g.kind == POWER:
         return {"kind": POWER, "coeff": levels[0], "exponent": str(g.exponent)}
-    raise TypeError(f"a {g.kind} gauge has no file form")
+    return {"kind": g.kind, "breakpoints": bps,
+            "pieces": [["inf" if a is None else str(a), str(b)] for a, b in g.pieces]}
 
 
 def _dump_phi(p: PiecewiseConvex) -> dict:

@@ -13,10 +13,10 @@ piece, alpha = 0) and the piecewise gauges of pointwise maxima and of
 Orlicz modulars with a kinked phi, all with p = 1, and power c/lambda^p,
 the homogeneous form read in lambda^p.  Validation of QM2 is a real
 decision procedure for step-only and homogeneous-only triples and an
-exact check on a grid otherwise.  The decision runs on integers: one
-common denominator scales every step breakpoint and another every finite
-step value and homogeneous coefficient.  Fractions are used only for the
-witness of a violation and for the grid check of the other triples.
+exact check on a grid otherwise.  Both run on one integer form of every
+gauge: one common denominator scales every breakpoint and grid point and
+another every alpha and beta.  Fractions are used only for the witness of
+a violation.
 """
 
 from __future__ import annotations
@@ -82,6 +82,10 @@ class ScaleGauge:
                                  "and beta = 0 on an infinite or step piece")
             if kind == STEP and alpha is not None and alpha < 0:
                 raise ValueError(f"step gauge value {alpha} is negative")
+        for (alpha, beta), b in zip(pieces, (*bps, None)) if kind == PIECEWISE else ():
+            if alpha is not None and (alpha < 0 if b is None else alpha * b + beta < 0):
+                raise ValueError(f"piecewise gauge piece {(alpha, beta)} is negative before "
+                                 f"lambda = {'inf' if b is None else b}")
         if kind in (HOMOGENEOUS, POWER) and (bps or pieces[0][0] not in (0, None)):
             raise ValueError(f"{kind} gauge is one piece c/lambda or +inf")
         if kind == POWER and self.exponent < 1:
@@ -267,18 +271,14 @@ class ValidationReport:
 def validate_family(f: QuasiModularFamily, grid) -> ValidationReport:
     """Check QM1, QM2, QM3 and report every violation with its witness.
 
-    For triples whose three gauges are all step kind the QM2 check is
-    exhaustive: with right-continuous nonincreasing steps the difference
-    w_lambda(i,j) + w_mu(j,k) - w_{lambda+mu}(i,k) attains its infimum at
-    piece left endpoints, so evaluating at {0+} union breakpoints decides
-    the axiom.  All-homogeneous triples are decided analytically
-    (c_ik <= (sqrt(c_ij) + sqrt(c_jk))^2, tested exactly by squaring).
-    Both decisions compare integers: every step breakpoint is scaled by
-    one common denominator and every finite step value and homogeneous
-    coefficient by another (see _scaled_gauges).  The other triples (mixed
-    kinds, piecewise or power gauges) are evaluated exactly, on Fractions,
-    on the supplied grid augmented with every breakpoint (_qm2_grid);
-    Fractions appear only there and in the witness of a violation.
+    QM2 is read off one integer form of the family (_scaled_gauges).  For
+    all-step triples it is decided: right-continuous nonincreasing steps
+    make w_lambda(i,j) + w_mu(j,k) - w_{lambda+mu}(i,k) least at piece left
+    ends, so the corners {0+} union breakpoints decide it.  All-homogeneous
+    triples are decided by c_ik <= (sqrt(c_ij) + sqrt(c_jk))^2, squared.
+    Every other triple (mixed kinds, piecewise or power gauges) is checked
+    exactly on the grid, every breakpoint and half the least of these
+    (_grid_pairs).  Fractions appear only in the witnesses.
     """
     grid = [Fraction(g) for g in grid]
     if not grid:
@@ -316,83 +316,111 @@ def _nonzero_witness(g: ScaleGauge, grid) -> Fraction:
     return grid[0]
 
 
-def _scaled_gauges(f: QuasiModularFamily):
-    """(rows, inf): the step and homogeneous gauges of f as integers.
-
-    sden is the least common denominator of every step breakpoint and
-    vden that of every finite step value alpha and homogeneous coefficient
-    beta.  rows[i][j] is, for a step gauge, (corners, breakpoints * sden,
-    values * vden), where corners pairs each piece's left endpoint (0
-    standing for 0+) with its value; for a homogeneous gauge, coeff *
-    vden; for a piecewise or power gauge, None.  Infinity becomes the int
-    inf = 2 * (largest finite value) + 1, which exceeds any sum of two finite
-    values and is never a float (an int beyond 10**308 plus a float
-    infinity overflows).
-    """
+def _scaled_gauges(f: QuasiModularFamily, grid):
+    """(forms, sden): every gauge of f in one integer form.  sden is twice
+    the least common denominator of every breakpoint and grid point, so
+    half the least of them is an integer too, and vden that of every finite
+    alpha and beta.  forms[i][j] is (kind, breakpoints * sden, pieces,
+    corners, exponent); each piece is (alpha * vden, beta * vden), or None
+    for +inf.  A step gauge's corners pair the left end (0 standing for
+    0+) of each finite piece with its scaled value."""
     flat = [g for row in f.gauges for g in row]
-    steps = [g for g in flat if g.kind == STEP]
-    finite = {a for g in steps for a, _ in g.pieces if a is not None}
-    finite.update(g.pieces[0][1] for g in flat if g.kind == HOMOGENEOUS)
-    sden = lcm(*{b.denominator for g in steps for b in g.breakpoints})
-    vden = lcm(*{v.denominator for v in finite})
-    top = max(finite, default=_NIL)
-    inf = 2 * _z(top, vden) + 1
+    sden = 2 * lcm(*{b.denominator for g in flat for b in g.breakpoints},
+                   *{q.denominator for q in grid})
+    vden = lcm(*{v.denominator for g in flat for piece in g.pieces for v in piece
+                 if v is not None})
 
     def scaled(g):
-        if g.kind == HOMOGENEOUS:
-            alpha, beta = g.pieces[0]
-            return inf if alpha is None else _z(beta, vden)
-        if g.kind != STEP:
-            return None
         bps = [_z(b, sden) for b in g.breakpoints]
-        vals = [inf if a is None else _z(a, vden) for a, _ in g.pieces]
-        return list(zip([0, *bps], vals)), bps, vals
+        pieces = [None if a is None else (_z(a, vden), _z(b, vden)) for a, b in g.pieces]
+        corners = g.kind == STEP and [(e, p[0]) for e, p in zip((0, *bps), pieces) if p]
+        return g.kind, bps, pieces, corners, g.exponent
 
-    return [[scaled(g) for g in row] for row in f.gauges], inf
+    return [[scaled(g) for g in row] for row in f.gauges], sden
 
 
 def _qm2_violations(f: QuasiModularFamily, grid):
     """Every QM2 violation, triple by triple in (i, j, k) order."""
-    rows, inf = _scaled_gauges(f)
+    forms, sden = _scaled_gauges(f, grid)
+    grid = [_z(q, sden) for q in grid]
     n = f.n
     out = []
     for i in range(n):
-        row_i = rows[i]
+        row_i = forms[i]
         for j in range(n):
-            sa, row_j = row_i[j], rows[j]
+            fa, row_j = row_i[j], forms[j]
             for k in range(n):
-                sb, sc = row_j[k], row_i[k]
-                if type(sa) is type(sb) is type(sc) is tuple:
-                    bc, vc = sc[1], sc[2]
-                    bad = [(a, b) for a, (la, x) in enumerate(sa[0])
-                           for b, (mu, y) in enumerate(sb[0])
-                           if vc[bisect_right(bc, la + mu)] > x + y]
-                    if bad:
-                        out += _step_witnesses(f, i, j, k, bad)
-                elif type(sa) is type(sb) is type(sc) is int:
-                    if sa == inf or sb == inf or sc == 0:
-                        continue
-                    t = sc - sa - sb
-                    if sc == inf or (t > 0 and t * t > 4 * sa * sb):
+                fb, fc = row_j[k], row_i[k]
+                if fa[0] == fb[0] == fc[0] == HOMOGENEOUS:  # c <= (sqrt(a) + sqrt(b))^2
+                    (a,), (b,), (c,) = fa[2], fb[2], fc[2]
+                    if a and b and (c is None or c[1] > a[1] + b[1]
+                                    and (c[1] - a[1] - b[1]) ** 2 > 4 * a[1] * b[1]):
                         out.append(_homogeneous_violation(f, i, j, k))
+                    continue
+                if fa[0] == fb[0] == fc[0] == STEP:
+                    bc, pc = fc[1], fc[2]
+                    bad = [(la, mu) for la, x in fa[3] for mu, y in fb[3]
+                           if (z := pc[bisect_right(bc, la + mu)]) is None or z[0] > x + y]
                 else:
-                    out += _qm2_grid(f.gauges[i][j], f.gauges[j][k],
-                                     f.gauges[i][k], i, j, k, grid)
+                    bad = _grid_pairs(fa, fb, fc, grid, sden)
+                if bad:
+                    out += _witnesses(f, i, j, k, bad, sden)
     return out
 
 
-def _step_witnesses(f: QuasiModularFamily, i, j, k, corners):
-    """The violations of the step corners (a, b): a and b index the left
-    endpoints 0+, b_1, b_2, ... of ga's and gb's pieces; a 0+ endpoint is
-    witnessed at _corner_scale."""
-    ga, gb, gc = f.gauges[i][j], f.gauges[j][k], f.gauges[i][k]
-    t = _corner_scale(ga, gb, gc)
+def _grid_pairs(fa, fb, fc, grid, sden):
+    """The scaled (lambda, mu), lambda first, where QM2 fails among the
+    grid, the three forms' breakpoints and half the least of these.  Where
+    fa or fb is +inf QM2 holds; levels are (num, den) pairs compared by
+    cross-multiplying, and fc is evaluated once per sum lambda + mu."""
+    if all(p == (0, 0) for p in fc[2]):  # then every lhs is 0
+        return []
+    pts = sorted({*grid, *fa[1], *fb[1], *fc[1]})
+    pts.insert(0, pts[0] // 2)
+    vb = [(m, *v) for m in pts for v in [_scaled_level(fb, m, sden)] if v]
+    lc = {}
     out = []
-    for a, b in corners:
-        lam = ga.breakpoints[a - 1] if a else t
-        mu = gb.breakpoints[b - 1] if b else t
-        out.append(QM2Violation(i, j, k, lam, mu, gc(lam + mu), ga(lam) + gb(mu)))
+    for s in pts:
+        va = _scaled_level(fa, s, sden)
+        if va is None:
+            continue
+        na, da = va
+        for m, nb, db in vb:
+            if (t := s + m) not in lc:
+                lc[t] = _scaled_level(fc, t, sden)
+            vc = lc[t]
+            if vc is None or vc[0] * da * db > (na * db + nb * da) * vc[1]:
+                out.append((s, m))
     return out
+
+
+def _scaled_level(form, s: int, sden: int):
+    """The level alpha + beta/lambda^p of a scaled form at lambda = s/sden
+    as (num, den), worth num/(den * vden); None for +inf.  lambda^p = rn/rd
+    gives (A*rn + B*rd, rn) for the scaled piece (A, B)."""
+    _, bps, pieces, _, p = form
+    piece = pieces[bisect_right(bps, s)]
+    if piece is None:
+        return None
+    a, b = piece
+    if not b:
+        return a, 1
+    if p == 1:
+        return a * s + b * sden, s
+    root = exact_root(Fraction(s ** p.numerator, sden ** p.numerator), p.denominator)
+    if root is None:
+        raise NonRepresentable(p, f"lambda={Fraction(s, sden)} has no exact power")
+    return a * root.numerator + b * root.denominator, root.numerator
+
+
+def _witnesses(f: QuasiModularFamily, i, j, k, pairs, sden):
+    """The violation at each scaled (lambda, mu) pair, evaluated on
+    Fractions; a 0 stands for a step gauge's 0+ corner and is witnessed at
+    _corner_scale."""
+    ga, gb, gc = f.gauges[i][j], f.gauges[j][k], f.gauges[i][k]
+    t = _corner_scale(ga, gb, gc) if any(0 in pair for pair in pairs) else None
+    return [QM2Violation(i, j, k, lam, mu, gc(lam + mu), ga(lam) + gb(mu))
+            for lam, mu in ([Fraction(s, sden) if s else t for s in pair] for pair in pairs)]
 
 
 def _corner_scale(ga, gb, gc) -> Fraction:
@@ -413,8 +441,7 @@ def _homogeneous_violation(f: QuasiModularFamily, i, j, k):
     lambda = mu = 1."""
     (_, a), (_, b), (gamma, c) = (f.gauges[x][y].pieces[0] for x, y in ((i, j), (j, k), (i, k)))
     if gamma is None:
-        one = Fraction(1)
-        return QM2Violation(i, j, k, one, one, INF, ExtNonNeg(a + b))
+        return QM2Violation(i, j, k, Fraction(1), Fraction(1), INF, ExtNonNeg(a + b))
     return _homogeneous_witness(Fraction(a), Fraction(b), Fraction(c), i, j, k)
 
 
@@ -452,32 +479,6 @@ def _homogeneous_witness(af, bf, cf, i, j, k):
             bits = min(2 * bits, limit)
     lhs, rhs = cf / (lam + mu), af / lam + bf / mu
     return QM2Violation(i, j, k, lam, mu, ExtNonNeg(lhs), ExtNonNeg(rhs))
-
-
-def _qm2_grid(ga, gb, gc, i, j, k, grid):
-    """The violations at every (lambda, mu) drawn from the grid, the three
-    gauges' breakpoints and half the least of these; exact evaluation, so
-    every one is real.  A lambda or mu where ga or gb is +inf satisfies
-    QM2; the levels are compared as Fractions and only a violation's two
-    sides become ExtNonNeg."""
-    pts = set(grid)
-    for g in (ga, gb, gc):
-        pts.update(g.breakpoints)
-    pts.add(min(pts) / 2)
-    pts = sorted(pts)
-    out = []
-    if gc.is_identically_zero():  # then every lhs is 0
-        return out
-    vb = [(mu, v) for mu in pts for inf, v in [gb._level(mu)] if not inf]
-    for lam in pts:
-        inf, va = ga._level(lam)
-        if inf:
-            continue
-        for mu, b in vb:
-            lhs = gc._level(lam + mu)
-            if lhs[0] or lhs[1] > va + b:
-                out.append(QM2Violation(i, j, k, lam, mu, _enn(lhs), ExtNonNeg(va + b)))
-    return out
 
 
 # -- derived structures ---------------------------------------------------

@@ -42,6 +42,33 @@ def test_one_row_per_bench_file():
             assert f" claim {claim['metric']} on {claim['workload']} {_medians(sides)} " in line
         else:
             assert " claim - " in line
+        assert f" {_tier1(doc)}  " in line
+
+
+def _tier1(doc):
+    if "tier1" not in doc:
+        return "tier1 -"
+    (p, c) = (doc["tier1"][side] for side in ("parent", "change"))
+    return f"tier1 {p['seconds']:.1f}s/{p['passed']}->{c['seconds']:.1f}s/{c['passed']}"
+
+
+def test_tier1_field_is_printed_when_present(tmp_path):
+    doc = json.loads(max(ROOT.glob("BENCH_*.json")).read_text())
+    doc.pop("tier1", None)
+    (tmp_path / "BENCH_3.json").write_text(json.dumps(doc))
+    doc["pr"] = 4
+    doc["tier1"] = {"parent": {"seconds": 46.04, "passed": 365},
+                    "change": {"seconds": 35.5, "passed": 367}}
+    (tmp_path / "BENCH_4.json").write_text(json.dumps(doc))
+    done = _run(str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    without, with_tier1 = done.stdout.splitlines()[1:]
+    assert " tier1 -  " in without
+    assert " tier1 46.0s/365->35.5s/367  " in with_tier1
+    del doc["tier1"]["change"]["passed"]
+    (tmp_path / "BENCH_4.json").write_text(json.dumps(doc))
+    done = _run(str(tmp_path))
+    assert done.returncode != 0 and "tier1 change" in done.stderr
 
 
 def test_file_without_claim_prints_a_dash(tmp_path):

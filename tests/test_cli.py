@@ -404,6 +404,10 @@ def _sized(kind, n):
                    "pos_slopes": [str(i + 1) for i in range(k + 1)]} for k in (n - 1, 1)]
         return {"kind": "orlicz", "atoms": [["a", "1"], ["b", "1"]], "phi": kinked,
                 "functions": [["0", "0"], ["1", "-1"]], "scaling": {"kind": "homogeneous"}}
+    if kind == "family_pieces":  # one point whose step gauge has n - 1 breakpoints
+        return {"kind": "modular_family", "points": ["p"], "gauges": [[{
+            "kind": "step", "breakpoints": [str(i + 1) for i in range(n - 1)],
+            "values": ["0"] * n}]]}
     if kind == "map":
         return {"kind": kind, "source_points": labels, "target_points": ["t"],
                 "assignment": [0] * n}
@@ -412,12 +416,14 @@ def _sized(kind, n):
 
 @pytest.mark.parametrize("kind", ["quasi_metric", "digraph", "asym_norm_sample",
                                   "bitopology", "modular_family", "orlicz",
-                                  "orlicz_atoms", "phi_breakpoints", "map", "sequence"])
+                                  "orlicz_atoms", "phi_breakpoints", "family_pieces",
+                                  "map", "sequence"])
 def test_over_cap_files_exit_2_promptly(tmp_path, capsys, kind):
-    from qconn.instances import (MAX_ORLICZ_ATOMS, MAX_PHI_BREAKPOINTS, MAX_POINTS,
-                                 MAX_SEQUENCE_LENGTH)
+    from qconn.instances import (MAX_FAMILY_PIECES, MAX_ORLICZ_ATOMS, MAX_PHI_BREAKPOINTS,
+                                 MAX_POINTS, MAX_SEQUENCE_LENGTH)
     name, cap = {"orlicz_atoms": ("MAX_ORLICZ_ATOMS", MAX_ORLICZ_ATOMS),
                  "phi_breakpoints": ("MAX_PHI_BREAKPOINTS", MAX_PHI_BREAKPOINTS),
+                 "family_pieces": ("MAX_FAMILY_PIECES", MAX_FAMILY_PIECES),
                  "sequence": ("MAX_SEQUENCE_LENGTH", MAX_SEQUENCE_LENGTH)}.get(
         kind, (f"MAX_POINTS[{kind!r}]", MAX_POINTS.get(kind)))
     path = tmp_path / "big.json"
@@ -430,9 +436,30 @@ def test_over_cap_files_exit_2_promptly(tmp_path, capsys, kind):
         message = json.loads(err)["error"]["message"]
         assert message.endswith(f"{cap + 1} entries exceed the limit {name} = {cap}")
     if kind in ("map", "sequence", "asym_norm_sample", "orlicz", "orlicz_atoms",
-                "phi_breakpoints"):
+                "phi_breakpoints", "family_pieces"):
         path.write_text(json.dumps(_sized(kind, cap)))  # at the cap: accepted
         assert run(capsys, "validate", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("pieces, breakpoints", [
+    ([["-3", "4"], ["0", "1"]], ["2"]),        # -3 + 4/lambda < 0 just before 2
+    ([["-1", "0"]], []),                       # negative everywhere
+    ([["0", "1"]], ["1"]),                     # a piece short
+    ([["inf", "1"], ["0", "1"]], ["1"]),       # beta on an infinite piece
+    ([["0", "-1"], ["0", "1"]], ["1"]),        # a negative beta
+    ([["0"], ["0", "1"]], ["1"]),              # a piece that is no pair
+    ([["0", "x"], ["0", "1"]], ["1"]),         # a bad rational
+    ("0", []),
+])
+def test_bad_piecewise_gauge_file_exits_2(tmp_path, capsys, pieces, breakpoints):
+    zero = {"kind": "homogeneous", "coeff": "0"}
+    bad = {"kind": "piecewise", "breakpoints": breakpoints, "pieces": pieces}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "modular_family", "points": ["a", "b"],
+                                "gauges": [[zero, bad], [zero, zero]]}))
+    for command in ("validate", "analyze"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, json.loads(err)["error"]["type"]) == (2, "", "SchemaError")
 
 
 KINKED = {"kind": "orlicz", "atoms": [["w0", "1"], ["w1", "1"]],

@@ -409,3 +409,16 @@ def test_integer_p1_norm_matches_one_sided_lp(seed, count, dim):
     d = from_asym_norm(s)
     assert d == via_lp
     assert (d.den, d.rows, d.eps, d.tol) == (via_lp.den, via_lp.rows, 0, None)
+
+
+def test_p1_triangle_law_holds_unchecked():
+    # exact p = 1 from_asym_norm does not check the triangle law, which
+    # (u + v)+ <= u+ + v+ gives; the Fraction check stays here as its oracle
+    rng = random.Random(20240901)
+    for _ in range(150):
+        count, dim = rng.randint(2, 9), rng.randint(1, 4)
+        pts = tuple(tuple(Fraction(rng.randint(-50, 50), rng.choice([1, 2, 3, 7, 101]))
+                          for _ in range(dim)) for _ in range(count))
+        d = from_asym_norm(AsymNormSample(dimension=dim, p=Fraction(1), points=pts))
+        assert qpm_violations(d.dist) == []
+        assert d.d(0, 1) == one_sided_lp(pts[0], pts[1], Fraction(1))

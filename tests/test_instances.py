@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import reference_json, rng_bitop, rng_family, rng_qpm, rng_vectors
+from gen import (
+    reference_json,
+    rng_bitop,
+    rng_family,
+    rng_homogeneous_family,
+    rng_qpm,
+    rng_step_family,
+    rng_vectors,
+)
 from qconn import (
     EventuallyPeriodicSeq,
     OrliczSpec,
@@ -15,8 +23,11 @@ from qconn import (
     QuasiModularFamily,
     ScaleGauge,
     WeightedDigraph,
+    from_orlicz,
+    symmetrize_family,
     validate_qpm,
 )
+from qconn.cli import main
 from qconn.errors import ParseError, SchemaError
 from qconn.instances import (
     canonical_json,
@@ -24,7 +35,7 @@ from qconn.instances import (
     load_instance_text,
     parse_instance,
 )
-from qconn.modular import POSITIVE_PART, PiecewiseConvex
+from qconn.modular import POSITIVE_PART, PiecewiseConvex, merge_max
 from qconn.numbers import enn
 
 
@@ -74,6 +85,52 @@ def test_modular_family_roundtrip():
     kind, parsed = roundtrip(edge)
     assert kind == "modular_family" and parsed.gauges == edge.gauges
     assert canonical_json(dump_instance(parsed)) == canonical_json(doc)
+
+
+def _library_families():
+    """Families with piecewise gauges that only the library builds:
+    symmetrize_family of step gauges above the diagonal and homogeneous
+    ones below it, merge_max of a step and a homogeneous family, and a
+    from_orlicz family with a phi kinked on both sides of 0."""
+    rng = random.Random(7)
+    step, homog = rng_step_family(rng, 4)[0], rng_homogeneous_family(rng, 4)
+    half = QuasiModularFamily(points=step.points, gauges=tuple(
+        tuple((step if i < j else homog).gauges[i][j] for j in range(4)) for i in range(4)))
+    merged = QuasiModularFamily(points=step.points, gauges=tuple(
+        tuple(map(merge_max, r1, r2)) for r1, r2 in zip(step.gauges, homog.gauges)))
+    kinked = PiecewiseConvex(pos_breaks=(Fraction(1),), pos_slopes=(Fraction(1), Fraction(3)),
+                             neg_breaks=(Fraction(-2),), neg_slopes=(Fraction(-1), Fraction(-2)))
+    orlicz = from_orlicz(OrliczSpec(
+        atoms=(("a", Fraction(1)), ("b", Fraction(2, 3))), phi=(kinked, POSITIVE_PART),
+        functions=((Fraction(0), Fraction(0)), (Fraction(2), Fraction(-1)),
+                   (Fraction(-3, 2), Fraction(5))),
+        scaling=("homogeneous",)))
+    return [symmetrize_family(half), merged, orlicz]
+
+
+def test_library_families_roundtrip_and_run(tmp_path):
+    out = tmp_path / "out.json"
+    for t, fam in enumerate(_library_families()):
+        assert any(g.kind == "piecewise" for row in fam.gauges for g in row)
+        text = canonical_json(dump_instance(fam))
+        kind, parsed = parse_instance(json.loads(text))
+        assert kind == "modular_family" and parsed.gauges == fam.gauges
+        assert canonical_json(dump_instance(parsed)) == text
+        path = tmp_path / f"family{t}.json"
+        path.write_text(text)
+        assert main(["validate", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["instance"] == json.loads(text)
+        assert main(["analyze", "--components", "--local", str(path), "--out", str(out)]) == 0
+
+
+def test_piecewise_file_form():
+    gauge = ScaleGauge("piecewise", ((None, Fraction(0)), (Fraction(-1, 2), Fraction(3)),
+                                     (Fraction(0), Fraction(1))), (Fraction(1), Fraction(6)))
+    fam = QuasiModularFamily(points=("a",), gauges=((gauge,),))
+    assert dump_instance(fam)["gauges"] == [[{
+        "kind": "piecewise", "breakpoints": ["1", "6"],
+        "pieces": [["inf", "0"], ["-1/2", "3"], ["0", "1"]]}]]
+    assert roundtrip(fam)[1].gauges == fam.gauges
 
 
 def test_orlicz_roundtrip():

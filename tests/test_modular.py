@@ -40,12 +40,12 @@ from qconn.modular import (
     QM3Violation,
     ValidationReport,
     _corner_scale,
+    _enn,
     _homogeneous_witness,
     _nonzero_witness,
-    _qm2_grid,
     merge_max,
 )
-from qconn.numbers import INF, ZERO, enn
+from qconn.numbers import INF, ZERO, ExtNonNeg, enn
 
 GRID = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
 
@@ -101,6 +101,9 @@ CONTRADICTIONS = [
     ("step", ((2, 0), (1, 0), (0, 0)), (Fraction(2), Fraction(1)), 1),  # unordered
     ("step", ((2, 0), (0, 0)), (Fraction(0),), 1),              # a breakpoint at 0
     ("orlicz", ((0, 0),), (), 1),                               # an unknown kind
+    ("piecewise", ((-5, 0),), (), 1),                           # negative everywhere
+    ("piecewise", ((None, 0), (Fraction(-1), 4)), (Fraction(1),), 1),  # negative past 4
+    ("piecewise", ((Fraction(-3), 4), (0, 1)), (Fraction(2),), 1),     # negative before 2
 ]
 
 
@@ -110,7 +113,8 @@ def test_gauge_pieces_must_fit_the_kind():
             ScaleGauge(kind, pieces, breakpoints, exponent)
     # gauges that fit their kinds, inf pieces included, are accepted
     ScaleGauge("homogeneous", ((0, 2),))
-    ScaleGauge("piecewise", ((None, 0), (Fraction(-1), 4)), (Fraction(1),))
+    ScaleGauge("piecewise", ((None, 0), (Fraction(-1), 4), (0, 2)), (Fraction(1), Fraction(4)))
+    ScaleGauge("piecewise", ((Fraction(-2), 4), (0, 1)), (Fraction(2),))  # 0 at its right end
     ScaleGauge("power", ((None, 0),), (), Fraction(3, 2))
 
 
@@ -301,7 +305,9 @@ def test_validate_family_decisions_pinned(kind):
 # validate_family decides QM2 on scaled integers.  The reference below
 # decides it on Fractions: step corners compared through
 # ScaleGauge.__call__ and ExtNonNeg addition, homogeneous triples squared
-# over the rationals.  Witnesses follow the same rules in both.
+# over the rationals, and every other triple evaluated through
+# ScaleGauge._level on the grid (_qm2_grid).  Witnesses follow the same
+# rules in both.
 
 def _first_level(g):
     """The value on piece 0 of a step gauge, or a homogeneous gauge's
@@ -348,6 +354,32 @@ def _reference_homogeneous(a, b, c, i, j, k):
     return [_homogeneous_witness(af, bf, cf, i, j, k)]
 
 
+def _qm2_grid(ga, gb, gc, i, j, k, grid):
+    """The violations at every (lambda, mu) drawn from the grid, the three
+    gauges' breakpoints and half the least of these; exact evaluation, so
+    every one is real.  A lambda or mu where ga or gb is +inf satisfies
+    QM2; the levels are compared as Fractions and only a violation's two
+    sides become ExtNonNeg."""
+    pts = set(grid)
+    for g in (ga, gb, gc):
+        pts.update(g.breakpoints)
+    pts.add(min(pts) / 2)
+    pts = sorted(pts)
+    out = []
+    if gc.is_identically_zero():  # then every lhs is 0
+        return out
+    vb = [(mu, v) for mu in pts for inf, v in [gb._level(mu)] if not inf]
+    for lam in pts:
+        inf, va = ga._level(lam)
+        if inf:
+            continue
+        for mu, b in vb:
+            lhs = gc._level(lam + mu)
+            if lhs[0] or lhs[1] > va + b:
+                out.append(QM2Violation(i, j, k, lam, mu, _enn(lhs), ExtNonNeg(va + b)))
+    return out
+
+
 def reference_validate_family(f, grid) -> ValidationReport:
     grid = sorted({Fraction(g) for g in grid})
     n = f.n
@@ -378,9 +410,16 @@ ORACLE_LEVELS = [0, 0, Fraction(1, 7), Fraction(5, 13), 1, 2, Fraction(22, 7), 9
 
 def _oracle_gauge(rng, kind, diagonal):
     """A random gauge with prime-denominator breakpoints and values that
-    include zero, infinity and 400-digit numerators."""
+    include zero, infinity and 400-digit numerators; a piecewise or power
+    gauge for those kinds, and any of the four kinds for mixed families."""
+    if kind == "mixed":
+        kind = rng.choice(["step", "homogeneous", "piecewise", "power"])
     if kind == "homogeneous":
         return ScaleGauge.homogeneous(rng.choice(ORACLE_LEVELS))
+    if kind == "piecewise":
+        return _merge_operand(rng, "piecewise")
+    if kind == "power":
+        return ScaleGauge.power(rng.choice(ORACLE_LEVELS), rng.randint(1, 3))
     bps = sorted({Fraction(rng.randint(1, 60), rng.choice(PRIMES))
                   for _ in range(rng.randint(diagonal, 4))})
     values = [rng.choice(ORACLE_LEVELS) for _ in bps] + [rng.choice(ORACLE_LEVELS)]
@@ -391,21 +430,43 @@ def _oracle_gauge(rng, kind, diagonal):
 
 def _rescaled_gauge(g, vfac, sfac):
     """g with every value times vfac and every scale times sfac, which
-    keeps each QM axiom."""
-    if g.kind == "homogeneous":
-        alpha, beta = g.pieces[0]
-        return ScaleGauge.homogeneous(INF if alpha is None else beta * vfac * sfac)
-    return ScaleGauge.step([b * sfac for b in g.breakpoints],
-                           [INF if a is None else a * vfac for a, _ in g.pieces])
+    keeps each QM axiom: alpha + beta/lambda^p becomes vfac*alpha +
+    vfac*sfac^p*beta/lambda^p on breakpoints times sfac.  A power gauge
+    with a fractional exponent keeps its scales (sfac^p may be irrational)."""
+    if g.exponent.denominator != 1:
+        return ScaleGauge.power(INF if g.pieces[0][0] is None else g.pieces[0][1] * vfac,
+                                g.exponent)
+    bfac = vfac * sfac ** int(g.exponent)
+    return ScaleGauge(g.kind, tuple((None, b) if a is None else (a * vfac, b * bfac)
+                                    for a, b in g.pieces),
+                      tuple(b * sfac for b in g.breakpoints), g.exponent)
 
 
-def _oracle_family(kind, seed) -> QuasiModularFamily:
+def _kinked_family(rng, n) -> QuasiModularFamily:
+    """A kinked Orlicz family, half the time with each gauge merged with
+    the gauge of a step family (merge_max)."""
+    fam = from_orlicz(_kinked_spec(rng, count=n, atoms=rng.randint(1, 2)))
+    return fam if rng.random() < 0.5 else _max_family(fam, rng_step_family(rng, n)[0])
+
+
+def _power_family(rng, n, exponents=(1, 2, 3)) -> QuasiModularFamily:
+    """A homogeneous family read in lambda^p, one exponent drawn per gauge."""
+    base = rng_homogeneous_family(rng, n)
+    return QuasiModularFamily(points=base.points, gauges=tuple(
+        tuple(ScaleGauge("power", g.pieces, exponent=Fraction(rng.choice(exponents)))
+              for g in row) for row in base.gauges))
+
+
+ORACLE_BASES = dict(FAMILY_BASES, piecewise=_kinked_family, power=_power_family)
+
+
+def _oracle_family(kind, seed, base=None) -> QuasiModularFamily:
     """A clean seeded family, its values and scales sometimes blown up to
     400 digits or given prime denominators, with up to three gauges then
     replaced at random (none on even seeds below 40)."""
     rng = random.Random(seed)
     n = rng.randint(2, 5)
-    base = FAMILY_BASES[kind](rng, n)
+    base = (base or ORACLE_BASES[kind])(rng, n)
     vfac = rng.choice([Fraction(1), Fraction(1, 7919), HUGE])
     sfac = rng.choice([Fraction(1), Fraction(3, 97), Fraction(10**400, 13)])
     gauges = [[_rescaled_gauge(g, vfac, sfac) for g in row] for row in base.gauges]
@@ -416,10 +477,10 @@ def _oracle_family(kind, seed) -> QuasiModularFamily:
                               gauges=tuple(map(tuple, gauges)))
 
 
-@pytest.mark.parametrize("kind", ["step", "homogeneous"])
+@pytest.mark.parametrize("kind", ["step", "homogeneous", "piecewise", "power", "mixed"])
 def test_validate_family_matches_fraction_reference(kind):
     seen_ok = seen_bad = 0
-    for seed in range(150):
+    for seed in range(150 if kind in ("step", "homogeneous") else 60):
         fam = _oracle_family(kind, seed)
         report = validate_family(fam, GRID)
         assert report == reference_validate_family(fam, GRID), seed
@@ -427,6 +488,42 @@ def test_validate_family_matches_fraction_reference(kind):
         seen_ok += report.ok
         seen_bad += not report.ok
     assert seen_ok >= 20 and seen_bad >= 20
+
+
+def _outcome(validate, fam, grid):
+    """The report, or the type and message of the exception raised."""
+    try:
+        return validate(fam, grid)
+    except NonRepresentable as exc:
+        return type(exc), str(exc)
+
+
+def test_fractional_powers_raise_as_the_reference():
+    # lambda^(3/2) is rational only where lambda is a square: the first
+    # scale that is not one raises, at the same point as in the reference
+    raised = 0
+    for seed in range(60):
+        fam = _oracle_family("power", seed, lambda rng, n: _power_family(
+            rng, n, (1, 2, Fraction(3, 2), Fraction(5, 2), Fraction(4, 3))))
+        for grid in (GRID, [Fraction(1, 4), Fraction(1), Fraction(9, 4), Fraction(4)]):
+            expected = _outcome(reference_validate_family, fam, grid)
+            assert _outcome(validate_family, fam, grid) == expected, seed
+            raised += isinstance(expected, tuple)
+    assert 20 <= raised <= 100
+
+
+def test_qm2_decision_evaluates_no_gauge(monkeypatch):
+    # QM2 is read off the integer form: ScaleGauge._level, and so
+    # __call__, runs only to build the witness of a violation
+    fams = [from_orlicz(_kinked_spec(random.Random(seed))) for seed in range(8)]
+    assert any(g.kind == "piecewise" for fam in fams for row in fam.gauges for g in row)
+
+    def refuse(self, lam):
+        raise AssertionError(f"a gauge was evaluated at {lam}")
+
+    monkeypatch.setattr(ScaleGauge, "_level", refuse)
+    for fam in fams:
+        assert validate_family(fam, QUARTERS).ok
 
 
 def test_huge_numerator_next_to_infinity():

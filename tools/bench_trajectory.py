@@ -9,7 +9,9 @@ every end-to-end metric over alternating parent/change pairs, the
 ``src/`` line counts of both sides and the parent commit.  A row gives
 its ``pr`` field, the parent commit, the ``src/`` lines, the claim (the
 claimed metric on its workload with its medians, parent -> change, or
-``claim -`` for a change that claims no gain) and, per workload, the
+``claim -`` for a change that claims no gain), the tier-1 test suite's
+wall time and pass count, parent -> change, from the optional ``tier1``
+field (``tier1 -`` without it) and, per workload, the
 ``jobs_per_s``, ``peak_rss_mb`` and ``setup_s`` medians, parent ->
 change.  Memory sits next to throughput because a faster change that
 keeps more results alive can gain jobs per second and still fail the
@@ -34,6 +36,9 @@ def load(path: pathlib.Path) -> dict:
     for key in ("pr", "parent_commit", "src_lines", "workloads"):
         if key not in doc:
             raise ValueError(f"missing {key!r}")
+    for side in SIDES if "tier1" in doc else ():
+        if sorted(doc["tier1"][side]) != ["passed", "seconds"]:
+            raise ValueError(f"tier1 {side} needs exactly passed, seconds")
     for name, wl in doc["workloads"].items():
         for metric, sides in wl["metrics"].items():
             for side in SIDES:
@@ -46,7 +51,7 @@ def load(path: pathlib.Path) -> dict:
 def row(doc: dict) -> str:
     lines = doc["src_lines"]
     cells = [f"{doc['pr']:>3}", doc["parent_commit"][:7],
-             f"src {lines['parent']}->{lines['change']}", _claim(doc)]
+             f"src {lines['parent']}->{lines['change']}", _claim(doc), _tier1(doc)]
     for name in sorted(doc["workloads"]):
         metrics = doc["workloads"][name]["metrics"]
         cells.append(f"{name} {_medians(metrics['jobs_per_s'])} "
@@ -63,6 +68,13 @@ def _claim(doc: dict) -> str:
     return f"claim {claim['metric']} on {claim['workload']} {_medians(sides)}"
 
 
+def _tier1(doc: dict) -> str:
+    if "tier1" not in doc:
+        return "tier1 -"
+    return "tier1 " + "->".join(f"{doc['tier1'][side]['seconds']:.1f}s/"
+                                 f"{doc['tier1'][side]['passed']}" for side in SIDES)
+
+
 def _medians(sides: dict) -> str:
     return f"{sides['parent']['median']:.4g}->{sides['change']['median']:.4g}"
 
@@ -71,9 +83,9 @@ def main(argv: list[str]) -> int:
     directory = pathlib.Path(argv[0]) if argv else ROOT
     paths = sorted(directory.glob("BENCH_*.json"),
                    key=lambda p: int(p.stem.split("_", 1)[1]))
-    print(" pr  parent   src lines      claimed metric on workload, then per "
-          "workload: jobs_per_s median, rss peak_rss_mb median (MB), "
-          "setup setup_s median (s), parent->change")
+    print(" pr  parent   src lines      claimed metric on workload, tier-1 "
+          "seconds/passed, then per workload: jobs_per_s median, rss "
+          "peak_rss_mb median (MB), setup setup_s median (s), parent->change")
     for path in paths:
         try:
             print(row(load(path)))
