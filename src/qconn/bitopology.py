@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import CoherenceError, EmptySubset, PreconditionFailed
+from .errors import CoherenceError, EmptySubset
 from .gauges import QuasiPseudoMetric, symmetrize
 from .relations import indices_of, is_closed, mask_of, transpose, up_sets
 
@@ -111,17 +111,10 @@ def specialization_bitop(d: QuasiPseudoMetric) -> BitopSpace:
     ball around x at radius below the least positive distance equals the
     zero set, and the triangle inequality makes the zero relation
     transitive, which the coherence check asserts.  In float mode the
-    zero relation is d <= tol, and two hops of up to tol each need not
-    compose; that breaks coherence and raises ``PreconditionFailed``.
+    zero relation is d <= tol, whose transitivity ``from_asym_norm``
+    checks when it builds the metric.
     """
-    try:
-        return _zero_bitop(d.points, d.zero_mask_rows())
-    except CoherenceError as exc:
-        if d.tol is None:
-            raise
-        raise PreconditionFailed(
-            f"float-mode zero relation is not transitive ({exc}): distances "
-            f"within the tolerance {d.tol} do not compose") from exc
+    return _zero_bitop(d.points, d.zero_mask_rows())
 
 
 def modular_bitop(f: QuasiModularFamily) -> BitopSpace:

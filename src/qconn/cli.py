@@ -44,10 +44,10 @@ def _rational_list(text: str, name: str) -> list[Fraction]:
 # its Hasse edges costs time quadratic in this count.  At the cap, analyze
 # --formal-balls took 2.4 s for 256 points at distance zero with 3 radii and
 # 2.2 s for 1 point with 768 radii (float mode, best of 2, 2-core VM,
-# CPython 3.11); 256 points with 8 radii took 7.2 s and 275 MB.  Since the
-# slack table is built on integers, 1 point with 768 radii takes 0.9-1.3 s
-# in float mode, most of it the float-mode law check, and 0.35 s in exact
-# mode (best of 3, same VM)
+# CPython 3.11); 256 points with 8 radii took 7.2 s and 275 MB.  With the
+# integer slack table and only transitivity checked in float mode, 1 point
+# with 768 radii takes 0.27-0.44 s in float mode, about 0.24 s of it that
+# check, and 0.13-0.23 s in exact mode (best of 3, 2-core VM, CPython 3.11.7)
 MAX_FORMAL_BALLS = 768
 
 

@@ -31,16 +31,6 @@ class EventuallyPeriodicSeq:
             raise ValueError("period must be nonempty")
 
 
-def _broken(d: QuasiPseudoMetric, what: str, structure: str, cause: str) -> PreconditionFailed:
-    """The PreconditionFailed of a float-mode metric, whose distances obey
-    the laws only up to the tolerance.  The checks that raise it run in
-    float mode only: on exact distances the laws hold, since a metric is
-    built either by validate_qpm or, unvalidated by contract, from a
-    matrix that satisfies them, and the tests check them as oracles."""
-    return PreconditionFailed(f"float-mode distances break {structure} ({what}): "
-                              f"{cause} the tolerance {d.tol}")
-
-
 def _zero_from_all(rows, period) -> int:
     """Mask of the points at distance zero from every period point."""
     common = -1
@@ -83,10 +73,10 @@ def smyth_report(d: QuasiPseudoMetric) -> dict:
     forward limit.  A limit y is by definition at zero distance from every
     class member, which is the conjugate-side ball criterion (every period
     point inside every backward ball around y), so the report does not
-    re-check it.  Float-mode zero distances compose only up to the
-    tolerance, so in float mode each class is checked to be a zero clique
-    (see _broken).  A zero clique is left K-Cauchy, so the limits are read
-    off the zero rows without forward_limits' Cauchy check.
+    re-check it.  The zero relation is transitive in float mode too, as
+    ``from_asym_norm`` checks, so every class is a zero clique.  A zero
+    clique is left K-Cauchy, so the limits are read off the zero rows
+    without forward_limits' Cauchy check.
 
     A finite space is always complete, so ``complete`` is True in every
     report this returns and decides nothing; the report's content is its
@@ -96,12 +86,8 @@ def smyth_report(d: QuasiPseudoMetric) -> dict:
     witnesses = []
     for cls in scc_masks(rows):
         members = indices_of(cls)
-        limits = _zero_from_all(rows, members)
-        if d.tol is not None and limits & cls != cls:
-            raise _broken(d, f"zero cycle through {members} is not a zero clique",
-                          "the completeness certificate",
-                          "zero distances compose only up to")
-        witnesses.append({"class": members, "forward_limits": indices_of(limits)})
+        witnesses.append({"class": members,
+                          "forward_limits": indices_of(_zero_from_all(rows, members))})
     return {
         "complete": True,
         "classes": witnesses,
@@ -133,9 +119,8 @@ def precompact_report(d: QuasiPseudoMetric, thresholds) -> dict:
     the smaller of {fresh first-fit cover, previous cover} yields minimal
     greedy cover sizes that are nonincreasing in eps by construction
     (first-fit alone does not guarantee that).  Every point lies in its
-    own ball, so each cover covers; float-mode self-distances vanish only
-    up to the tolerance, so in float mode the union is checked (see
-    _broken).
+    own ball, since self-distances are zero in float mode too, so each
+    cover covers.
 
     A finite space is always precompact, so ``precompact`` is True in
     every report this returns; the report's content is its covers.
@@ -143,7 +128,6 @@ def precompact_report(d: QuasiPseudoMetric, thresholds) -> dict:
     eps_list = sorted({Fraction(t) for t in thresholds})
     if any(t <= 0 for t in eps_list):
         raise NegativeRadius("thresholds must be positive")
-    full = (1 << d.n) - 1
     covers = []
     prev: list[int] | None = None
     for eps in eps_list:
@@ -151,14 +135,6 @@ def precompact_report(d: QuasiPseudoMetric, thresholds) -> dict:
         centers = _first_fit_cover(balls)
         if prev is not None and len(prev) < len(centers):
             centers = prev
-        if d.tol is not None:
-            union = 0
-            for c in centers:
-                union |= balls[c]
-            if union != full:
-                raise _broken(d, f"cover at eps={eps} does not cover the carrier",
-                              "the forward-ball cover",
-                              "self-distances vanish only up to")
         covers.append({"eps": str(eps), "centers": centers, "size": len(centers)})
         prev = centers
     return {"carrier_size": d.n, "covers": covers, "precompact": True}
@@ -179,17 +155,15 @@ def join_compactness_check(d: QuasiPseudoMetric, thresholds=None) -> dict:
     True in every report this returns; its content is the witnesses of
     the two sub-reports and the canonical cover size.
     """
-    from .bitopology import join, specialization_bitop
-
     if thresholds is None:
         spectrum = d.positive_spectrum()
         thresholds = spectrum[:3] + [spectrum[-1] + 1] if spectrum else [Fraction(1)]
     pre = precompact_report(d, thresholds)
     smyth = smyth_report(d)
-    topo = join(specialization_bitop(d))
     conclusion = {"join_compact": True, "carrier_finite": True}
     if d.n <= OPEN_MASK_LIMIT:
-        conclusion["canonical_cover_size"] = len(set(topo.nbhd))
+        zero = d.zero_mask_rows()  # join neighbourhoods are N+(x) & N-(x)
+        conclusion["canonical_cover_size"] = len({r & c for r, c in zip(zero, transpose(zero))})
     return {
         "hypotheses": {"precompact": pre["precompact"], "smyth_complete": smyth["complete"]},
         "precompact_report": pre,
@@ -213,10 +187,11 @@ class FormalBallPoset:
     """Pairs (point, radius) ordered by (x, r) <= (y, s) iff d(x,y) <= r - s.
 
     Reflexivity is d(x,x)=0 <= 0; transitivity follows from the triangle
-    inequality through (r-s) + (s-t) = r-t, and antisymmetry holds up to
-    mutual zero distance at equal radii.  Float-mode distances obey the
-    triangle inequality only up to the tolerance, so in float mode the
-    three laws are checked exhaustively on the grid at construction.
+    inequality through (r-s) + (s-t) = r-t; and (x, r), (y, s) below each
+    other means d(x,y) <= r-s and d(y,x) <= s-r, which d >= 0 allows only
+    at r = s and zero distance both ways.  Float-mode distances obey the
+    triangle inequality only up to the tolerance, so in float mode
+    transitivity is checked on the grid at construction.
     """
 
     labels: tuple[str, ...]
@@ -280,31 +255,9 @@ def formal_ball_poset(d: QuasiPseudoMetric, radii) -> FormalBallPoset:
             for u, cap in enumerate(caps):
                 mask |= spread[cap][x] << u
             rows.append(mask)
-    poset = FormalBallPoset(labels=d.points, elements=elements, le_rows=tuple(rows))
-    if d.tol is not None:
-        _check_poset_laws(poset, d)
-    return poset
-
-
-def _check_poset_laws(p: FormalBallPoset, d: QuasiPseudoMetric) -> None:
-    """Reflexivity, transitivity and antisymmetry up to mutual zero
-    distance.  They follow from the triangle inequality, which float-mode
-    distances obey only up to a tolerance the order does not absorb."""
-    def broken(what: str) -> Exception:
-        return _broken(d, what, "the formal-ball order",
-                       "the triangle inequality holds only up to")
-
-    zero = d.zero_mask_rows()
-    below = transpose(p.le_rows)
-    for a, row_a in enumerate(p.le_rows):
-        if not row_a >> a & 1:
-            raise broken("formal-ball order lost reflexivity")
-        # transitivity as closure: whatever sits above a point above a sits above a
-        if not is_closed(p.le_rows, row_a):
-            raise broken("formal-ball order lost transitivity")
-        for b in indices_of(row_a & below[a] & ~(1 << a)):
-            ba, bb = p.elements[a], p.elements[b]
-            same_radius = ba.radius == bb.radius
-            zero_both = zero[ba.point] >> bb.point & 1 and zero[bb.point] >> ba.point & 1
-            if not (same_radius and zero_both):
-                raise broken("mutual order without zero distance")
+    # transitivity as closure: a ball above one above a is above a
+    if d.tol is not None and not all(is_closed(rows, row) for row in rows):
+        raise PreconditionFailed(
+            "float-mode distances break the formal-ball order (formal-ball order lost "
+            f"transitivity): the triangle inequality holds only up to the tolerance {d.tol}")
+    return FormalBallPoset(labels=d.points, elements=elements, le_rows=tuple(rows))

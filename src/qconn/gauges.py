@@ -10,15 +10,17 @@ Internal form.  A QuasiPseudoMetric stores one common denominator ``den``
 and integer ``rows``: rows[i][j] is d(i, j) * den as a Python int, or
 ``math.inf``.  ``den`` is the least common denominator of the finite
 entries and of the float-mode tolerance, so the tolerance is the integer
-``eps = tol * den`` on the same scale (0 in exact mode).  The min-plus
-closure, the diagonal and triangle check, zero tests, the spectrum and
-ball masks all compare these integers, which is exact in both modes:
-d(i, j) counts as zero iff rows[i][j] <= eps, and the triangle law reads
-rows[i][k] <= rows[i][j] + rows[j][k] + eps.  Sums are formed from finite
-entries only, so ``math.inf`` meets an integer only in comparisons, which
-Python decides exactly at any size.  ExtNonNeg values exist only at the
-boundary: ``dist`` and ``d(i, j)``, the violation records, and
-serialisation.
+``eps = tol * den`` on the same scale (0 in exact mode).  Float mode comes
+only from ``from_asym_norm``, which gives such a metric a zero diagonal
+and a transitive zero relation, so no analysis needs a float branch.  The
+min-plus closure, the diagonal and triangle check, zero tests, the
+spectrum and ball masks all compare these integers, which is exact in
+both modes: d(i, j) counts as zero iff rows[i][j] <= eps, and the
+triangle law reads rows[i][k] <= rows[i][j] + rows[j][k] + eps.  Sums are
+formed from finite entries only, so ``math.inf`` meets an integer only in
+comparisons, which Python decides exactly at any size.  ExtNonNeg values
+exist only at the boundary: ``dist`` and ``d(i, j)``, the violation
+records, and serialisation.
 
 Threshold index.  Every threshold question (zero relation, open balls,
 the closed balls of the formal-ball order, the spectrum) is answered from
@@ -35,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, inf, lcm
 
-from .errors import NonRepresentable, QpmValidationError
+from .errors import NonRepresentable, PreconditionFailed, QpmValidationError
 from .numbers import INF, ZERO, ExtNonNeg, enn, exact_root
 
 
@@ -65,13 +67,13 @@ class QuasiPseudoMetric:
     """Validated n x n distance matrix over labelled points, in the scaled
     integer form of the module docstring.
 
-    ``tol`` is None in exact mode; in float mode it is the absolute
-    tolerance applied to every comparison, recorded so reports can state
-    which regime produced them.  ``QuasiPseudoMetric(points, dist, tol)``
-    scales a matrix of ExtNonNeg-coercible values and is unvalidated by
-    contract: it does not check the axioms, and the analyses that read a
-    metric (the completion reports among them) assume they hold in exact
-    mode.  validate_qpm checks them.
+    ``tol`` is None in exact mode; in float mode, which only
+    ``from_asym_norm`` builds, it is the absolute tolerance applied to
+    every comparison, recorded so reports can state which regime produced
+    them.  ``QuasiPseudoMetric(points, dist)`` scales a matrix of
+    ExtNonNeg-coercible values and is unvalidated by contract: it does not
+    check the axioms, and the analyses that read a metric (the completion
+    reports among them) assume they hold.  validate_qpm checks them.
     """
 
     points: tuple[str, ...]
@@ -80,8 +82,8 @@ class QuasiPseudoMetric:
     tol: Fraction | None
     eps: int
 
-    def __init__(self, points, dist, tol=None):
-        _metric(points, *_scale(dist, tol), tol, into=self)
+    def __init__(self, points, dist):
+        _metric(points, *_scale(dist), into=self)
 
     @property
     def n(self) -> int:
@@ -143,13 +145,12 @@ def _value(v, den: int) -> ExtNonNeg:
     return INF if v == inf else ExtNonNeg(Fraction(v, den))
 
 
-def _scale(matrix, tol) -> tuple[int, list[list[int | float]]]:
-    """(den, rows) of a square matrix; den is the lcm of tol's and the entries' denominators."""
+def _scale(matrix, den: int = 1) -> tuple[int, list[list[int | float]]]:
+    """(den, rows) of a square matrix; den is the lcm of den and the entries' denominators."""
     fracs = [[None if v.is_inf else v.frac for v in map(enn, row)] for row in matrix]
     if any(len(row) != len(fracs) for row in fracs):
         raise ValueError("matrix is not square")
-    den = lcm(1 if tol is None else Fraction(tol).denominator,
-              *{f.denominator for row in fracs for f in row if f is not None})
+    den = lcm(den, *{f.denominator for row in fracs for f in row if f is not None})
     return den, [[inf if f is None else f.numerator * (den // f.denominator)
                   for f in row] for row in fracs]
 
@@ -225,27 +226,25 @@ def _violations(den: int, rows, eps: int) -> list:
     return bad
 
 
-def qpm_violations(matrix, tol: Fraction | None = None) -> list:
+def qpm_violations(matrix) -> list:
     """All diagonal and triangle violations of the candidate matrix."""
-    den, rows = _scale(matrix, tol)
-    return _violations(den, rows, 0 if tol is None else int(Fraction(tol) * den))
+    return _violations(*_scale(matrix), 0)
 
 
-def validate_qpm(matrix, points=None, tol: Fraction | None = None) -> QuasiPseudoMetric:
+def validate_qpm(matrix, points=None) -> QuasiPseudoMetric:
     """Validate a square ExtNonNeg matrix against the axioms.
 
     Returns the immutable structure, or raises QpmValidationError carrying
     every violated triple and diagonal entry.
     """
-    den, rows = _scale(matrix, tol)
+    den, rows = _scale(matrix)
     points = tuple(str(i) for i in range(len(rows))) if points is None else tuple(points)
     if len(points) != len(rows):
         raise ValueError("point labels do not match matrix size")
-    return _validated(points, den, rows, tol)
+    return _validated(_metric(points, den, rows))
 
 
-def _validated(points, den: int, rows, tol=None) -> QuasiPseudoMetric:
-    d = _metric(points, den, rows, tol)
+def _validated(d: QuasiPseudoMetric) -> QuasiPseudoMetric:
     bad = _violations(d.den, d.rows, d.eps)
     if bad:
         raise QpmValidationError(bad)
@@ -326,6 +325,9 @@ def from_asym_norm(s: AsymNormSample, mode: str = "exact",
     otherwise requires mode="float", whose absolute tolerance is recorded
     on the result and applied to every downstream comparison.  At p = 1
     the triangle law holds by (u + v)+ <= u+ + v+, so it is not checked.
+    In float mode two hops within the tolerance can add up to one beyond
+    it; a sample whose zero relation {d <= tol} is therefore not transitive
+    raises ``PreconditionFailed``.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -338,7 +340,18 @@ def from_asym_norm(s: AsymNormSample, mode: str = "exact",
         return _metric(labels, den, rows)
     dist = [[ZERO if i == j else one_sided_lp(x, y, s.p, mode=mode)
              for j, y in enumerate(s.points)] for i, x in enumerate(s.points)]
-    return validate_qpm(dist, points=labels, tol=None if mode == "exact" else Fraction(tol))
+    if mode == "exact":
+        return validate_qpm(dist, points=labels)
+    tol = Fraction(tol)
+    d = _validated(_metric(labels, *_scale(dist, tol.denominator), tol))
+    zero = d._zero_rows
+    for x, row in enumerate(zero):
+        for y in range(d.n):
+            if row >> y & 1 and zero[y] & ~row:
+                raise PreconditionFailed(
+                    f"float-mode zero relation is not transitive (y={y} in N({x}) but N({y}) "
+                    f"escapes N({x})): distances within the tolerance {tol} do not compose")
+    return d
 
 
 def symmetrization_gap_report(s: AsymNormSample) -> dict:

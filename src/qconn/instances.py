@@ -44,7 +44,7 @@ KINDS = ("quasi_metric", "digraph", "bitopology", "modular_family", "orlicz",
 # file is a SchemaError naming its limit.
 MAX_POINTS = {"quasi_metric": 256, "digraph": 256, "asym_norm_sample": 256,
               "bitopology": 512, "modular_family": 128, "orlicz": 64, "map": 100_000}
-MAX_FAMILY_PIECES = 65_536  # breakpoints + 1 per gauge, summed over a modular_family
+MAX_FAMILY_PIECES = 65_536  # per gauge its longest list, summed over a modular_family
 MAX_ORLICZ_ATOMS = 32
 MAX_PHI_BREAKPOINTS = 32
 MAX_SEQUENCE_LENGTH = 100_000
@@ -78,13 +78,14 @@ def _extnonneg(text, field: str) -> ExtNonNeg:
     return read_literal(text, f"field {field!r}", lambda t: ExtNonNeg(str(t)), "value")
 
 
-def _memo(parsed: dict, text, field: str) -> ExtNonNeg:
-    """_extnonneg through the caller's dict of the literals parsed so far;
-    a bad literal raises at its first occurrence, as without the dict."""
+def _memo(parsed: dict, text, field: str, parse=_extnonneg):
+    """``parse(text, field)`` through the caller's dict of the literals it
+    parsed so far; a bad literal raises at its first occurrence, as
+    without the dict.  Both parsers read ``str(text)``, the key."""
     key = str(text)
     value = parsed.get(key)
     if value is None:
-        value = parsed[key] = _extnonneg(text, field)
+        value = parsed[key] = parse(text, field)
     return value
 
 
@@ -161,6 +162,9 @@ def load_instance(path: str):
 
 def _parse_quasi_metric(obj: dict) -> QuasiPseudoMetric:
     points = _labels(obj, "points", "quasi_metric")
+    if "tol" in obj:
+        raise SchemaError("field 'tol': a quasi_metric is exact; float mode is for "
+                          "asym_norm_sample files with p != 1")
     dist = _need(obj, "dist", list)
     if len(dist) != len(points):
         raise SchemaError("dist must have one row per point")
@@ -170,12 +174,7 @@ def _parse_quasi_metric(obj: dict) -> QuasiPseudoMetric:
         if not isinstance(row, list) or len(row) != len(points):
             raise SchemaError(f"dist row {r} has wrong length")
         matrix.append([_memo(parsed, v, f"dist[{r}]") for v in row])
-    tol = None
-    if obj.get("tol") is not None:
-        tol = _rational(obj["tol"], "tol")
-        if tol < 0:
-            raise SchemaError("tol must be nonnegative")
-    return validate_qpm(matrix, points=points, tol=tol)
+    return validate_qpm(matrix, points=points)
 
 
 def _parse_digraph(obj: dict) -> WeightedDigraph:
@@ -206,38 +205,48 @@ def _parse_bitopology(obj: dict) -> BitopSpace:
                       backward=AlexandrovTopology.from_sets(points, bwd))
 
 
-def _parse_gauge(obj: dict, field: str) -> ScaleGauge:
+def _parse_gauge(obj: dict, field: str, rationals: dict, values: dict) -> ScaleGauge:
+    """One gauge object, its literals parsed through the file's _memo dicts."""
     from .modular import HOMOGENEOUS, PIECEWISE, POWER, STEP, ScaleGauge
+
+    def rational(text, key: str) -> Fraction:
+        return _memo(rationals, text, f"{field}.{key}", _rational)
+
+    def value(text, key: str) -> ExtNonNeg:
+        return _memo(values, text, f"{field}.{key}")
 
     if not isinstance(obj, dict):
         raise SchemaError(f"{field}: gauge must be an object")
     kind = _need(obj, "kind", str)
     if kind == STEP:
-        bps = [_rational(b, f"{field}.breakpoints") for b in _need(obj, "breakpoints", list)]
-        values = [_extnonneg(v, f"{field}.values") for v in _need(obj, "values", list)]
-        return ScaleGauge.step(bps, values)
+        bps = [rational(b, "breakpoints") for b in _need(obj, "breakpoints", list)]
+        return ScaleGauge.step(bps, [value(v, "values") for v in _need(obj, "values", list)])
     if kind == HOMOGENEOUS:
-        return ScaleGauge.homogeneous(_extnonneg(_need(obj, "coeff"), f"{field}.coeff"))
+        return ScaleGauge.homogeneous(value(_need(obj, "coeff"), "coeff"))
     if kind == POWER:
-        return ScaleGauge.power(_extnonneg(_need(obj, "coeff"), f"{field}.coeff"),
-                                _rational(_need(obj, "exponent"), f"{field}.exponent"))
+        return ScaleGauge.power(value(_need(obj, "coeff"), "coeff"),
+                                rational(_need(obj, "exponent"), "exponent"))
     if kind == PIECEWISE:
-        bps = [_rational(b, f"{field}.breakpoints") for b in _need(obj, "breakpoints", list)]
+        bps = [rational(b, "breakpoints") for b in _need(obj, "breakpoints", list)]
         pieces = []
         for piece in _need(obj, "pieces", list):
             if not isinstance(piece, list) or len(piece) != 2:
                 raise SchemaError(f"{field}.pieces: a piece must be [alpha, beta]")
             alpha, beta = piece
-            pieces.append((None if alpha == "inf" else _rational(alpha, f"{field}.pieces"),
-                           _rational(beta, f"{field}.pieces")))
+            pieces.append((None if alpha == "inf" else rational(alpha, "pieces"),
+                           rational(beta, "pieces")))
         return ScaleGauge(PIECEWISE, tuple(pieces), tuple(bps))
     raise SchemaError(f"{field}: unknown gauge kind {kind!r}")
 
 
 def _pieces(raw) -> int:
-    """The pieces a gauge object declares: its breakpoints, plus one."""
-    bps = raw.get("breakpoints") if isinstance(raw, dict) else None
-    return 1 + len(bps) if isinstance(bps, list) else 1
+    """The pieces a gauge object declares: the longest of its lists, with
+    one more piece than breakpoints, and at least one."""
+    if not isinstance(raw, dict):
+        return 1
+    return max([1] + [len(raw[key]) + (key == "breakpoints")
+                      for key in ("breakpoints", "values", "pieces")
+                      if isinstance(raw.get(key), list)])
 
 
 def _parse_modular_family(obj: dict) -> QuasiModularFamily:
@@ -251,10 +260,12 @@ def _parse_modular_family(obj: dict) -> QuasiModularFamily:
     _capped(range(sum(_pieces(g) for row in rows_raw if isinstance(row, list) for g in row)),
             "gauges", MAX_FAMILY_PIECES, "MAX_FAMILY_PIECES")
     rows = []
+    rationals: dict = {}  # each distinct literal is parsed once per file
+    values: dict = {}
     for r, row in enumerate(rows_raw):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"gauges row {r} has wrong length")
-        rows.append(tuple(_parse_gauge(g, f"gauges[{r}][{c}]")
+        rows.append(tuple(_parse_gauge(g, f"gauges[{r}][{c}]", rationals, values)
                           for c, g in enumerate(row)))
     return QuasiModularFamily(points=points, gauges=tuple(rows))
 
@@ -360,14 +371,14 @@ _PARSERS = {
 
 def dump_instance(value) -> dict:
     if isinstance(value, QuasiPseudoMetric):
-        doc = {
+        if value.tol is not None:
+            raise TypeError("cannot serialize a float-mode QuasiPseudoMetric: "
+                            "only its asym_norm_sample has a file form")
+        return {
             "kind": "quasi_metric",
             "points": list(value.points),
             "dist": [[str(v) for v in row] for row in value.dist],
         }
-        if value.tol is not None:
-            doc["tol"] = str(value.tol)
-        return doc
     if isinstance(value, WeightedDigraph):
         return {
             "kind": "digraph",

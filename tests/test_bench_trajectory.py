@@ -25,8 +25,12 @@ def test_one_row_per_bench_file():
     lines = done.stdout.splitlines()
     assert len(lines) == 1 + len(files)
     assert all(m in lines[0] for m in ("jobs_per_s", "peak_rss_mb", "setup_s"))
+    previous = None
     for path, line in zip(files, lines[1:]):
         doc = json.loads(path.read_text())
+        chained = previous is None or previous["src_lines"]["change"] == doc["src_lines"]["parent"]
+        assert ("seam" in line.split()) != chained
+        previous = doc
         assert doc["pr"] == int(path.stem.split("_")[1])
         assert line.split()[:2] == [str(doc["pr"]), doc["parent_commit"][:7]]
         assert set(doc["workloads"]) <= workloads
@@ -82,6 +86,19 @@ def test_file_without_claim_prints_a_dash(tmp_path):
 
 def _medians(sides):
     return f"{sides['parent']['median']:.4g}->{sides['change']['median']:.4g}"
+
+
+def test_seam_marks_a_break_in_the_line_count_chain(tmp_path):
+    doc = json.loads(max(ROOT.glob("BENCH_*.json")).read_text())
+    for pr, (parent, change) in enumerate([(100, 110), (110, 120), (125, 130)], 3):
+        doc["pr"], doc["src_lines"] = pr, {"parent": parent, "change": change}
+        (tmp_path / f"BENCH_{pr}.json").write_text(json.dumps(doc))
+    done = _run(str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    first, chained, broken = (line.split() for line in done.stdout.splitlines()[1:])
+    assert "seam" not in first
+    assert chained[2:5] == ["src", "110->120", "claim"]
+    assert broken[2:5] == ["src", "125->130", "seam"]
 
 
 def test_malformed_bench_file_is_refused(tmp_path):

@@ -219,6 +219,9 @@ def test_modular_join_identity(seed, n):
 
 
 def test_float_tolerance_zero_relation():
-    d = validate_qpm([[0, Fraction(1, 10**12)], [1, 0]], tol=Fraction(1, 10**9))
+    line = AsymNormSample(dimension=1, p=Fraction(2),
+                          points=((Fraction(0),), (Fraction(1, 10**12),)))
+    d = from_asym_norm(line, mode="float", tol=1e-9)
+    assert d.d(0, 1).frac > 0 and d.is_zero(d.d(0, 1))
     b = specialization_bitop(d)
     assert b.forward.min_nbhd(0) == {0, 1}  # below tolerance counts as zero

@@ -273,19 +273,21 @@ def test_float_mode_intransitive_zero_relation_is_a_precondition(tmp_path, capsy
     assert "tolerance" in diag["message"]
 
 
-def test_float_mode_cover_below_self_distance_is_a_precondition(tmp_path, capsys):
-    # self-distances of 1e-10 count as zero at tol = 1e-9, yet no ball of
-    # radius 1e-12 contains its own centre
+@pytest.mark.parametrize("tol", ["1/1000000000", "1/0", "1e-999", None])
+def test_quasi_metric_tol_field_is_refused(tmp_path, capsys, tol):
+    # float mode is for asym_norm_sample files with p != 1; a quasi_metric
+    # file names no tolerance, not even a malformed or null one, so its
+    # self-distances of 1e-10 are never read as zero
     p = tmp_path / "float_qm.json"
     p.write_text(json.dumps({"kind": "quasi_metric", "points": ["a", "b"],
                              "dist": [["1/10000000000", "1"], ["1", "1/10000000000"]],
-                             "tol": "1/1000000000"}))
-    code, _, err = run(capsys, "analyze", str(p), "--smyth",
-                       "--thresholds", "1/1000000000000")
-    assert code == 2
-    diag = json.loads(err)["error"]
-    assert diag["type"] == "PreconditionFailed"  # not InternalError
-    assert "float-mode" in diag["message"] and "tolerance 1/1000000000" in diag["message"]
+                             "tol": tol}))
+    message = ("field 'tol': a quasi_metric is exact; float mode is for "
+               "asym_norm_sample files with p != 1")
+    for argv in (("validate",), ("analyze", "--smyth", "--thresholds", "1/1000000000000")):
+        code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert (code, out, json.loads(err)["error"]) == (
+            2, "", {"code": 2, "type": "SchemaError", "message": message})
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "1e999", "-1"])
@@ -358,8 +360,6 @@ BIG = "literal with 4 digits and exponent 999 exceeds the limits " \
 @pytest.mark.parametrize("field, text, message", [
     ("dist", "x", "field 'dist[0]': bad value 'x'"),
     ("dist", "1e999", "field 'dist[0]': " + BIG),
-    ("tol", "1/0", "field 'tol': bad rational '1/0'"),
-    ("tol", "1e-999", "field 'tol': " + BIG),
     ("--scale", "x", "argument --scale: bad rational 'x'"),
     ("--scale", "1e-999", "argument --scale: " + BIG),
 ])
@@ -368,7 +368,7 @@ def test_bad_literal_messages(tmp_path, capsys, field, text, message):
     if field == "--scale":
         argv = ("analyze", str(DATA / "asym_pair.json"), "--scale", text)
     else:
-        doc[field] = [[text]] if field == "dist" else text
+        doc[field] = [[text]]
         (tmp_path / "lit.json").write_text(json.dumps(doc))
         argv = ("validate", str(tmp_path / "lit.json"))
     code, _, err = run(capsys, *argv)
@@ -408,6 +408,12 @@ def _sized(kind, n):
         return {"kind": "modular_family", "points": ["p"], "gauges": [[{
             "kind": "step", "breakpoints": [str(i + 1) for i in range(n - 1)],
             "values": ["0"] * n}]]}
+    if kind == "step_values":  # one breakpoint, n values
+        return {"kind": "modular_family", "points": ["p"], "gauges": [[{
+            "kind": "step", "breakpoints": ["1"], "values": ["0"] * n}]]}
+    if kind == "piecewise_pieces":  # no breakpoint, n pieces
+        return {"kind": "modular_family", "points": ["p"], "gauges": [[{
+            "kind": "piecewise", "breakpoints": [], "pieces": [["0", "0"]] * n}]]}
     if kind == "map":
         return {"kind": kind, "source_points": labels, "target_points": ["t"],
                 "assignment": [0] * n}
@@ -417,13 +423,15 @@ def _sized(kind, n):
 @pytest.mark.parametrize("kind", ["quasi_metric", "digraph", "asym_norm_sample",
                                   "bitopology", "modular_family", "orlicz",
                                   "orlicz_atoms", "phi_breakpoints", "family_pieces",
-                                  "map", "sequence"])
+                                  "step_values", "piecewise_pieces", "map", "sequence"])
 def test_over_cap_files_exit_2_promptly(tmp_path, capsys, kind):
     from qconn.instances import (MAX_FAMILY_PIECES, MAX_ORLICZ_ATOMS, MAX_PHI_BREAKPOINTS,
                                  MAX_POINTS, MAX_SEQUENCE_LENGTH)
     name, cap = {"orlicz_atoms": ("MAX_ORLICZ_ATOMS", MAX_ORLICZ_ATOMS),
                  "phi_breakpoints": ("MAX_PHI_BREAKPOINTS", MAX_PHI_BREAKPOINTS),
                  "family_pieces": ("MAX_FAMILY_PIECES", MAX_FAMILY_PIECES),
+                 "step_values": ("MAX_FAMILY_PIECES", MAX_FAMILY_PIECES),
+                 "piecewise_pieces": ("MAX_FAMILY_PIECES", MAX_FAMILY_PIECES),
                  "sequence": ("MAX_SEQUENCE_LENGTH", MAX_SEQUENCE_LENGTH)}.get(
         kind, (f"MAX_POINTS[{kind!r}]", MAX_POINTS.get(kind)))
     path = tmp_path / "big.json"

@@ -20,9 +20,11 @@ from qconn import (
     specialization_bitop,
     validate_qpm,
 )
+from qconn.bitopology import AlexandrovTopology
 from qconn.completion import FormalBall, _first_fit_cover, _slack_table
 from qconn.errors import NegativeRadius, NotCauchy, PreconditionFailed
 from qconn.numbers import ZERO, enn
+from qconn.relations import is_closed, scc_masks, transpose
 
 RADII = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
 
@@ -161,17 +163,77 @@ def test_join_compactness_chain():
     assert all(row >> x & 1 for x, row in enumerate(nbhd))  # the cover covers
 
 
+def test_join_compactness_check_builds_no_topology(monkeypatch):
+    built = []
+    check = AlexandrovTopology.__post_init__
+    monkeypatch.setattr(AlexandrovTopology, "__post_init__",
+                        lambda self: built.append(self) or check(self))
+    rng = random.Random(11)
+    for n in (1, 4, 9):
+        d = rng_qpm(rng, n)
+        size = join_compactness_check(d)["conclusion"]["canonical_cover_size"]
+        assert built == []
+        assert size == len(set(join(specialization_bitop(d)).nbhd))
+        built.clear()  # the oracle's topologies
+
+
 # -- formal balls -----------------------------------------------------------
 
 
 @pytest.mark.parametrize("report", [smyth_report, join_compactness_check])
 def test_float_mode_zero_cycle_without_clique_is_a_precondition(report):
-    # d(v0,v1) and d(v1,v2) are within tol = 1e-9, d(v0,v2) is not
+    # d(v0,v1) and d(v1,v2) are within tol = 1e-9, d(v0,v2) is not: the
+    # zero relation is not transitive, so from_asym_norm refuses the sample
+    # and no report sees a zero cycle that is not a zero clique
     line = AsymNormSample(dimension=1, p=Fraction(2), points=(
         (Fraction(0),), (Fraction("6e-10"),), (Fraction("12e-10"),)))
-    d = from_asym_norm(line, mode="float", tol=1e-9)
-    with pytest.raises(PreconditionFailed, match=f"tolerance {d.tol}$"):
-        report(d)
+    with pytest.raises(PreconditionFailed,
+                       match=f"y=1 in N\\(0\\) .* tolerance {Fraction(1e-9)} do not compose$"):
+        report(from_asym_norm(line, mode="float", tol=1e-9))
+
+
+@settings(max_examples=80, derandomize=True)
+@given(st.integers(0, 10**9), st.integers(1, 6), st.integers(1, 2))
+def test_float_mode_metrics_meet_the_deleted_checks(seed, n, dim):
+    """A float-mode metric either is refused at construction, naming the
+    tolerance, or has a zero diagonal and a transitive zero relation; the
+    checks those invariants made unreachable then pass as oracles."""
+    rng = random.Random(seed)
+    tol = Fraction(1e-9)
+    pts = tuple(tuple(rng.randint(0, 5) * tol / 2 for _ in range(dim)) for _ in range(n))
+    try:
+        d = from_asym_norm(AsymNormSample(dimension=dim, p=Fraction(2), points=pts),
+                           mode="float", tol=float(tol))
+    except PreconditionFailed as exc:
+        assert f"tolerance {tol} do not compose" in str(exc)
+        return
+    zero = d.zero_mask_rows()
+    assert all(d.rows[x][x] == 0 for x in range(n))
+    assert all(is_closed(zero, row) for row in zero)
+    for cls in scc_masks(zero):  # smyth_report's classes are zero cliques
+        assert all(zero[x] & cls == cls for x in range(n) if cls >> x & 1)
+    # every cover covers, at thresholds below the tolerance too
+    for cover in precompact_report(d, [tol / 4, tol / 2, tol, 3 * tol, 1])["covers"]:
+        balls = d.ball_rows(Fraction(cover["eps"]))
+        union = 0
+        for c in cover["centers"]:
+            union |= balls[c]
+        assert union == (1 << n) - 1
+    # the formal-ball order from its definition, and formal_ball_poset's where it is built
+    radii = [Fraction(0), tol / 2, tol, Fraction(1)]
+    balls = [(x, r) for x in range(n) for r in radii]
+    le = [sum(1 << b for b, (y, s) in enumerate(balls)
+              if r >= s and d.d(x, y).frac <= r - s) for x, r in balls]
+    try:
+        assert formal_ball_poset(d, radii).le_rows == tuple(le)
+    except PreconditionFailed as exc:
+        assert "transitivity" in str(exc) and not all(is_closed(le, row) for row in le)
+    assert all(row >> a & 1 for a, row in enumerate(le))
+    for a, (row, col) in enumerate(zip(le, transpose(le))):
+        for b in range(len(balls)):
+            if a != b and (row & col) >> b & 1:
+                (x, r), (y, s) = balls[a], balls[b]
+                assert r == s and zero[x] >> y & 1 and zero[y] >> x & 1
 
 
 def test_formal_ball_reflexive_and_hand_example():
@@ -249,12 +311,17 @@ def test_hasse_dot_renders():
 
 
 def test_float_mode_formal_ball_order_without_transitivity_is_a_precondition():
-    # d(0,2) exceeds d(0,1) + d(1,2) by half the tolerance: (0,2) <= (1,1) <= (2,0)
-    # but not (0,2) <= (2,0)
-    tol = Fraction(1, 10**9)
-    d = validate_qpm([[0, 1, 2 + tol / 2], ["inf", 0, 1], ["inf", "inf", 0]], tol=tol)
-    with pytest.raises(PreconditionFailed, match="transitivity"):
-        formal_ball_poset(d, [0, 1, 2])
+    # the sample and radii of test_cli's float-mode formal-ball case: the
+    # triangle defect is below the tolerance, so from_asym_norm accepts it,
+    # but the exact order d(x,y) <= r - s on these radii is not transitive
+    sample = AsymNormSample(dimension=2, p=Fraction(2), points=tuple(
+        tuple(map(Fraction, v)) for v in (("1/4", "-7/5"), ("-7", "-4/5"), ("7/5", "-4"))))
+    d = from_asym_norm(sample, mode="float", tol=1e-9)
+    radii = [0, Fraction(2589569785738035, 2251799813685248),
+             Fraction(18915118434956083, 2251799813685248)]
+    with pytest.raises(PreconditionFailed,
+                       match=f"lost transitivity.* the tolerance {Fraction(1e-9)}$"):
+        formal_ball_poset(d, radii)
 
 
 # -- exact-mode laws and the replaced loops, kept as oracles -----------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,17 @@ from qconn import (
     symmetrize,
     validate_qpm,
 )
-from qconn.errors import NonRepresentable, QpmValidationError
-from qconn.gauges import NonZeroDiagonal, TriangleViolation, one_sided_lp, qpm_violations
+from qconn.errors import NonRepresentable, PreconditionFailed, QpmValidationError
+from qconn.gauges import (
+    NonZeroDiagonal,
+    TriangleViolation,
+    _metric,
+    _scale,
+    _validated,
+    _violations,
+    one_sided_lp,
+    qpm_violations,
+)
 from qconn.numbers import INF, ZERO, enn
 
 
@@ -97,19 +107,36 @@ def _corrupted(rng, n, flavour):
     return m, tol
 
 
+def _violations_at(matrix, tol):
+    """qpm_violations, or with a tolerance the eps-slack rule of
+    from_asym_norm's float branch, through the same private kernel."""
+    if tol is None:
+        return qpm_violations(matrix)
+    den, rows = _scale(matrix, tol.denominator)
+    return _violations(den, rows, int(tol * den))
+
+
+def _validated_at(matrix, tol):
+    """validate_qpm, or with a tolerance the float branch's validation."""
+    if tol is None:
+        return validate_qpm(matrix)
+    points = [str(i) for i in range(len(matrix))]
+    return _validated(_metric(points, *_scale(matrix, tol.denominator), tol))
+
+
 @settings(max_examples=120, derandomize=True)
 @given(st.integers(0, 10**9), st.integers(1, 7),
        st.sampled_from(["inf", "zero_row", "coprime", "float"]))
 def test_qpm_violations_match_fraction_oracle(seed, n, flavour):
     matrix, tol = _corrupted(random.Random(seed), n, flavour)
     expected = _oracle_violations(matrix, tol)
-    assert qpm_violations(matrix, tol) == expected
+    assert _violations_at(matrix, tol) == expected
     if expected:
         with pytest.raises(QpmValidationError) as info:
-            validate_qpm(matrix, tol=tol)
+            _validated_at(matrix, tol)
         assert info.value.violations == expected
     else:
-        assert validate_qpm(matrix, tol=tol).dist == tuple(map(tuple, matrix))
+        assert _validated_at(matrix, tol).dist == tuple(map(tuple, matrix))
 
 
 def test_float_tolerance_is_exact_at_the_boundary():
@@ -118,11 +145,11 @@ def test_float_tolerance_is_exact_at_the_boundary():
     edge = [[enn(0), enn(one), enn(2 * one + tol)],
             [INF, enn(0), enn(one)],
             [INF, INF, enn(0)]]
-    assert qpm_violations(edge, tol) == []
+    assert _violations_at(edge, tol) == []
     edge[0][2] = enn(2 * one + tol + Fraction(1, 2**90))
-    assert qpm_violations(edge, tol) == [
+    assert _violations_at(edge, tol) == [
         TriangleViolation(0, 1, 2, edge[0][2], enn(2))]
-    d = validate_qpm([[0, tol], [tol + Fraction(1, 2**90), 0]], tol=tol)
+    d = _validated_at([[0, tol], [tol + Fraction(1, 2**90), 0]], tol)
     assert d.zero_mask_rows() == [0b11, 0b10]
     assert d.positive_spectrum() == [tol + Fraction(1, 2**90)]
 
@@ -362,22 +389,41 @@ def _scan(d, keep):
     return [sum(1 << j for j, v in enumerate(row) if keep(v)) for row in d.rows]
 
 
-def _indexed_metric(rng, n, mode):
+def _indexed_metric(rng, n, mode, outcomes):
     """Exact closures with inf and zero entries, or a float-mode metric
-    whose entries lie below, on and above its tolerance."""
+    whose entries lie below, on and above its tolerance.  A float sample
+    whose zero relation is not transitive is refused by from_asym_norm and
+    redrawn; ``outcomes`` counts refusals and metrics built."""
     if mode == "exact":
         return rng_qpm(rng, n, density=rng.choice([0.1, 0.4, 0.8]))
-    tol = Fraction(1e-9)
-    pts = tuple((Fraction(rng.randint(0, 4) * 5, 10**10), Fraction(rng.randint(-3, 3)))
-                for _ in range(n))
-    return from_asym_norm(AsymNormSample(dimension=2, p=Fraction(2), points=pts),
-                          mode="float", tol=float(tol))
+    while True:
+        pts = tuple((Fraction(rng.randint(0, 4) * 5, 10**10), Fraction(rng.randint(-3, 3)))
+                    for _ in range(n))
+        try:
+            d = from_asym_norm(AsymNormSample(dimension=2, p=Fraction(2), points=pts),
+                               mode="float", tol=1e-9)
+        except PreconditionFailed:
+            outcomes["refused"] += 1
+            continue
+        outcomes["built"] += 1
+        return d
+
+
+def test_float_index_samples_reach_both_outcomes():
+    outcomes, entries = Counter(), Counter()
+    for seed in range(100):
+        rng = random.Random(seed)
+        d = _indexed_metric(rng, rng.randint(1, 8), "float", outcomes)
+        for v in (v for row in d.rows for v in row if 0 < v < d.den):
+            entries["below" if v < d.eps else "on" if v == d.eps else "above"] += 1
+    assert outcomes["refused"] > 0 and outcomes["built"] == 100
+    assert set(entries) == {"below", "on", "above"}
 
 
 @settings(max_examples=60, derandomize=True)
 @given(st.integers(0, 10**9), st.integers(1, 8), st.sampled_from(["exact", "float"]))
 def test_threshold_index_matches_direct_scan(seed, n, mode):
-    d = _indexed_metric(random.Random(seed), n, mode)
+    d = _indexed_metric(random.Random(seed), n, mode, Counter())
     finite = sorted({v for row in d.rows for v in row if v != float("inf")})
     bounds = {b + s for b in finite + [d.eps, 10**30] for s in (-1, 0, 1)}
     for b in bounds:

@@ -1,6 +1,6 @@
 import json
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 import pytest
@@ -17,12 +17,14 @@ from gen import (
     rng_vectors,
 )
 from qconn import (
+    AsymNormSample,
     EventuallyPeriodicSeq,
     OrliczSpec,
     PointMap,
     QuasiModularFamily,
     ScaleGauge,
     WeightedDigraph,
+    from_asym_norm,
     from_orlicz,
     symmetrize_family,
     validate_qpm,
@@ -315,3 +317,45 @@ def test_repeated_bad_literal_names_its_first_field(bad):
            "dist": [["0", bad], [bad, "0"]]}
     with pytest.raises(SchemaError, match=r"^field 'dist\[0\]': "):
         parse_instance(doc)
+
+
+def test_gauge_literals_parse_once_per_file(monkeypatch):
+    from qconn import instances, numbers
+
+    calls = {"rational": Counter(), "value": Counter()}
+    parse = numbers.parse_rational
+
+    def counting(kind):
+        def counted(text):
+            calls[kind][str(text)] += 1
+            return parse(text)
+        return counted
+
+    # ExtNonNeg literals reach numbers.parse_rational; rational ones read_literal's default
+    monkeypatch.setattr(numbers, "parse_rational", counting("value"))
+    monkeypatch.setattr(instances.read_literal, "__defaults__",
+                        (counting("rational"), "rational"))
+    zero = {"kind": "homogeneous", "coeff": "0"}
+    step = {"kind": "step", "breakpoints": ["1", "2"], "values": ["1/2", "0", "0"]}
+    piecewise = {"kind": "piecewise", "breakpoints": ["1", "2"],
+                 "pieces": [["inf", "0"], ["1/2", "1"], ["0", "2"]]}
+    power = {"kind": "power", "coeff": "1/2", "exponent": "2"}
+    doc = {"kind": "modular_family", "points": ["a", "b", "c"],
+           "gauges": [[zero, step, piecewise], [power, zero, step], [piecewise, power, zero]]}
+    _, fam = parse_instance(doc)
+    assert set(calls["rational"]) == {"1", "2", "1/2", "0"}
+    assert set(calls["value"]) == {"0", "1/2"}
+    assert max(calls["rational"].values()) == max(calls["value"].values()) == 1
+    monkeypatch.undo()
+    assert fam == parse_instance(doc)[1]
+    doc["gauges"][2][0] = doc["gauges"][0][2] = dict(piecewise, breakpoints=["1", "2/0"])
+    with pytest.raises(SchemaError) as err:
+        parse_instance(doc)
+    assert str(err.value) == "field 'gauges[0][2].breakpoints': bad rational '2/0'"
+
+
+def test_float_mode_metric_has_no_file_form():
+    sample = AsymNormSample(dimension=1, p=Fraction(2), points=((Fraction(0),), (Fraction(1),)))
+    with pytest.raises(TypeError, match="float-mode"):
+        dump_instance(from_asym_norm(sample, mode="float"))
+    assert dump_instance(sample)["kind"] == "asym_norm_sample"

@@ -7,7 +7,10 @@ one change measured against its parent commit with ``bench/run.py``:
 per workload, the parent's and the change's median and quartiles of
 every end-to-end metric over alternating parent/change pairs, the
 ``src/`` line counts of both sides and the parent commit.  A row gives
-its ``pr`` field, the parent commit, the ``src/`` lines, the claim (the
+its ``pr`` field, the parent commit, the ``src/`` lines, ``seam`` when
+its parent's line count differs from the previous file's change-side
+count (so the two files do not measure one chain of commits, and the
+step between them is not a code change of either), the claim (the
 claimed metric on its workload with its medians, parent -> change, or
 ``claim -`` for a change that claims no gain), the tier-1 test suite's
 wall time and pass count, parent -> change, from the optional ``tier1``
@@ -48,10 +51,13 @@ def load(path: pathlib.Path) -> dict:
     return doc
 
 
-def row(doc: dict) -> str:
+def row(doc: dict, previous: dict | None = None) -> str:
     lines = doc["src_lines"]
     cells = [f"{doc['pr']:>3}", doc["parent_commit"][:7],
-             f"src {lines['parent']}->{lines['change']}", _claim(doc), _tier1(doc)]
+             f"src {lines['parent']}->{lines['change']}"]
+    if previous is not None and previous["src_lines"]["change"] != lines["parent"]:
+        cells.append("seam")
+    cells += [_claim(doc), _tier1(doc)]
     for name in sorted(doc["workloads"]):
         metrics = doc["workloads"][name]["metrics"]
         cells.append(f"{name} {_medians(metrics['jobs_per_s'])} "
@@ -83,15 +89,18 @@ def main(argv: list[str]) -> int:
     directory = pathlib.Path(argv[0]) if argv else ROOT
     paths = sorted(directory.glob("BENCH_*.json"),
                    key=lambda p: int(p.stem.split("_", 1)[1]))
-    print(" pr  parent   src lines      claimed metric on workload, tier-1 "
+    print(" pr  parent   src lines [seam]  claimed metric on workload, tier-1 "
           "seconds/passed, then per workload: jobs_per_s median, rss "
           "peak_rss_mb median (MB), setup setup_s median (s), parent->change")
+    previous = None
     for path in paths:
         try:
-            print(row(load(path)))
+            doc = load(path)
+            print(row(doc, previous))
         except (KeyError, ValueError) as exc:
             print(f"bench_trajectory: {path.name}: {exc}", file=sys.stderr)
             return 2
+        previous = doc
     return 0
 
 
