@@ -30,11 +30,12 @@ class QpmValidationError(QconnError):
 
 
 class NonRepresentable(QconnError):
-    """Exact mode was requested but the result is irrational."""
+    """The result has no form in the requested mode: irrational in exact
+    mode, or overflowing float arithmetic in float mode."""
 
     def __init__(self, p, detail=""):
         self.p = p
-        super().__init__(f"value not exactly representable for exponent {p}{': ' + detail if detail else ''}")
+        super().__init__(f"value not representable for exponent {p}{': ' + detail if detail else ''}")
 
 
 class EmptyGrid(QconnError):

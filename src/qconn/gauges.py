@@ -299,12 +299,17 @@ def _pos_part(x: Fraction) -> Fraction:
 
 def one_sided_lp(x: tuple[Fraction, ...], y: tuple[Fraction, ...], p: Fraction,
                  mode: str = "exact") -> ExtNonNeg | float:
-    """Forward gauge from x to y: (sum_k max(y_k - x_k, 0)^p)^(1/p)."""
+    """Forward gauge from x to y: (sum_k max(y_k - x_k, 0)^p)^(1/p).  In
+    float mode it is ``math.inf`` when a difference, its p-th power or
+    their sum passes the float range (about 1.8e308)."""
     deltas = [_pos_part(b - a) for a, b in zip(x, y)]
     if p == 1:
         return ExtNonNeg(sum(deltas, Fraction(0)))
     if mode == "float":
-        return sum(float(t) ** float(p) for t in deltas) ** (1.0 / float(p))
+        try:
+            return sum(float(t) ** float(p) for t in deltas) ** (1.0 / float(p))
+        except OverflowError:
+            return inf
     if p.denominator != 1:
         if all(t == 0 for t in deltas):
             return ZERO
@@ -327,7 +332,8 @@ def from_asym_norm(s: AsymNormSample, mode: str = "exact",
     the triangle law holds by (u + v)+ <= u+ + v+, so it is not checked.
     In float mode two hops within the tolerance can add up to one beyond
     it; a sample whose zero relation {d <= tol} is therefore not transitive
-    raises ``PreconditionFailed``.
+    raises ``PreconditionFailed``, and one whose gauge overflows float
+    arithmetic raises ``NonRepresentable`` naming the two points.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -342,6 +348,12 @@ def from_asym_norm(s: AsymNormSample, mode: str = "exact",
              for j, y in enumerate(s.points)] for i, x in enumerate(s.points)]
     if mode == "exact":
         return validate_qpm(dist, points=labels)
+    for x, row in enumerate(dist):
+        for y, v in enumerate(row):
+            if v == inf:
+                raise NonRepresentable(s.p, f"the float-mode gauge of the asym_norm_sample "
+                                            f"from {labels[x]} to {labels[y]} overflows float "
+                                            f"arithmetic")
     tol = Fraction(tol)
     d = _validated(_metric(labels, *_scale(dist, tol.denominator), tol))
     zero = d._zero_rows

@@ -13,17 +13,19 @@ full combined digraph, never rebuilt spaces.  Only the two oracle
 targets read open sets, which each preorder enumerates on first read
 from the rows and transpose it already holds.
 
-Every check reads its decisions on a relation (strong connectivity, the
-SCCs of the combined digraph, the components of the join relation, and
-``prop61_union``'s decision over every pair of subsets) through
-``_decided``, one per-process memo keyed by the decision and the rows.
-It memoizes only carriers of at most ``MEMO_MAX_N`` = 4 points, which
-hold 1 + 4 + 64 + 4,096 = 4,165 reflexive relations against 126,885
-cases in an exhaustive n = 4 run, so the memo holds at most 4,165
-entries per decision whatever runs in the process.  Larger carriers
-repeat too rarely to pay for an entry, so there the kernel runs on the
-rows as given, and ``prop61_union`` samples subset pairs instead of
-enumerating them.
+On carriers of at most ``MEMO_MAX_N`` = 4 points a relation packs into
+one int (``pack``), and each preorder keeps the keys of its rows and of
+its transpose, made on first read.  A case's combined relation
+N+ | (N-)^T is then the key ``fwd.up_key | bwd.down_key`` and its join
+relation N+ & N- the key ``fwd.up_key & bwd.up_key``.  Each decision
+(strong connectivity, the SCCs of the combined digraph, the components
+of the join relation, and ``prop61_union``'s decision over every pair of
+subsets) has one per-process memo from key to decision, which on a miss
+unpacks the key and runs the ``relations`` kernel.  The 4,165 reflexive
+relations on 1 to 4 points bound each memo, against 126,885 cases in an
+exhaustive n = 4 run.  Larger carriers repeat too rarely to pay for an
+entry, so there the kernel runs on the rows, and ``prop61_union``
+samples subset pairs instead of enumerating them.
 """
 
 from __future__ import annotations
@@ -61,18 +63,64 @@ N_RANGE = {"exhaustive": (1, EXHAUSTIVE_MAX_N), "random": (2, RANDOM_MAX_N)}
 # count of reflexive transitive relations per labelled carrier size
 # (OEIS A000798); the tests pin the lengths of the preorder tables to it
 PREORDER_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
-# largest carrier whose decisions ``_decided`` memoizes: every check's
+# largest carrier whose decisions the memos keep, keyed by the packed
+# rows (one byte per row, so at most 8 points could pack): every check's
 # relation is reflexive, and there are 1 + 4 + 64 + 4,096 = 4,165
 # reflexive relations (2**(n*(n-1)) on n points) on carriers of 1 to 4
-# points, which bounds the entries per decision; an exhaustive n = 4 run
+# points, which bounds the entries per memo; an exhaustive n = 4 run
 # decides 126,885 cases on them
 MEMO_MAX_N = 4
+
+
+def pack(rows) -> int:
+    """A relation on at most 8 points as one int: one byte per row, row 0
+    lowest, then a sentinel byte 1, so relations on different carrier
+    sizes never share a key, and the bytewise ``|`` and ``&`` of two keys
+    of one size are the keys of the rowwise ``|`` and ``&``."""
+    return int.from_bytes(bytes(rows) + b"\x01", "little")
+
+
+def unpack(key: int) -> tuple[int, ...]:
+    """The rows ``pack`` packed into ``key``."""
+    return tuple(key.to_bytes((key.bit_length() + 7) >> 3, "little")[:-1])
+
+
+# ``pack`` of every row tuple a key was made from, so at most the 389
+# preorders on 1 to 4 points in a search: random mode makes fresh
+# preorders, and a lookup here costs less than packing anew
+_PACKED: dict[tuple[int, ...], int] = {}
+
+
+class _Packed:
+    """The ``pack`` of one field, made on first read and kept in the
+    instance dict, which later reads find first; a copy made with other
+    fields starts without it, so no key goes stale."""
+
+    def __init__(self, field: str):
+        self.field = field
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        rows = getattr(obj, self.field)
+        key = _PACKED.get(rows)
+        if key is None:
+            key = _PACKED[rows] = pack(rows)
+        obj.__dict__[self.name] = key
+        return key
 
 
 @dataclass(frozen=True)
 class PreorderData:
     rows: tuple[int, ...]
     transpose: tuple[int, ...]
+    # the memo keys of the rows and of the transpose; only carriers of at
+    # most ``MEMO_MAX_N`` points read them
+    up_key = _Packed("rows")
+    down_key = _Packed("transpose")
 
     @cached_property
     def opens(self) -> frozenset[int]:
@@ -228,23 +276,38 @@ _POINT = preorder_data((1,))
 # -- row-level property checks --------------------------------------------
 
 
-def _join_rows(case: BitopCase) -> list[int]:
-    return [f & g for f, g in zip(case.fwd.rows, case.bwd.rows)]
+class _Memo(dict):
+    """One decision on the relations of at most ``MEMO_MAX_N`` points,
+    from the ``pack`` of the rows to the decision; a miss unpacks the key
+    and runs ``decide``.  A shared entry must not change, so a list is
+    frozen to a tuple."""
+
+    def __init__(self, decide: Callable):
+        self.decide = decide
+
+    def __missing__(self, key: int):
+        out = self.decide(unpack(key))
+        if type(out) is list:
+            out = tuple(out)
+        self[key] = out
+        return out
 
 
-@lru_cache(maxsize=None)
-def _memo(decide: Callable, rows: tuple[int, ...]):
-    out = decide(rows)
-    # a shared entry must not change, so a list is frozen to a tuple
-    return tuple(out) if type(out) is list else out
+def _combined(memo: _Memo, case: BitopCase):
+    """``memo``'s decision on the combined relation N+ | (N-)^T of
+    ``case``, computed on its rows above ``MEMO_MAX_N`` points."""
+    fwd, bwd = case.fwd, case.bwd
+    if len(fwd.rows) <= MEMO_MAX_N:
+        return memo[fwd.up_key | bwd.down_key]
+    return memo.decide(combined_rows(fwd.rows, bwd.transpose))
 
 
-def _decided(decide: Callable, rows):
-    """``decide(rows)``, read from the memo on carriers of at most
-    ``MEMO_MAX_N`` points and computed on the rows as given above that."""
-    if len(rows) <= MEMO_MAX_N:
-        return _memo(decide, tuple(rows))
-    return decide(rows)
+def _join(memo: _Memo, case: BitopCase):
+    """``memo``'s decision on the join relation N+ & N- of ``case``."""
+    fwd, bwd = case.fwd, case.bwd
+    if len(fwd.rows) <= MEMO_MAX_N:
+        return memo[fwd.up_key & bwd.up_key]
+    return memo.decide([f & g for f, g in zip(fwd.rows, bwd.rows)])
 
 
 def _brute_antisym(case: BitopCase) -> bool:
@@ -282,8 +345,7 @@ def _bitop_json(case: BitopCase) -> dict:
 
 
 def check_antisym_oracle(case: BitopCase, rng) -> dict | None:
-    fast = _decided(strongly_connected,
-                    combined_rows(case.fwd.rows, case.bwd.transpose))
+    fast = _combined(_CONNECTED, case)
     slow = _brute_antisym(case)
     if fast != slow:
         return {"scc_decision": fast, "brute_force": slow}
@@ -295,8 +357,7 @@ def check_prop53_equivalence(case: BitopCase, rng) -> dict | None:
     the partition enumeration, and the disjoint-open-pair scan."""
     n = len(case.fwd.rows)
     full = (1 << n) - 1
-    rows = combined_rows(case.fwd.rows, case.bwd.transpose)
-    f1 = _decided(strongly_connected, rows)
+    f1 = _combined(_CONNECTED, case)
     f2 = _brute_antisym(case)
     f3 = True
     for u in case.fwd.opens:
@@ -316,9 +377,8 @@ def check_prop53_equivalence(case: BitopCase, rng) -> dict | None:
 
 
 def check_prop54_inclusion(case: BitopCase, rng) -> dict | None:
-    rows = combined_rows(case.fwd.rows, case.bwd.transpose)
-    anti = _decided(scc_masks, rows)
-    syms = _decided(undirected_components, _join_rows(case))
+    anti = _combined(_SCCS, case)
+    syms = _join(_COMPONENTS, case)
     for sym in syms:
         if not any(sym & ~a == 0 for a in anti):
             return {"symmetric_component": indices_of(sym),
@@ -327,9 +387,8 @@ def check_prop54_inclusion(case: BitopCase, rng) -> dict | None:
 
 
 def check_thm54_coincidence(case: BitopCase, rng) -> dict | None:
-    rows = combined_rows(case.fwd.rows, case.bwd.transpose)
-    anti = masks_to_partition(_decided(scc_masks, rows))
-    sym = masks_to_partition(_decided(undirected_components, _join_rows(case)))
+    anti = masks_to_partition(_combined(_SCCS, case))
+    sym = masks_to_partition(_join(_COMPONENTS, case))
     if anti != sym:
         return {"antisymmetric": anti, "symmetric": sym}
     return None
@@ -367,15 +426,23 @@ def _sampled_union_gap(rows, rng) -> tuple[int, int] | None:
     return None
 
 
+_CONNECTED = _Memo(strongly_connected)
+_SCCS = _Memo(scc_masks)
+_COMPONENTS = _Memo(undirected_components)
+_UNION = _Memo(_union_gap)
+
+
 def check_prop61_union(case: BitopCase, rng) -> dict | None:
     """Two inseparable subsets with a common point must have an
     inseparable union.  Decided over every pair of subsets on carriers of
     at most ``MEMO_MAX_N`` points, once per combined relation; larger
     carriers draw pairs inside their strongly connected blocks from
     ``rng``."""
-    rows = combined_rows(case.fwd.rows, case.bwd.transpose)
-    gap = (_decided(_union_gap, rows) if len(rows) <= MEMO_MAX_N
-           else _sampled_union_gap(rows, rng))
+    fwd, bwd = case.fwd, case.bwd
+    if len(fwd.rows) <= MEMO_MAX_N:
+        gap = _UNION[fwd.up_key | bwd.down_key]
+    else:
+        gap = _sampled_union_gap(combined_rows(fwd.rows, bwd.transpose), rng)
     if gap is None:
         return None
     s, t = gap
@@ -420,10 +487,9 @@ def check_cor61_join_local(case: BitopCase, rng) -> dict | None:
     """Searches the global claim 'inseparable implies join-connected',
     which is where the local corollary would need a converse; every
     inseparable but join-disconnected space is a finding."""
-    if not _decided(strongly_connected,
-                    combined_rows(case.fwd.rows, case.bwd.transpose)):
+    if not _combined(_CONNECTED, case):
         return None
-    sym = _decided(undirected_components, _join_rows(case))
+    sym = _join(_COMPONENTS, case)
     if len(sym) > 1:
         return {"antisym_connected": True,
                 "symmetric_components": masks_to_partition(sym)}
@@ -433,10 +499,8 @@ def check_cor61_join_local(case: BitopCase, rng) -> dict | None:
 def check_prop62_image(case: MapCase, rng) -> dict | None:
     """Images of inseparable sets under specialization-preserving maps
     must be inseparable in the image trace."""
-    src_rows = combined_rows(case.src.fwd.rows, case.src.bwd.transpose)
     tgt_rows = combined_rows(case.tgt.fwd.rows, case.tgt.bwd.transpose)
-    for blk, img in image_gaps(case.assignment, _decided(scc_masks, src_rows),
-                               tgt_rows):
+    for blk, img in image_gaps(case.assignment, _combined(_SCCS, case.src), tgt_rows):
         return {"block": indices_of(blk), "image": indices_of(img)}
     return None
 
@@ -506,9 +570,12 @@ def _bitop_stream(mode: str, n: int, seed: int, equal: bool) -> Iterable[BitopCa
     if mode == "exhaustive":
         for size in range(1, n + 1):
             table = all_preorders(size)
-            pairs = ((p, p) for p in table) if equal else itertools.product(table, table)
-            for p, q in pairs:
-                yield BitopCase(fwd=p, bwd=q, source="enumerated")
+            # tuples built in C, fwd outer and bwd inner
+            if equal:
+                cases = zip(table, table, itertools.repeat("enumerated"))
+            else:
+                cases = itertools.product(table, table, ("enumerated",))
+            yield from map(BitopCase._make, cases)
     else:
         # sizes 2 to n, drawn as ``randint(2, n)`` is (see ``random_preorder``)
         span = n - 1

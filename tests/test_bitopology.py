@@ -24,7 +24,7 @@ from qconn import (
 from qconn.bitopology import AlexandrovTopology, BitopSpace
 from qconn.errors import CarrierTooLarge, CoherenceError, EmptySubset
 from qconn.modular import QuasiModularFamily
-from qconn.relations import indices_of
+from qconn.relations import indices_of, transpose
 
 
 def topo(points, *sets) -> AlexandrovTopology:
@@ -91,6 +91,30 @@ def test_join_matches_symmetrized_metric(seed, n):
     assert join_matches_symmetrization(d)
     b = specialization_bitop(d)
     assert specialization_bitop(symmetrize(d)).forward.nbhd == join(b).nbhd
+
+
+def _join_matches_symmetrization_by_objects(d) -> bool:
+    """Reference: the law read off the coherence-checked topology objects."""
+    b = specialization_bitop(d)
+    return specialization_bitop(symmetrize(d)).forward.nbhd == join(b).nbhd
+
+
+def test_join_matches_symmetrization_agrees_with_the_topology_objects():
+    rng = random.Random(86)
+    asymmetric = 0
+    for trial in range(120):
+        n = rng.randint(1, 7)
+        if trial % 2:
+            d = rng_qpm(rng, n, density=rng.choice([0.2, 0.5, 0.9]))
+        else:
+            # exact p = 1 gauges: d(x, y) = 0 iff y <= x coordinatewise
+            pts = tuple((Fraction(rng.randint(0, 2)), Fraction(rng.randint(0, 2)))
+                        for _ in range(n))
+            d = from_asym_norm(AsymNormSample(dimension=2, p=Fraction(1), points=pts))
+        rows = d.zero_mask_rows()
+        asymmetric += rows != transpose(rows)
+        assert join_matches_symmetrization(d) == _join_matches_symmetrization_by_objects(d)
+    assert asymmetric >= 30
 
 
 def test_subspace_examples(indiscrete_split_space):

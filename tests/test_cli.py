@@ -273,6 +273,21 @@ def test_float_mode_intransitive_zero_relation_is_a_precondition(tmp_path, capsy
     assert "tolerance" in diag["message"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "export-dot"])
+def test_float_mode_overflow_names_the_sample_and_exponent(tmp_path, capsys, command):
+    # 1e200 squared is past the float range, yet parses (within
+    # MAX_LITERAL_EXPONENT): a named error, not InternalError
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"kind": "asym_norm_sample", "dimension": 1, "p": "2",
+                             "points": [["0"], ["1e200"]]}))
+    code, out, err = run(capsys, command, str(p))
+    assert (code, out) == (2, "")
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "NonRepresentable"
+    assert "exponent 2" in diag["message"]
+    assert "asym_norm_sample from v0 to v1" in diag["message"]
+
+
 @pytest.mark.parametrize("tol", ["1/1000000000", "1/0", "1e-999", None])
 def test_quasi_metric_tol_field_is_refused(tmp_path, capsys, tol):
     # float mode is for asym_norm_sample files with p != 1; a quasi_metric

@@ -377,6 +377,20 @@ def test_float_mode_records_tolerance():
     assert abs(float(approx) - 2**0.5) < 1e-9
 
 
+@pytest.mark.parametrize("coords", [
+    (("0",), ("1e200",)),                    # a squared difference overflows
+    (("0", "0"), ("13e153", "13e153")),      # each square fits, their sum does not
+    (("0",), ("1e350",)),                    # the difference itself is past the range
+    (("1e350",), ("0",)),                    # the same, in the backward gauge only
+])
+def test_float_mode_gauge_overflow_is_named(coords):
+    pts = tuple(tuple(Fraction(c) for c in v) for v in coords)
+    s = AsymNormSample(dimension=len(pts[0]), p=Fraction(2), points=pts)
+    forward = coords[1][0] != "0"
+    with pytest.raises(NonRepresentable, match="from v0 to v1" if forward else "from v1 to v0"):
+        from_asym_norm(s, mode="float", tol=1e-9)
+
+
 def test_p_below_one_rejected():
     with pytest.raises(ValueError):
         AsymNormSample(dimension=1, p=Fraction(1, 2), points=((Fraction(0),),))

@@ -32,15 +32,19 @@ from qconn.search import (
     RANDOM_MAX_N,
     REGRESSION_CYCLE_SPLIT,
     TARGETS,
+    _COMPONENTS,
+    _CONNECTED,
+    _SCCS,
+    _UNION,
     _bitop_json,
-    _decided,
     _lemma_gap,
-    _memo,
     _union_gap,
     all_preorders,
+    pack,
     preorder_data,
     random_preorder,
     search_counterexamples,
+    unpack,
 )
 
 
@@ -276,6 +280,28 @@ def test_random_bitop_stream_matches_the_randint_reference(seed, equal):
     assert [_bitop_key(c) for c in got] == [_bitop_key(c) for c in want]
 
 
+def _exhaustive_stream_by_keywords(n: int, equal: bool):
+    """Reference for the exhaustive stream: each case built by keyword,
+    forward preorder outer, backward inner."""
+    if not equal:
+        yield from search.REGRESSION_CASES
+    for size in range(1, n + 1):
+        table = all_preorders(size)
+        for p in table:
+            for q in (p,) if equal else table:
+                yield BitopCase(fwd=p, bwd=q, source="enumerated")
+
+
+@pytest.mark.parametrize("equal", (False, True))
+def test_exhaustive_bitop_stream_matches_the_keyword_reference(equal):
+    got = list(itertools.islice(search._bitop_stream("exhaustive", 4, 0, equal), 30_000))
+    want = list(itertools.islice(_exhaustive_stream_by_keywords(4, equal), 30_000))
+    assert len(got) == (30_000 if not equal else 1 + 4 + 29 + 355)
+    assert all(type(c) is BitopCase for c in got)
+    assert [(c.fwd, c.bwd, c.source) for c in got] == \
+        [(c.fwd, c.bwd, c.source) for c in want]
+
+
 def _lemma_gap_by_transpose(case: BitopCase, mask: int):
     """Reference oracle: the lemma check on the transposed combined
     digraph, built by ``relations.transpose``."""
@@ -446,8 +472,8 @@ def test_random_mode_refuses_sizes_past_the_cap():
 SMALL_RELATIONS = sum(2 ** (n * (n - 1)) for n in range(1, MEMO_MAX_N + 1))
 
 
-# every decision the checks read through the memo
-MEMO_DECISIONS = (strongly_connected, scc_masks, undirected_components, _union_gap)
+# every memo the checks read; each holds one decision
+MEMOS = (_CONNECTED, _SCCS, _COMPONENTS, _UNION)
 
 
 def test_memoized_decompositions_match_the_kernel():
@@ -456,24 +482,54 @@ def test_memoized_decompositions_match_the_kernel():
         table = all_preorders(n)
         for p in table:
             for q in table:
-                combined.add(tuple(combined_rows(p.rows, q.transpose)))
-                joins.add(tuple(f & g for f, g in zip(p.rows, q.rows)))
-    for rows in combined:
-        sccs = _decided(scc_masks, list(rows))
+                combined.add(p.up_key | q.down_key)
+                joins.add(p.up_key & q.up_key)
+    for key in combined:
+        rows = unpack(key)
+        sccs = _SCCS[key]
         assert sccs == tuple(scc_masks(rows))
-        assert _decided(strongly_connected, list(rows)) == strongly_connected(rows)
+        assert _CONNECTED[key] == strongly_connected(rows)
         assert (len(sccs) == 1) == strongly_connected(rows)
-    for rows in joins:
-        assert _decided(undirected_components, rows) == tuple(undirected_components(rows))
+    for key in joins:
+        assert _COMPONENTS[key] == tuple(undirected_components(unpack(key)))
     assert SMALL_RELATIONS == 4165
     assert len(combined) <= SMALL_RELATIONS and len(joins) <= SMALL_RELATIONS
 
 
-def test_memos_stay_within_the_small_relation_count():
+def test_packed_keys_round_trip_and_match_the_rows():
+    rng = random.Random(22)
+    count = 0
+    for n in range(1, MEMO_MAX_N + 1):
+        relations = list(_reflexive_relations(n))
+        for rows in relations:
+            count += 1
+            key = pack(rows)
+            assert unpack(key) == rows
+            p = preorder_data(rows)
+            assert (p.up_key, p.down_key) == (key, pack(p.transpose))
+            for other in [rows] + rng.sample(relations, min(3, len(relations))):
+                q = preorder_data(other)
+                assert p.up_key | q.down_key == pack(combined_rows(p.rows, q.transpose))
+                assert p.up_key & q.up_key == pack([f & g for f, g in zip(p.rows, q.rows)])
+    assert count == SMALL_RELATIONS
+
+
+def test_a_replaced_preorder_derives_its_own_keys():
+    fwd = preorder_data((0b11, 0b10))
+    assert fwd.down_key == pack((0b01, 0b11))
+    broken = dataclasses.replace(fwd, transpose=(0b01, 0b10))
+    assert (broken.up_key, broken.down_key) == (fwd.up_key, pack((0b01, 0b10)))
+
+
+def test_memos_stay_within_the_small_relation_count(fresh_memo):
     for tid in TARGETS:
         search_counterexamples(tid, n=4, mode="exhaustive", budget=20_000)
         search_counterexamples(tid, n=12, mode="random", seed=7, budget=60)
-    assert 0 < _memo.cache_info().currsize <= len(MEMO_DECISIONS) * SMALL_RELATIONS
+    sizes = [len(memo) for memo in MEMOS]
+    assert 0 < sum(sizes) <= len(MEMOS) * SMALL_RELATIONS
+    assert max(sizes) <= SMALL_RELATIONS
+    # a search packs only the rows and transposes of preorders
+    assert len(search._PACKED) <= sum(PREORDER_COUNTS[n] for n in range(1, MEMO_MAX_N + 1))
 
 
 def test_carriers_past_the_memo_bypass_it():
@@ -482,10 +538,11 @@ def test_carriers_past_the_memo_bypass_it():
     case = BitopCase(fwd=random_preorder(rng, size), bwd=random_preorder(rng, size),
                      source="random")
     mapped = MapCase(src=case, assignment=tuple(range(size)), tgt=case, source="random")
-    before = _memo.cache_info()
+    before = [dict(memo) for memo in MEMOS]
     for target in TARGETS.values():
         target.check(mapped if target.case_kind == "map" else case, random.Random(0))
-    assert _memo.cache_info() == before
+    assert [dict(memo) for memo in MEMOS] == before
+    assert "up_key" not in vars(case.fwd) and "down_key" not in vars(case.bwd)
 
 
 def _union_gap_by_enumeration(rows):
@@ -513,14 +570,16 @@ def test_union_gap_matches_subset_pair_enumeration():
     for _ in range(300):
         relations.append(tuple(1 << i | rng.getrandbits(4) for i in range(4)))
     for rows in relations:
-        assert _decided(_union_gap, rows) == _union_gap_by_enumeration(rows)
+        assert _UNION[pack(rows)] == _union_gap_by_enumeration(rows)
 
 
 @pytest.fixture
 def fresh_memo():
-    _memo.cache_clear()
+    for memo in (*MEMOS, search._PACKED):
+        memo.clear()
     yield
-    _memo.cache_clear()
+    for memo in (*MEMOS, search._PACKED):
+        memo.clear()
 
 
 def _complete_case(n: int) -> BitopCase:
