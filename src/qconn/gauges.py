@@ -12,7 +12,10 @@ and integer ``rows``: rows[i][j] is d(i, j) * den as a Python int, or
 entries and of the float-mode tolerance, so the tolerance is the integer
 ``eps = tol * den`` on the same scale (0 in exact mode).  Float mode comes
 only from ``from_asym_norm``, which gives such a metric a zero diagonal
-and a transitive zero relation, so no analysis needs a float branch.  The
+and a transitive zero relation, so no analysis needs a float branch.  It
+computes each float gauge from the sample's coordinates scaled to
+integers by one common denominator, and each gauge enters the rows as
+the dyadic rational it is (``float.as_integer_ratio``).  The
 min-plus closure, the diagonal and triangle check, zero tests, the
 spectrum and ball masks all compare these integers, which is exact in
 both modes: d(i, j) counts as zero iff rows[i][j] <= eps, and the
@@ -297,19 +300,14 @@ def _pos_part(x: Fraction) -> Fraction:
     return x if x > 0 else Fraction(0)
 
 
-def one_sided_lp(x: tuple[Fraction, ...], y: tuple[Fraction, ...], p: Fraction,
-                 mode: str = "exact") -> ExtNonNeg | float:
-    """Forward gauge from x to y: (sum_k max(y_k - x_k, 0)^p)^(1/p).  In
-    float mode it is ``math.inf`` when a difference, its p-th power or
-    their sum passes the float range (about 1.8e308)."""
+def one_sided_lp(x: tuple[Fraction, ...], y: tuple[Fraction, ...],
+                 p: Fraction) -> ExtNonNeg:
+    """Exact forward gauge from x to y: (sum_k max(y_k - x_k, 0)^p)^(1/p),
+    or ``NonRepresentable`` when the root is irrational.  Float gauges are
+    ``_float_lp``'s."""
     deltas = [_pos_part(b - a) for a, b in zip(x, y)]
     if p == 1:
         return ExtNonNeg(sum(deltas, Fraction(0)))
-    if mode == "float":
-        try:
-            return sum(float(t) ** float(p) for t in deltas) ** (1.0 / float(p))
-        except OverflowError:
-            return inf
     if p.denominator != 1:
         if all(t == 0 for t in deltas):
             return ZERO
@@ -322,40 +320,73 @@ def one_sided_lp(x: tuple[Fraction, ...], y: tuple[Fraction, ...], p: Fraction,
     return ExtNonNeg(root)
 
 
+def _float_lp(x: list[int], y: list[int], den: int, p: float) -> float:
+    """Float gauge from x to y, integer vectors over the denominator den,
+    or ``math.inf`` past the float range (about 1.8e308).  A difference is
+    one correctly rounded int/int division, the float of the exact
+    difference.  Only a plain sum that overflows is recomputed with the
+    largest difference m factored out, m * (sum_k (t_k/m)^p)^(1/p), so a
+    gauge the plain formula can hold keeps its bits."""
+    try:
+        g = sum(((b - a) / den) ** p for a, b in zip(x, y) if b > a) ** (1 / p)
+    except OverflowError:
+        g = inf
+    if g < inf:
+        return g
+    try:
+        ts = [(b - a) / den for a, b in zip(x, y) if b > a]
+    except OverflowError:  # a difference is past the float range
+        return inf
+    m = max(ts)
+    return m * sum((t / m) ** p for t in ts) ** (1 / p)
+
+
 def from_asym_norm(s: AsymNormSample, mode: str = "exact",
                    tol: float = 1e-9) -> QuasiPseudoMetric:
     """Quasi-pseudometric of the positive-part lp gauge on the sample.
 
     Exact for p = 1 (and for integer p when every root is rational);
     otherwise requires mode="float", whose absolute tolerance is recorded
-    on the result and applied to every downstream comparison.  At p = 1
-    the triangle law holds by (u + v)+ <= u+ + v+, so it is not checked.
-    In float mode two hops within the tolerance can add up to one beyond
-    it; a sample whose zero relation {d <= tol} is therefore not transitive
-    raises ``PreconditionFailed``, and one whose gauge overflows float
-    arithmetic raises ``NonRepresentable`` naming the two points.
+    on the result and applied to every downstream comparison.  p = 1 and
+    float mode read the sample scaled to integers by one common
+    denominator.  At p = 1 the gauges are integer sums in either mode, and
+    (u + v)+ <= u+ + v+ gives the triangle law, so exact mode does not
+    check it; a float gauge (``_float_lp``) enters the rows as the dyadic
+    rational it is.  In float mode two hops within the tolerance can add
+    up to one beyond it; a sample whose zero relation {d <= tol} is
+    therefore not transitive raises ``PreconditionFailed``, and one whose
+    gauge passes the float range raises ``NonRepresentable`` naming the
+    two points.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     labels = [f"v{i}" for i in range(len(s.points))]
-    if s.p == 1 and mode == "exact":
-        # one common denominator makes every coordinate, so every gauge value, an int
-        den = lcm(*{c.denominator for v in s.points for c in v})
-        vecs = [[c.numerator * (den // c.denominator) for c in v] for v in s.points]
-        rows = [[sum(b - a for a, b in zip(x, y) if b > a) for y in vecs] for x in vecs]
-        return _metric(labels, den, rows)
-    dist = [[ZERO if i == j else one_sided_lp(x, y, s.p, mode=mode)
-             for j, y in enumerate(s.points)] for i, x in enumerate(s.points)]
-    if mode == "exact":
+    if s.p != 1 and mode == "exact":
+        dist = [[ZERO if i == j else one_sided_lp(x, y, s.p)
+                 for j, y in enumerate(s.points)] for i, x in enumerate(s.points)]
         return validate_qpm(dist, points=labels)
-    for x, row in enumerate(dist):
-        for y, v in enumerate(row):
-            if v == inf:
-                raise NonRepresentable(s.p, f"the float-mode gauge of the asym_norm_sample "
-                                            f"from {labels[x]} to {labels[y]} overflows float "
-                                            f"arithmetic")
+    den = lcm(*{c.denominator for v in s.points for c in v})
+    vecs = [[c.numerator * (den // c.denominator) for c in v] for v in s.points]
     tol = Fraction(tol)
-    d = _validated(_metric(labels, *_scale(dist, tol.denominator), tol))
+    if s.p == 1:
+        rows = [[sum(b - a for a, b in zip(x, y) if b > a) for y in vecs] for x in vecs]
+        if mode == "exact":
+            return _metric(labels, den, rows)
+        scale = lcm(den, tol.denominator) // den
+        den *= scale
+        rows = [[v * scale for v in row] for row in rows]
+    else:
+        p = float(s.p)
+        gauges = [[_float_lp(x, y, den, p) for y in vecs] for x in vecs]
+        for x, row in enumerate(gauges):
+            if inf in row:
+                raise NonRepresentable(s.p, f"the float-mode gauge of the asym_norm_sample "
+                                            f"from {labels[x]} to {labels[row.index(inf)]} "
+                                            f"overflows float arithmetic")
+        ratios = [[g.as_integer_ratio() for g in row] for row in gauges]
+        den = lcm(tol.denominator, max((q for row in ratios for _, q in row), default=1))
+        rows = [[a * (den // q) for a, q in row] for row in ratios]
+    d = _validated(_metric(labels, den, rows, tol))
     zero = d._zero_rows
     for x, row in enumerate(zero):
         for y in range(d.n):

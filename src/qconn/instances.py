@@ -471,8 +471,8 @@ def canonical_json(doc) -> str:
     """Stable rendering: sorted keys, two-space indent, ASCII only, and a
     trailing newline.  Byte-equal to ``json.dumps(doc, indent=2,
     sort_keys=True, ensure_ascii=True) + "\\n"`` on every value that call
-    accepts, in one pass that appends to a list and joins once (with an
-    indent, json runs its pure-Python encoder)."""
+    accepts, in one pass that appends to a list and joins once (json's C
+    encoder cannot indent, so that call runs json's pure-Python encoder)."""
     out = []
     _write(doc, out, "\n")
     out.append("\n")
@@ -490,19 +490,29 @@ def _float(o: float) -> str:
 
 
 def _write(o, out: list, nl: str) -> None:
-    """Append the JSON of ``o``, whose lines start with ``nl``.  Tuples
-    render as lists and the leaf tests follow json's order (bool before
-    int); containers are tested first, as no value is both a container
-    and a leaf."""
-    if isinstance(o, (list, tuple)):
+    """Append the JSON of ``o``, whose lines start with ``nl``.  Exact list,
+    tuple and dict types are found by ``type(o) is``, and in their loops an
+    exact int or str leaf is appended inline with its separator, so a leaf
+    costs no call.  Every other value, subclasses included, follows json's
+    rules: tuples render as lists, and the leaf tests run in json's order
+    (bool before int); containers are tested first, as no value is both a
+    container and a leaf."""
+    t = type(o)
+    if t is list or t is tuple or t is not dict and isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
             return
         inner = nl + "  "
         sep = "[" + inner
         for v in o:
-            out.append(sep)
-            _write(v, out, inner)
+            t = type(v)
+            if t is int:
+                out.append(sep + int.__repr__(v))
+            elif t is str:
+                out.append(sep + _quote(v))
+            else:
+                out.append(sep)
+                _write(v, out, inner)
             sep = "," + inner
         out.append(nl + "]")
     elif isinstance(o, dict):
@@ -523,8 +533,15 @@ def _write(o, out: list, nl: str) -> None:
             else:
                 raise TypeError(f"keys must be str, int, float, bool or None, "
                                 f"not {type(k).__name__}")
-            out.append(sep + _quote(k) + ": ")
-            _write(v, out, inner)
+            head = sep + _quote(k) + ": "
+            t = type(v)
+            if t is int:
+                out.append(head + int.__repr__(v))
+            elif t is str:
+                out.append(head + _quote(v))
+            else:
+                out.append(head)
+                _write(v, out, inner)
             sep = "," + inner
         out.append(nl + "}")
     elif isinstance(o, str):

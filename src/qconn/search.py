@@ -34,7 +34,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import UnknownProperty
@@ -570,12 +570,13 @@ def _bitop_stream(mode: str, n: int, seed: int, equal: bool) -> Iterable[BitopCa
     if mode == "exhaustive":
         for size in range(1, n + 1):
             table = all_preorders(size)
-            # tuples built in C, fwd outer and bwd inner
+            # fwd outer and bwd inner; tuple.__new__ builds each case in C,
+            # where BitopCase._make is a Python classmethod
             if equal:
                 cases = zip(table, table, itertools.repeat("enumerated"))
             else:
                 cases = itertools.product(table, table, ("enumerated",))
-            yield from map(BitopCase._make, cases)
+            yield from map(partial(tuple.__new__, BitopCase), cases)
     else:
         # sizes 2 to n, drawn as ``randint(2, n)`` is (see ``random_preorder``)
         span = n - 1

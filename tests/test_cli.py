@@ -3,6 +3,7 @@ import io
 import json
 import pathlib
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -275,17 +276,31 @@ def test_float_mode_intransitive_zero_relation_is_a_precondition(tmp_path, capsy
 
 @pytest.mark.parametrize("command", ["analyze", "export-dot"])
 def test_float_mode_overflow_names_the_sample_and_exponent(tmp_path, capsys, command):
-    # 1e200 squared is past the float range, yet parses (within
+    # 1e350 is past the float range, yet parses (within
     # MAX_LITERAL_EXPONENT): a named error, not InternalError
     p = tmp_path / "huge.json"
     p.write_text(json.dumps({"kind": "asym_norm_sample", "dimension": 1, "p": "2",
-                             "points": [["0"], ["1e200"]]}))
+                             "points": [["0"], ["1e350"]]}))
     code, out, err = run(capsys, command, str(p))
     assert (code, out) == (2, "")
     diag = json.loads(err)["error"]
     assert diag["type"] == "NonRepresentable"
     assert "exponent 2" in diag["message"]
     assert "asym_norm_sample from v0 to v1" in diag["message"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "export-dot"])
+def test_float_mode_gauge_past_the_squared_range_is_computed(tmp_path, capsys, command):
+    # 1e200 squared is past the float range, the gauge 1e200 is not
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"kind": "asym_norm_sample", "dimension": 1, "p": "2",
+                             "points": [["0"], ["1e200"]]}))
+    extra = ["--smyth"] if command == "analyze" else []
+    code, out, err = run(capsys, command, str(p), *extra)
+    assert (code, err) == (0, "")
+    if command == "analyze":
+        covers = json.loads(out)["analyses"]["smyth"]["precompact_report"]["covers"]
+        assert covers[0]["eps"] == str(Fraction(1e200))  # the one positive distance
 
 
 @pytest.mark.parametrize("tol", ["1/1000000000", "1/0", "1e-999", None])

@@ -1,7 +1,9 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -23,13 +25,14 @@ from qconn.gauges import (
     NonZeroDiagonal,
     TriangleViolation,
     _metric,
+    _pos_part,
     _scale,
     _validated,
     _violations,
     one_sided_lp,
     qpm_violations,
 )
-from qconn.numbers import INF, ZERO, enn
+from qconn.numbers import INF, ZERO, ExtNonNeg, enn
 
 
 def test_validate_symmetric_metric():
@@ -377,6 +380,12 @@ def test_float_mode_records_tolerance():
     assert abs(float(approx) - 2**0.5) < 1e-9
 
 
+# gauges whose plain float formula overflows, but which the formula with
+# the largest difference factored out holds
+HELD = {(("0",), ("1e200",)): 1e200,
+        (("0", "0"), ("13e153", "13e153")): 13e153 * 2.0 ** 0.5}
+
+
 @pytest.mark.parametrize("coords", [
     (("0",), ("1e200",)),                    # a squared difference overflows
     (("0", "0"), ("13e153", "13e153")),      # each square fits, their sum does not
@@ -386,9 +395,115 @@ def test_float_mode_records_tolerance():
 def test_float_mode_gauge_overflow_is_named(coords):
     pts = tuple(tuple(Fraction(c) for c in v) for v in coords)
     s = AsymNormSample(dimension=len(pts[0]), p=Fraction(2), points=pts)
+    if coords in HELD:
+        d = from_asym_norm(s, mode="float", tol=1e-9)
+        assert (d.d(0, 1), d.d(1, 0)) == (enn(HELD[coords]), ZERO)
+        return
     forward = coords[1][0] != "0"
     with pytest.raises(NonRepresentable, match="from v0 to v1" if forward else "from v1 to v0"):
         from_asym_norm(s, mode="float", tol=1e-9)
+
+
+def test_float_mode_gauge_with_a_large_exponent_is_held():
+    # 2.0 ** 2000.0 overflows; the gauge is 2
+    s = AsymNormSample(dimension=1, p=Fraction(2000), points=((Fraction(0),), (Fraction(2),)))
+    d = from_asym_norm(s, mode="float", tol=1e-9)
+    assert (d.d(0, 1), d.d(1, 0)) == (enn(2), ZERO)
+    # 1.5e308 * 2 ** (1/2) is past the float range even when factored
+    big = Fraction(15 * 10**307)
+    s = AsymNormSample(dimension=2, p=Fraction(2),
+                       points=((Fraction(0), Fraction(0)), (big, big)))
+    with pytest.raises(NonRepresentable, match="from v0 to v1"):
+        from_asym_norm(s, mode="float", tol=1e-9)
+
+
+# -- float mode against its Fraction-based reference -------------------------
+
+
+def reference_float_lp(x, y, p):
+    """The float-mode branch of ``one_sided_lp`` before float gauges were
+    computed from integer vectors, kept verbatim as their oracle: every
+    difference a Fraction, then a float, and ``math.inf`` on overflow."""
+    deltas = [_pos_part(b - a) for a, b in zip(x, y)]
+    if p == 1:
+        return ExtNonNeg(sum(deltas, Fraction(0)))
+    try:
+        return sum(float(t) ** float(p) for t in deltas) ** (1.0 / float(p))
+    except OverflowError:
+        return inf
+
+
+def reference_float_metric(s, tol):
+    """``from_asym_norm(s, mode="float", tol)`` built from
+    ``reference_float_lp``, with each value scaled back through ExtNonNeg
+    by ``_scale``.  A gauge the reference overflows on is recomputed with
+    its largest Fraction difference m factored out."""
+    labels = [f"v{i}" for i in range(len(s.points))]
+
+    def gauge(x, y):
+        g = reference_float_lp(x, y, s.p)
+        if g != inf:
+            return g
+        try:
+            ts = [float(b - a) for a, b in zip(x, y) if b > a]
+        except OverflowError:
+            return inf
+        m = max(ts)
+        return m * sum((t / m) ** float(s.p) for t in ts) ** (1.0 / float(s.p))
+
+    dist = [[ZERO if i == j else gauge(x, y) for j, y in enumerate(s.points)]
+            for i, x in enumerate(s.points)]
+    for x, row in enumerate(dist):
+        for y, v in enumerate(row):
+            if v == inf:
+                raise NonRepresentable(s.p, f"from {labels[x]} to {labels[y]}")
+    tol = Fraction(tol)
+    d = _validated(_metric(labels, *_scale(dist, tol.denominator), tol))
+    zero = d._zero_rows
+    for x, row in enumerate(zero):
+        for y in range(d.n):
+            if row >> y & 1 and zero[y] & ~row:
+                raise PreconditionFailed("float-mode zero relation is not transitive")
+    return d
+
+
+def _float_sample(rng):
+    """n up to 14, dimension 1-4, mixed denominators; about one sample in
+    six carries a coordinate near or past the float range."""
+    n, dim = rng.randint(0, 14), rng.randint(1, 4)
+    p = rng.choice([Fraction(1), Fraction(2), Fraction(3), Fraction(3, 2), Fraction(5, 2)])
+    dens = rng.choice([[1], [1, 2, 3], [7, 101, 1000], [10**10, 3]])
+    pts = [[Fraction(rng.randint(-50, 50) * 10**rng.choice([0, 0, 0, 5, 12]), rng.choice(dens))
+            for _ in range(dim)] for _ in range(n)]
+    if n and rng.random() < 1 / 6:
+        pts[rng.randrange(n)][rng.randrange(dim)] = Fraction(
+            rng.choice([1, 13, 99]) * 10**rng.choice([103, 153, 200, 307, 350]))
+    return AsymNormSample(dimension=dim, p=p, points=tuple(map(tuple, pts)))
+
+
+def _outcome(build, s, tol):
+    try:
+        d = build(s, tol)
+    except (NonRepresentable, PreconditionFailed, QpmValidationError) as exc:
+        found = re.search(r"from v\d+ to v\d+", str(exc))
+        return type(exc).__name__, found and found.group()
+    return d.points, d.den, d.rows, d.tol, d.eps
+
+
+def test_float_mode_matches_the_fraction_reference():
+    rng = random.Random(20261019)
+    seen = Counter()
+    for _ in range(400):
+        s = _float_sample(rng)
+        tol = rng.choice([1e-9, 1e-9, 1e-3, 0.0])
+        want = _outcome(reference_float_metric, s, tol)
+        got = _outcome(lambda s, tol: from_asym_norm(s, mode="float", tol=tol), s, tol)
+        assert got == want, (s, tol)
+        seen[want[0] if isinstance(want[0], str) else "built"] += 1
+        held = any(reference_float_lp(x, y, s.p) == inf for x in s.points for y in s.points)
+        seen["held" if held and want[0] != "NonRepresentable" else "plain"] += 1
+    assert all(seen[k] > 0 for k in ("built", "held", "NonRepresentable", "PreconditionFailed",
+                                      "QpmValidationError")), seen
 
 
 def test_p_below_one_rejected():

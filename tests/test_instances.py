@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter, namedtuple
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -284,6 +285,62 @@ def test_canonical_json_equals_json_dumps(doc):
             canonical_json(doc)
     else:
         assert canonical_json(doc) == want
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Name(str):
+    pass
+
+
+class Items(list):
+    pass
+
+
+class Row(tuple):
+    pass
+
+
+_nan, _inf = float("nan"), float("inf")
+
+# values whose type is not exactly list, tuple, dict, int or str, next to
+# the exact ones the writer emits inline
+_WRITER_CASES = {
+    "int_enum": [Level.LOW, {"k": Level.HIGH}, (Level.LOW, 3), {Level.HIGH: Level.LOW}],
+    "bools": [[True, False, 1, 0], {"t": True, "f": False}, (False,)],
+    "str_subclass": [Name("a\u00e9\"b"), {"k": Name("x")}, {Name("k"): "v"}, ("s", Name("t"))],
+    "list_subclass": Items([1, "a", Items([2, Items()]), {"k": Items(["v"])}]),
+    "tuple_subclass": {"r": Row((1, "b", Row(()), [Row((None,))]))},
+    "dict_subclass": Sub({"b": Sub(), "a": [Sub({"c": 1}), "d"], "e": Sub({2: "x"})}),
+    "namedtuple": [Pair(1, "a"), {"p": Pair(Pair("x", 2), [Pair(None, 1.5)])}],
+    "nested_empty": [[], {}, (), [[]], [{}], {"a": []}, {"b": {}}, [(), [[{}]]], {"c": {"d": ()}}],
+    "int_keys": {3: "c", -1: [1], 10: {"x": 2**70}, 0: -(2**70)},
+    "float_keys": {1.5: 1, -0.0: 2, 1e300: "a", _inf: 3, -_inf: 4, 5e-324: [0.1]},
+    "nan_key": {_nan: "n"},
+    "bool_and_none_keys": [{True: 1, False: 0}, {None: "n"}, {True: [None]}],
+    "special_floats": [_nan, _inf, -_inf, -0.0, 0.0, 1e16, 5e-324, {"x": _nan, "y": [-_inf]}],
+    "leaves": ["", "\x00\x1f\u2028\ud800", "\U0001f600", 0, -1, 2**100, None, 1.0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITER_CASES))
+def test_canonical_json_matches_json_dumps_on_each_type(name):
+    doc = _WRITER_CASES[name]
+    assert canonical_json(doc) == reference_json(doc)
+    for top in (doc, [doc], {"k": doc}, (doc,)):
+        assert canonical_json(top) == reference_json(top)
+
+
+@pytest.mark.parametrize("doc", [{1: "a", "b": 2}, {(1, 2): "t"}, [object()], {"k": {1, 2}},
+                                 [b"bytes"], {"k": Fraction(1, 2)}])
+def test_canonical_json_refuses_what_json_dumps_refuses(doc):
+    with pytest.raises(TypeError):
+        reference_json(doc)
+    with pytest.raises(TypeError):
+        canonical_json(doc)
 
 
 # -- literals parsed once per file -------------------------------------------
