@@ -225,12 +225,21 @@ def _slack_table(radii: list[Fraction], den: int) -> list[list[int]]:
             for t, big in enumerate(scaled)]
 
 
+def _ball(point: int, radius: Fraction) -> FormalBall:
+    """A ``FormalBall`` of a radius already checked, with both fields
+    written into the instance dict: the frozen ``__init__`` would spend
+    an ``object.__setattr__`` call on each and check the radius again."""
+    ball = object.__new__(FormalBall)
+    ball.__dict__.update(point=point, radius=radius)
+    return ball
+
+
 def formal_ball_poset(d: QuasiPseudoMetric, radii) -> FormalBallPoset:
     radii = sorted({Fraction(r) for r in radii})
     for r in radii:
         if r < 0:
             raise NegativeRadius(f"radius {r} is negative")
-    elements = tuple(FormalBall(point=x, radius=r) for x in range(d.n) for r in radii)
+    elements = tuple(_ball(x, r) for x in range(d.n) for r in radii)
     k = len(radii)
     slack = _slack_table(radii, d.den)
     # table[b] moves bit i of the byte b to bit i * k

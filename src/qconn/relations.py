@@ -180,18 +180,21 @@ def reach(rows, start: int, within: int) -> int:
     return seen
 
 
-def scc_masks(rows) -> list[int]:
+def scc_masks(rows, cols=None) -> list[int]:
     """Strongly connected components as masks, ordered by least member.
     The component of the least unassigned x is what x reaches and what
     reaches x; earlier components are skipped, since none of them can
-    lie on a cycle through x."""
-    back = transpose(rows)
+    lie on a cycle through x.  What reaches x is read from ``cols``,
+    which must equal ``transpose(rows)``; it is computed when omitted,
+    and a passed one is not checked."""
+    if cols is None:
+        cols = transpose(rows)
     free = (1 << len(rows)) - 1
     comps = []
     for x in range(len(rows)):
         if not free >> x & 1:
             continue
-        comp = reach(rows, 1 << x, free) & reach(back, 1 << x, free)
+        comp = reach(rows, 1 << x, free) & reach(cols, 1 << x, free)
         comps.append(comp)
         free &= ~comp
     return comps
@@ -222,10 +225,14 @@ def strongly_connected(rows, sub: int | None = None) -> bool:
     return seen == sub
 
 
-def undirected_components(rows) -> list[int]:
+def undirected_components(rows, cols=None) -> list[int]:
     """Components of the relation with its arcs read both ways, as masks
-    ordered by least member."""
-    sym = [r | c for r, c in zip(rows, transpose(rows))]
+    ordered by least member.  The arcs read backwards come from ``cols``,
+    which must equal ``transpose(rows)``; it is computed when omitted,
+    and a passed one is not checked."""
+    if cols is None:
+        cols = transpose(rows)
+    sym = [r | c for r, c in zip(rows, cols)]
     free = (1 << len(rows)) - 1
     comps = []
     for x in range(len(rows)):

@@ -25,7 +25,10 @@ unpacks the key and runs the ``relations`` kernel.  The 4,165 reflexive
 relations on 1 to 4 points bound each memo, against 126,885 cases in an
 exhaustive n = 4 run.  Larger carriers repeat too rarely to pay for an
 entry, so there the kernel runs on the rows, and ``prop61_union``
-samples subset pairs instead of enumerating them.
+samples subset pairs instead of enumerating them.  There the SCC and
+component kernels are also passed the transpose, which the case holds:
+N+^T | N- for the combined relation and N+^T & N-^T for the join
+relation, so no check transposes a relation.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import UnknownProperty
@@ -143,9 +147,26 @@ class MapCase(NamedTuple):
     source: str
 
 
+# the streams build each case from a tuple of its fields with
+# tuple.__new__, in C, where ``_make`` is a Python classmethod and the
+# keyword constructor Python code
+_bitop_case = partial(tuple.__new__, BitopCase)
+_map_case = partial(tuple.__new__, MapCase)
+
+
+def _preorder(rows: tuple[int, ...], cols: tuple[int, ...]) -> PreorderData:
+    """A ``PreorderData`` of the row tuple ``rows`` and its transpose
+    ``cols``, with both fields written into the instance dict, as
+    ``_Packed`` and ``cached_property`` write theirs: the frozen
+    ``__init__`` would spend an ``object.__setattr__`` call on each."""
+    p = object.__new__(PreorderData)
+    p.__dict__.update(rows=rows, transpose=cols)
+    return p
+
+
 def preorder_data(rows) -> PreorderData:
     rows = tuple(rows)
-    return PreorderData(rows=rows, transpose=tuple(transpose(rows)))
+    return _preorder(rows, tuple(transpose(rows)))
 
 
 def _offdiag_key(rows) -> int:
@@ -203,7 +224,10 @@ def random_preorder(rng: random.Random, n: int) -> PreorderData:
     down row of b.  One backward pass over the winning arcs then ORs
     each up row (the members of every class it reaches) into its
     predecessor's.  Every point takes its class's two rows, so the rows
-    arrive with their transpose and no n x n transpose is needed.
+    arrive with their transpose and no n x n transpose is needed: one
+    ``itemgetter`` of the points' classes picks both row tuples, and
+    ``_preorder`` writes them into the result without the dataclass
+    ``__init__``.
 
     Each draw below a bound m is CPython's ``Random._randbelow(m)``
     written out: ``getrandbits(m.bit_length())`` until the value is
@@ -246,8 +270,10 @@ def random_preorder(rng: random.Random, n: int) -> PreorderData:
                 arcs.append((c, d))
     for c, d in reversed(arcs):
         up[c] |= up[d]
-    return PreorderData(rows=tuple([up[c] for c in assignment]),
-                        transpose=tuple([down[c] for c in assignment]))
+    if n == 1:  # a one-index itemgetter returns the item, not a tuple
+        return _preorder((up[0],), (down[0],))
+    pick = itemgetter(*assignment)
+    return _preorder(pick(up), pick(down))
 
 
 # -- fixed regression instances -------------------------------------------
@@ -295,19 +321,28 @@ class _Memo(dict):
 
 def _combined(memo: _Memo, case: BitopCase):
     """``memo``'s decision on the combined relation N+ | (N-)^T of
-    ``case``, computed on its rows above ``MEMO_MAX_N`` points."""
+    ``case``, computed above ``MEMO_MAX_N`` points on its rows and, for
+    the SCCs, on their transpose N+^T | N-, which the case holds.  Strong
+    connectivity scans the rows for its backward reach, which measured
+    faster than building the transpose for it."""
     fwd, bwd = case.fwd, case.bwd
     if len(fwd.rows) <= MEMO_MAX_N:
         return memo[fwd.up_key | bwd.down_key]
-    return memo.decide(combined_rows(fwd.rows, bwd.transpose))
+    rows = combined_rows(fwd.rows, bwd.transpose)
+    if memo is _CONNECTED:
+        return memo.decide(rows)
+    return memo.decide(rows, combined_rows(fwd.transpose, bwd.rows))
 
 
 def _join(memo: _Memo, case: BitopCase):
-    """``memo``'s decision on the join relation N+ & N- of ``case``."""
+    """``memo``'s decision on the join relation N+ & N- of ``case``,
+    computed above ``MEMO_MAX_N`` points on its rows and on their
+    transpose N+^T & N-^T."""
     fwd, bwd = case.fwd, case.bwd
     if len(fwd.rows) <= MEMO_MAX_N:
         return memo[fwd.up_key & bwd.up_key]
-    return memo.decide([f & g for f, g in zip(fwd.rows, bwd.rows)])
+    return memo.decide([f & g for f, g in zip(fwd.rows, bwd.rows)],
+                       [f & g for f, g in zip(fwd.transpose, bwd.transpose)])
 
 
 def _brute_antisym(case: BitopCase) -> bool:
@@ -409,12 +444,12 @@ def _union_gap(rows) -> tuple[int, int] | None:
     return None
 
 
-def _sampled_union_gap(rows, rng) -> tuple[int, int] | None:
+def _sampled_union_gap(rows, cols, rng) -> tuple[int, int] | None:
     """Like ``_union_gap``, from 6 tries per strongly connected block
     of two or more points, each drawing S and T as uniform random subsets
-    of the block."""
+    of the block; ``cols`` is the transpose of ``rows``."""
     n = len(rows)
-    for blk in scc_masks(rows):
+    for blk in scc_masks(rows, cols):
         if not blk & (blk - 1):
             continue
         for _ in range(6):
@@ -442,7 +477,8 @@ def check_prop61_union(case: BitopCase, rng) -> dict | None:
     if len(fwd.rows) <= MEMO_MAX_N:
         gap = _UNION[fwd.up_key | bwd.down_key]
     else:
-        gap = _sampled_union_gap(combined_rows(fwd.rows, bwd.transpose), rng)
+        gap = _sampled_union_gap(combined_rows(fwd.rows, bwd.transpose),
+                                 combined_rows(fwd.transpose, bwd.rows), rng)
     if gap is None:
         return None
     s, t = gap
@@ -570,13 +606,12 @@ def _bitop_stream(mode: str, n: int, seed: int, equal: bool) -> Iterable[BitopCa
     if mode == "exhaustive":
         for size in range(1, n + 1):
             table = all_preorders(size)
-            # fwd outer and bwd inner; tuple.__new__ builds each case in C,
-            # where BitopCase._make is a Python classmethod
+            # fwd outer and bwd inner
             if equal:
                 cases = zip(table, table, itertools.repeat("enumerated"))
             else:
                 cases = itertools.product(table, table, ("enumerated",))
-            yield from map(partial(tuple.__new__, BitopCase), cases)
+            yield from map(_bitop_case, cases)
     else:
         # sizes 2 to n, drawn as ``randint(2, n)`` is (see ``random_preorder``)
         span = n - 1
@@ -592,7 +627,7 @@ def _bitop_stream(mode: str, n: int, seed: int, equal: bool) -> Iterable[BitopCa
             size = 2 + r
             p = random_preorder(rng, size)
             q = p if equal else random_preorder(rng, size)
-            yield BitopCase(fwd=p, bwd=q, source="random")
+            yield _bitop_case((p, q, "random"))
 
 
 def _map_stream(mode: str, n: int, seed: int) -> Iterable[MapCase]:
@@ -606,19 +641,16 @@ def _map_stream(mode: str, n: int, seed: int) -> Iterable[MapCase]:
     for case in _bitop_stream(mode, n, seed, equal=False):
         size = len(case.fwd.rows)
         source = case.source
-        yield MapCase(src=case, assignment=tuple(range(size)), tgt=case,
-                      source=source)
-        target1 = BitopCase(fwd=_POINT, bwd=_POINT, source=source)
-        yield MapCase(src=case, assignment=(0,) * size, tgt=target1,
-                      source=source)
+        yield _map_case((case, tuple(range(size)), case, source))
+        yield _map_case((case, (0,) * size, _bitop_case((_POINT, _POINT, source)), source))
         span = max(2, size)
         b = span.bit_length()
         r = bits(b)
         while r >= span:
             r = bits(b)
         tgt_size = r + 1
-        tgt = BitopCase(fwd=random_preorder(rng, tgt_size),
-                        bwd=random_preorder(rng, tgt_size), source=source)
+        tgt = _bitop_case((random_preorder(rng, tgt_size), random_preorder(rng, tgt_size),
+                           source))
         b = tgt_size.bit_length()
         for _ in range(6):
             assignment = []
@@ -629,8 +661,7 @@ def _map_stream(mode: str, n: int, seed: int) -> Iterable[MapCase]:
                 assignment.append(r)
             if (preserves(assignment, case.fwd.rows, tgt.fwd.rows) is None
                     and preserves(assignment, case.bwd.rows, tgt.bwd.rows) is None):
-                yield MapCase(src=case, assignment=tuple(assignment), tgt=tgt,
-                              source=source)
+                yield _map_case((case, tuple(assignment), tgt, source))
                 break
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -280,6 +281,18 @@ def test_formal_ball_negative_radius_rejected():
         formal_ball_poset(d, [Fraction(-1)])
     with pytest.raises(NegativeRadius):
         FormalBall(point=0, radius=Fraction(-1))
+
+
+def test_formal_ball_poset_elements_equal_the_public_balls():
+    d = validate_qpm([[0, 1, 2], [1, 0, 1], [2, 2, 0]])
+    radii = [Fraction(0), Fraction(1, 2), Fraction(2)]
+    poset = formal_ball_poset(d, [2, "1/2", 0])
+    assert poset.elements == tuple(FormalBall(point=x, radius=r)
+                                   for x in range(3) for r in radii)
+    assert [hash(b) for b in poset.elements] == [
+        hash(FormalBall(point=x, radius=r)) for x in range(3) for r in radii]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        poset.elements[0].radius = Fraction(-1)
 
 
 @settings(max_examples=40, derandomize=True)

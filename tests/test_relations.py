@@ -74,6 +74,17 @@ def test_undirected_components_match_networkx():
         assert undirected_components(rows) == want
 
 
+def test_passed_transposes_give_the_kernels_answers():
+    """On 1 to 40 points, so through the byte transpose and the wide one."""
+    rng = random.Random(24)
+    for n in range(1, 41):
+        for _ in range(8):
+            rows = _random_rows(rng, n)
+            cols = transpose(rows)
+            assert scc_masks(rows, cols) == scc_masks(rows), rows
+            assert undirected_components(rows, cols) == undirected_components(rows), rows
+
+
 def test_reach_matches_networkx():
     for _, n, rows in _cases(300, 4):
         g = _graph(rows)

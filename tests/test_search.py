@@ -8,7 +8,7 @@ import networkx as nx
 import pytest
 
 from gen import reference_json
-from qconn import search
+from qconn import relations, search
 from qconn.cli import main
 from qconn.errors import UnknownProperty
 from qconn.instances import canonical_json
@@ -155,6 +155,22 @@ def test_random_preorder_matches_the_pairwise_reference():
             assert got.transpose == want.transpose, (n, seed)
             assert list(got.transpose) == transpose(got.rows), (n, seed)
             assert fast.getstate() == slow.getstate(), (n, seed)
+
+
+def test_random_preorder_is_the_preorder_of_its_rows():
+    rng = random.Random(24)
+    for n in (1, 2, 3, 5, 12, 40):
+        for _ in range(20):
+            got = random_preorder(rng, n)
+            want = preorder_data(got.rows)
+            assert got == want and hash(got) == hash(want)
+            assert type(got.rows) is tuple and type(got.transpose) is tuple
+            assert vars(got) == {"rows": got.rows, "transpose": got.transpose}
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.rows = want.rows
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.transpose = want.transpose
+            assert dataclasses.replace(got) == got
 
 
 def _below(bits, bound: int) -> int:
@@ -543,6 +559,27 @@ def test_carriers_past_the_memo_bypass_it():
         target.check(mapped if target.case_kind == "map" else case, random.Random(0))
     assert [dict(memo) for memo in MEMOS] == before
     assert "up_key" not in vars(case.fwd) and "down_key" not in vars(case.bwd)
+
+
+def test_random_mode_checks_do_not_transpose(monkeypatch):
+    """Above ``MEMO_MAX_N`` points every check, map targets included,
+    reads the transposes its case holds.  A first run fills the
+    small-carrier memos, whose misses transpose the unpacked rows once
+    per relation; the counted second run then meets only hits there."""
+    for tid in TARGETS:
+        search_counterexamples(tid, n=12, mode="random", budget=200)
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return transpose(rows)
+
+    monkeypatch.setattr(search, "transpose", counted)
+    monkeypatch.setattr(relations, "transpose", counted)
+    for tid in TARGETS:
+        result = search_counterexamples(tid, n=12, mode="random", budget=200)
+        assert result.instances_tested == 200
+    assert calls == []
 
 
 def _union_gap_by_enumeration(rows):
