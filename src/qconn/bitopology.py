@@ -111,8 +111,9 @@ def specialization_bitop(d: QuasiPseudoMetric) -> BitopSpace:
     ball around x at radius below the least positive distance equals the
     zero set, and the triangle inequality makes the zero relation
     transitive, which the coherence check asserts.  In float mode the
-    zero relation is d <= tol, whose transitivity ``from_asym_norm``
-    checks when it builds the metric.
+    triangle law holds only up to float rounding and the zero relation is
+    d <= tol, so ``from_asym_norm`` checks its transitivity when it builds
+    the metric.
     """
     return _zero_bitop(d.points, d.zero_mask_rows())
 

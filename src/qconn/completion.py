@@ -190,8 +190,9 @@ class FormalBallPoset:
     inequality through (r-s) + (s-t) = r-t; and (x, r), (y, s) below each
     other means d(x,y) <= r-s and d(y,x) <= s-r, which d >= 0 allows only
     at r = s and zero distance both ways.  Float-mode distances obey the
-    triangle inequality only up to the tolerance, so in float mode
-    transitivity is checked on the grid at construction.
+    triangle inequality only up to float rounding, which is not bounded
+    by the tolerance, so in float mode transitivity is checked on the
+    grid at construction.
     """
 
     labels: tuple[str, ...]

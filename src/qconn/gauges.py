@@ -13,17 +13,16 @@ entries and of the float-mode tolerance, so the tolerance is the integer
 ``eps = tol * den`` on the same scale (0 in exact mode).  Float mode comes
 only from ``from_asym_norm``, which gives such a metric a zero diagonal
 and a transitive zero relation, so no analysis needs a float branch.  It
-computes each float gauge from the sample's coordinates scaled to
-integers by one common denominator, and each gauge enters the rows as
-the dyadic rational it is (``float.as_integer_ratio``).  The
-min-plus closure, the diagonal and triangle check, zero tests, the
+computes every gauge from the sample's coordinates scaled to integers
+by one common denominator; a float gauge enters the rows as the dyadic
+rational it is (``float.as_integer_ratio``).  The min-plus closure, the
+diagonal and triangle check of ``validate_qpm``, zero tests, the
 spectrum and ball masks all compare these integers, which is exact in
-both modes: d(i, j) counts as zero iff rows[i][j] <= eps, and the
-triangle law reads rows[i][k] <= rows[i][j] + rows[j][k] + eps.  Sums are
-formed from finite entries only, so ``math.inf`` meets an integer only in
-comparisons, which Python decides exactly at any size.  ExtNonNeg values
-exist only at the boundary: ``dist`` and ``d(i, j)``, the violation
-records, and serialisation.
+both modes: d(i, j) counts as zero iff rows[i][j] <= eps.  Sums are
+formed from finite entries only, so ``math.inf`` meets an integer only
+in comparisons, which Python decides exactly at any size.  ExtNonNeg
+values exist only at the boundary: ``dist`` and ``d(i, j)``, the
+violation records, and serialisation.
 
 Threshold index.  Every threshold question (zero relation, open balls,
 the closed balls of the formal-ball order, the spectrum) is answered from
@@ -38,10 +37,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, inf, lcm
+from math import gcd, inf, isfinite, lcm
 
 from .errors import NonRepresentable, PreconditionFailed, QpmValidationError
-from .numbers import INF, ZERO, ExtNonNeg, enn, exact_root
+from .numbers import INF, ExtNonNeg, enn, int_root
 
 
 @dataclass(frozen=True)
@@ -148,12 +147,12 @@ def _value(v, den: int) -> ExtNonNeg:
     return INF if v == inf else ExtNonNeg(Fraction(v, den))
 
 
-def _scale(matrix, den: int = 1) -> tuple[int, list[list[int | float]]]:
-    """(den, rows) of a square matrix; den is the lcm of den and the entries' denominators."""
+def _scale(matrix) -> tuple[int, list[list[int | float]]]:
+    """(den, rows) of a square matrix; den is the lcm of the entries' denominators."""
     fracs = [[None if v.is_inf else v.frac for v in map(enn, row)] for row in matrix]
     if any(len(row) != len(fracs) for row in fracs):
         raise ValueError("matrix is not square")
-    den = lcm(den, *{f.denominator for row in fracs for f in row if f is not None})
+    den = lcm(*{f.denominator for row in fracs for f in row if f is not None})
     return den, [[inf if f is None else f.numerator * (den // f.denominator)
                   for f in row] for row in fracs]
 
@@ -211,19 +210,18 @@ class AsymNormSample:
                 raise ValueError("vector length does not match dimension")
 
 
-def _violations(den: int, rows, eps: int) -> list:
-    """Diagonal entries above eps, then every (i, j, k) in lexicographic
-    order with rows[i][k] > rows[i][j] + rows[j][k] + eps.  A triple with
-    an infinite summand cannot violate the law, so only finite entries of
+def _violations(den: int, rows) -> list:
+    """Nonzero diagonal entries, then every (i, j, k) in lexicographic
+    order with rows[i][k] > rows[i][j] + rows[j][k].  A triple with an
+    infinite summand cannot violate the law, so only finite entries of
     row i and of row j are summed."""
     bad = [NonZeroDiagonal(i, _value(row[i], den))
-           for i, row in enumerate(rows) if row[i] > eps]
+           for i, row in enumerate(rows) if row[i] > 0]
     finite = [[(k, v) for k, v in enumerate(row) if v != inf] for row in rows]
     for i, row_i in enumerate(rows):
         for j, dij in finite[i]:
-            t = dij + eps
             for k, djk in finite[j]:
-                if row_i[k] > djk + t:
+                if row_i[k] > dij + djk:
                     bad.append(TriangleViolation(i, j, k, _value(row_i[k], den),
                                                  _value(dij + djk, den)))
     return bad
@@ -231,7 +229,7 @@ def _violations(den: int, rows, eps: int) -> list:
 
 def qpm_violations(matrix) -> list:
     """All diagonal and triangle violations of the candidate matrix."""
-    return _violations(*_scale(matrix), 0)
+    return _violations(*_scale(matrix))
 
 
 def validate_qpm(matrix, points=None) -> QuasiPseudoMetric:
@@ -244,14 +242,10 @@ def validate_qpm(matrix, points=None) -> QuasiPseudoMetric:
     points = tuple(str(i) for i in range(len(rows))) if points is None else tuple(points)
     if len(points) != len(rows):
         raise ValueError("point labels do not match matrix size")
-    return _validated(_metric(points, den, rows))
-
-
-def _validated(d: QuasiPseudoMetric) -> QuasiPseudoMetric:
-    bad = _violations(d.den, d.rows, d.eps)
+    bad = _violations(den, rows)
     if bad:
         raise QpmValidationError(bad)
-    return d
+    return _metric(points, den, rows)
 
 
 def conjugate(d: QuasiPseudoMetric) -> QuasiPseudoMetric:
@@ -296,28 +290,22 @@ def from_digraph(g: WeightedDigraph) -> QuasiPseudoMetric:
     return _metric(g.vertices, den, dist)
 
 
-def _pos_part(x: Fraction) -> Fraction:
-    return x if x > 0 else Fraction(0)
-
-
-def one_sided_lp(x: tuple[Fraction, ...], y: tuple[Fraction, ...],
-                 p: Fraction) -> ExtNonNeg:
-    """Exact forward gauge from x to y: (sum_k max(y_k - x_k, 0)^p)^(1/p),
-    or ``NonRepresentable`` when the root is irrational.  Float gauges are
-    ``_float_lp``'s."""
-    deltas = [_pos_part(b - a) for a, b in zip(x, y)]
-    if p == 1:
-        return ExtNonNeg(sum(deltas, Fraction(0)))
+def _exact_lp(x: list[int], y: list[int], den: int, p: Fraction) -> int:
+    """Exact gauge from x to y, integer vectors over the denominator den,
+    as an integer over the same den: the p-th root of
+    S = sum_k max(y_k - x_k, 0)^p, which is rational iff S is the p-th
+    power of an integer (rational root theorem), or ``NonRepresentable``."""
+    ts = [b - a for a, b in zip(x, y) if b > a]
     if p.denominator != 1:
-        if all(t == 0 for t in deltas):
-            return ZERO
-        raise NonRepresentable(p, "non-integer exponent in exact mode")
+        if ts:
+            raise NonRepresentable(p, "non-integer exponent in exact mode")
+        return 0
     power = int(p)
-    s = sum((t**power for t in deltas), Fraction(0))
-    root = exact_root(s, power)
+    total = sum(t**power for t in ts)
+    root = int_root(total, power)
     if root is None:
-        raise NonRepresentable(p, f"{s} has no exact {power}-th root")
-    return ExtNonNeg(root)
+        raise NonRepresentable(p, f"{Fraction(total, den**power)} has no exact {power}-th root")
+    return root
 
 
 def _float_lp(x: list[int], y: list[int], den: int, p: float) -> float:
@@ -346,32 +334,33 @@ def from_asym_norm(s: AsymNormSample, mode: str = "exact",
     """Quasi-pseudometric of the positive-part lp gauge on the sample.
 
     Exact for p = 1 (and for integer p when every root is rational);
-    otherwise requires mode="float", whose absolute tolerance is recorded
-    on the result and applied to every downstream comparison.  p = 1 and
-    float mode read the sample scaled to integers by one common
-    denominator.  At p = 1 the gauges are integer sums in either mode, and
-    (u + v)+ <= u+ + v+ gives the triangle law, so exact mode does not
-    check it; a float gauge (``_float_lp``) enters the rows as the dyadic
-    rational it is.  In float mode two hops within the tolerance can add
-    up to one beyond it; a sample whose zero relation {d <= tol} is
-    therefore not transitive raises ``PreconditionFailed``, and one whose
-    gauge passes the float range raises ``NonRepresentable`` naming the
-    two points.
+    otherwise requires mode="float", whose absolute tolerance, a finite
+    number >= 0, is recorded on the result and applied to every
+    downstream comparison.  Both modes read the sample scaled to integers
+    by one common denominator: an exact gauge is an integer on it
+    (``_exact_lp``), a float gauge (``_float_lp``) the dyadic rational it
+    is.  (u + v)+ <= u+ + v+ and Minkowski's inequality give the triangle
+    law, so neither mode checks it; float rows miss it only by rounding.
+    In float mode two hops within the tolerance can add up to one beyond
+    it; a sample whose zero relation {d <= tol} is therefore not
+    transitive raises ``PreconditionFailed``, and one whose gauge passes
+    the float range raises ``NonRepresentable`` naming the two points.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "float" and not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     labels = [f"v{i}" for i in range(len(s.points))]
-    if s.p != 1 and mode == "exact":
-        dist = [[ZERO if i == j else one_sided_lp(x, y, s.p)
-                 for j, y in enumerate(s.points)] for i, x in enumerate(s.points)]
-        return validate_qpm(dist, points=labels)
     den = lcm(*{c.denominator for v in s.points for c in v})
     vecs = [[c.numerator * (den // c.denominator) for c in v] for v in s.points]
-    tol = Fraction(tol)
     if s.p == 1:
         rows = [[sum(b - a for a, b in zip(x, y) if b > a) for y in vecs] for x in vecs]
-        if mode == "exact":
-            return _metric(labels, den, rows)
+    elif mode == "exact":
+        rows = [[_exact_lp(x, y, den, s.p) for y in vecs] for x in vecs]
+    if mode == "exact":
+        return _metric(labels, den, rows)
+    tol = Fraction(tol)
+    if s.p == 1:
         scale = lcm(den, tol.denominator) // den
         den *= scale
         rows = [[v * scale for v in row] for row in rows]
@@ -386,7 +375,7 @@ def from_asym_norm(s: AsymNormSample, mode: str = "exact",
         ratios = [[g.as_integer_ratio() for g in row] for row in gauges]
         den = lcm(tol.denominator, max((q for row in ratios for _, q in row), default=1))
         rows = [[a * (den // q) for a, q in row] for row in ratios]
-    d = _validated(_metric(labels, den, rows, tol))
+    d = _metric(labels, den, rows, tol)
     zero = d._zero_rows
     for x, row in enumerate(zero):
         for y in range(d.n):
@@ -408,15 +397,14 @@ def symmetrization_gap_report(s: AsymNormSample) -> dict:
     """
     if s.p != 1:
         raise NonRepresentable(s.p, "gap report is exact only for p = 1")
-    n = len(s.points)
+    d = from_asym_norm(s)
     pairs = []
     worst_ratio = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            fwd = one_sided_lp(s.points[i], s.points[j], s.p).frac
-            bwd = one_sided_lp(s.points[j], s.points[i], s.p).frac
-            full = sum((abs(b - a) for a, b in zip(s.points[i], s.points[j])),
-                       Fraction(0))
+    for i in range(d.n):
+        for j in range(i + 1, d.n):
+            fwd = Fraction(d.rows[i][j], d.den)
+            bwd = Fraction(d.rows[j][i], d.den)
+            full = fwd + bwd  # |t| = t+ + t-
             m = max(fwd, bwd)
             pairs.append({
                 "i": i,
@@ -427,7 +415,7 @@ def symmetrization_gap_report(s: AsymNormSample) -> dict:
                 "equality": m == full,
             })
             if m > 0:
-                worst_ratio = max(worst_ratio, Fraction(full, 1) / m)
+                worst_ratio = max(worst_ratio, full / m)
     return {
         "p": str(s.p),
         "pairs": pairs,

@@ -38,16 +38,18 @@ KINDS = ("quasi_metric", "digraph", "bitopology", "modular_family", "orlicz",
 # bounded time.  Each was sized by timing ``validate`` and ``analyze`` with
 # every analysis of the densest instance at the cap (complete digraphs, full
 # matrices and neighbourhoods, 128 points whose gauges share
-# MAX_FAMILY_PIECES, 32 atoms, and MAX_PHI_BREAKPOINTS on each side of 0
+# MAX_FAMILY_PIECES, 32 atoms, MAX_PHI_BREAKPOINTS on each side of 0
 # summed over every phi, since a gauge and its transpose together reach at
-# most both sums): 0.4-2.6 s on a 2-core VM under CPython 3.11.  A larger
-# file is a SchemaError naming its limit.
+# most both sums, and 256 vectors of MAX_DIMENSION coordinates): 0.4-2.6 s
+# on a 2-core VM under CPython 3.11.  A larger file is a SchemaError naming
+# its limit.
 MAX_POINTS = {"quasi_metric": 256, "digraph": 256, "asym_norm_sample": 256,
               "bitopology": 512, "modular_family": 128, "orlicz": 64, "map": 100_000}
 MAX_FAMILY_PIECES = 65_536  # per gauge its longest list, summed over a modular_family
 MAX_ORLICZ_ATOMS = 32
 MAX_PHI_BREAKPOINTS = 32
 MAX_SEQUENCE_LENGTH = 100_000
+MAX_DIMENSION = 64  # of an asym_norm_sample
 
 
 def _need(obj: dict, key: str, typ=None):
@@ -322,6 +324,9 @@ def _parse_orlicz(obj: dict) -> OrliczSpec:
 
 def _parse_asym_norm_sample(obj: dict) -> AsymNormSample:
     dim = _need(obj, "dimension", int)
+    if dim > MAX_DIMENSION:
+        raise SchemaError(f"field 'dimension': {dim} exceeds the limit "
+                          f"MAX_DIMENSION = {MAX_DIMENSION}")
     p = _rational(_need(obj, "p"), "p")
     points = tuple(
         tuple(_rational(v, f"points[{r}]") for v in row)

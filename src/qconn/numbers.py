@@ -153,14 +153,15 @@ def exact_root(value: Fraction, degree: int) -> Fraction | None:
         raise ValueError("value must be nonnegative")
     if degree == 1 or value in (0, 1):
         return Fraction(value)
-    num = _int_root(value.numerator, degree)
-    den = _int_root(value.denominator, degree)
+    num = int_root(value.numerator, degree)
+    den = int_root(value.denominator, degree)
     if num is None or den is None:
         return None
     return Fraction(num, den)
 
 
-def _int_root(n: int, k: int) -> int | None:
+def int_root(n: int, k: int) -> int | None:
+    """Exact k-th root of a nonnegative integer, or None if it is irrational."""
     if n in (0, 1):
         return n
     lo, hi = 0, 1

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from gen import rng_bitop, rng_family, rng_qpm, rng_digraph, rng_vectors
+from test_gauges import one_sided_lp
 from qconn import (
     AsymNormSample,
     brute_force_antisym,
@@ -39,7 +40,6 @@ from qconn.connectivity import (
 )
 from qconn.instances import load_instance
 from qconn.modular import entourages, modular_balls
-from qconn.gauges import one_sided_lp
 from qconn.search import search_counterexamples
 
 DATA = pathlib.Path(__file__).parent / "data"

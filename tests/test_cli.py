@@ -479,6 +479,40 @@ def test_over_cap_files_exit_2_promptly(tmp_path, capsys, kind):
         assert run(capsys, "validate", str(path))[0] == 0
 
 
+def test_asym_norm_dimension_past_the_cap_is_a_schema_error(tmp_path, capsys):
+    from qconn.instances import MAX_DIMENSION
+    path = tmp_path / "wide.json"
+    for dim in (MAX_DIMENSION + 1, 10**40):
+        path.write_text(json.dumps({"kind": "asym_norm_sample", "dimension": dim, "p": "2",
+                                    "points": [["0"] * (MAX_DIMENSION + 1)] * 2}))
+        for command in ("validate", "analyze"):
+            code, out, err = run(capsys, command, str(path))
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"] == {
+                "code": 2, "type": "SchemaError",
+                "message": f"field 'dimension': {dim} exceeds the limit "
+                           f"MAX_DIMENSION = {MAX_DIMENSION}"}
+    path.write_text(json.dumps({"kind": "asym_norm_sample", "dimension": MAX_DIMENSION,
+                                "p": "2", "points": [["0"] * MAX_DIMENSION] * 2}))
+    for command in ("validate", "analyze"):  # at the cap: accepted
+        assert run(capsys, command, str(path))[0] == 0
+
+
+def test_collinear_p2_sample_with_large_coordinates_is_analyzed(tmp_path, capsys):
+    # Minkowski gives these four collinear points the triangle law; float
+    # rounding at this scale misses it by about 3e-8, past the 1e-9 tolerance
+    path = tmp_path / "collinear.json"
+    path.write_text(json.dumps({
+        "kind": "asym_norm_sample", "dimension": 2, "p": "2",
+        "points": [["52515153", "122535357"], ["95817213", "223573497"],
+                   ["219135630", "511316470"], ["238628748", "556800412"]]}))
+    code, out, err = run(capsys, "analyze", "--components", "--smyth", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["numeric_tolerance"] == str(Fraction(1e-9))
+    assert report["analyses"]["components"]["antisymmetric"] == [[0], [1], [2], [3]]
+
+
 @pytest.mark.parametrize("pieces, breakpoints", [
     ([["-3", "4"], ["0", "1"]], ["2"]),        # -3 + 4/lambda < 0 just before 2
     ([["-1", "0"]], []),                       # negative everywhere

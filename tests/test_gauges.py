@@ -3,7 +3,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -25,14 +25,10 @@ from qconn.gauges import (
     NonZeroDiagonal,
     TriangleViolation,
     _metric,
-    _pos_part,
     _scale,
-    _validated,
-    _violations,
-    one_sided_lp,
     qpm_violations,
 )
-from qconn.numbers import INF, ZERO, ExtNonNeg, enn
+from qconn.numbers import INF, ZERO, ExtNonNeg, enn, exact_root
 
 
 def test_validate_symmetric_metric():
@@ -69,18 +65,17 @@ def test_validate_infinity_allowed():
 PRIMES = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
 
 
-def _oracle_violations(matrix, tol=None):
-    """Every diagonal entry above tol, then every (i, j, k) in lexicographic
-    order with d(i,k) > d(i,j) + d(j,k) + tol, by Fraction arithmetic with
-    None for infinity."""
-    eps = Fraction(0) if tol is None else Fraction(tol)
+def _oracle_violations(matrix):
+    """Every nonzero diagonal entry, then every (i, j, k) in lexicographic
+    order with d(i,k) > d(i,j) + d(j,k), by Fraction arithmetic with None
+    for infinity."""
     n = len(matrix)
     vals = [[None if v.is_inf else v.frac for v in row] for row in matrix]
     bad = [NonZeroDiagonal(i, matrix[i][i]) for i in range(n)
-           if vals[i][i] is None or vals[i][i] > eps]
+           if vals[i][i] is None or vals[i][i] > 0]
     for i, j, k in itertools.product(range(n), repeat=3):
         a, b, c = vals[i][k], vals[i][j], vals[j][k]
-        if b is not None and c is not None and (a is None or a > b + c + eps):
+        if b is not None and c is not None and (a is None or a > b + c):
             bad.append(TriangleViolation(i, j, k, matrix[i][k], enn(b + c)))
     return bad
 
@@ -89,7 +84,6 @@ def _corrupted(rng, n, flavour):
     """A seeded matrix near the axioms: a valid closure, then perturbed."""
     base = rng_qpm(rng, n)
     m = [[base.d(i, j) for j in range(n)] for i in range(n)]
-    tol = None
     for _ in range(rng.randint(1, n)):
         i, j = rng.randrange(n), rng.randrange(n)
         if flavour == "inf":
@@ -101,58 +95,35 @@ def _corrupted(rng, n, flavour):
         m = [[v if v.is_inf else
               enn(max(Fraction(0), v.frac + Fraction(rng.randint(-2, 2), rng.choice(PRIMES))))
               for v in row] for row in m]
-    if flavour == "float":
-        # dyadic values whose sums land below, on and above the tolerance
-        tol = Fraction(1e-9)
-        noise = [0.0, 5e-10, 1e-9, 2e-9, -5e-10, -1e-9, -3e-9]
-        m = [[v if v.is_inf else enn(max(0.0, float(v.frac) + rng.choice(noise)))
-              for v in row] for row in m]
-    return m, tol
-
-
-def _violations_at(matrix, tol):
-    """qpm_violations, or with a tolerance the eps-slack rule of
-    from_asym_norm's float branch, through the same private kernel."""
-    if tol is None:
-        return qpm_violations(matrix)
-    den, rows = _scale(matrix, tol.denominator)
-    return _violations(den, rows, int(tol * den))
-
-
-def _validated_at(matrix, tol):
-    """validate_qpm, or with a tolerance the float branch's validation."""
-    if tol is None:
-        return validate_qpm(matrix)
-    points = [str(i) for i in range(len(matrix))]
-    return _validated(_metric(points, *_scale(matrix, tol.denominator), tol))
+    return m
 
 
 @settings(max_examples=120, derandomize=True)
 @given(st.integers(0, 10**9), st.integers(1, 7),
-       st.sampled_from(["inf", "zero_row", "coprime", "float"]))
+       st.sampled_from(["inf", "zero_row", "coprime"]))
 def test_qpm_violations_match_fraction_oracle(seed, n, flavour):
-    matrix, tol = _corrupted(random.Random(seed), n, flavour)
-    expected = _oracle_violations(matrix, tol)
-    assert _violations_at(matrix, tol) == expected
+    matrix = _corrupted(random.Random(seed), n, flavour)
+    expected = _oracle_violations(matrix)
+    assert qpm_violations(matrix) == expected
     if expected:
         with pytest.raises(QpmValidationError) as info:
-            _validated_at(matrix, tol)
+            validate_qpm(matrix)
         assert info.value.violations == expected
     else:
-        assert _validated_at(matrix, tol).dist == tuple(map(tuple, matrix))
+        assert validate_qpm(matrix).dist == tuple(map(tuple, matrix))
+
+
+def _scaled_at(matrix, tol):
+    """``_scale(matrix)`` on a denominator that is also a multiple of tol's,
+    as ``_metric`` needs for a float-mode metric."""
+    den, rows = _scale(matrix)
+    k = lcm(den, tol.denominator) // den
+    return den * k, [[v * k for v in row] for row in rows]
 
 
 def test_float_tolerance_is_exact_at_the_boundary():
     tol = Fraction(1e-9)
-    one = Fraction(1)
-    edge = [[enn(0), enn(one), enn(2 * one + tol)],
-            [INF, enn(0), enn(one)],
-            [INF, INF, enn(0)]]
-    assert _violations_at(edge, tol) == []
-    edge[0][2] = enn(2 * one + tol + Fraction(1, 2**90))
-    assert _violations_at(edge, tol) == [
-        TriangleViolation(0, 1, 2, edge[0][2], enn(2))]
-    d = _validated_at([[0, tol], [tol + Fraction(1, 2**90), 0]], tol)
+    d = _metric(["0", "1"], *_scaled_at([[0, tol], [tol + Fraction(1, 2**90), 0]], tol), tol)
     assert d.zero_mask_rows() == [0b11, 0b10]
     assert d.positive_spectrum() == [tol + Fraction(1, 2**90)]
 
@@ -417,6 +388,33 @@ def test_float_mode_gauge_with_a_large_exponent_is_held():
         from_asym_norm(s, mode="float", tol=1e-9)
 
 
+# -- the Fraction kernel, kept as the reference of the integer gauges ---------
+
+
+def _pos_part(x: Fraction) -> Fraction:
+    return x if x > 0 else Fraction(0)
+
+
+def one_sided_lp(x: tuple[Fraction, ...], y: tuple[Fraction, ...],
+                 p: Fraction) -> ExtNonNeg:
+    """Exact forward gauge from x to y: (sum_k max(y_k - x_k, 0)^p)^(1/p),
+    or ``NonRepresentable`` when the root is irrational.  Float gauges are
+    ``_float_lp``'s."""
+    deltas = [_pos_part(b - a) for a, b in zip(x, y)]
+    if p == 1:
+        return ExtNonNeg(sum(deltas, Fraction(0)))
+    if p.denominator != 1:
+        if all(t == 0 for t in deltas):
+            return ZERO
+        raise NonRepresentable(p, "non-integer exponent in exact mode")
+    power = int(p)
+    s = sum((t**power for t in deltas), Fraction(0))
+    root = exact_root(s, power)
+    if root is None:
+        raise NonRepresentable(p, f"{s} has no exact {power}-th root")
+    return ExtNonNeg(root)
+
+
 # -- float mode against its Fraction-based reference -------------------------
 
 
@@ -458,7 +456,7 @@ def reference_float_metric(s, tol):
             if v == inf:
                 raise NonRepresentable(s.p, f"from {labels[x]} to {labels[y]}")
     tol = Fraction(tol)
-    d = _validated(_metric(labels, *_scale(dist, tol.denominator), tol))
+    d = _metric(labels, *_scaled_at(dist, tol), tol)
     zero = d._zero_rows
     for x, row in enumerate(zero):
         for y in range(d.n):
@@ -484,7 +482,7 @@ def _float_sample(rng):
 def _outcome(build, s, tol):
     try:
         d = build(s, tol)
-    except (NonRepresentable, PreconditionFailed, QpmValidationError) as exc:
+    except (NonRepresentable, PreconditionFailed) as exc:
         found = re.search(r"from v\d+ to v\d+", str(exc))
         return type(exc).__name__, found and found.group()
     return d.points, d.den, d.rows, d.tol, d.eps
@@ -502,8 +500,17 @@ def test_float_mode_matches_the_fraction_reference():
         seen[want[0] if isinstance(want[0], str) else "built"] += 1
         held = any(reference_float_lp(x, y, s.p) == inf for x in s.points for y in s.points)
         seen["held" if held and want[0] != "NonRepresentable" else "plain"] += 1
+        if not isinstance(want[0], str) and _slack_refused(want[1], want[2], want[4]):
+            seen["slack_refused"] += 1
     assert all(seen[k] > 0 for k in ("built", "held", "NonRepresentable", "PreconditionFailed",
-                                      "QpmValidationError")), seen
+                                      "slack_refused")), seen
+
+
+def _slack_refused(den, rows, eps):
+    """Whether the triangle re-check that float mode ran before, with the
+    slack rows[i][k] <= rows[i][j] + rows[j][k] + eps, refuses the rows."""
+    return any(row_i[k] > dij + rows[j][k] + eps
+               for row_i in rows for j, dij in enumerate(row_i) for k in range(len(rows)))
 
 
 def test_p_below_one_rejected():
@@ -597,3 +604,143 @@ def test_p1_triangle_law_holds_unchecked():
         d = from_asym_norm(AsymNormSample(dimension=dim, p=Fraction(1), points=pts))
         assert qpm_violations(d.dist) == []
         assert d.d(0, 1) == one_sided_lp(pts[0], pts[1], Fraction(1))
+
+
+# -- the integer exact kernel against the Fraction kernel --------------------
+
+
+def reference_exact_metric(s):
+    """Exact-mode ``from_asym_norm`` as it was built from the Fraction
+    kernel: ``one_sided_lp`` on every ordered pair, then ``validate_qpm``."""
+    return validate_qpm(
+        [[ZERO if i == j else one_sided_lp(x, y, s.p) for j, y in enumerate(s.points)]
+         for i, x in enumerate(s.points)], points=[f"v{i}" for i in range(len(s.points))])
+
+
+def reference_gap_report(s):
+    """``symmetrization_gap_report`` as it was, on the Fraction kernel."""
+    if s.p != 1:
+        raise NonRepresentable(s.p, "gap report is exact only for p = 1")
+    n = len(s.points)
+    pairs = []
+    worst_ratio = Fraction(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            fwd = one_sided_lp(s.points[i], s.points[j], s.p).frac
+            bwd = one_sided_lp(s.points[j], s.points[i], s.p).frac
+            full = sum((abs(b - a) for a, b in zip(s.points[i], s.points[j])),
+                       Fraction(0))
+            m = max(fwd, bwd)
+            pairs.append({
+                "i": i,
+                "j": j,
+                "max_one_sided": str(m),
+                "sum_one_sided": str(fwd + bwd),
+                "full_norm": str(full),
+                "equality": m == full,
+            })
+            if m > 0:
+                worst_ratio = max(worst_ratio, Fraction(full, 1) / m)
+    return {
+        "p": str(s.p),
+        "pairs": pairs,
+        "equality_claim_holds": all(entry["equality"] for entry in pairs),
+        "equivalence_constants": ["1", str(worst_ratio)],
+        "note": "max(forward, backward) <= full norm <= forward + backward "
+                "holds on every pair; pointwise equality of max and full "
+                "norm is flagged, not asserted",
+    }
+
+
+def _line_sample(rng):
+    """Points base + t * c * u on one line, u with entries in
+    {0, +-3, +-4, +-5, +-12}: a forward gauge is |dt| * c times the p-norm
+    of u's positive or negative part, which is rational for parts such as
+    (3, 4), (5, 12) and (3, 4, 12) at p = 2, (3, 4, 5) at p = 3 and any
+    single entry, and irrational for others, so which ordered pair fails
+    first depends on the draw."""
+    n, dim = rng.randint(0, 6), rng.randint(1, 3)
+    p = rng.choice([Fraction(1), Fraction(2), Fraction(3), Fraction(3, 2), Fraction(5, 2)])
+    c = rng.choice([Fraction(1), Fraction(1, 7), Fraction(5, 3)])
+    u = [rng.choice([0, 3, 4, 5, 12]) * rng.choice([1, -1]) for _ in range(dim)]
+    base = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(dim)]
+    pts = tuple(tuple(b + t * c * k for b, k in zip(base, u))
+                for t in (rng.randint(-3, 3) for _ in range(n)))
+    return AsymNormSample(dimension=dim, p=p, points=pts)
+
+
+def _exact_outcome(build, s):
+    try:
+        d = build(s)
+    except NonRepresentable as exc:
+        return type(exc).__name__, str(exc)
+    return d if isinstance(d, dict) else (d.points, d.den, d.rows, d.tol, d.eps)
+
+
+def test_exact_mode_matches_the_fraction_kernel():
+    rng = random.Random(20261020)
+    seen = Counter()
+    for _ in range(400):
+        s = _line_sample(rng)
+        want = _exact_outcome(reference_exact_metric, s)
+        assert _exact_outcome(from_asym_norm, s) == want, s
+        assert (_exact_outcome(symmetrization_gap_report, s)
+                == _exact_outcome(reference_gap_report, s)), s
+        if want[0] == "NonRepresentable":
+            seen["non-integer" if "non-integer" in want[1] else "no root"] += 1
+        else:
+            seen[f"built p={s.p}" + (" den>1" if want[1] > 1 else "")] += 1
+    for key in ("non-integer", "no root", "built p=2 den>1", "built p=3 den>1",
+                "built p=3/2", "built p=5/2", "built p=1 den>1"):
+        assert seen[key] > 0, (key, seen)
+
+
+@pytest.mark.parametrize("tol", [-1e-9, inf, float("nan")])
+def test_float_mode_refuses_a_bad_tolerance(tol):
+    s = AsymNormSample(dimension=1, p=Fraction(2), points=((Fraction(0),), (Fraction(1),)))
+    with pytest.raises(ValueError, match=f"^tol must be a finite number >= 0, got {tol}$"):
+        from_asym_norm(s, mode="float", tol=tol)
+
+
+# -- collinear samples, valid by Minkowski, built despite float rounding -----
+
+
+def _squared_gauges(points):
+    """S[x][y] = sum_k max(y_k - x_k, 0)^2 on integer points: the exact
+    squares of the p = 2 gauges."""
+    return [[sum((b - a) ** 2 for a, b in zip(x, y) if b > a) for y in points]
+            for x in points]
+
+
+def _exact_p2_triangle(points) -> bool:
+    """sqrt(S_xz) <= sqrt(S_xy) + sqrt(S_yz) for every triple, decided on
+    integers: S_xz - S_xy - S_yz <= 0, or its square <= 4 * S_xy * S_yz."""
+    sq = _squared_gauges(points)
+    n = len(points)
+    for x, y, z in itertools.product(range(n), repeat=3):
+        gap = sq[x][z] - sq[x][y] - sq[y][z]
+        if gap > 0 and gap * gap > 4 * sq[x][y] * sq[y][z]:
+            return False
+    return True
+
+
+def _collinear(rng):
+    """Four points on a line with coordinates up to about 7e8, in order."""
+    x0, y0 = rng.randint(10**7, 10**8), rng.randint(10**7, 10**8)
+    dx, dy = rng.randint(10**6, 10**7), rng.randint(10**6, 10**7)
+    return [(x0 + t * dx, y0 + t * dy) for t in sorted(rng.sample(range(60), 4))]
+
+
+def test_collinear_p2_samples_build_in_float_mode():
+    rng = random.Random(20261023)
+    refused_before = 0
+    for _ in range(200):
+        points = _collinear(rng)
+        assert _exact_p2_triangle(points)
+        s = AsymNormSample(dimension=2, p=Fraction(2),
+                           points=tuple(tuple(map(Fraction, v)) for v in points))
+        d = from_asym_norm(s, mode="float", tol=1e-9)
+        assert d.zero_mask_rows() == [(2 << x) - 1 for x in range(4)]  # d(x, y) = 0 iff y <= x
+        refused_before += _slack_refused(d.den, d.rows, d.eps)
+    # float rounding past the tolerance: the triangle re-check refused these
+    assert refused_before > 100
