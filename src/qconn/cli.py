@@ -105,6 +105,10 @@ def cmd_analyze(args) -> int:
     analyses: dict = {}
     wants_default = not any((args.components, args.local, args.scale,
                              args.smyth, args.formal_balls, args.cauchy))
+    for flag, wanted in (("--scale", args.scale), ("--smyth", args.smyth),
+                         ("--formal-balls", args.formal_balls), ("--cauchy", args.cauchy)):
+        if wanted and metric is None:
+            raise SchemaError(f"{flag} needs a metric-backed instance")
     if args.components or wants_default:
         report = connectivity.component_report(bitop)
         cert = report.certificate
@@ -123,22 +127,16 @@ def cmd_analyze(args) -> int:
                         "witness": list(s.witness)} for s in statuses],
         }
     if args.scale:
-        if metric is None:
-            raise SchemaError("--scale needs a metric-backed instance")
         eps = read_literal(args.scale, "argument --scale")
         anti, sym = connectivity.scale_connectivity(metric, eps)
         analyses["scale"] = {"eps": str(eps), "antisymmetric": anti,
                              "symmetric": sym}
     if args.smyth:
-        if metric is None:
-            raise SchemaError("--smyth needs a metric-backed instance")
         thresholds = (_rational_list(args.thresholds, "--thresholds")
                       if args.thresholds else None)
         analyses["smyth"] = completion.join_compactness_check(
             metric, thresholds=thresholds)
     if args.formal_balls:
-        if metric is None:
-            raise SchemaError("--formal-balls needs a metric-backed instance")
         poset = _formal_balls(metric, args.formal_balls, "--formal-balls")
         analyses["formal_balls"] = {
             "elements": [poset.describe(a) for a in range(len(poset.elements))],
@@ -149,8 +147,6 @@ def cmd_analyze(args) -> int:
 
             _emit(hasse_dot(poset), args.dot)
     if args.cauchy:
-        if metric is None:
-            raise SchemaError("--cauchy needs a metric-backed instance")
         seq_kind, seq = load_instance(args.cauchy)
         if seq_kind != "sequence":
             raise SchemaError("--cauchy expects a sequence instance")

@@ -269,5 +269,6 @@ def formal_ball_poset(d: QuasiPseudoMetric, radii) -> FormalBallPoset:
     if d.tol is not None and not all(is_closed(rows, row) for row in rows):
         raise PreconditionFailed(
             "float-mode distances break the formal-ball order (formal-ball order lost "
-            f"transitivity): the triangle inequality holds only up to the tolerance {d.tol}")
+            "transitivity): float rounding breaks the triangle inequality, and the order "
+            f"compares distances exactly, not up to the tolerance {d.tol}")
     return FormalBallPoset(labels=d.points, elements=elements, le_rows=tuple(rows))

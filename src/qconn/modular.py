@@ -15,8 +15,9 @@ the homogeneous form read in lambda^p.  Validation of QM2 is a real
 decision procedure for step-only and homogeneous-only triples and an
 exact check on a grid otherwise.  Both run on one integer form of every
 gauge: one common denominator scales every breakpoint and grid point and
-another every alpha and beta.  Fractions are used only for the witness of
-a violation.
+another every alpha and beta.  Every rule hands the (lambda, mu) pairs
+where QM2 fails to one witness builder, and Fractions are used only for
+those witnesses; a homogeneous triple's pair is read off its decision.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import lcm
 
 from .errors import (
     EmptyGrid,
@@ -275,10 +276,13 @@ def validate_family(f: QuasiModularFamily, grid) -> ValidationReport:
     all-step triples it is decided: right-continuous nonincreasing steps
     make w_lambda(i,j) + w_mu(j,k) - w_{lambda+mu}(i,k) least at piece left
     ends, so the corners {0+} union breakpoints decide it.  All-homogeneous
-    triples are decided by c_ik <= (sqrt(c_ij) + sqrt(c_jk))^2, squared.
-    Every other triple (mixed kinds, piecewise or power gauges) is checked
-    exactly on the grid, every breakpoint and half the least of these
-    (_grid_pairs).  Fractions appear only in the witnesses.
+    triples are decided by c_ik <= (sqrt(c_ij) + sqrt(c_jk))^2, squared, and
+    a failing one is witnessed at lambda/mu = s/(2 c_jk), s = c_ik - c_ij -
+    c_jk (_homogeneous_pair).  Every other triple (mixed kinds, piecewise or
+    power gauges) is checked exactly on the grid, every breakpoint and half
+    the least of these (_grid_pairs).  All three rules hand their (lambda,
+    mu) pairs to one witness builder (_witnesses); Fractions appear only in
+    the witnesses.
     """
     grid = [Fraction(g) for g in grid]
     if not grid:
@@ -355,7 +359,7 @@ def _qm2_violations(f: QuasiModularFamily, grid):
                     (a,), (b,), (c,) = fa[2], fb[2], fc[2]
                     if a and b and (c is None or c[1] > a[1] + b[1]
                                     and (c[1] - a[1] - b[1]) ** 2 > 4 * a[1] * b[1]):
-                        out.append(_homogeneous_violation(f, i, j, k))
+                        out += _witnesses(f, i, j, k, [_homogeneous_pair(a, b, c)], 1)
                     continue
                 if fa[0] == fb[0] == fc[0] == STEP:
                     bc, pc = fc[1], fc[2]
@@ -414,9 +418,9 @@ def _scaled_level(form, s: int, sden: int):
 
 
 def _witnesses(f: QuasiModularFamily, i, j, k, pairs, sden):
-    """The violation at each scaled (lambda, mu) pair, evaluated on
-    Fractions; a 0 stands for a step gauge's 0+ corner and is witnessed at
-    _corner_scale."""
+    """The violation at each (lambda, mu) pair, given in units of 1/sden,
+    evaluated on Fractions; every QM2 rule reports through here.  A 0
+    stands for a step gauge's 0+ corner and is witnessed at _corner_scale."""
     ga, gb, gc = f.gauges[i][j], f.gauges[j][k], f.gauges[i][k]
     t = _corner_scale(ga, gb, gc) if any(0 in pair for pair in pairs) else None
     return [QM2Violation(i, j, k, lam, mu, gc(lam + mu), ga(lam) + gb(mu))
@@ -435,50 +439,18 @@ def _corner_scale(ga, gb, gc) -> Fraction:
     return min(bounds, default=Fraction(2)) / 2
 
 
-def _homogeneous_violation(f: QuasiModularFamily, i, j, k):
-    """The witness of a homogeneous triple that fails c <= (sqrt(a) +
-    sqrt(b))^2, where a and b are finite: an infinite c fails at
-    lambda = mu = 1."""
-    (_, a), (_, b), (gamma, c) = (f.gauges[x][y].pieces[0] for x, y in ((i, j), (j, k), (i, k)))
-    if gamma is None:
-        return QM2Violation(i, j, k, Fraction(1), Fraction(1), INF, ExtNonNeg(a + b))
-    return _homogeneous_witness(Fraction(a), Fraction(b), Fraction(c), i, j, k)
-
-
-def _homogeneous_witness(af, bf, cf, i, j, k):
-    """Scales with c/(l+m) > a/l + b/m.  (l+m)(a/l + b/m) is least at
-    l : m = sqrt(a) : sqrt(b), so l and m come from integer square roots
-    of a and b at a precision that doubles until the inequality holds.
-
-    With L the total bit length of the six integers a, b and c are made
-    of, a violating triple has c - (sqrt(a) + sqrt(b))^2 >= 2^-(3L+1), and
-    (3L + 8)-bit roots bring (l+m)(a/l + b/m) closer than that to its
-    least value.  Past the limit 4L + 64 the triple satisfies QM2, so it
-    reached this function through a wrong decision: AssertionError."""
-    if af == 0 and bf == 0:
-        lam, mu = Fraction(1), Fraction(1)
-    elif af == 0:
-        lam, mu = (cf / bf - 1) / 2, Fraction(1)
-    elif bf == 0:
-        lam, mu = Fraction(1), (cf / af - 1) / 2
-    else:
-        limit = 4 * sum(v.numerator.bit_length() + v.denominator.bit_length()
-                        for v in (af, bf, cf)) + 64
-        bits = 32
-        while True:
-            sa = isqrt((af.numerator << 2 * bits) // af.denominator)
-            sb = isqrt((bf.numerator << 2 * bits) // bf.denominator)
-            if sa and sb:
-                lam = Fraction(sa, sa + sb)
-                mu = 1 - lam
-                if cf > af / lam + bf / mu:
-                    break
-            if bits >= limit:
-                raise AssertionError(f"QM2 holds on ({i}, {j}, {k}): no witness "
-                                     f"at {bits}-bit precision")
-            bits = min(2 * bits, limit)
-    lhs, rhs = cf / (lam + mu), af / lam + bf / mu
-    return QM2Violation(i, j, k, lam, mu, ExtNonNeg(lhs), ExtNonNeg(rhs))
+def _homogeneous_pair(a, b, c):
+    """(lambda, mu) where the scaled pieces (0, a), (0, b) and c of a
+    homogeneous triple fail QM2, c/(lambda+mu) > a/lambda + b/mu.  With t =
+    lambda/mu and s = c - a - b that is b t^2 - s t + a < 0, which at the
+    midpoint t = s/(2b) of its roots reads s^2 > 4ab, the decision itself;
+    for b = 0 it is a < s t, and mirrored t = 2a/s holds.  An infinite c
+    (None), or a = b = 0, fails at lambda = mu = 1."""
+    (_, a), (_, b) = a, b
+    if c is None or not (a or b):
+        return 1, 1
+    s = c[1] - a - b
+    return (Fraction(s, 2 * b), 1) if b else (1, Fraction(s, 2 * a))
 
 
 # -- derived structures ---------------------------------------------------

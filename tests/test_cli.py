@@ -116,6 +116,26 @@ def test_analyze_scale_on_bitopology_is_usage_error(capsys):
     assert json.loads(err)["error"]["type"] == "SchemaError"
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--scale", "1"], "--scale"),
+    (["--smyth"], "--smyth"),
+    (["--formal-balls", "0,1"], "--formal-balls"),
+    (["--cauchy", str(DATA / "constant_seq.json")], "--cauchy"),
+    (["--cauchy", str(DATA / "constant_seq.json"), "--formal-balls", "0"], "--formal-balls"),
+    (["--cauchy", str(DATA / "constant_seq.json"), "--formal-balls", "0", "--smyth"],
+     "--smyth"),
+    (["--components", "--local", "--cauchy", str(DATA / "constant_seq.json"), "--smyth",
+      "--scale", "1"], "--scale"),
+])
+def test_metric_analyses_on_a_bitopology_name_the_first_flag(capsys, flags, named):
+    # the first of scale, smyth, formal-balls, cauchy that was asked for
+    code, out, err = run(capsys, "analyze", str(DATA / "indiscrete_split.json"), *flags)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "code": 2, "type": "SchemaError",
+        "message": f"{named} needs a metric-backed instance"}
+
+
 def test_analyze_deterministic_bytes(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -41,7 +41,6 @@ from qconn.modular import (
     ValidationReport,
     _corner_scale,
     _enn,
-    _homogeneous_witness,
     _nonzero_witness,
     merge_max,
 )
@@ -238,12 +237,31 @@ def test_corner_witness_past_eighty_halvings():
 
 
 def test_homogeneous_witness_just_past_the_boundary():
-    # c exceeds (sqrt(1) + sqrt(2))^2 = 3 + 2 sqrt(2) by less than 10^-39
-    s = Fraction(isqrt(2 * 10**80) + 1, 10**40)
-    fam = homog_family([[0, 1, 3 + 2 * s], [INF, 0, 2], [INF, INF, 0]])
-    report = validate_family(fam, GRID)
-    assert [(v.i, v.j, v.k) for v in report.violations] == [(0, 1, 2)]
-    _assert_witnesses_violate(fam, report)
+    # c exceeds (sqrt(a) + sqrt(b))^2 by less than 10^-39 for a, b = 1, 2 and
+    # by less than 10^-300 for a, b = N, 2N with a 400-digit N; the witness
+    # sits at lambda/mu = s/(2b), s = c - a - b, mirrored when b = 0, and at
+    # lambda = mu = 1 for an infinite c or a = b = 0
+    big = 10**399 + 7
+    cases = [
+        (1, 2, 3 + 2 * Fraction(isqrt(2 * 10**80) + 1, 10**40)),
+        (0, 5, Fraction(51, 10)),
+        (Fraction(7, 3), 0, Fraction(5, 2)),
+        (0, 0, Fraction(1, 10**50)),
+        (3, Fraction(1, 7), INF),
+        (big, 2 * big, 3 * big + Fraction(isqrt(8 * big**2 * 10**620) + 1, 10**310)),
+    ]
+    for a, b, c in cases:
+        fam = homog_family([[0, a, c], [INF, 0, b], [INF, INF, 0]])
+        report = validate_family(fam, GRID)
+        assert [(v.i, v.j, v.k) for v in report.violations] == [(0, 1, 2)]
+        _assert_witnesses_violate(fam, report)
+        w = report.violations[0]
+        if c == INF or a == b == 0:
+            assert (w.lam, w.mu) == (1, 1)
+        elif b:
+            assert w.lam / w.mu == (c - a - b) / (2 * b)
+        else:
+            assert w.mu / w.lam == (c - a) / (2 * a)
 
 
 # -- validate_family decisions, pinned -------------------------------------
@@ -342,16 +360,28 @@ def _reference_step_corners(ga, gb, gc, i, j, k):
 
 
 def _reference_homogeneous(a, b, c, i, j, k):
+    """c <= (sqrt(a) + sqrt(b))^2 squared over the rationals; a failing
+    triple is witnessed where (lambda + mu)(a/lambda + b/mu) is below c:
+    at lambda/mu = s/(2b), s = c - a - b, the midpoint of the roots of
+    b t^2 - s t + a, or mu/lambda = s/(2a) when b = 0; lambda = mu = 1
+    for an infinite c or a = b = 0."""
     if a.is_inf or b.is_inf or c == ZERO:
         return []
+    one = Fraction(1)
     if c.is_inf:
-        one = Fraction(1)
         return [QM2Violation(i, j, k, one, one, INF, a + b)]
     af, bf, cf = a.frac, b.frac, c.frac
-    t = cf - af - bf
-    if t <= 0 or t * t <= 4 * af * bf:
+    s = cf - af - bf
+    if s <= 0 or s * s <= 4 * af * bf:
         return []
-    return [_homogeneous_witness(af, bf, cf, i, j, k)]
+    if not af and not bf:
+        lam, mu = one, one
+    elif bf:
+        lam, mu = s / (2 * bf), one
+    else:
+        lam, mu = one, s / (2 * af)
+    return [QM2Violation(i, j, k, lam, mu, ExtNonNeg(cf / (lam + mu)),
+                         ExtNonNeg(af / lam + bf / mu))]
 
 
 def _qm2_grid(ga, gb, gc, i, j, k, grid):
@@ -952,9 +982,3 @@ def test_luxemburg_output_is_validated_metric():
     d = luxemburg_gauge(fam)
     validate_qpm([[d.d(i, j) for j in range(5)] for i in range(5)])
 
-
-@pytest.mark.parametrize("a, b, c", [(1, 1, 4), (2, 3, 9), (Fraction(1, 3), 5, 1)])
-def test_homogeneous_witness_refuses_a_satisfying_triple(a, b, c):
-    # c <= (sqrt(a) + sqrt(b))^2: QM2 holds, so no precision finds a witness
-    with pytest.raises(AssertionError, match=r"\(4, 5, 6\)"):
-        _homogeneous_witness(Fraction(a), Fraction(b), Fraction(c), 4, 5, 6)
