@@ -18,20 +18,10 @@ from typing import TYPE_CHECKING
 
 from .errors import CoherenceError, EmptySubset
 from .gauges import QuasiPseudoMetric, symmetrize
-from .relations import indices_of, is_closed, mask_of, transpose, up_sets
+from .relations import coherence_violation, indices_of, is_closed, mask_of, transpose, up_sets
 
 if TYPE_CHECKING:  # the annotation alone: a caller's family has loaded modular
     from .modular import QuasiModularFamily
-
-
-def coherence_violation(nbhd: tuple[int, ...]) -> tuple[int, int] | None:
-    """First (x, y) with y in N(x) but N(y) not inside N(x), or None."""
-    for x, nx in enumerate(nbhd):
-        if not nx >> x & 1:
-            return (x, x)
-        if not is_closed(nbhd, nx):
-            return (x, next(y for y in indices_of(nx) if nbhd[y] & ~nx))
-    return None
 
 
 @dataclass(frozen=True)
@@ -176,10 +166,7 @@ def subspace(b: BitopSpace, subset) -> BitopSpace:
 
 def is_T0(b: BitopSpace) -> bool:
     """No two distinct points may be mutually inside each other's forward
-    and backward neighborhoods (join-indistinguishability)."""
-    for x in range(b.n):
-        for y in range(x + 1, b.n):
-            if (b.forward.nbhd[x] >> y & 1 and b.forward.nbhd[y] >> x & 1
-                    and b.backward.nbhd[x] >> y & 1 and b.backward.nbhd[y] >> x & 1):
-                return False
-    return True
+    and backward neighborhoods (join-indistinguishability): each join row
+    N+(x) & N-(x) meets its column in x alone."""
+    rows = [f & g for f, g in zip(b.forward.nbhd, b.backward.nbhd)]
+    return all(r & c == 1 << x for x, (r, c) in enumerate(zip(rows, transpose(rows))))

@@ -16,7 +16,8 @@ from math import lcm
 
 from .errors import NegativeRadius, NotCauchy, PreconditionFailed
 from .gauges import QuasiPseudoMetric
-from .relations import OPEN_MASK_LIMIT, indices_of, is_closed, mask_of, scc_masks, transpose
+from .relations import (OPEN_MASK_LIMIT, coherence_violation, indices_of, mask_of, scc_masks,
+                        transpose)
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,7 @@ def formal_ball_poset(d: QuasiPseudoMetric, radii) -> FormalBallPoset:
                 mask |= spread[cap][x] << u
             rows.append(mask)
     # transitivity as closure: a ball above one above a is above a
-    if d.tol is not None and not all(is_closed(rows, row) for row in rows):
+    if d.tol is not None and coherence_violation(rows) is not None:
         raise PreconditionFailed(
             "float-mode distances break the formal-ball order (formal-ball order lost "
             "transitivity): float rounding breaks the triangle inequality, and the order "

@@ -41,6 +41,7 @@ from math import gcd, inf, isfinite, lcm
 
 from .errors import NonRepresentable, PreconditionFailed, QpmValidationError
 from .numbers import INF, ExtNonNeg, enn, int_root
+from .relations import coherence_violation
 
 
 @dataclass(frozen=True)
@@ -376,13 +377,12 @@ def from_asym_norm(s: AsymNormSample, mode: str = "exact",
         den = lcm(tol.denominator, max((q for row in ratios for _, q in row), default=1))
         rows = [[a * (den // q) for a, q in row] for row in ratios]
     d = _metric(labels, den, rows, tol)
-    zero = d._zero_rows
-    for x, row in enumerate(zero):
-        for y in range(d.n):
-            if row >> y & 1 and zero[y] & ~row:
-                raise PreconditionFailed(
-                    f"float-mode zero relation is not transitive (y={y} in N({x}) but N({y}) "
-                    f"escapes N({x})): distances within the tolerance {tol} do not compose")
+    bad = coherence_violation(d._zero_rows)
+    if bad is not None:
+        x, y = bad
+        raise PreconditionFailed(
+            f"float-mode zero relation is not transitive (y={y} in N({x}) but N({y}) "
+            f"escapes N({x})): distances within the tolerance {tol} do not compose")
     return d
 
 

@@ -130,6 +130,17 @@ def is_closed(rows, mask: int) -> bool:
     return True
 
 
+def coherence_violation(rows) -> tuple[int, int] | None:
+    """First (x, y) with y in rows[x] but rows[y] not inside rows[x], or
+    (x, x) when x is not in rows[x]; None exactly for a preorder."""
+    for x, row in enumerate(rows):
+        if not row >> x & 1:
+            return (x, x)
+        if not is_closed(rows, row):
+            return (x, next(y for y in indices_of(row) if rows[y] & ~row))
+    return None
+
+
 def up_sets(up, down) -> list[int]:
     """Every up-set of a preorder in ascending order, given its rows
     ``up`` and their transpose ``down``; this is the package's one

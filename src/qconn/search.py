@@ -15,8 +15,10 @@ from the rows and transpose it already holds.
 
 On carriers of at most ``MEMO_MAX_N`` = 4 points a relation packs into
 one int (``pack``), and each preorder keeps the keys of its rows and of
-its transpose, made on first read.  A case's combined relation
-N+ | (N-)^T is then the key ``fwd.up_key | bwd.down_key`` and its join
+its transpose, packed on first read.  There every preorder, random
+draws included, is an ``all_preorders`` entry, so each of the 389 packs
+its keys and enumerates its open sets at most once per process.  A
+case's combined relation N+ | (N-)^T is then the key ``fwd.up_key | bwd.down_key`` and its join
 relation N+ & N- the key ``fwd.up_key & bwd.up_key``.  Each decision
 (strong connectivity, the SCCs of the combined digraph, the components
 of the join relation, and ``prop61_union``'s decision over every pair of
@@ -89,42 +91,20 @@ def unpack(key: int) -> tuple[int, ...]:
     return tuple(key.to_bytes((key.bit_length() + 7) >> 3, "little")[:-1])
 
 
-# ``pack`` of every row tuple a key was made from, so at most the 389
-# preorders on 1 to 4 points in a search: random mode makes fresh
-# preorders, and a lookup here costs less than packing anew
-_PACKED: dict[tuple[int, ...], int] = {}
-
-
-class _Packed:
-    """The ``pack`` of one field, made on first read and kept in the
-    instance dict, which later reads find first; a copy made with other
-    fields starts without it, so no key goes stale."""
-
-    def __init__(self, field: str):
-        self.field = field
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        rows = getattr(obj, self.field)
-        key = _PACKED.get(rows)
-        if key is None:
-            key = _PACKED[rows] = pack(rows)
-        obj.__dict__[self.name] = key
-        return key
-
-
 @dataclass(frozen=True)
 class PreorderData:
     rows: tuple[int, ...]
     transpose: tuple[int, ...]
+
     # the memo keys of the rows and of the transpose; only carriers of at
-    # most ``MEMO_MAX_N`` points read them
-    up_key = _Packed("rows")
-    down_key = _Packed("transpose")
+    # most ``MEMO_MAX_N`` points, where each preorder is a table entry, read them
+    @cached_property
+    def up_key(self) -> int:
+        return pack(self.rows)
+
+    @cached_property
+    def down_key(self) -> int:
+        return pack(self.transpose)
 
     @cached_property
     def opens(self) -> frozenset[int]:
@@ -157,8 +137,8 @@ _map_case = partial(tuple.__new__, MapCase)
 def _preorder(rows: tuple[int, ...], cols: tuple[int, ...]) -> PreorderData:
     """A ``PreorderData`` of the row tuple ``rows`` and its transpose
     ``cols``, with both fields written into the instance dict, as
-    ``_Packed`` and ``cached_property`` write theirs: the frozen
-    ``__init__`` would spend an ``object.__setattr__`` call on each."""
+    ``cached_property`` writes its own: the frozen ``__init__`` would
+    spend an ``object.__setattr__`` call on each."""
     p = object.__new__(PreorderData)
     p.__dict__.update(rows=rows, transpose=cols)
     return p
@@ -211,6 +191,13 @@ def all_preorders(n: int) -> tuple[PreorderData, ...]:
     return tuple(preorder_data(rows) for rows in table)
 
 
+@lru_cache(maxsize=None)
+def _small_preorders() -> dict[tuple[int, ...], PreorderData]:
+    """The entry of ``all_preorders`` by its rows, on 1 to ``MEMO_MAX_N``
+    points (389 preorders)."""
+    return {p.rows: p for n in range(1, MEMO_MAX_N + 1) for p in all_preorders(n)}
+
+
 def random_preorder(rng: random.Random, n: int) -> PreorderData:
     """Random equivalence classes glued along a random DAG, transitively
     closed by construction; ``rng`` must be a ``random.Random``.
@@ -227,7 +214,9 @@ def random_preorder(rng: random.Random, n: int) -> PreorderData:
     arrive with their transpose and no n x n transpose is needed: one
     ``itemgetter`` of the points' classes picks both row tuples, and
     ``_preorder`` writes them into the result without the dataclass
-    ``__init__``.
+    ``__init__``.  On at most ``MEMO_MAX_N`` points the result is instead
+    the ``all_preorders`` entry with those rows, so each small preorder
+    is one object, whose keys and open sets are made once per process.
 
     Each draw below a bound m is CPython's ``Random._randbelow(m)``
     written out: ``getrandbits(m.bit_length())`` until the value is
@@ -270,8 +259,8 @@ def random_preorder(rng: random.Random, n: int) -> PreorderData:
                 arcs.append((c, d))
     for c, d in reversed(arcs):
         up[c] |= up[d]
-    if n == 1:  # a one-index itemgetter returns the item, not a tuple
-        return _preorder((up[0],), (down[0],))
+    if n <= MEMO_MAX_N:
+        return _small_preorders()[tuple([up[c] for c in assignment])]
     pick = itemgetter(*assignment)
     return _preorder(pick(up), pick(down))
 

@@ -25,6 +25,7 @@ from qconn.bitopology import AlexandrovTopology, BitopSpace
 from qconn.errors import CarrierTooLarge, CoherenceError, EmptySubset
 from qconn.modular import QuasiModularFamily
 from qconn.relations import indices_of, transpose
+from qconn.search import all_preorders
 
 
 def topo(points, *sets) -> AlexandrovTopology:
@@ -194,6 +195,29 @@ def test_t0():
     # one-sided zero alone does not break T0
     d2 = validate_qpm([[0, 0], [1, 0]])
     assert is_T0(specialization_bitop(d2))
+
+
+def _is_T0_by_pairs(b: BitopSpace) -> bool:
+    """Reference: no pair of distinct points lies in each other's forward
+    and backward neighborhoods."""
+    for x in range(b.n):
+        for y in range(x + 1, b.n):
+            if (b.forward.nbhd[x] >> y & 1 and b.forward.nbhd[y] >> x & 1
+                    and b.backward.nbhd[x] >> y & 1 and b.backward.nbhd[y] >> x & 1):
+                return False
+    return True
+
+
+def test_t0_matches_the_pairwise_reference_on_every_small_pair():
+    pairs = 0
+    for n in range(1, 5):
+        points = tuple(range(n))
+        topologies = [AlexandrovTopology(points=points, nbhd=p.rows) for p in all_preorders(n)]
+        for fwd, bwd in itertools.product(topologies, repeat=2):
+            b = BitopSpace(forward=fwd, backward=bwd)
+            assert is_T0(b) == _is_T0_by_pairs(b), (fwd.nbhd, bwd.nbhd)
+            pairs += 1
+    assert pairs == 126_883
 
 
 def test_modular_bitop_zero_sets():

@@ -22,6 +22,7 @@ from qconn.relations import (
     strongly_connected,
     transpose,
     undirected_components,
+    up_sets,
 )
 from qconn.search import (
     DEFAULT_SEED,
@@ -165,12 +166,42 @@ def test_random_preorder_is_the_preorder_of_its_rows():
             want = preorder_data(got.rows)
             assert got == want and hash(got) == hash(want)
             assert type(got.rows) is tuple and type(got.transpose) is tuple
-            assert vars(got) == {"rows": got.rows, "transpose": got.transpose}
+            if n > MEMO_MAX_N:  # a small draw is a table entry, which may hold its keys
+                assert vars(got) == {"rows": got.rows, "transpose": got.transpose}
             with pytest.raises(dataclasses.FrozenInstanceError):
                 got.rows = want.rows
             with pytest.raises(dataclasses.FrozenInstanceError):
                 got.transpose = want.transpose
             assert dataclasses.replace(got) == got
+
+
+def test_small_random_preorders_are_the_table_entries():
+    rng = random.Random(27)
+    tables = {n: {id(p) for p in all_preorders(n)} for n in range(1, MEMO_MAX_N + 1)}
+    for _ in range(2000):
+        n = rng.randint(1, MEMO_MAX_N)
+        assert id(random_preorder(rng, n)) in tables[n], n
+    fives = {id(p) for p in all_preorders(MEMO_MAX_N + 1)}
+    for _ in range(200):
+        got = random_preorder(rng, MEMO_MAX_N + 1)
+        assert id(got) not in fives
+        assert got == preorder_data(got.rows)
+
+
+def test_small_random_cases_reuse_the_open_sets(monkeypatch):
+    """Random draws of at most ``MEMO_MAX_N`` points are table entries,
+    so the oracle targets enumerate each one's open sets at most once;
+    fresh objects per draw took 11,996 enumerations on this run."""
+    calls = []
+
+    def counted(up, down):
+        calls.append(len(up))
+        return up_sets(up, down)
+
+    monkeypatch.setattr(search, "up_sets", counted)
+    for tid in ORACLE_TARGETS:
+        search_counterexamples(tid, n=4, mode="random", seed=5, budget=3000)
+    assert len(calls) < 500
 
 
 def _below(bits, bound: int) -> int:
@@ -544,8 +575,6 @@ def test_memos_stay_within_the_small_relation_count(fresh_memo):
     sizes = [len(memo) for memo in MEMOS]
     assert 0 < sum(sizes) <= len(MEMOS) * SMALL_RELATIONS
     assert max(sizes) <= SMALL_RELATIONS
-    # a search packs only the rows and transposes of preorders
-    assert len(search._PACKED) <= sum(PREORDER_COUNTS[n] for n in range(1, MEMO_MAX_N + 1))
 
 
 def test_carriers_past_the_memo_bypass_it():
@@ -612,10 +641,10 @@ def test_union_gap_matches_subset_pair_enumeration():
 
 @pytest.fixture
 def fresh_memo():
-    for memo in (*MEMOS, search._PACKED):
+    for memo in MEMOS:
         memo.clear()
     yield
-    for memo in (*MEMOS, search._PACKED):
+    for memo in MEMOS:
         memo.clear()
 
 

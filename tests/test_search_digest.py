@@ -40,3 +40,13 @@ def test_usage():
         done = _run(*args)
         assert done.returncode == 2, args
         assert done.stdout == "" and done.stderr.startswith("usage:"), args
+
+
+def test_a_raising_target_prints_its_error_type_and_the_rest_still_run():
+    done = _run("random", "40", "911", "60")
+    assert done.returncode == 1, done.stderr
+    lines = [line.split() for line in done.stdout.splitlines()]
+    assert [target for target, _ in lines] == list(TARGETS)
+    errors = {target: line for target, line in lines if len(line) != 64}
+    assert errors == {"antisym_oracle": "CarrierTooLarge",
+                      "prop53_equivalence": "CarrierTooLarge"}
