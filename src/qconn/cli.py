@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import bitopology, completion, connectivity
-from .errors import ParseError, QconnError, SchemaError, UnknownProperty
+from .errors import ParseError, QconnError, SchemaError
 from .gauges import from_asym_norm, from_digraph
 from .instances import canonical_json, dump_instance, load_instance, read_literal
 
@@ -41,13 +41,11 @@ def _rational_list(text: str, name: str) -> list[Fraction]:
 
 
 # formal balls per poset, points x distinct radii: building the order and
-# its Hasse edges costs time quadratic in this count.  At the cap, analyze
-# --formal-balls took 2.4 s for 256 points at distance zero with 3 radii and
-# 2.2 s for 1 point with 768 radii (float mode, best of 2, 2-core VM,
-# CPython 3.11); 256 points with 8 radii took 7.2 s and 275 MB.  With the
-# integer slack table and only transitivity checked in float mode, 1 point
-# with 768 radii takes 0.27-0.44 s in float mode, about 0.24 s of it that
-# check, and 0.13-0.23 s in exact mode (best of 3, 2-core VM, CPython 3.11.7)
+# its Hasse edges costs time quadratic in this count.  At the cap, a fresh
+# `qconn analyze --formal-balls` process took 0.97-1.6 s and 74 MB for 256
+# points at distance zero with 3 radii, 0.25-0.38 s for 1 point with 768
+# radii in exact mode and 0.38-0.61 s in float mode (3 runs each, 2-core
+# VM, CPython 3.11.7)
 MAX_FORMAL_BALLS = 768
 
 
@@ -275,8 +273,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         return _fail(3, "ParseError", str(exc))
-    except (SchemaError, UnknownProperty) as exc:
-        return _fail(2, type(exc).__name__, str(exc))
     except QconnError as exc:
         return _fail(2, type(exc).__name__, str(exc))
     except Exception as exc:  # contract: no input may crash the tool

@@ -16,8 +16,7 @@ from math import lcm
 
 from .errors import NegativeRadius, NotCauchy, PreconditionFailed
 from .gauges import QuasiPseudoMetric
-from .relations import (OPEN_MASK_LIMIT, coherence_violation, indices_of, mask_of, scc_masks,
-                        transpose)
+from .relations import coherence_violation, indices_of, mask_of, scc_masks, transpose
 
 
 @dataclass(frozen=True)
@@ -147,9 +146,9 @@ def join_compactness_check(d: QuasiPseudoMetric, thresholds=None) -> dict:
 
     Hypotheses are produced as sub-reports; the conclusion follows from
     finiteness of the carrier (every open cover has a finite subcover).
-    Up to ``OPEN_MASK_LIMIT`` points the report also gives the size of the
-    canonical cover by minimal join neighborhoods, which covers the
-    carrier because each neighborhood contains its own point.
+    The report also gives the size of the canonical cover by minimal join
+    neighborhoods, which covers the carrier because each neighborhood
+    contains its own point.
 
     On a finite carrier ``conclusion.join_compact``,
     ``conclusion.carrier_finite`` and both ``hypotheses`` entries are
@@ -161,10 +160,9 @@ def join_compactness_check(d: QuasiPseudoMetric, thresholds=None) -> dict:
         thresholds = spectrum[:3] + [spectrum[-1] + 1] if spectrum else [Fraction(1)]
     pre = precompact_report(d, thresholds)
     smyth = smyth_report(d)
-    conclusion = {"join_compact": True, "carrier_finite": True}
-    if d.n <= OPEN_MASK_LIMIT:
-        zero = d.zero_mask_rows()  # join neighbourhoods are N+(x) & N-(x)
-        conclusion["canonical_cover_size"] = len({r & c for r, c in zip(zero, transpose(zero))})
+    zero = d.zero_mask_rows()  # join neighbourhoods are N+(x) & N-(x)
+    conclusion = {"join_compact": True, "carrier_finite": True,
+                  "canonical_cover_size": len({r & c for r, c in zip(zero, transpose(zero))})}
     return {
         "hypotheses": {"precompact": pre["precompact"], "smyth_complete": smyth["complete"]},
         "precompact_report": pre,
@@ -244,21 +242,11 @@ def formal_ball_poset(d: QuasiPseudoMetric, radii) -> FormalBallPoset:
     elements = tuple(_ball(x, r) for x in range(d.n) for r in radii)
     k = len(radii)
     slack = _slack_table(radii, d.den)
-    # table[b] moves bit i of the byte b to bit i * k
-    table = [0] * 256
-    for b in range(1, 256):
-        table[b] = table[b >> 1] << k | b & 1
-    # per distinct cap, each point's mask {y : rows[x][y] <= cap} spread to stride k
-    spread = {}
-    for cap in {cap for caps in slack for cap in caps}:
-        spread[cap] = out = []
-        for mask in d._rows_below(cap + 1):
-            wide, shift = 0, 0
-            while mask:
-                wide |= table[mask & 255] << shift
-                mask >>= 8
-                shift += 8 * k
-            out.append(wide)
+    # per distinct cap, each point's mask {y : rows[x][y] <= cap} spread to
+    # stride k: k - 1 zeros between its binary digits move bit y to bit y*k
+    gap = "0" * (k - 1)
+    spread = {cap: [int(gap.join(format(mask, "b")), 2) for mask in d._rows_below(cap + 1)]
+              for cap in {cap for caps in slack for cap in caps}}
     rows = []
     for x in range(d.n):
         for caps in slack:

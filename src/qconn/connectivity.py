@@ -206,6 +206,7 @@ def scale_connectivity(d: QuasiPseudoMetric, eps) -> tuple[list[list[int]], list
     if eps <= 0:
         raise NonPositiveEpsilon(f"eps must be positive, got {eps}")
     rows = [m | 1 << x for x, m in enumerate(d.ball_rows(eps))]
-    sym_rows = [r & c for r, c in zip(rows, transpose(rows))]
-    return (masks_to_partition(scc_masks(rows)),
-            masks_to_partition(undirected_components(sym_rows)))
+    cols = transpose(rows)
+    sym_rows = [r & c for r, c in zip(rows, cols)]  # symmetric: its own transpose
+    return (masks_to_partition(scc_masks(rows, cols)),
+            masks_to_partition(undirected_components(sym_rows, sym_rows)))

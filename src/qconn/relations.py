@@ -18,8 +18,6 @@ from .errors import CarrierTooLarge
 
 # largest carrier whose open sets are enumerated (2**16 masks)
 OPEN_MASK_LIMIT = 16
-# widest tile of the bit-matrix transpose; its 8 cached swap masks take 64 KB
-TILE = 256
 
 
 def mask_of(indices, n: int) -> int:
@@ -55,10 +53,8 @@ def transpose(rows) -> list[int]:
     ``rows`` must be square: n rows whose bits all lie below n.  The rows
     are packed into one int at a power-of-two stride w >= max(n, 8), bit
     c of row r at position r*w + c, and log2(w) masked delta swaps
-    exchange bit j of r with bit j of c, one level j at a time.
-    Carriers above ``TILE`` points are cut into TILE x TILE tiles, each
-    transposed so.  The cost is O(n**2 log w / 64) word operations,
-    whatever the number of arcs."""
+    exchange bit j of r with bit j of c, one level j at a time.  The cost
+    is O(n**2 log w / 64) word operations, whatever the number of arcs."""
     n = len(rows)
     if n > 8:
         return _transpose_wide(rows, n)
@@ -70,22 +66,10 @@ def transpose(rows) -> list[int]:
 
 
 def _transpose_wide(rows, n: int) -> list[int]:
-    """``transpose`` above 8 points.  Kept out of ``transpose`` because
-    the small carriers of the search run measurably faster in its
-    smaller frame."""
-    if n > TILE:
-        cols = [0] * n
-        full = (1 << TILE) - 1
-        for j in range(0, n, TILE):
-            for i in range(0, n, TILE):
-                tile = [r >> j & full for r in rows[i:i + TILE]]
-                tile += [0] * (TILE - len(tile))
-                for c, v in enumerate(transpose(tile)[:n - j], j):
-                    cols[c] |= v << i
-        return cols
-    w = 16
-    while w < n:
-        w <<= 1
+    """``transpose`` above 8 points, at every width in one packed int.
+    Kept out of ``transpose`` because the small carriers of the search
+    run measurably faster in its smaller frame."""
+    w = 1 << (n - 1).bit_length()  # >= 16, since n > 8
     nb = w >> 3  # bytes per packed row
     x = int.from_bytes(b"".join([r.to_bytes(nb, "little") for r in rows]), "little")
     for s, mask in _swap_masks(w):
@@ -97,14 +81,20 @@ def _transpose_wide(rows, n: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _swap_masks(w: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) per level j of a w x w tile: the mask marks the bits
-    at row r, column c with bit j clear in r and set in c, and the shift
-    j*(w-1) carries each to row r+j, column c-j."""
+    """(shift, mask) per level j of a w x w bit matrix: the mask marks the
+    bits at row r, column c with bit j clear in r and set in c, and the
+    shift j*(w-1) carries each to row r+j, column c-j.  Each mask is one
+    byte pattern, the column bytes for the j rows with bit j clear and
+    then j zero rows, repeated w/2j times.  The instance and CLI caps
+    admit no width above 1,024 (768 formal balls), where the cached
+    masks take 1.2 MB."""
+    nb = w >> 3
     levels = []
     j = w >> 1
     while j:
-        cols = sum(1 << c for c in range(w) if c & j)
-        levels.append((j * (w - 1), sum(cols << r * w for r in range(w) if not r & j)))
+        cols = sum(1 << c for c in range(w) if c & j).to_bytes(nb, "little")
+        pattern = (cols * j + bytes(j * nb)) * (w // (2 * j))
+        levels.append((j * (w - 1), int.from_bytes(pattern, "little")))
         j >>= 1
     return tuple(levels)
 

@@ -170,7 +170,7 @@ def test_join_compactness_check_builds_no_topology(monkeypatch):
     monkeypatch.setattr(AlexandrovTopology, "__post_init__",
                         lambda self: built.append(self) or check(self))
     rng = random.Random(11)
-    for n in (1, 4, 9):
+    for n in (1, 4, 9, 20):
         d = rng_qpm(rng, n)
         size = join_compactness_check(d)["conclusion"]["canonical_cover_size"]
         assert built == []
@@ -384,12 +384,15 @@ def _exact_metric(seed, n):
 
 
 @settings(max_examples=60, derandomize=True)
-@given(st.integers(0, 10**9), st.integers(1, 12),
-       st.sampled_from(["zero", "duplicates", "random"]))
+@given(st.integers(0, 10**9), st.integers(1, 20),
+       st.sampled_from(["zero", "duplicates", "random", "many"]))
 def test_le_rows_match_quadruple_loop(seed, n, radii_kind):
     rng, d = _exact_metric(seed, n)
     if radii_kind == "zero":
         radii = [Fraction(0)]
+    elif radii_kind == "many":  # past one byte of radii, and of points when n > 8
+        radii = rng.sample(sorted({Fraction(a, b) for a in range(13) for b in (1, 2, 3, 7)}),
+                           rng.randint(9, 16))
     else:
         radii = [Fraction(rng.randint(0, 12), rng.choice([1, 2, 3, 7]))
                  for _ in range(rng.randint(1, 4))]

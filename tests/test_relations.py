@@ -10,6 +10,7 @@ from qconn.bitopology import AlexandrovTopology
 from qconn.errors import CarrierTooLarge
 from qconn.relations import (
     OPEN_MASK_LIMIT,
+    _swap_masks,
     combined_rows,
     image_gaps,
     is_closed,
@@ -107,11 +108,29 @@ def _transpose_by_bits(rows):
 
 def test_transpose_matches_the_per_bit_loop():
     rng = random.Random(7)
-    for n in [*range(71), 255, 256, 257, 600]:
-        for density in (0, 0.02, 0.3, 0.9, 1):
+    cases = [(n, (0, 0.02, 0.3, 0.9, 1)) for n in [*range(71), 255, 256, 257, 600]]
+    cases += [(n, (0.02, 0.5)) for n in (511, 512, 513, 768)]
+    for n, densities in cases:
+        for density in densities:
             rows = [sum(1 << y for y in range(n) if rng.random() < density)
                     for _ in range(n)]
             assert transpose(rows) == _transpose_by_bits(rows), (n, density)
+
+
+def _swap_masks_by_shifts(w):
+    """The sum-of-shifts build ``_swap_masks`` replaced, kept as its oracle."""
+    levels = []
+    j = w >> 1
+    while j:
+        cols = sum(1 << c for c in range(w) if c & j)
+        levels.append((j * (w - 1), sum(cols << r * w for r in range(w) if not r & j)))
+        j >>= 1
+    return tuple(levels)
+
+
+@pytest.mark.parametrize("w", [8 << i for i in range(8)])
+def test_swap_masks_match_the_sum_of_shifts(w):
+    assert _swap_masks(w) == _swap_masks_by_shifts(w)
 
 
 def test_transpose_and_combined_rows():
