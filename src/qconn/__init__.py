@@ -31,10 +31,8 @@ _EXPORTS = {
     "bitopology": (
         "AlexandrovTopology",
         "BitopSpace",
-        "is_open",
         "is_T0",
         "join",
-        "join_matches_symmetrization",
         "modular_bitop",
         "specialization_bitop",
         "subspace",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import CoherenceError, EmptySubset
-from .gauges import QuasiPseudoMetric, symmetrize
+from .gauges import QuasiPseudoMetric
 from .relations import coherence_violation, indices_of, is_closed, mask_of, transpose, up_sets
 
 if TYPE_CHECKING:  # the annotation alone: a caller's family has loaded modular
@@ -59,6 +59,8 @@ class AlexandrovTopology:
         return is_closed(self.nbhd, mask)
 
     def is_open(self, subset) -> bool:
+        """A set is open iff it contains the minimal neighborhood of each
+        of its points."""
         return self.is_open_mask(mask_of(subset, self.n))
 
     def open_sets(self) -> list[int]:
@@ -85,12 +87,6 @@ class BitopSpace:
     @property
     def n(self) -> int:
         return self.forward.n
-
-
-def is_open(t: AlexandrovTopology, subset) -> bool:
-    """A set is open iff it contains the minimal neighborhood of each of
-    its points."""
-    return t.is_open(subset)
 
 
 def specialization_bitop(d: QuasiPseudoMetric) -> BitopSpace:
@@ -130,19 +126,9 @@ def _zero_bitop(points, rows) -> BitopSpace:
 def join(b: BitopSpace) -> AlexandrovTopology:
     """Join topology: minimal neighborhoods are the pairwise intersections
     N+(x) & N-(x).  For metric-derived spaces this equals the forward
-    specialization of the symmetrized metric, which callers can assert via
-    join_matches_symmetrization."""
+    specialization of the symmetrized metric."""
     nbhd = tuple(f & g for f, g in zip(b.forward.nbhd, b.backward.nbhd))
     return AlexandrovTopology(points=b.points, nbhd=nbhd)
-
-
-def join_matches_symmetrization(d: QuasiPseudoMetric) -> bool:
-    """Finite shadow of the symmetrization law: the forward topology of
-    max(d, conjugate(d)) equals the join of d's bitopology, compared on
-    the rows: the zero rows of the symmetrized metric against d's zero
-    rows ANDed with their transpose."""
-    rows = d.zero_mask_rows()
-    return symmetrize(d).zero_mask_rows() == [r & c for r, c in zip(rows, transpose(rows))]
 
 
 def subspace(b: BitopSpace, subset) -> BitopSpace:

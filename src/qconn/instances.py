@@ -29,8 +29,6 @@ if TYPE_CHECKING:
     from .modular import OrliczSpec, PiecewiseConvex, QuasiModularFamily, ScaleGauge
     from .morphisms import PointMap
 
-_INF = float("inf")
-
 KINDS = ("quasi_metric", "digraph", "bitopology", "modular_family", "orlicz",
          "asym_norm_sample", "map", "sequence")
 
@@ -124,7 +122,9 @@ def _index_list(raw, n: int, field: str) -> list[int]:
 
 
 def parse_instance(obj: Any):
-    """Dispatch on the "kind" tag; returns (kind, value)."""
+    """Dispatch on the "kind" tag; returns (kind, value).  A constructor's
+    ValueError or QconnError becomes a SchemaError, so each parser leaves
+    the invariants of the constructor it calls to that constructor."""
     if not isinstance(obj, dict):
         raise SchemaError("instance must be a JSON object")
     kind = _need(obj, "kind", str)
@@ -136,7 +136,7 @@ def parse_instance(obj: Any):
         raise
     except QconnError as exc:
         raise SchemaError(f"invalid {kind}: {exc}") from exc
-    except (ValueError, TypeError, KeyError, AssertionError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         raise SchemaError(str(exc)) from exc
 
 
@@ -187,10 +187,7 @@ def _parse_digraph(obj: dict) -> WeightedDigraph:
     for e, item in enumerate(edges_raw):
         if not isinstance(item, list) or len(item) != 3:
             raise SchemaError(f"edge {e} must be [from, to, weight]")
-        u, v, w = str(item[0]), str(item[1]), _memo(parsed, item[2], f"edges[{e}]")
-        if w.is_inf:
-            raise SchemaError(f"edge {e} has infinite weight")
-        edges.append((u, v, w))
+        edges.append((str(item[0]), str(item[1]), _memo(parsed, item[2], f"edges[{e}]")))
     return WeightedDigraph(vertices=vertices, edges=tuple(edges))
 
 
@@ -199,8 +196,6 @@ def _parse_bitopology(obj: dict) -> BitopSpace:
     n = len(points)
     fwd_raw = _need(obj, "forward_min_nbhd", list)
     bwd_raw = _need(obj, "backward_min_nbhd", list)
-    if len(fwd_raw) != n or len(bwd_raw) != n:
-        raise SchemaError("need one neighborhood per point on both sides")
     fwd = [_index_list(s, n, "forward_min_nbhd") for s in fwd_raw]
     bwd = [_index_list(s, n, "backward_min_nbhd") for s in bwd_raw]
     return BitopSpace(forward=AlexandrovTopology.from_sets(points, fwd),
@@ -297,10 +292,7 @@ def _parse_orlicz(obj: dict) -> OrliczSpec:
     for a, item in enumerate(atoms_raw):
         if not isinstance(item, list) or len(item) != 2:
             raise SchemaError(f"atom {a} must be [label, weight]")
-        weight = _rational(item[1], f"atoms[{a}]")
-        if weight <= 0:
-            raise SchemaError(f"atom {a} weight must be positive")
-        atoms.append((str(item[0]), weight))
+        atoms.append((str(item[0]), _rational(item[1], f"atoms[{a}]")))
     phi_raw = _need(obj, "phi", list)
     for key in ("pos_breakpoints", "neg_breakpoints"):  # summed over every phi
         _capped([b for p in phi_raw if isinstance(p, dict) for b in p.get(key) or ()],
@@ -342,8 +334,6 @@ def _parse_map(obj: dict) -> PointMap:
     tgt = _labels(obj, "target_points", "map")
     assignment = tuple(_index_list(_need(obj, "assignment", list), len(tgt),
                                    "assignment"))
-    if len(assignment) != len(src):
-        raise SchemaError("assignment must be total on the source")
     return PointMap(source_points=src, target_points=tgt, assignment=assignment)
 
 
@@ -354,8 +344,6 @@ def _parse_sequence(obj: dict) -> EventuallyPeriodicSeq:
                      "MAX_SEQUENCE_LENGTH"):
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise SchemaError(f"sequence index {v!r} must be a nonnegative integer")
-    if not per:
-        raise SchemaError("period must be nonempty")
     return EventuallyPeriodicSeq(preperiod=tuple(pre), period=tuple(per))
 
 
@@ -474,24 +462,17 @@ def _dump_phi(p: PiecewiseConvex) -> dict:
 
 def canonical_json(doc) -> str:
     """Stable rendering: sorted keys, two-space indent, ASCII only, and a
-    trailing newline.  Byte-equal to ``json.dumps(doc, indent=2,
-    sort_keys=True, ensure_ascii=True) + "\\n"`` on every value that call
-    accepts, in one pass that appends to a list and joins once (json's C
-    encoder cannot indent, so that call runs json's pure-Python encoder)."""
+    trailing newline.  Takes the values qconn's documents hold: ``str``
+    keys, and ``str``, ``int``, ``bool``, ``None``, list, tuple and dict
+    values, subclasses included; any other key or value, a float among
+    them, raises TypeError.  Byte-equal to ``json.dumps(doc, indent=2,
+    sort_keys=True, ensure_ascii=True) + "\\n"`` on those, in one pass that
+    appends to a list and joins once (json's C encoder cannot indent, so
+    that call runs json's pure-Python encoder)."""
     out = []
     _write(doc, out, "\n")
     out.append("\n")
     return "".join(out)
-
-
-def _float(o: float) -> str:
-    if o != o:
-        return "NaN"
-    if o == _INF:
-        return "Infinity"
-    if o == -_INF:
-        return "-Infinity"
-    return float.__repr__(o)
 
 
 def _write(o, out: list, nl: str) -> None:
@@ -501,7 +482,8 @@ def _write(o, out: list, nl: str) -> None:
     costs no call.  Every other value, subclasses included, follows json's
     rules: tuples render as lists, and the leaf tests run in json's order
     (bool before int); containers are tested first, as no value is both a
-    container and a leaf."""
+    container and a leaf.  A non-``str`` key or a value of any other type
+    raises TypeError."""
     t = type(o)
     if t is list or t is tuple or t is not dict and isinstance(o, (list, tuple)):
         if not o:
@@ -527,17 +509,8 @@ def _write(o, out: list, nl: str) -> None:
         inner = nl + "  "
         sep = "{" + inner
         for k, v in sorted(o.items()):
-            if isinstance(k, str):
-                pass
-            elif isinstance(k, float):
-                k = _float(k)
-            elif k is True or k is False or k is None:
-                k = "true" if k is True else "false" if k is False else "null"
-            elif isinstance(k, int):
-                k = int.__repr__(k)
-            else:
-                raise TypeError(f"keys must be str, int, float, bool or None, "
-                                f"not {type(k).__name__}")
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
             head = sep + _quote(k) + ": "
             t = type(v)
             if t is int:
@@ -559,7 +532,5 @@ def _write(o, out: list, nl: str) -> None:
         out.append("false")
     elif isinstance(o, int):
         out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_float(o))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

@@ -11,7 +11,8 @@ deterministic for a fixed (target, mode, n, seed, budget).  Every check
 works on bitmask rows through ``relations``; subsets are masks on the
 full combined digraph, never rebuilt spaces.  Only the two oracle
 targets read open sets, which each preorder enumerates on first read
-from the rows and transpose it already holds.
+from the rows and transpose it already holds, so they take carriers of
+at most ``OPEN_MASK_LIMIT`` points (``Target.max_n``).
 
 On carriers of at most ``MEMO_MAX_N`` = 4 points a relation packs into
 one int (``pack``), and each preorder keeps the keys of its rows and of
@@ -43,8 +44,9 @@ from functools import cached_property, lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import UnknownProperty
+from .errors import CarrierTooLarge, UnknownProperty
 from .relations import (
+    OPEN_MASK_LIMIT,
     combined_rows,
     image_gaps,
     indices_of,
@@ -548,6 +550,7 @@ class Target:
     case_kind: str  # "bitop" | "bitop_equal" | "map"
     check: Callable
     tautological: bool = False  # cannot fail on a finite carrier
+    max_n: int = RANDOM_MAX_N  # the largest carrier the check accepts
 
 
 TARGETS: dict[str, Target] = {
@@ -555,10 +558,10 @@ TARGETS: dict[str, Target] = {
     for t in (
         Target("antisym_oracle",
                "digraph decision agrees with subset enumeration",
-               "bitop", check_antisym_oracle),
+               "bitop", check_antisym_oracle, max_n=OPEN_MASK_LIMIT),
         Target("prop53_equivalence",
                "three separation formulations agree",
-               "bitop", check_prop53_equivalence),
+               "bitop", check_prop53_equivalence, max_n=OPEN_MASK_LIMIT),
         Target("prop54_inclusion",
                "symmetric components refine antisymmetric components",
                "bitop", check_prop54_inclusion),
@@ -657,14 +660,13 @@ def _map_stream(mode: str, n: int, seed: int) -> Iterable[MapCase]:
 def _case_json(case) -> dict:
     if isinstance(case, BitopCase):
         return _bitop_json(case)
+    src, tgt = _bitop_json(case.src), _bitop_json(case.tgt)
     return {
         "kind": "map-case",
-        "source_space": _bitop_json(case.src),
-        "map": {"kind": "map",
-                "source_points": _bitop_json(case.src)["points"],
-                "target_points": _bitop_json(case.tgt)["points"],
-                "assignment": list(case.assignment)},
-        "target_space": _bitop_json(case.tgt),
+        "source_space": src,
+        "map": {"kind": "map", "source_points": src["points"],
+                "target_points": tgt["points"], "assignment": list(case.assignment)},
+        "target_space": tgt,
     }
 
 
@@ -707,7 +709,8 @@ def search_counterexamples(target: str, n: int, mode: str = "exhaustive",
     stream order; only ``prop61_union`` draws from it, and only on
     carriers of more than ``MEMO_MAX_N`` points.  Raises
     ``ValueError`` for an unknown mode, an ``n`` outside its
-    ``N_RANGE`` entry or a negative ``budget``.
+    ``N_RANGE`` entry or a negative ``budget``, and ``CarrierTooLarge``
+    for an ``n`` above the target's ``max_n``, before any case is drawn.
     """
     if target not in TARGETS:
         raise UnknownProperty(f"unknown target {target!r}; known: "
@@ -720,6 +723,9 @@ def search_counterexamples(target: str, n: int, mode: str = "exhaustive",
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     tgt = TARGETS[target]
+    if n > tgt.max_n:
+        raise CarrierTooLarge(f"target {target} takes carriers of at most {tgt.max_n} "
+                              f"points, got n = {n}")
     if tgt.case_kind == "map":
         stream = _map_stream(mode, n, seed)
     else:

@@ -262,6 +262,70 @@ def test_malformed_inputs_never_crash(tmp_path, capsys):
         assert code in (2, 3), payload
 
 
+def _orlicz(phi=({},), atoms=(("a", "1"),), functions=(("1",),)) -> dict:
+    return {"kind": "orlicz", "atoms": [list(a) for a in atoms], "phi": list(phi),
+            "functions": [list(f) for f in functions], "scaling": {"kind": "homogeneous"}}
+
+
+# one file per invariant that the parsers leave to the constructor they
+# call, with the constructor's message
+CONSTRUCTOR_INVARIANTS = {
+    "digraph_infinite_weight": ({"kind": "digraph", "vertices": ["a", "b"],
+                                 "edges": [["a", "b", "inf"]]},
+                                "edge (a,b) has infinite weight"),
+    "digraph_unknown_vertex": ({"kind": "digraph", "vertices": ["a", "b"],
+                                "edges": [["a", "z", "1"]]},
+                               "edge (a,z) references unknown vertex"),
+    "bitopology_neighbourhood_count": ({"kind": "bitopology", "points": ["a", "b"],
+                                        "forward_min_nbhd": [[0], [1]],
+                                        "backward_min_nbhd": [[0]]},
+                                       "one neighborhood per point required"),
+    "orlicz_atom_weight": (_orlicz(atoms=[("a", "0")]), "atom weights must be positive"),
+    "orlicz_phi_count": (_orlicz(phi=[]), "need one phi per atom"),
+    "orlicz_vector_length": (_orlicz(functions=[("1", "2")]),
+                             "function vectors must cover every atom"),
+    "phi_pos_slope_count": (_orlicz([{"pos_breakpoints": ["1"], "pos_slopes": ["1"]}]),
+                            "need len(pos_slopes) == len(pos_breaks) + 1"),
+    "phi_neg_slope_count": (_orlicz([{"neg_breakpoints": ["-1"], "neg_slopes": ["-1"]}]),
+                            "need len(neg_slopes) == len(neg_breaks) + 1"),
+    "phi_pos_breaks_increasing": (_orlicz([{"pos_breakpoints": ["2", "1"],
+                                            "pos_slopes": ["0", "1", "2"]}]),
+                                  "positive breakpoints must be increasing and > 0"),
+    "phi_pos_breaks_positive": (_orlicz([{"pos_breakpoints": ["0"], "pos_slopes": ["0", "1"]}]),
+                                "positive breakpoints must be > 0"),
+    "phi_neg_breaks_decreasing": (_orlicz([{"neg_breakpoints": ["-2", "-1"],
+                                            "neg_slopes": ["0", "-1", "-2"]}]),
+                                  "negative breakpoints must decrease and be < 0"),
+    "phi_neg_breaks_negative": (_orlicz([{"neg_breakpoints": ["0"], "neg_slopes": ["0", "-1"]}]),
+                                "negative breakpoints must be < 0"),
+    "phi_convexity": (_orlicz([{"pos_breakpoints": ["1"], "pos_slopes": ["2", "1"]}]),
+                      "slopes must be nondecreasing (convexity)"),
+    "phi_pos_slope_sign": (_orlicz([{"pos_slopes": ["-1"]}]),
+                           "phi must be nonnegative with minimum at 0"),
+    "phi_neg_slope_sign": (_orlicz([{"neg_slopes": ["1"], "pos_slopes": ["1"]}]),
+                           "phi must be nonnegative with minimum at 0"),
+    "asym_norm_dimension": ({"kind": "asym_norm_sample", "dimension": 0, "p": "1",
+                             "points": []}, "dimension must be positive"),
+    "asym_norm_vector_length": ({"kind": "asym_norm_sample", "dimension": 2, "p": "1",
+                                 "points": [["1"]]}, "vector length does not match dimension"),
+    "map_assignment_length": ({"kind": "map", "source_points": ["a", "b"],
+                               "target_points": ["x"], "assignment": [0]},
+                              "assignment must be total on the source"),
+    "sequence_empty_period": ({"kind": "sequence", "preperiod": [0], "period": []},
+                              "period must be nonempty"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTOR_INVARIANTS))
+def test_constructor_invariants_exit_2_as_schema_errors(tmp_path, capsys, name):
+    doc, message = CONSTRUCTOR_INVARIANTS[name]
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(p))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"code": 2, "type": "SchemaError", "message": message}
+
+
 FLOAT_SAMPLE = {"kind": "asym_norm_sample", "dimension": 2, "p": "2",
                 "points": [["1/4", "-7/5"], ["-7", "-4/5"], ["7/5", "-4"]]}
 

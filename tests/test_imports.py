@@ -1,6 +1,7 @@
-"""The package's lazy exports and the modules each import and command
-loads."""
+"""The package's lazy exports, the modules each import and command
+loads, and the statements its source may not hold."""
 
+import ast
 import json
 import os
 import pathlib
@@ -56,13 +57,22 @@ def test_search_loads_only_the_relation_kernel():
 
 
 def test_every_export_is_its_module_definition():
-    assert len(qconn.__all__) == len(set(qconn.__all__)) == 64
+    assert len(qconn.__all__) == len(set(qconn.__all__)) == 62
     for name in qconn.__all__:
         value = getattr(qconn, name)
         owner = sys.modules[f"qconn.{qconn._OWNER[name]}"]
         assert value is getattr(owner, name)
         assert getattr(value, "__module__", owner.__name__) == owner.__name__
     assert not any(isinstance(getattr(qconn, n), types.ModuleType) for n in qconn.__all__)
+
+
+def test_package_holds_no_assert_statement():
+    # python -O strips asserts, and parse_instance turns no AssertionError
+    # into a SchemaError, so every check must raise by itself
+    found = [f"{path.name}:{node.lineno}" for path in sorted((SRC / "qconn").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_star_import_binds_exactly_all():

@@ -249,42 +249,54 @@ class Sub(dict):
     pass
 
 
+def _emitted(doc) -> bool:
+    """Whether ``doc`` holds only what qconn's documents hold: ``str``
+    keys, and ``str``, ``int``, ``bool``, ``None``, list, tuple and dict
+    values, subclasses included."""
+    if isinstance(doc, dict):
+        return all(isinstance(k, str) and _emitted(v) for k, v in doc.items())
+    if isinstance(doc, (list, tuple)):
+        return all(_emitted(v) for v in doc)
+    return doc is None or isinstance(doc, (str, int))
+
+
 _leaves = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(-2**80, 2**80),
-    st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324]),
     st.text(), st.text(st.characters(max_codepoint=0x1f)),
     st.text(st.characters(min_codepoint=0x80)))
-_keys = st.one_of(st.text(max_size=4), st.integers(-5, 5), st.booleans(), st.none())
+_floats = st.one_of(
+    st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324]))
+# keys of every type json.dumps takes; ones that do not sort together raise TypeError
+_keys = st.one_of(st.text(max_size=4), st.integers(-5, 5), st.booleans(), st.none(),
+                  st.floats())
 
 
-def _dict_of(values):
-    # mostly one key type, as keys that do not sort together raise TypeError
-    return st.one_of(st.dictionaries(st.text(max_size=4), values, max_size=4),
-                     st.dictionaries(st.one_of(st.integers(-5, 5), st.booleans()), values,
-                                     max_size=4),
-                     st.dictionaries(st.floats(), values, max_size=3),
-                     st.dictionaries(st.none(), values),
-                     st.dictionaries(_keys, values, max_size=2))
+def _documents(leaves, keys):
+    def dicts(values):
+        return st.dictionaries(keys, values, max_size=4)
 
-
-_json_values = st.recursive(_leaves, lambda inner: st.one_of(
-    st.lists(inner, max_size=5),
-    st.lists(st.text(max_size=3), max_size=5), st.lists(st.integers(), max_size=5),
-    st.lists(inner, max_size=3).map(tuple),
-    st.tuples(inner, inner).map(lambda t: Pair(*t)),
-    _dict_of(inner), _dict_of(inner).map(Sub)), max_leaves=20)
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(st.text(max_size=3), max_size=5), st.lists(st.integers(), max_size=5),
+        st.lists(inner, max_size=3).map(tuple),
+        st.tuples(inner, inner).map(lambda t: Pair(*t)),
+        dicts(inner), dicts(inner).map(Sub)), max_leaves=20)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(_json_values)
+@given(_documents(_leaves, st.text(max_size=4)))
 def test_canonical_json_equals_json_dumps(doc):
-    try:
-        want = reference_json(doc)
-    except TypeError:
+    assert canonical_json(doc) == reference_json(doc)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_documents(st.one_of(_leaves, _floats), _keys))
+def test_canonical_json_refuses_floats_and_non_str_keys(doc):
+    if _emitted(doc):
+        assert canonical_json(doc) == reference_json(doc)
+    else:
         with pytest.raises(TypeError):
             canonical_json(doc)
-    else:
-        assert canonical_json(doc) == want
 
 
 class Level(IntEnum):
@@ -307,7 +319,8 @@ class Row(tuple):
 _nan, _inf = float("nan"), float("inf")
 
 # values whose type is not exactly list, tuple, dict, int or str, next to
-# the exact ones the writer emits inline
+# the exact ones the writer emits inline; the _REFUSED entries hold a float
+# or a non-str key
 _WRITER_CASES = {
     "int_enum": [Level.LOW, {"k": Level.HIGH}, (Level.LOW, 3), {Level.HIGH: Level.LOW}],
     "bools": [[True, False, 1, 0], {"t": True, "f": False}, (False,)],
@@ -323,15 +336,25 @@ _WRITER_CASES = {
     "bool_and_none_keys": [{True: 1, False: 0}, {None: "n"}, {True: [None]}],
     "special_floats": [_nan, _inf, -_inf, -0.0, 0.0, 1e16, 5e-324, {"x": _nan, "y": [-_inf]}],
     "leaves": ["", "\x00\x1f\u2028\ud800", "\U0001f600", 0, -1, 2**100, None, 1.0],
+    "int_enum_values": [Level.LOW, {"k": Level.HIGH}, (Level.LOW, 3), {"h": [Level.HIGH]}],
+    "dict_subclass_str_keys": Sub({"b": Sub(), "a": [Sub({"c": 1}), "d"], "e": Sub({"2": "x"})}),
+    "namedtuple_exact": [Pair(1, "a"), {"p": Pair(Pair("x", 2), [Pair(None, True)])}],
+    "exact_leaves": ["", "\x00\x1f\u2028\ud800", "\U0001f600", 0, -1, 2**100, None],
 }
+_REFUSED = {"int_enum", "dict_subclass", "namedtuple", "int_keys", "float_keys", "nan_key",
+            "bool_and_none_keys", "special_floats", "leaves"}
 
 
 @pytest.mark.parametrize("name", sorted(_WRITER_CASES))
 def test_canonical_json_matches_json_dumps_on_each_type(name):
     doc = _WRITER_CASES[name]
-    assert canonical_json(doc) == reference_json(doc)
+    assert _emitted(doc) == (name not in _REFUSED)
     for top in (doc, [doc], {"k": doc}, (doc,)):
-        assert canonical_json(top) == reference_json(top)
+        if name in _REFUSED:
+            with pytest.raises(TypeError):
+                canonical_json(top)
+        else:
+            assert canonical_json(top) == reference_json(top)
 
 
 @pytest.mark.parametrize("doc", [{1: "a", "b": 2}, {(1, 2): "t"}, [object()], {"k": {1, 2}},

@@ -155,6 +155,7 @@ def test_increasing_step_reports_qm3():
     assert not report.ok
     qm3 = [v for v in report.violations if isinstance(v, QM3Violation)]
     assert qm3 and qm3[0].i == 0 and qm3[0].j == 1
+    assert str(report) == "QM3(i=0, j=1, 1 at 1/2 < 2 at 1)"
 
 
 def test_nonzero_diagonal_reports_qm1():
@@ -188,8 +189,10 @@ def test_homogeneous_analytic_boundary():
     # boundary: 4/(l+m) <= 1/l + 1/m always, while any larger c fails
     ok = homog_family([[0, 1, 4], [INF, 0, 1], [INF, INF, 0]])
     assert validate_family(ok, GRID).ok
+    assert str(validate_family(ok, GRID)) == "valid"
     bad = homog_family([[0, 1, "17/4"], [INF, 0, 1], [INF, INF, 0]])
     report = validate_family(bad, GRID)
+    assert str(report) == "QM2(i=0, j=1, k=2, lambda=9/8, mu=1, 2 > 17/9)"
     qm2 = [v for v in report.violations if isinstance(v, QM2Violation)]
     assert qm2
     w = qm2[0]
@@ -595,6 +598,8 @@ def test_luxemburg_step_examples():
     assert _luxemburg_one(ScaleGauge.step([3], [2, "3/2"])) == INF
     assert _luxemburg_one(ScaleGauge.homogeneous(2)) == enn(2)
     assert _luxemburg_one(ScaleGauge.power(4, 2)) == enn(2)
+    with pytest.raises(NonRepresentable):  # 2/lambda^2 <= 1 from lambda = sqrt(2)
+        _luxemburg_one(ScaleGauge.power(2, 2))
 
 
 def test_luxemburg_orlicz_hand_example():

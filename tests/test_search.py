@@ -11,7 +11,7 @@ from gen import reference_json
 from qconn import relations, search
 from qconn.cli import main
 from qconn.errors import UnknownProperty
-from qconn.instances import canonical_json
+from qconn.instances import canonical_json, parse_instance
 from qconn.relations import (
     combined_rows,
     indices_of,
@@ -38,6 +38,7 @@ from qconn.search import (
     _SCCS,
     _UNION,
     _bitop_json,
+    _case_json,
     _lemma_gap,
     _union_gap,
     all_preorders,
@@ -500,6 +501,23 @@ def test_oracle_targets_refuse_carriers_past_the_enumeration_cap(capsys, target)
     assert diag["type"] == "CarrierTooLarge" and "16 points" in diag["message"]
 
 
+@pytest.mark.parametrize("target", ORACLE_TARGETS)
+def test_oracle_targets_refuse_n_past_the_cap_before_any_case(monkeypatch, capsys, target):
+    # n = 16 runs; at n = 17 every seed exits 2, however small its draws
+    assert search_counterexamples(target, n=16, mode="random", seed=1,
+                                  budget=40).instances_tested == 40
+    tested = []
+    monkeypatch.setitem(TARGETS, target, dataclasses.replace(
+        TARGETS[target], check=lambda case, rng: tested.append(case)))
+    for seed in range(1, 7):
+        code = main(["search", "--target", target, "--mode", "random", "--n", "17",
+                     "--budget", "2", "--seed", str(seed)])
+        assert code == 2
+        diag = json.loads(capsys.readouterr().err)["error"]
+        assert diag["type"] == "CarrierTooLarge" and "at most 16 points" in diag["message"]
+    assert tested == []
+
+
 def test_exhaustive_mode_refuses_sizes_past_the_tables():
     search_counterexamples("prop54_inclusion", n=1, mode="exhaustive", budget=10)
     for n in (6, 0, -3):
@@ -693,6 +711,24 @@ def test_image_check_reports_a_split_image():
                    source="seeded")
     detail = TARGETS["prop62_image"].check(case, random.Random(0))
     assert detail == {"block": [0, 1, 2], "image": [0, 1]}
+
+
+def test_map_case_document_parses_back_as_its_spaces_and_map():
+    discrete = BitopCase(fwd=preorder_data((1, 2)), bwd=preorder_data((1, 2)),
+                         source="seeded")
+    case = MapCase(src=REGRESSION_CYCLE_SPLIT, assignment=(0, 1, 1), tgt=discrete,
+                   source="seeded")
+    doc = json.loads(canonical_json(_case_json(case)))
+    assert doc["kind"] == "map-case"
+    for key, space in (("source_space", case.src), ("target_space", case.tgt)):
+        kind, parsed = parse_instance(doc[key])
+        assert kind == "bitopology"
+        assert parsed.forward.nbhd == space.fwd.rows
+        assert parsed.backward.nbhd == space.bwd.rows
+    kind, f = parse_instance(doc["map"])
+    assert kind == "map"
+    assert f.source_points == ("0", "1", "2") and f.target_points == ("0", "1")
+    assert f.assignment == case.assignment
 
 
 # sha256 of canonical_json(findings_document()) per target, recorded before
