@@ -48,6 +48,7 @@ MAX_ORLICZ_ATOMS = 32
 MAX_PHI_BREAKPOINTS = 32
 MAX_SEQUENCE_LENGTH = 100_000
 MAX_DIMENSION = 64  # of an asym_norm_sample
+MAX_EDGES = 65_536  # of a digraph: one per ordered pair of MAX_POINTS["digraph"] vertices
 
 
 def _need(obj: dict, key: str, typ=None):
@@ -181,7 +182,7 @@ def _parse_quasi_metric(obj: dict) -> QuasiPseudoMetric:
 
 def _parse_digraph(obj: dict) -> WeightedDigraph:
     vertices = _labels(obj, "vertices", "digraph")
-    edges_raw = _need(obj, "edges", list)
+    edges_raw = _capped(_need(obj, "edges", list), "edges", MAX_EDGES, "MAX_EDGES")
     parsed: dict = {}
     edges = []
     for e, item in enumerate(edges_raw):

@@ -199,6 +199,12 @@ class QuasiModularFamily:
     points: tuple[str, ...]
     gauges: tuple[tuple[ScaleGauge, ...], ...]
 
+    def __post_init__(self):
+        n = len(self.points)
+        if len(self.gauges) != n or any(len(row) != n for row in self.gauges):
+            raise ValueError(f"gauges must be {n} x {n}: one row per point and one "
+                             "gauge per point in each row")
+
     @property
     def n(self) -> int:
         return len(self.points)
@@ -541,19 +547,23 @@ def _larger(x, y, lo: Fraction, hi: Fraction | None):
 
 
 def modular_balls(f: QuasiModularFamily, x: int, lam: Fraction, eps: Fraction):
-    """Forward and backward balls ({y: w_lam(x,y) < eps}, {y: w_lam(y,x) < eps})."""
+    """Forward and backward balls ({y: w_lam(x,y) < eps}, {y: w_lam(y,x) <
+    eps}) of a point x in range(f.n), each gauge tested by _below."""
     lam, eps = Fraction(lam), Fraction(eps)
     if lam <= 0 or eps <= 0:
         raise NonPositiveParameter("lambda and epsilon must be positive")
-    bound = (False, eps)
-    fwd = frozenset(y for y in range(f.n) if f.gauges[x][y]._level(lam) < bound)
-    bwd = frozenset(y for y in range(f.n) if f.gauges[y][x]._level(lam) < bound)
+    if not 0 <= x < f.n:
+        raise ValueError(f"index {x} out of range for {f.n} points")
+    p, q, rn, rd = lam.numerator, lam.denominator, eps.numerator, eps.denominator
+    fwd = frozenset(y for y, g in enumerate(f.gauges[x]) if _below(g, lam, p, q, rn, rd))
+    bwd = frozenset(y for y, row in enumerate(f.gauges) if _below(row[x], lam, p, q, rn, rd))
     return fwd, bwd
 
 
 def entourages(f: QuasiModularFamily, r: Fraction, lam: Fraction):
-    """Relations ({(x,y): w_lam(x,y) < r}, inverse).  The section E+(x) is
-    the forward ball modular_balls(f, x, lam, r)[0] by definition.
+    """Relations ({(x,y): w_lam(x,y) < r}, inverse), each gauge tested by
+    _below.  The section E+(x) is the forward ball modular_balls(f, x, lam,
+    r)[0] by definition.
 
     The pairs are taken from _pair_table(n), so every relation on an
     n-point carrier shares the same (x, y) tuple objects: a caller that
@@ -563,12 +573,31 @@ def entourages(f: QuasiModularFamily, r: Fraction, lam: Fraction):
     lam, r = Fraction(lam), Fraction(r)
     if lam <= 0 or r <= 0:
         raise NonPositiveParameter("lambda and r must be positive")
-    bound = (False, r)
+    p, q, rn, rd = lam.numerator, lam.denominator, r.numerator, r.denominator
     pairs = _pair_table(f.n)
     fwd = frozenset(pairs[x][y] for x, row in enumerate(f.gauges)
-                    for y, g in enumerate(row) if g._level(lam) < bound)
+                    for y, g in enumerate(row) if _below(g, lam, p, q, rn, rd))
     bwd = frozenset(pairs[y][x] for (x, y) in fwd)
     return fwd, bwd
+
+
+def _below(g: ScaleGauge, lam: Fraction, p: int, q: int, rn: int, rd: int) -> bool:
+    """w_lam < r for lam = p/q and r = rn/rd, both in lowest terms, on
+    integers.  On the piece (alpha, beta) that holds lam: +inf is never
+    below r; a beta = 0 piece is below iff alpha*rd < rn; a piece of
+    exponent 1, alpha + beta*q/p, is below iff (alpha_num*beta_den*p +
+    beta_num*q*alpha_den)*rd < rn*alpha_den*beta_den*p; a power piece with
+    beta != 0 goes through _level, so its exact root or NonRepresentable."""
+    alpha, beta = g.pieces[bisect_right(g.breakpoints, lam)]
+    if alpha is None:
+        return False
+    ad = alpha.denominator
+    if not beta:
+        return alpha.numerator * rd < rn * ad
+    if g.exponent != 1:
+        return g._level(lam) < (False, Fraction(rn, rd))
+    bd = beta.denominator
+    return (alpha.numerator * bd * p + beta.numerator * q * ad) * rd < rn * ad * bd * p
 
 
 @lru_cache(maxsize=16)

@@ -497,6 +497,8 @@ def _sized(kind, n):
         return {"kind": kind, "points": labels, "dist": [["0"] * n] * n}
     if kind == "digraph":
         return {"kind": kind, "vertices": labels, "edges": []}
+    if kind == "digraph_edges":  # one vertex, n zero loops
+        return {"kind": "digraph", "vertices": ["p"], "edges": [["p", "p", "0"]] * n}
     if kind == "asym_norm_sample":
         return {"kind": kind, "dimension": 1, "p": "1", "points": [["0"]] * n}
     if kind == "bitopology":
@@ -534,14 +536,15 @@ def _sized(kind, n):
     return {"kind": "sequence", "preperiod": [0] * (n - 1), "period": [0]}
 
 
-@pytest.mark.parametrize("kind", ["quasi_metric", "digraph", "asym_norm_sample",
-                                  "bitopology", "modular_family", "orlicz",
+@pytest.mark.parametrize("kind", ["quasi_metric", "digraph", "digraph_edges",
+                                  "asym_norm_sample", "bitopology", "modular_family", "orlicz",
                                   "orlicz_atoms", "phi_breakpoints", "family_pieces",
                                   "step_values", "piecewise_pieces", "map", "sequence"])
 def test_over_cap_files_exit_2_promptly(tmp_path, capsys, kind):
-    from qconn.instances import (MAX_FAMILY_PIECES, MAX_ORLICZ_ATOMS, MAX_PHI_BREAKPOINTS,
-                                 MAX_POINTS, MAX_SEQUENCE_LENGTH)
-    name, cap = {"orlicz_atoms": ("MAX_ORLICZ_ATOMS", MAX_ORLICZ_ATOMS),
+    from qconn.instances import (MAX_EDGES, MAX_FAMILY_PIECES, MAX_ORLICZ_ATOMS,
+                                 MAX_PHI_BREAKPOINTS, MAX_POINTS, MAX_SEQUENCE_LENGTH)
+    name, cap = {"digraph_edges": ("MAX_EDGES", MAX_EDGES),
+                 "orlicz_atoms": ("MAX_ORLICZ_ATOMS", MAX_ORLICZ_ATOMS),
                  "phi_breakpoints": ("MAX_PHI_BREAKPOINTS", MAX_PHI_BREAKPOINTS),
                  "family_pieces": ("MAX_FAMILY_PIECES", MAX_FAMILY_PIECES),
                  "step_values": ("MAX_FAMILY_PIECES", MAX_FAMILY_PIECES),
@@ -555,12 +558,15 @@ def test_over_cap_files_exit_2_promptly(tmp_path, capsys, kind):
         code, out, err = run(capsys, command, str(path))
         assert time.perf_counter() - start < 2
         assert code == 2 and out == ""
-        message = json.loads(err)["error"]["message"]
-        assert message.endswith(f"{cap + 1} entries exceed the limit {name} = {cap}")
+        error = json.loads(err)["error"]
+        assert error["type"] == "SchemaError"
+        assert error["message"].endswith(f"{cap + 1} entries exceed the limit {name} = {cap}")
     if kind in ("map", "sequence", "asym_norm_sample", "orlicz", "orlicz_atoms",
-                "phi_breakpoints", "family_pieces"):
+                "phi_breakpoints", "family_pieces", "digraph_edges"):
         path.write_text(json.dumps(_sized(kind, cap)))  # at the cap: accepted
         assert run(capsys, "validate", str(path))[0] == 0
+    if kind == "digraph_edges":
+        assert run(capsys, "analyze", str(path))[0] == 0
 
 
 def test_asym_norm_dimension_past_the_cap_is_a_schema_error(tmp_path, capsys):

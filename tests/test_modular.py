@@ -982,6 +982,116 @@ def test_entourages_share_pair_tuples():
     assert all(ids[p] is p for p in first_inv)
 
 
+def test_balls_refuse_a_point_outside_the_carrier():
+    fam = homog_family([[0, 2], [1, 0]])
+    for x in (-1, 2):
+        with pytest.raises(ValueError, match=f"index {x} out of range for 2 points"):
+            modular_balls(fam, x, Fraction(1), Fraction(1))
+
+
+def test_family_gauges_must_be_n_by_n():
+    zero = ScaleGauge.constant(0)
+    for rows in ([[zero] * 2, [zero]],          # a short row
+                 [[zero] * 2, [zero] * 3],      # a long row
+                 [[zero] * 2] * 3):             # an extra row
+        with pytest.raises(ValueError, match="gauges must be 2 x 2"):
+            QuasiModularFamily(points=("a", "b"), gauges=tuple(map(tuple, rows)))
+    QuasiModularFamily(points=("a", "b"), gauges=((zero,) * 2,) * 2)
+
+
+# -- the integer level test against the Fraction levels --------------------
+
+
+def _reference_below(g, lam, r):
+    """w_lam < r on the Fraction levels that entourages and modular_balls
+    compared before they tested each gauge on integers."""
+    return g._level(lam) < (False, r)
+
+
+def _family_of(rng, n, draw):
+    return QuasiModularFamily(points=tuple(map(str, range(n))), gauges=tuple(
+        tuple(draw(rng) for _ in range(n)) for _ in range(n)))
+
+
+def _level_test_families():
+    """(form, family) on seeded families of every gauge form: homogeneous,
+    step with 1 to 3 layers, piecewise from merge_max and from kinked-phi
+    from_orlicz (alpha < 0), power with an integer exponent, and +inf
+    pieces in step, homogeneous and power gauges."""
+    rng = random.Random(20261020)
+    for _ in range(4):
+        yield "homogeneous", rng_homogeneous_family(rng, rng.randint(2, 5))
+        yield "homogeneous", _family_of(rng, 3, lambda rng: ScaleGauge.homogeneous(
+            rng.choice(LEVELS)))
+    for _ in range(12):
+        yield "step", rng_step_family(rng, rng.randint(2, 5))[0]
+        yield "step", _family_of(rng, 3, lambda rng: _random_gauge(rng, "step", False))
+    for _ in range(6):
+        yield "merge_max", _family_of(rng, 3, lambda rng: merge_max(
+            _merge_operand(rng, rng.choice(["step", "homogeneous", "piecewise"])),
+            _merge_operand(rng, rng.choice(["step", "homogeneous", "piecewise"]))))
+        yield "orlicz", from_orlicz(_kinked_spec(rng))
+        yield "power", _family_of(rng, 3, lambda rng: ScaleGauge.power(
+            rng.choice(LEVELS), rng.randint(1, 3)))
+
+
+def _level_test_pairs(fam):
+    """(r, lam) pairs: lam at every breakpoint and at fixed scales, r at
+    every positive finite level there and at fixed radii."""
+    gauges = [g for row in fam.gauges for g in row]
+    lams = sorted({*(b for g in gauges for b in g.breakpoints),
+                   *map(Fraction, ("1/3", "1/2", "1", "2", "7/3"))})
+    for lam in lams:
+        levels = {g._level(lam) for g in gauges}
+        radii = {v for inf, v in levels if not inf and v > 0}
+        for r in sorted(radii | set(map(Fraction, ("1/2", "1", "5/3")))):
+            yield r, lam
+
+
+def test_integer_level_test_matches_the_fraction_levels():
+    seen, gauges = {}, []
+    for form, fam in _level_test_families():
+        n = fam.n
+        gauges += [g for row in fam.gauges for g in row]
+        for r, lam in _level_test_pairs(fam):
+            ref = frozenset((x, y) for x in range(n) for y in range(n)
+                            if _reference_below(fam.gauges[x][y], lam, r))
+            assert entourages(fam, r, lam) == (ref, frozenset((y, x) for x, y in ref)), \
+                (form, fam, r, lam)
+            for x in range(n):
+                assert modular_balls(fam, x, lam, r) == (
+                    frozenset(y for y in range(n) if (x, y) in ref),
+                    frozenset(y for y in range(n) if (y, x) in ref)), (form, fam, x, r, lam)
+            stat = seen.setdefault(form, [0, 0])  # gauges below r, gauges not below
+            stat[0] += len(ref)
+            stat[1] += n * n - len(ref)
+    assert set(seen) == {"homogeneous", "step", "merge_max", "orlicz", "power"}
+    assert all(below and above for below, above in seen.values()), seen
+    assert max(len(g.breakpoints) for g in gauges if g.kind == "step") >= 3
+    assert {g.kind for g in gauges} == {"homogeneous", "step", "piecewise", "power"}
+    assert any(a is not None and a < 0 for g in gauges for a, _ in g.pieces)
+    assert any(a is None for g in gauges if g.kind == "power" for a, _ in g.pieces)
+    assert any(a is None for g in gauges if g.kind == "step" for a, _ in g.pieces)
+
+
+def test_fractional_power_levels_without_an_exact_power_raise_on_both_sides():
+    g = ScaleGauge.power(2, Fraction(3, 2))
+    fam = QuasiModularFamily(points=("a", "b"), gauges=((g, g), (g, g)))
+    lam, r = Fraction(2), Fraction(1)  # 2^(3/2) is irrational
+    with pytest.raises(NonRepresentable):
+        _reference_below(fam.gauges[0][0], lam, r)
+    with pytest.raises(NonRepresentable):
+        entourages(fam, r, lam)
+    with pytest.raises(NonRepresentable):
+        modular_balls(fam, 0, lam, r)
+    lam = Fraction(4)  # 4^(3/2) = 8: the level is 1/4 on every gauge
+    for r in (Fraction(1, 4), Fraction(1, 3)):
+        fwd, _ = entourages(fam, r, lam)
+        assert fwd == {(x, y) for x in range(2) for y in range(2)
+                       if _reference_below(fam.gauges[x][y], lam, r)}
+        assert len(fwd) == (4 if r > Fraction(1, 4) else 0)
+
+
 def test_luxemburg_output_is_validated_metric():
     fam = rng_homogeneous_family(random.Random(5), 5)
     d = luxemburg_gauge(fam)
