@@ -11,7 +11,6 @@ from qconn import (
     forward_limits,
     from_digraph,
     is_left_k_cauchy,
-    join_compactness_check,
     precompact_report,
     smyth_report,
 )
@@ -42,7 +41,6 @@ print("alternate b,c:",
 
 print("\n== completeness certificate ==")
 report = smyth_report(d)
-print("complete:", report["complete"])
 for cls in report["classes"]:
     print("  zero-cycle class", cls["class"], "has forward limits",
           cls["forward_limits"])
@@ -51,10 +49,6 @@ print("\n== covers at shrinking resolution ==")
 cover = precompact_report(d, [Fraction(1, 2), Fraction(1), Fraction(2)])
 for entry in cover["covers"]:
     print(f"  eps={entry['eps']}: centers {entry['centers']} (size {entry['size']})")
-
-chain = join_compactness_check(d)
-print("hypothesis chain:", chain["hypotheses"], "->",
-      {"join_compact": chain["conclusion"]["join_compact"]})
 
 print("\n== formal balls ==")
 poset = formal_ball_poset(d, [Fraction(0), Fraction(1), Fraction(2)])

@@ -137,7 +137,7 @@ def cmd_analyze(args) -> int:
     if args.formal_balls:
         poset = _formal_balls(metric, args.formal_balls, "--formal-balls")
         analyses["formal_balls"] = {
-            "elements": [poset.describe(a) for a in range(len(poset.elements))],
+            "elements": [poset.describe(a) for a in range(len(poset.le_rows))],
             "hasse_edges": poset.hasse_edges(),
         }
         if args.dot:

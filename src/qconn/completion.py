@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import NegativeRadius, NotCauchy, PreconditionFailed
@@ -77,22 +78,11 @@ def smyth_report(d: QuasiPseudoMetric) -> dict:
     ``from_asym_norm`` checks, so every class is a zero clique.  A zero
     clique is left K-Cauchy, so the limits are read off the zero rows
     without forward_limits' Cauchy check.
-
-    A finite space is always complete, so ``complete`` is True in every
-    report this returns and decides nothing; the report's content is its
-    witnesses, the zero classes with their forward limits.
     """
     rows = d.zero_mask_rows()
-    witnesses = []
-    for cls in scc_masks(rows):
-        members = indices_of(cls)
-        witnesses.append({"class": members,
-                          "forward_limits": indices_of(_zero_from_all(rows, members))})
-    return {
-        "complete": True,
-        "classes": witnesses,
-        "tolerance": None if d.tol is None else str(d.tol),
-    }
+    return {"classes": [{"class": members,
+                         "forward_limits": indices_of(_zero_from_all(rows, members))}
+                        for members in map(indices_of, scc_masks(rows))]}
 
 
 def _first_fit_cover(balls) -> list[int]:
@@ -121,9 +111,6 @@ def precompact_report(d: QuasiPseudoMetric, thresholds) -> dict:
     (first-fit alone does not guarantee that).  Every point lies in its
     own ball, since self-distances are zero in float mode too, so each
     cover covers.
-
-    A finite space is always precompact, so ``precompact`` is True in
-    every report this returns; the report's content is its covers.
     """
     eps_list = sorted({Fraction(t) for t in thresholds})
     if any(t <= 0 for t in eps_list):
@@ -137,38 +124,30 @@ def precompact_report(d: QuasiPseudoMetric, thresholds) -> dict:
             centers = prev
         covers.append({"eps": str(eps), "centers": centers, "size": len(centers)})
         prev = centers
-    return {"carrier_size": d.n, "covers": covers, "precompact": True}
+    return {"covers": covers}
 
 
 def join_compactness_check(d: QuasiPseudoMetric, thresholds=None) -> dict:
-    """Instantiate the implication chain 'precompact and directionally
-    complete implies the join topology is compact' on one finite space.
+    """The witnesses of the chain 'precompact and Smyth complete implies
+    compact in the join topology' on one finite space: the covers of
+    ``precompact_report`` and the zero classes of ``smyth_report``.
 
-    Hypotheses are produced as sub-reports; the conclusion follows from
-    finiteness of the carrier (every open cover has a finite subcover).
-    The report also gives the size of the canonical cover by minimal join
-    neighborhoods, which covers the carrier because each neighborhood
-    contains its own point.
+    On a finite carrier all three properties hold for every input, so the
+    report states none of them.  The balls around all the points are a
+    finite cover at every threshold, every directional Cauchy sequence
+    ends in one zero class and has that class among its forward limits,
+    and every open cover has a finite subcover.
 
-    On a finite carrier ``conclusion.join_compact``,
-    ``conclusion.carrier_finite`` and both ``hypotheses`` entries are
-    True in every report this returns; its content is the witnesses of
-    the two sub-reports and the canonical cover size.
+    The canonical cover by minimal join neighbourhoods needs no count of
+    its own either: the zero relation is transitive, so J(x) = N+(x) & N-(x)
+    is x's mutual-zero class, and the cover has one member per entry of
+    ``smyth_report.classes``.
     """
     if thresholds is None:
         spectrum = d.positive_spectrum()
         thresholds = spectrum[:3] + [spectrum[-1] + 1] if spectrum else [Fraction(1)]
-    pre = precompact_report(d, thresholds)
-    smyth = smyth_report(d)
-    zero = d.zero_mask_rows()  # join neighbourhoods are N+(x) & N-(x)
-    conclusion = {"join_compact": True, "carrier_finite": True,
-                  "canonical_cover_size": len({r & c for r, c in zip(zero, transpose(zero))})}
-    return {
-        "hypotheses": {"precompact": pre["precompact"], "smyth_complete": smyth["complete"]},
-        "precompact_report": pre,
-        "smyth_report": smyth,
-        "conclusion": conclusion,
-    }
+    return {"precompact_report": precompact_report(d, thresholds),
+            "smyth_report": smyth_report(d)}
 
 
 @dataclass(frozen=True)
@@ -195,8 +174,13 @@ class FormalBallPoset:
     """
 
     labels: tuple[str, ...]
-    elements: tuple[FormalBall, ...]
+    radii: tuple[Fraction, ...]
     le_rows: tuple[int, ...]
+
+    @cached_property
+    def elements(self) -> tuple[FormalBall, ...]:
+        """Ball a is (a // k, radii[a % k]) for k radii."""
+        return tuple(FormalBall(x, r) for x in range(len(self.labels)) for r in self.radii)
 
     def le(self, a: int, b: int) -> bool:
         return bool(self.le_rows[a] >> b & 1)
@@ -210,8 +194,8 @@ class FormalBallPoset:
                 for b in indices_of(above) if not above & strict_below[b]]
 
     def describe(self, a: int) -> str:
-        ball = self.elements[a]
-        return f"({self.labels[ball.point]},{ball.radius})"
+        x, t = divmod(a, len(self.radii))
+        return f"({self.labels[x]},{self.radii[t]})"
 
 
 def _slack_table(radii: list[Fraction], den: int) -> list[list[int]]:
@@ -225,21 +209,11 @@ def _slack_table(radii: list[Fraction], den: int) -> list[list[int]]:
             for t, big in enumerate(scaled)]
 
 
-def _ball(point: int, radius: Fraction) -> FormalBall:
-    """A ``FormalBall`` of a radius already checked, with both fields
-    written into the instance dict: the frozen ``__init__`` would spend
-    an ``object.__setattr__`` call on each and check the radius again."""
-    ball = object.__new__(FormalBall)
-    ball.__dict__.update(point=point, radius=radius)
-    return ball
-
-
 def formal_ball_poset(d: QuasiPseudoMetric, radii) -> FormalBallPoset:
     radii = sorted({Fraction(r) for r in radii})
     for r in radii:
         if r < 0:
             raise NegativeRadius(f"radius {r} is negative")
-    elements = tuple(_ball(x, r) for x in range(d.n) for r in radii)
     k = len(radii)
     slack = _slack_table(radii, d.den)
     # per distinct cap, each point's mask {y : rows[x][y] <= cap} spread to
@@ -260,4 +234,4 @@ def formal_ball_poset(d: QuasiPseudoMetric, radii) -> FormalBallPoset:
             "float-mode distances break the formal-ball order (formal-ball order lost "
             "transitivity): float rounding breaks the triangle inequality, and the order "
             f"compares distances exactly, not up to the tolerance {d.tol}")
-    return FormalBallPoset(labels=d.points, elements=elements, le_rows=tuple(rows))
+    return FormalBallPoset(labels=d.points, radii=tuple(radii), le_rows=tuple(rows))

@@ -32,7 +32,7 @@ def components_dot(b: BitopSpace) -> str:
 def hasse_dot(poset: FormalBallPoset) -> str:
     """Hasse diagram of the formal-ball preorder quotient."""
     lines = ["digraph formal_balls {", "  rankdir=BT;"]
-    for a in range(len(poset.elements)):
+    for a in range(len(poset.le_rows)):
         lines.append(f"  b{a} [label={_quote(poset.describe(a))}];")
     for a, b in poset.hasse_edges():
         lines.append(f"  b{a} -> b{b};")

@@ -393,7 +393,9 @@ def symmetrization_gap_report(s: AsymNormSample) -> dict:
     The symmetrized gauge max(d+, d-) is equivalent to the full norm with
     constants [1, 2] but equality can fail (mixed-sign differences), so
     the report records the constants and flags each failing pair instead
-    of asserting equality.
+    of asserting equality: max(forward, backward) <= full norm = forward
+    + backward holds on every pair, since at p = 1 the norm of a
+    difference is the sum of its positive and negative parts.
     """
     if s.p != 1:
         raise NonRepresentable(s.p, "gap report is exact only for p = 1")
@@ -410,18 +412,13 @@ def symmetrization_gap_report(s: AsymNormSample) -> dict:
                 "i": i,
                 "j": j,
                 "max_one_sided": str(m),
-                "sum_one_sided": str(fwd + bwd),
                 "full_norm": str(full),
                 "equality": m == full,
             })
             if m > 0:
                 worst_ratio = max(worst_ratio, full / m)
     return {
-        "p": str(s.p),
         "pairs": pairs,
         "equality_claim_holds": all(entry["equality"] for entry in pairs),
         "equivalence_constants": ["1", str(worst_ratio)],
-        "note": "max(forward, backward) <= full norm <= forward + backward "
-                "holds on every pair; pointwise equality of max and full "
-                "norm is flagged, not asserted",
     }

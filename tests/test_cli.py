@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qconn.cli import MAX_FORMAL_BALLS, main
+from qconn.completion import join_compactness_check
+from qconn.gauges import from_digraph
+from qconn.instances import load_instance
 from qconn.search import TARGETS
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -96,7 +99,10 @@ def test_analyze_smyth_and_formal_balls(capsys):
                        "--smyth", "--formal-balls", "0,1,2")
     assert code == 0
     report = json.loads(out)["analyses"]
-    assert report["smyth"]["hypotheses"]["smyth_complete"] is True
+    # the section is exactly the library call, which the bench's traced
+    # replica of `analyze` rebuilds and compares by digest
+    metric = from_digraph(load_instance(str(DATA / "chain_digraph.json"))[1])
+    assert report["smyth"] == join_compactness_check(metric)
     assert report["formal_balls"]["elements"]
 
 
@@ -322,6 +328,88 @@ def test_constructor_invariants_exit_2_as_schema_errors(tmp_path, capsys, name):
     p = tmp_path / f"{name}.json"
     p.write_text(json.dumps(doc))
     code, out, err = run(capsys, "validate", str(p))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"code": 2, "type": "SchemaError", "message": message}
+
+
+ZERO_GAUGE = {"kind": "homogeneous", "coeff": "0"}
+
+
+def _family(gauges) -> dict:
+    return {"kind": "modular_family", "points": ["a", "b"], "gauges": gauges}
+
+
+# one file per refusal of the parsers' own, with its message
+PARSER_REFUSALS = {
+    "bitopology_neighbourhood_not_a_list": (
+        {"kind": "bitopology", "points": ["a"], "forward_min_nbhd": [0],
+         "backward_min_nbhd": [[0]]},
+        "field 'forward_min_nbhd' must be a list"),
+    "quasi_metric_row_count": ({"kind": "quasi_metric", "points": ["a", "b"],
+                                "dist": [["0", "1"]]},
+                               "dist must have one row per point"),
+    "quasi_metric_row_length": ({"kind": "quasi_metric", "points": ["a", "b"],
+                                 "dist": [["0", "1"], ["0"]]},
+                                "dist row 1 has wrong length"),
+    "quasi_metric_row_not_a_list": ({"kind": "quasi_metric", "points": ["a"],
+                                     "dist": ["0"]},
+                                    "dist row 0 has wrong length"),
+    "family_gauge_not_an_object": (_family([[ZERO_GAUGE, "0"], [ZERO_GAUGE, ZERO_GAUGE]]),
+                                   "gauges[0][1]: gauge must be an object"),
+    "family_gauge_kind": (_family([[ZERO_GAUGE, {"kind": "cubic"}],
+                                   [ZERO_GAUGE, ZERO_GAUGE]]),
+                          "gauges[0][1]: unknown gauge kind 'cubic'"),
+    "family_row_count": (_family([[ZERO_GAUGE, ZERO_GAUGE]]),
+                         "gauges must have one row per point"),
+    "family_row_length": (_family([[ZERO_GAUGE, ZERO_GAUGE], [ZERO_GAUGE]]),
+                          "gauges row 1 has wrong length"),
+    "orlicz_phi_not_an_object": (_orlicz(phi=["x"]), "phi[0]: phi must be an object"),
+    "orlicz_atom_shape": (_orlicz(atoms=(("a",),)), "atom 0 must be [label, weight]"),
+    "orlicz_scaling_kind": (dict(_orlicz(), scaling={"kind": "linear"}),
+                            "unknown scaling kind 'linear'"),
+    "sequence_negative_index": ({"kind": "sequence", "preperiod": [], "period": [-1]},
+                                "sequence index -1 must be a nonnegative integer"),
+    "sequence_boolean_index": ({"kind": "sequence", "preperiod": [True], "period": [0]},
+                               "sequence index True must be a nonnegative integer"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSER_REFUSALS))
+def test_parser_refusals_exit_2_as_schema_errors(tmp_path, capsys, name):
+    doc, message = PARSER_REFUSALS[name]
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(p))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"code": 2, "type": "SchemaError", "message": message}
+
+
+def _long_sequence(tmp_path) -> str:
+    p = tmp_path / "long_seq.json"
+    p.write_text(json.dumps({"kind": "sequence", "preperiod": [0], "period": [1, 2]}))
+    return str(p)
+
+
+# an argument that names a file the command cannot use, with its message
+ARGUMENT_REFUSALS = {
+    "cauchy_not_a_sequence": (
+        lambda tmp: ["analyze", str(DATA / "asym_pair.json"),
+                     "--cauchy", str(DATA / "asym_pair.json")],
+        "--cauchy expects a sequence instance"),
+    "cauchy_index_outside": (
+        lambda tmp: ["analyze", str(DATA / "asym_pair.json"), "--cauchy", _long_sequence(tmp)],
+        "sequence index 2 outside the carrier"),
+    "formal_balls_export_of_a_bitopology": (
+        lambda tmp: ["export-dot", str(DATA / "indiscrete_split.json"),
+                     "--what", "formal-balls"],
+        "formal-balls export needs a metric-backed instance"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARGUMENT_REFUSALS))
+def test_argument_refusals_exit_2_as_schema_errors(tmp_path, capsys, name):
+    argv, message = ARGUMENT_REFUSALS[name]
+    code, out, err = run(capsys, *argv(tmp_path))
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == {"code": 2, "type": "SchemaError", "message": message}
 
@@ -631,9 +719,6 @@ KINKED = {"kind": "orlicz", "atoms": [["w0", "1"], ["w1", "1"]],
 
 
 def test_kinked_orlicz_file_is_analyzed_exactly(tmp_path, capsys):
-    from fractions import Fraction
-
-    from qconn.instances import load_instance
     path, dot = tmp_path / "kinked.json", tmp_path / "kinked.dot"
     path.write_text(json.dumps(KINKED))
     code, out, err = run(capsys, "analyze", "--components", "--dot", str(dot), str(path))

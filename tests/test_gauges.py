@@ -635,20 +635,15 @@ def reference_gap_report(s):
                 "i": i,
                 "j": j,
                 "max_one_sided": str(m),
-                "sum_one_sided": str(fwd + bwd),
                 "full_norm": str(full),
                 "equality": m == full,
             })
             if m > 0:
                 worst_ratio = max(worst_ratio, Fraction(full, 1) / m)
     return {
-        "p": str(s.p),
         "pairs": pairs,
         "equality_claim_holds": all(entry["equality"] for entry in pairs),
         "equivalence_constants": ["1", str(worst_ratio)],
-        "note": "max(forward, backward) <= full norm <= forward + backward "
-                "holds on every pair; pointwise equality of max and full "
-                "norm is flagged, not asserted",
     }
 
 

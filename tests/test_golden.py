@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import pathlib
 import sys
 import tempfile
@@ -58,8 +59,12 @@ def _run(path: pathlib.Path, flags: list[str]) -> dict:
 
 def _cases(path: pathlib.Path) -> list[dict]:
     kind = json.loads(path.read_text(encoding="utf-8"))["kind"]
-    with contextlib.chdir(ROOT):
+    here = os.getcwd()
+    os.chdir(ROOT)
+    try:
         return [_run(path, flags) for flags in FLAGS.get(kind, [[]])]
+    finally:
+        os.chdir(here)
 
 
 def test_all_instance_files_pinned():
