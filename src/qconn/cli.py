@@ -1,6 +1,6 @@
 """Batch front end.
 
-Commands: validate, analyze, search, export-dot.  Exit codes: 0 success,
+Commands: validate, analyze, search.  Exit codes: 0 success,
 1 search found property failures, 2 invalid instance or arguments, 3
 parse error.  All output is deterministic byte for byte given identical
 inputs, flags, and seed; statistics that cannot be deterministic (wall
@@ -49,11 +49,11 @@ def _rational_list(text: str, name: str) -> list[Fraction]:
 MAX_FORMAL_BALLS = 768
 
 
-def _formal_balls(metric, text: str, name: str) -> completion.FormalBallPoset:
-    radii = _rational_list(text, name)
+def _formal_balls(metric, text: str) -> completion.FormalBallPoset:
+    radii = _rational_list(text, "--formal-balls")
     k = len(set(radii))
     if metric.n * k > MAX_FORMAL_BALLS:
-        raise SchemaError(f"argument {name}: {metric.n} points x {k} radii make "
+        raise SchemaError(f"argument --formal-balls: {metric.n} points x {k} radii make "
                           f"{metric.n * k} formal balls, over MAX_FORMAL_BALLS "
                           f"= {MAX_FORMAL_BALLS}")
     return completion.formal_ball_poset(metric, radii)
@@ -135,7 +135,7 @@ def cmd_analyze(args) -> int:
         analyses["smyth"] = completion.join_compactness_check(
             metric, thresholds=thresholds)
     if args.formal_balls:
-        poset = _formal_balls(metric, args.formal_balls, "--formal-balls")
+        poset = _formal_balls(metric, args.formal_balls)
         analyses["formal_balls"] = {
             "elements": [poset.describe(a) for a in range(len(poset.le_rows))],
             "hasse_edges": poset.hasse_edges(),
@@ -193,22 +193,6 @@ def cmd_search(args) -> int:
     return 1 if result.findings else 0
 
 
-def cmd_export_dot(args) -> int:
-    from .dot import components_dot, hasse_dot
-
-    kind, value = load_instance(args.path)
-    if args.what == "formal-balls":
-        metric, _ = _as_spaces(kind, value, args)
-        if metric is None:
-            raise SchemaError("formal-balls export needs a metric-backed instance")
-        _emit(hasse_dot(_formal_balls(metric, args.radii or "0,1", "--radii")),
-              args.out)
-    else:
-        _, bitop = _as_spaces(kind, value, args)
-        _emit(components_dot(bitop), args.out)
-    return 0
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on the first call; parse_args keeps
@@ -251,15 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="cases to test; default: all (exhaustive), 200 (random)")
     p_se.add_argument("--out", default=None)
     p_se.set_defaults(func=cmd_search)
-
-    p_dot = sub.add_parser("export-dot", help="emit DOT graphs")
-    p_dot.add_argument("path")
-    p_dot.add_argument("--what", choices=("components", "formal-balls"),
-                       default="components")
-    p_dot.add_argument("--radii", default=None, metavar="R1,R2,...")
-    p_dot.add_argument("--float-tol", type=float, default=1e-9)
-    p_dot.add_argument("--out", default=None)
-    p_dot.set_defaults(func=cmd_export_dot)
 
     return parser
 

@@ -205,7 +205,7 @@ def scale_connectivity(d: QuasiPseudoMetric, eps) -> tuple[list[list[int]], list
     eps = Fraction(eps)
     if eps <= 0:
         raise NonPositiveEpsilon(f"eps must be positive, got {eps}")
-    rows = [m | 1 << x for x, m in enumerate(d.ball_rows(eps))]
+    rows = d.ball_rows(eps)  # each row holds x, as d(x, x) = 0 < eps
     cols = transpose(rows)
     sym_rows = [r & c for r, c in zip(rows, cols)]  # symmetric: its own transpose
     return (masks_to_partition(scc_masks(rows, cols)),

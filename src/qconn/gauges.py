@@ -73,10 +73,10 @@ class QuasiPseudoMetric:
     ``tol`` is None in exact mode; in float mode, which only
     ``from_asym_norm`` builds, it is the absolute tolerance applied to
     every comparison, recorded so reports can state which regime produced
-    them.  ``QuasiPseudoMetric(points, dist)`` scales a matrix of
-    ExtNonNeg-coercible values and is unvalidated by contract: it does not
-    check the axioms, and the analyses that read a metric (the completion
-    reports among them) assume they hold.  validate_qpm checks them.
+    them.  There is no public constructor: every metric comes from a
+    builder that checks or guarantees the axioms (``validate_qpm``,
+    ``from_digraph``, ``from_asym_norm``, ``conjugate``, ``symmetrize``,
+    ``modular.luxemburg_gauge``).
     """
 
     points: tuple[str, ...]
@@ -84,9 +84,6 @@ class QuasiPseudoMetric:
     rows: tuple[tuple[int | float, ...], ...]
     tol: Fraction | None
     eps: int
-
-    def __init__(self, points, dist):
-        _metric(points, *_scale(dist), into=self)
 
     @property
     def n(self) -> int:
@@ -133,10 +130,14 @@ class QuasiPseudoMetric:
         return list(self._zero_rows)
 
     def ball_rows(self, radius) -> list[int]:
-        """Row bitmasks of the open forward balls {y : d(x, y) < radius}."""
+        """Row bitmasks of the open forward balls {y : d(x, y) < radius},
+        where a distance that counts as zero (at most eps) lies in every
+        ball, so a float-mode ball of radius <= tol still holds the
+        point's zero class."""
         r = Fraction(radius)
         # an integer v is below r * den iff it is below its ceiling
-        return self._rows_below(-(-r.numerator * self.den // r.denominator))
+        return self._rows_below(max(-(-r.numerator * self.den // r.denominator),
+                                    self.eps + 1))
 
     def positive_spectrum(self) -> list[Fraction]:
         """Sorted distinct positive finite distances."""
@@ -158,10 +159,10 @@ def _scale(matrix) -> tuple[int, list[list[int | float]]]:
                   for f in row] for row in fracs]
 
 
-def _metric(points, den: int, rows, tol=None, into=None) -> QuasiPseudoMetric:
+def _metric(points, den: int, rows, tol=None) -> QuasiPseudoMetric:
     """A metric straight from scaled rows, without the axiom check; den is
     reduced to the least common denominator, so equal metrics have equal fields."""
-    d = object.__new__(QuasiPseudoMetric) if into is None else into
+    d = object.__new__(QuasiPseudoMetric)
     eps = 0 if tol is None else int(Fraction(tol) * den)  # den is a multiple of tol's
     g = gcd(den, eps, *(v for row in rows for v in row if v != inf))
     if g > 1:
@@ -337,8 +338,9 @@ def from_asym_norm(s: AsymNormSample, mode: str = "exact",
     Exact for p = 1 (and for integer p when every root is rational);
     otherwise requires mode="float", whose absolute tolerance, a finite
     number >= 0, is recorded on the result and applied to every
-    downstream comparison.  Both modes read the sample scaled to integers
-    by one common denominator: an exact gauge is an integer on it
+    downstream comparison.  A p = 1 gauge is always exact, so float mode
+    refuses it with a ``ValueError``.  Both modes read the sample scaled to
+    integers by one common denominator: an exact gauge is an integer on it
     (``_exact_lp``), a float gauge (``_float_lp``) the dyadic rational it
     is.  (u + v)+ <= u+ + v+ and Minkowski's inequality give the triangle
     law, so neither mode checks it; float rows miss it only by rounding.
@@ -349,33 +351,31 @@ def from_asym_norm(s: AsymNormSample, mode: str = "exact",
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "float" and not (isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    if mode == "float":
+        if s.p == 1:
+            raise ValueError("mode='float' needs p != 1: a p = 1 gauge is exact")
+        if not (isfinite(tol) and tol >= 0):
+            raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     labels = [f"v{i}" for i in range(len(s.points))]
     den = lcm(*{c.denominator for v in s.points for c in v})
     vecs = [[c.numerator * (den // c.denominator) for c in v] for v in s.points]
     if s.p == 1:
-        rows = [[sum(b - a for a, b in zip(x, y) if b > a) for y in vecs] for x in vecs]
-    elif mode == "exact":
-        rows = [[_exact_lp(x, y, den, s.p) for y in vecs] for x in vecs]
+        return _metric(labels, den, [[sum(b - a for a, b in zip(x, y) if b > a)
+                                      for y in vecs] for x in vecs])
     if mode == "exact":
-        return _metric(labels, den, rows)
+        return _metric(labels, den, [[_exact_lp(x, y, den, s.p) for y in vecs]
+                                     for x in vecs])
     tol = Fraction(tol)
-    if s.p == 1:
-        scale = lcm(den, tol.denominator) // den
-        den *= scale
-        rows = [[v * scale for v in row] for row in rows]
-    else:
-        p = float(s.p)
-        gauges = [[_float_lp(x, y, den, p) for y in vecs] for x in vecs]
-        for x, row in enumerate(gauges):
-            if inf in row:
-                raise NonRepresentable(s.p, f"the float-mode gauge of the asym_norm_sample "
-                                            f"from {labels[x]} to {labels[row.index(inf)]} "
-                                            f"overflows float arithmetic")
-        ratios = [[g.as_integer_ratio() for g in row] for row in gauges]
-        den = lcm(tol.denominator, max((q for row in ratios for _, q in row), default=1))
-        rows = [[a * (den // q) for a, q in row] for row in ratios]
+    p = float(s.p)
+    gauges = [[_float_lp(x, y, den, p) for y in vecs] for x in vecs]
+    for x, row in enumerate(gauges):
+        if inf in row:
+            raise NonRepresentable(s.p, f"the float-mode gauge of the asym_norm_sample "
+                                        f"from {labels[x]} to {labels[row.index(inf)]} "
+                                        f"overflows float arithmetic")
+    ratios = [[g.as_integer_ratio() for g in row] for row in gauges]
+    den = lcm(tol.denominator, max((q for row in ratios for _, q in row), default=1))
+    rows = [[a * (den // q) for a, q in row] for row in ratios]
     d = _metric(labels, den, rows, tol)
     bad = coherence_violation(d._zero_rows)
     if bad is not None:

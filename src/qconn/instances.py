@@ -17,6 +17,7 @@ import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import lcm
 from typing import TYPE_CHECKING, Any
 
 from .bitopology import AlexandrovTopology, BitopSpace
@@ -49,6 +50,10 @@ MAX_PHI_BREAKPOINTS = 32
 MAX_SEQUENCE_LENGTH = 100_000
 MAX_DIMENSION = 64  # of an asym_norm_sample
 MAX_EDGES = 65_536  # of a digraph: one per ordered pair of MAX_POINTS["digraph"] vertices
+# digits of the lcm of the denominators of a quasi_metric's, digraph's or
+# asym_norm_sample's literals, by which every metric entry is scaled; a
+# complete digraph at MAX_POINTS is the slowest file at this cap
+MAX_DENOMINATOR_DIGITS = 200
 
 
 def _need(obj: dict, key: str, typ=None):
@@ -97,6 +102,18 @@ def _capped(raw, field: str, cap: int, name: str):
         raise SchemaError(f"field {field!r}: {len(raw)} entries exceed the limit "
                           f"{name} = {cap}")
     return raw
+
+
+def _cap_denominators(values, field: str) -> None:
+    """Refuse literals whose lcm of denominators has more than
+    MAX_DENOMINATOR_DIGITS digits; the lcm is built only up to that bound."""
+    bound = 10**MAX_DENOMINATOR_DIGITS
+    den = 1
+    for q in {v.denominator for v in values}:
+        den = lcm(den, q)
+        if den >= bound:
+            raise SchemaError(f"field {field!r}: the common denominator has more than "
+                              f"MAX_DENOMINATOR_DIGITS = {MAX_DENOMINATOR_DIGITS} digits")
 
 
 def _points(obj: dict, key: str, kind: str) -> list:
@@ -177,6 +194,7 @@ def _parse_quasi_metric(obj: dict) -> QuasiPseudoMetric:
         if not isinstance(row, list) or len(row) != len(points):
             raise SchemaError(f"dist row {r} has wrong length")
         matrix.append([_memo(parsed, v, f"dist[{r}]") for v in row])
+    _cap_denominators((v.frac for v in parsed.values() if not v.is_inf), "dist")
     return validate_qpm(matrix, points=points)
 
 
@@ -189,6 +207,7 @@ def _parse_digraph(obj: dict) -> WeightedDigraph:
         if not isinstance(item, list) or len(item) != 3:
             raise SchemaError(f"edge {e} must be [from, to, weight]")
         edges.append((str(item[0]), str(item[1]), _memo(parsed, item[2], f"edges[{e}]")))
+    _cap_denominators((w.frac for w in parsed.values() if not w.is_inf), "edges")
     return WeightedDigraph(vertices=vertices, edges=tuple(edges))
 
 
@@ -325,6 +344,7 @@ def _parse_asym_norm_sample(obj: dict) -> AsymNormSample:
         tuple(_rational(v, f"points[{r}]") for v in row)
         for r, row in enumerate(_points(obj, "points", "asym_norm_sample"))
     )
+    _cap_denominators((c for v in points for c in v), "points")
     return AsymNormSample(dimension=dim, p=p, points=points)
 
 

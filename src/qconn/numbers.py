@@ -63,7 +63,7 @@ class ExtNonNeg:
             self._v = value._v
             return
         if isinstance(value, str):
-            if value.strip().lower() in ("inf", "infinity", "+inf"):
+            if value == "inf":  # the one spelling of infinity
                 self._v = None
                 return
             v = parse_rational(value)

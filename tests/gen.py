@@ -23,6 +23,7 @@ from qconn import (
     ScaleGauge,
     WeightedDigraph,
     from_digraph,
+    validate_qpm,
 )
 from qconn.bitopology import AlexandrovTopology
 from qconn.modular import merge_max
@@ -79,8 +80,8 @@ def _unit_capped(rng: random.Random, n: int) -> QuasiPseudoMetric:
             v = base.d(i, j)
             v = v if v.is_inf else ExtNonNeg(v.frac * scale)
             row.append(v if v <= one else one)
-        rows.append(tuple(row))
-    return QuasiPseudoMetric(points=base.points, dist=tuple(rows))
+        rows.append(row)
+    return validate_qpm(rows, points=base.points)
 
 
 def _indicator_layer(rng: random.Random, n: int):

@@ -164,11 +164,18 @@ def test_analyze_dot_output(tmp_path, capsys):
 
 def test_export_dot_formal_balls(tmp_path, capsys):
     out = tmp_path / "balls.dot"
-    code, _, _ = run(capsys, "export-dot", str(DATA / "chain_digraph.json"),
-                     "--what", "formal-balls", "--radii", "0,1,3",
-                     "--out", str(out))
+    code, _, _ = run(capsys, "analyze", str(DATA / "chain_digraph.json"),
+                     "--formal-balls", "0,1,3", "--dot", str(out))
     assert code == 0
     assert out.read_text().startswith("digraph formal_balls {")
+
+
+def test_export_dot_command_is_gone(tmp_path, capsys):
+    # `analyze F --dot X` writes the DOT graphs
+    code, out, _ = run(capsys, "export-dot", str(DATA / "chain_digraph.json"),
+                       "--out", str(tmp_path / "c.dot"))
+    assert (code, out) == (2, "")
+    assert not (tmp_path / "c.dot").exists()
 
 
 def test_formal_balls_past_the_cap_are_a_schema_error(tmp_path, capsys):
@@ -178,15 +185,12 @@ def test_formal_balls_past_the_cap_are_a_schema_error(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", chain, "--formal-balls", radii + ",0,1")
     assert code == 0  # repeated radii count once
     assert len(json.loads(out)["analyses"]["formal_balls"]["elements"]) == 3 * most
-    over = radii + f",{most}"
-    for args in (("analyze", chain, "--formal-balls", over),
-                 ("export-dot", chain, "--what", "formal-balls", "--radii", over,
-                  "--out", str(tmp_path / "balls.dot"))):
-        code, _, err = run(capsys, *args)
-        assert code == 2
-        diag = json.loads(err)["error"]
-        assert diag["type"] == "SchemaError"
-        assert f"MAX_FORMAL_BALLS = {MAX_FORMAL_BALLS}" in diag["message"]
+    code, _, err = run(capsys, "analyze", chain, "--formal-balls", radii + f",{most}",
+                       "--dot", str(tmp_path / "balls.dot"))
+    assert code == 2
+    diag = json.loads(err)["error"]
+    assert diag["type"] == "SchemaError"
+    assert f"MAX_FORMAL_BALLS = {MAX_FORMAL_BALLS}" in diag["message"]
     assert not (tmp_path / "balls.dot").exists()
 
 
@@ -354,6 +358,11 @@ PARSER_REFUSALS = {
     "quasi_metric_row_not_a_list": ({"kind": "quasi_metric", "points": ["a"],
                                      "dist": ["0"]},
                                     "dist row 0 has wrong length"),
+    **{f"quasi_metric_infinity_spelled_{name}": (
+        {"kind": "quasi_metric", "points": ["a", "b"], "dist": [["0", text], ["0", "0"]]},
+        f"field 'dist[0]': bad value {text!r}")  # "inf" is the one spelling
+       for name, text in (("Infinity", "Infinity"), ("plus_inf", "+inf"),
+                          ("padded_inf", " inf "))},
     "family_gauge_not_an_object": (_family([[ZERO_GAUGE, "0"], [ZERO_GAUGE, ZERO_GAUGE]]),
                                    "gauges[0][1]: gauge must be an object"),
     "family_gauge_kind": (_family([[ZERO_GAUGE, {"kind": "cubic"}],
@@ -400,9 +409,9 @@ ARGUMENT_REFUSALS = {
         lambda tmp: ["analyze", str(DATA / "asym_pair.json"), "--cauchy", _long_sequence(tmp)],
         "sequence index 2 outside the carrier"),
     "formal_balls_export_of_a_bitopology": (
-        lambda tmp: ["export-dot", str(DATA / "indiscrete_split.json"),
-                     "--what", "formal-balls"],
-        "formal-balls export needs a metric-backed instance"),
+        lambda tmp: ["analyze", str(DATA / "indiscrete_split.json"),
+                     "--formal-balls", "0,1", "--dot", f"{tmp}/balls.dot"],
+        "--formal-balls needs a metric-backed instance"),
 }
 
 
@@ -446,7 +455,7 @@ def test_float_mode_intransitive_zero_relation_is_a_precondition(tmp_path, capsy
     assert "tolerance" in diag["message"]
 
 
-@pytest.mark.parametrize("command", ["analyze", "export-dot"])
+@pytest.mark.parametrize("command", ["analyze"])
 def test_float_mode_overflow_names_the_sample_and_exponent(tmp_path, capsys, command):
     # 1e350 is past the float range, yet parses (within
     # MAX_LITERAL_EXPONENT): a named error, not InternalError
@@ -461,18 +470,16 @@ def test_float_mode_overflow_names_the_sample_and_exponent(tmp_path, capsys, com
     assert "asym_norm_sample from v0 to v1" in diag["message"]
 
 
-@pytest.mark.parametrize("command", ["analyze", "export-dot"])
+@pytest.mark.parametrize("command", ["analyze"])
 def test_float_mode_gauge_past_the_squared_range_is_computed(tmp_path, capsys, command):
     # 1e200 squared is past the float range, the gauge 1e200 is not
     p = tmp_path / "huge.json"
     p.write_text(json.dumps({"kind": "asym_norm_sample", "dimension": 1, "p": "2",
                              "points": [["0"], ["1e200"]]}))
-    extra = ["--smyth"] if command == "analyze" else []
-    code, out, err = run(capsys, command, str(p), *extra)
+    code, out, err = run(capsys, command, str(p), "--smyth")
     assert (code, err) == (0, "")
-    if command == "analyze":
-        covers = json.loads(out)["analyses"]["smyth"]["precompact_report"]["covers"]
-        assert covers[0]["eps"] == str(Fraction(1e200))  # the one positive distance
+    covers = json.loads(out)["analyses"]["smyth"]["precompact_report"]["covers"]
+    assert covers[0]["eps"] == str(Fraction(1e200))  # the one positive distance
 
 
 @pytest.mark.parametrize("tol", ["1/1000000000", "1/0", "1e-999", None])
@@ -621,16 +628,27 @@ def _sized(kind, n):
     if kind == "map":
         return {"kind": kind, "source_points": labels, "target_points": ["t"],
                 "assignment": [0] * n}
+    if kind.endswith("_denominator"):  # one literal whose denominator 10^(n-1) has n digits
+        lit = f"1e-{n - 1}"
+        return {"quasi_metric_denominator": {"kind": "quasi_metric", "points": ["p", "q"],
+                                             "dist": [["0", lit], ["0", "0"]]},
+                "digraph_denominator": {"kind": "digraph", "vertices": ["p", "q"],
+                                        "edges": [["p", "q", lit]]},
+                "asym_norm_sample_denominator": {"kind": "asym_norm_sample", "dimension": 1,
+                                                 "p": "1", "points": [["0"], [lit]]}}[kind]
     return {"kind": "sequence", "preperiod": [0] * (n - 1), "period": [0]}
 
 
 @pytest.mark.parametrize("kind", ["quasi_metric", "digraph", "digraph_edges",
                                   "asym_norm_sample", "bitopology", "modular_family", "orlicz",
                                   "orlicz_atoms", "phi_breakpoints", "family_pieces",
-                                  "step_values", "piecewise_pieces", "map", "sequence"])
+                                  "step_values", "piecewise_pieces", "map", "sequence",
+                                  "quasi_metric_denominator", "digraph_denominator",
+                                  "asym_norm_sample_denominator"])
 def test_over_cap_files_exit_2_promptly(tmp_path, capsys, kind):
-    from qconn.instances import (MAX_EDGES, MAX_FAMILY_PIECES, MAX_ORLICZ_ATOMS,
-                                 MAX_PHI_BREAKPOINTS, MAX_POINTS, MAX_SEQUENCE_LENGTH)
+    from qconn.instances import (MAX_DENOMINATOR_DIGITS, MAX_EDGES, MAX_FAMILY_PIECES,
+                                 MAX_ORLICZ_ATOMS, MAX_PHI_BREAKPOINTS, MAX_POINTS,
+                                 MAX_SEQUENCE_LENGTH)
     name, cap = {"digraph_edges": ("MAX_EDGES", MAX_EDGES),
                  "orlicz_atoms": ("MAX_ORLICZ_ATOMS", MAX_ORLICZ_ATOMS),
                  "phi_breakpoints": ("MAX_PHI_BREAKPOINTS", MAX_PHI_BREAKPOINTS),
@@ -639,6 +657,12 @@ def test_over_cap_files_exit_2_promptly(tmp_path, capsys, kind):
                  "piecewise_pieces": ("MAX_FAMILY_PIECES", MAX_FAMILY_PIECES),
                  "sequence": ("MAX_SEQUENCE_LENGTH", MAX_SEQUENCE_LENGTH)}.get(
         kind, (f"MAX_POINTS[{kind!r}]", MAX_POINTS.get(kind)))
+    denominator = kind.endswith("_denominator")
+    if denominator:
+        name, cap = "MAX_DENOMINATOR_DIGITS", MAX_DENOMINATOR_DIGITS
+        ending = f"the common denominator has more than {name} = {cap} digits"
+    else:
+        ending = f"{cap + 1} entries exceed the limit {name} = {cap}"
     path = tmp_path / "big.json"
     path.write_text(json.dumps(_sized(kind, cap + 1)))
     for command in ("validate", "analyze"):
@@ -648,12 +672,12 @@ def test_over_cap_files_exit_2_promptly(tmp_path, capsys, kind):
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "SchemaError"
-        assert error["message"].endswith(f"{cap + 1} entries exceed the limit {name} = {cap}")
-    if kind in ("map", "sequence", "asym_norm_sample", "orlicz", "orlicz_atoms",
-                "phi_breakpoints", "family_pieces", "digraph_edges"):
+        assert error["message"].endswith(ending)
+    if denominator or kind in ("map", "sequence", "asym_norm_sample", "orlicz", "orlicz_atoms",
+                               "phi_breakpoints", "family_pieces", "digraph_edges"):
         path.write_text(json.dumps(_sized(kind, cap)))  # at the cap: accepted
         assert run(capsys, "validate", str(path))[0] == 0
-    if kind == "digraph_edges":
+    if denominator or kind == "digraph_edges":
         assert run(capsys, "analyze", str(path))[0] == 0
 
 

@@ -17,6 +17,7 @@ from qconn import (
     join,
     join_compactness_check,
     precompact_report,
+    scale_connectivity,
     smyth_report,
     specialization_bitop,
     validate_qpm,
@@ -188,6 +189,20 @@ def test_float_mode_zero_cycle_without_clique_is_a_precondition(report):
     with pytest.raises(PreconditionFailed,
                        match=f"y=1 in N\\(0\\) .* tolerance {Fraction(1e-9)} do not compose$"):
         report(from_asym_norm(line, mode="float", tol=1e-9))
+
+
+@pytest.mark.parametrize("radius", [Fraction(1, 10**11), Fraction(1e-9)],
+                         ids=["below-tol", "at-tol"])
+@pytest.mark.parametrize("gap", [Fraction("1e-10"), Fraction(1e-9)],
+                         ids=["below-tol", "at-tol"])
+def test_float_mode_balls_hold_the_zero_class(radius, gap):
+    # d(v0, v1) is within tol = 1e-9, so v0 and v1 form one zero class, and
+    # every ball holds it, also one whose radius is at most the tolerance
+    sample = AsymNormSample(dimension=1, p=Fraction(2), points=((Fraction(0),), (gap,)))
+    d = from_asym_norm(sample, mode="float", tol=1e-9)
+    assert smyth_report(d)["classes"][0]["class"] == [0, 1]
+    assert scale_connectivity(d, radius) == ([[0, 1]], [[0, 1]])
+    assert precompact_report(d, [radius])["covers"][0]["centers"] == [0]
 
 
 @settings(max_examples=80, derandomize=True)

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import inf, lcm
 
@@ -420,11 +421,10 @@ def one_sided_lp(x: tuple[Fraction, ...], y: tuple[Fraction, ...],
 
 def reference_float_lp(x, y, p):
     """The float-mode branch of ``one_sided_lp`` before float gauges were
-    computed from integer vectors, kept verbatim as their oracle: every
-    difference a Fraction, then a float, and ``math.inf`` on overflow."""
+    computed from integer vectors, kept as their oracle without its p = 1
+    branch, which float mode refuses: every difference a Fraction, then a
+    float, and ``math.inf`` on overflow."""
     deltas = [_pos_part(b - a) for a, b in zip(x, y)]
-    if p == 1:
-        return ExtNonNeg(sum(deltas, Fraction(0)))
     try:
         return sum(float(t) ** float(p) for t in deltas) ** (1.0 / float(p))
     except OverflowError:
@@ -469,7 +469,7 @@ def _float_sample(rng):
     """n up to 14, dimension 1-4, mixed denominators; about one sample in
     six carries a coordinate near or past the float range."""
     n, dim = rng.randint(0, 14), rng.randint(1, 4)
-    p = rng.choice([Fraction(1), Fraction(2), Fraction(3), Fraction(3, 2), Fraction(5, 2)])
+    p = rng.choice([Fraction(2), Fraction(3), Fraction(3, 2), Fraction(5, 2)])
     dens = rng.choice([[1], [1, 2, 3], [7, 101, 1000], [10**10, 3]])
     pts = [[Fraction(rng.randint(-50, 50) * 10**rng.choice([0, 0, 0, 5, 12]), rng.choice(dens))
             for _ in range(dim)] for _ in range(n)]
@@ -489,11 +489,16 @@ def _outcome(build, s, tol):
 
 
 def test_float_mode_matches_the_fraction_reference():
+    """Samples are drawn at p != 1; the same sample at p = 1 is refused
+    before any gauge is computed."""
     rng = random.Random(20261019)
     seen = Counter()
     for _ in range(400):
         s = _float_sample(rng)
         tol = rng.choice([1e-9, 1e-9, 1e-3, 0.0])
+        with pytest.raises(ValueError, match="p = 1 gauge is exact"):
+            from_asym_norm(replace(s, p=Fraction(1)), mode="float", tol=tol)
+        seen["p1_refused"] += 1
         want = _outcome(reference_float_metric, s, tol)
         got = _outcome(lambda s, tol: from_asym_norm(s, mode="float", tol=tol), s, tol)
         assert got == want, (s, tol)
@@ -503,7 +508,7 @@ def test_float_mode_matches_the_fraction_reference():
         if not isinstance(want[0], str) and _slack_refused(want[1], want[2], want[4]):
             seen["slack_refused"] += 1
     assert all(seen[k] > 0 for k in ("built", "held", "NonRepresentable", "PreconditionFailed",
-                                      "slack_refused")), seen
+                                      "slack_refused", "p1_refused")), seen
 
 
 def _slack_refused(den, rows, eps):

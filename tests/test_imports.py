@@ -145,8 +145,7 @@ def test_analysis_loads_nothing_beyond_the_cli(argv):
     ("analyze", DATA / "chain_digraph.json", "--dot", "{tmp}/c.dot"),
     ("analyze", DATA / "chain_digraph.json", "--formal-balls", "0,1", "--dot",
      "{tmp}/b.dot"),
-    ("export-dot", DATA / "chain_digraph.json", "--what", "formal-balls"),
-], ids=["components", "formal-balls", "export-dot"])
+], ids=["components", "formal-balls"])
 def test_dot_output_adds_only_dot(tmp_path, argv):
     argv = [str(a).format(tmp=tmp_path) for a in argv]
     assert _cli_loads(*argv) == sorted([*CLI_EAGER, "qconn.dot"])
@@ -175,6 +174,7 @@ def test_reused_parser_gives_each_call_its_fresh_result(tmp_path):
     code, stdout, stderr and files must equal its run in a fresh process,
     so no flag of one call reaches the next."""
     digraph, out, dot = str(DATA / "chain_digraph.json"), f"{tmp_path}/a.json", f"{tmp_path}/a.dot"
+    balls = f"{tmp_path}/b.dot"
     calls = [
         (["analyze", digraph, "--components", "--local", "--scale", "1", "--smyth",
           "--thresholds", "1,2", "--formal-balls", "0,1", "--cauchy",
@@ -184,7 +184,7 @@ def test_reused_parser_gives_each_call_its_fresh_result(tmp_path):
         (["validate", str(DEMOS / "step_family.json")], []),
         (["search", "--target", "prop54_inclusion", "--n", "3", "--budget", "20"], []),
         (["analyze", digraph, "--scale"], []),
-        (["export-dot", digraph], []),
+        (["analyze", digraph, "--formal-balls", "0,1", "--dot", balls], [balls]),
     ]
     code = f"import os\n{RUN_MAIN}\nprint(json.dumps([run(*call) for call in CALLS]))"
     in_sequence = _fresh(f"CALLS = {calls!r}\n{code}")

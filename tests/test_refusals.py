@@ -13,6 +13,7 @@ from qconn import (
     OrliczSpec,
     PiecewiseConvex,
     PointMap,
+    QuasiPseudoMetric,
     WeightedDigraph,
     enn,
     from_asym_norm,
@@ -45,6 +46,10 @@ REFUSALS = {
                         ValueError, "point labels do not match matrix size"),
     "asym_norm_mode": (lambda: from_asym_norm(SAMPLE, mode="interval"),
                        ValueError, "unknown mode 'interval'"),
+    "asym_norm_float_at_p_1": (lambda: from_asym_norm(SAMPLE, mode="float"),
+                               ValueError, "mode='float' needs p != 1: a p = 1 gauge is exact"),
+    "qpm_without_a_builder": (lambda: QuasiPseudoMetric(("a",), [[0]]),
+                              TypeError, "QuasiPseudoMetric() takes no arguments"),
     "orlicz_scaling": (
         lambda: OrliczSpec(atoms=(("a", Fraction(1)),), phi=(PiecewiseConvex(),),
                            functions=((Fraction(1),),), scaling=("linear",)),
