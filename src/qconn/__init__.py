@@ -95,7 +95,7 @@ _EXPORTS = {
         "is_uniformly_continuous",
         "specialization_preserving",
     ),
-    "numbers": ("INF", "ZERO", "ExtNonNeg", "enn"),
+    "numbers": ("INF", "ZERO", "enn"),
     "search": ("DEFAULT_SEED", "TARGETS", "search_counterexamples"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

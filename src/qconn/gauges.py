@@ -20,9 +20,9 @@ diagonal and triangle check of ``validate_qpm``, zero tests, the
 spectrum and ball masks all compare these integers, which is exact in
 both modes: d(i, j) counts as zero iff rows[i][j] <= eps.  Sums are
 formed from finite entries only, so ``math.inf`` meets an integer only
-in comparisons, which Python decides exactly at any size.  ExtNonNeg
-values exist only at the boundary: ``dist`` and ``d(i, j)``, the
-violation records, and serialisation.
+in comparisons, which Python decides exactly at any size.  Values of
+``numbers`` (a Fraction, or INF for +inf) exist only at the boundary:
+``dist`` and ``d(i, j)``, the violation records, and serialisation.
 
 Threshold index.  Every threshold question (zero relation, open balls,
 the closed balls of the formal-ball order, the spectrum) is answered from
@@ -40,14 +40,14 @@ from functools import cached_property
 from math import gcd, inf, isfinite, lcm
 
 from .errors import NonRepresentable, PreconditionFailed, QpmValidationError
-from .numbers import INF, ExtNonNeg, enn, int_root
+from .numbers import INF, Value, enn, int_root
 from .relations import coherence_violation
 
 
 @dataclass(frozen=True)
 class NonZeroDiagonal:
     i: int
-    value: ExtNonNeg
+    value: Value
 
     def __str__(self):
         return f"NonZeroDiagonal(i={self.i}, value={self.value})"
@@ -58,8 +58,8 @@ class TriangleViolation:
     i: int
     j: int
     k: int
-    lhs: ExtNonNeg
-    rhs: ExtNonNeg
+    lhs: Value
+    rhs: Value
 
     def __str__(self):
         return f"TriangleViolation(i={self.i}, j={self.j}, k={self.k}, {self.lhs} > {self.rhs})"
@@ -90,16 +90,15 @@ class QuasiPseudoMetric:
         return len(self.points)
 
     @cached_property
-    def dist(self) -> tuple[tuple[ExtNonNeg, ...], ...]:
+    def dist(self) -> tuple[tuple[Value, ...], ...]:
         return tuple(tuple(_value(v, self.den) for v in row) for row in self.rows)
 
-    def d(self, i: int, j: int) -> ExtNonNeg:
+    def d(self, i: int, j: int) -> Value:
         return self.dist[i][j]
 
-    def is_zero(self, value: ExtNonNeg) -> bool:
+    def is_zero(self, value: Value) -> bool:
         """Zero test under the metric's numeric mode."""
-        return (not value.is_inf
-                and value.frac.numerator * self.den <= self.eps * value.frac.denominator)
+        return value is not INF and value.numerator * self.den <= self.eps * value.denominator
 
     @cached_property
     def _index(self) -> tuple[tuple[list, list[int]], ...]:
@@ -145,18 +144,18 @@ class QuasiPseudoMetric:
         return [Fraction(v, self.den) for v in sorted(vals)]
 
 
-def _value(v, den: int) -> ExtNonNeg:
-    return INF if v == inf else ExtNonNeg(Fraction(v, den))
+def _value(v, den: int) -> Value:
+    return INF if v == inf else Fraction(v, den)
 
 
 def _scale(matrix) -> tuple[int, list[list[int | float]]]:
     """(den, rows) of a square matrix; den is the lcm of the entries' denominators."""
-    fracs = [[None if v.is_inf else v.frac for v in map(enn, row)] for row in matrix]
-    if any(len(row) != len(fracs) for row in fracs):
+    values = [list(map(enn, row)) for row in matrix]
+    if any(len(row) != len(values) for row in values):
         raise ValueError("matrix is not square")
-    den = lcm(*{f.denominator for row in fracs for f in row if f is not None})
-    return den, [[inf if f is None else f.numerator * (den // f.denominator)
-                  for f in row] for row in fracs]
+    den = lcm(*{v.denominator for row in values for v in row if v is not INF})
+    return den, [[inf if v is INF else v.numerator * (den // v.denominator)
+                  for v in row] for row in values]
 
 
 def _metric(points, den: int, rows, tol=None) -> QuasiPseudoMetric:
@@ -180,7 +179,7 @@ class WeightedDigraph:
     resolved by minimum weight before any closure."""
 
     vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str, ExtNonNeg], ...]
+    edges: tuple[tuple[str, str, Value], ...]
 
     def __post_init__(self):
         known = set(self.vertices)
@@ -189,7 +188,7 @@ class WeightedDigraph:
         for u, v, w in self.edges:
             if u not in known or v not in known:
                 raise ValueError(f"edge ({u},{v}) references unknown vertex")
-            if w.is_inf:
+            if w is INF:
                 raise ValueError(f"edge ({u},{v}) has infinite weight")
 
 
@@ -235,7 +234,8 @@ def qpm_violations(matrix) -> list:
 
 
 def validate_qpm(matrix, points=None) -> QuasiPseudoMetric:
-    """Validate a square ExtNonNeg matrix against the axioms.
+    """Validate a square matrix of values (anything ``enn`` reads) against
+    the axioms.
 
     Returns the immutable structure, or raises QpmValidationError carrying
     every violated triple and diagonal entry.
@@ -271,11 +271,11 @@ def from_digraph(g: WeightedDigraph) -> QuasiPseudoMetric:
     """
     n = len(g.vertices)
     idx = {v: i for i, v in enumerate(g.vertices)}
-    den = lcm(*{w.frac.denominator for _, _, w in g.edges})
+    den = lcm(*{w.denominator for _, _, w in g.edges})
     dist = [[0 if i == j else inf for j in range(n)] for i in range(n)]
     for u, v, w in g.edges:
         i, j = idx[u], idx[v]
-        s = w.frac.numerator * (den // w.frac.denominator)
+        s = w.numerator * (den // w.denominator)
         if i != j and s < dist[i][j]:
             dist[i][j] = s
     for k in range(n):

@@ -2,8 +2,11 @@
 
 All numbers travel as rational strings ("0", "3/2", "inf"); indices refer
 to the declared point order.  Parsing validates the kind-specific schema
-and the semantic invariants (triangle inequality, coherence, ...) before
-any computation, so a loaded instance is always usable.
+before any computation.  A loaded quasi_metric, digraph, bitopology or
+asym_norm_sample meets its axioms (triangle inequality, coherence, ...).
+A modular_family or orlicz file is checked for shape only: QM1-QM3 need
+``modular.validate_family`` and its grid, so a family that loads may
+still violate QM2.
 
 Importing this module loads the types of the quasi_metric, digraph,
 bitopology, asym_norm_sample and sequence kinds.  ``modular`` loads when
@@ -24,7 +27,7 @@ from .bitopology import AlexandrovTopology, BitopSpace
 from .completion import EventuallyPeriodicSeq
 from .errors import ParseError, QconnError, SchemaError
 from .gauges import AsymNormSample, QuasiPseudoMetric, WeightedDigraph, validate_qpm
-from .numbers import ExtNonNeg, LiteralTooLarge, parse_rational
+from .numbers import INF, LiteralTooLarge, Value, enn, parse_rational
 
 if TYPE_CHECKING:
     from .modular import OrliczSpec, PiecewiseConvex, QuasiModularFamily, ScaleGauge
@@ -80,8 +83,8 @@ def _rational(text, field: str) -> Fraction:
     return read_literal(text, f"field {field!r}")
 
 
-def _extnonneg(text, field: str) -> ExtNonNeg:
-    return read_literal(text, f"field {field!r}", lambda t: ExtNonNeg(str(t)), "value")
+def _extnonneg(text, field: str) -> Value:
+    return read_literal(text, f"field {field!r}", lambda t: enn(str(t)), "value")
 
 
 def _memo(parsed: dict, text, field: str, parse=_extnonneg):
@@ -194,7 +197,7 @@ def _parse_quasi_metric(obj: dict) -> QuasiPseudoMetric:
         if not isinstance(row, list) or len(row) != len(points):
             raise SchemaError(f"dist row {r} has wrong length")
         matrix.append([_memo(parsed, v, f"dist[{r}]") for v in row])
-    _cap_denominators((v.frac for v in parsed.values() if not v.is_inf), "dist")
+    _cap_denominators((v for v in parsed.values() if v is not INF), "dist")
     return validate_qpm(matrix, points=points)
 
 
@@ -207,7 +210,7 @@ def _parse_digraph(obj: dict) -> WeightedDigraph:
         if not isinstance(item, list) or len(item) != 3:
             raise SchemaError(f"edge {e} must be [from, to, weight]")
         edges.append((str(item[0]), str(item[1]), _memo(parsed, item[2], f"edges[{e}]")))
-    _cap_denominators((w.frac for w in parsed.values() if not w.is_inf), "edges")
+    _cap_denominators((w for w in parsed.values() if w is not INF), "edges")
     return WeightedDigraph(vertices=vertices, edges=tuple(edges))
 
 
@@ -229,7 +232,7 @@ def _parse_gauge(obj: dict, field: str, rationals: dict, values: dict) -> ScaleG
     def rational(text, key: str) -> Fraction:
         return _memo(rationals, text, f"{field}.{key}", _rational)
 
-    def value(text, key: str) -> ExtNonNeg:
+    def value(text, key: str) -> Value:
         return _memo(values, text, f"{field}.{key}")
 
     if not isinstance(obj, dict):

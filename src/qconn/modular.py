@@ -18,6 +18,7 @@ gauge: one common denominator scales every breakpoint and grid point and
 another every alpha and beta.  Every rule hands the (lambda, mu) pairs
 where QM2 fails to one witness builder, and Fractions are used only for
 those witnesses; a homogeneous triple's pair is read off its decision.
+A gauge's value at a scale is a Fraction, or numbers.INF for +inf.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     NonRepresentable,
 )
 from .gauges import QuasiPseudoMetric, validate_qpm
-from .numbers import INF, ExtNonNeg, exact_root
+from .numbers import INF, Value, enn, exact_root
 
 STEP = "step"
 HOMOGENEOUS = "homogeneous"
@@ -98,9 +99,8 @@ class ScaleGauge:
 
     @staticmethod
     def step(breakpoints, values) -> "ScaleGauge":
-        levels = [ExtNonNeg(v) for v in values]
         return ScaleGauge(kind=STEP,
-                          pieces=tuple((None if v.is_inf else v.frac, _NIL) for v in levels),
+                          pieces=tuple((None if v is INF else v, _NIL) for v in map(enn, values)),
                           breakpoints=tuple(Fraction(b) for b in breakpoints))
 
     @staticmethod
@@ -118,14 +118,14 @@ class ScaleGauge:
 
     # -- evaluation -----------------------------------------------------
 
-    def __call__(self, lam: Fraction) -> ExtNonNeg:
+    def __call__(self, lam: Fraction) -> Value:
         lam = Fraction(lam)
         if lam <= 0:
             raise NonPositiveScale(f"scale must be positive, got {lam}")
-        return _enn(self._level(lam))
+        return self._level(lam)
 
-    def _level(self, lam: Fraction) -> tuple[bool, Fraction]:
-        """_at's (is +inf, value) pair at a positive Fraction lam."""
+    def _level(self, lam: Fraction) -> Value:
+        """The value at a positive Fraction lam."""
         piece = self.pieces[bisect_right(self.breakpoints, lam)]
         if piece[1] and self.exponent != 1:
             p = self.exponent
@@ -149,16 +149,16 @@ class ScaleGauge:
             if _at(terms[t], b) < right:
                 lo = bps[t - 1] if t else _NIL
                 alpha, beta = terms[t]
-                thr = beta / (right[1] - alpha) if beta and not right[0] else _NIL
+                thr = beta / (right - alpha) if beta and right is not INF else _NIL
                 lam1 = lo if lo > thr else (thr + b) / 2
-                return (lam1, b, _enn(_at(terms[t], lam1)), _enn(right))
+                return (lam1, b, _at(terms[t], lam1), right)
         return None
 
 
 def _coeff_piece(coeff) -> tuple[Fraction | None, Fraction]:
     """The one piece of c/lambda: (0, c), or (None, 0) for c = +inf."""
-    c = ExtNonNeg(coeff)
-    return (None, _NIL) if c.is_inf else (_NIL, c.frac)
+    c = enn(coeff)
+    return (None, _NIL) if c is INF else (_NIL, c)
 
 
 def _z(q: Fraction, den: int) -> int:
@@ -166,18 +166,14 @@ def _z(q: Fraction, den: int) -> int:
     return q.numerator * (den // q.denominator)
 
 
-def _at(piece, lam: Fraction) -> tuple[bool, Fraction]:
-    """(is +inf, alpha + beta/lam) for one (alpha, beta) piece, which
-    orders pieces as their values at lam."""
+def _at(piece, lam: Fraction) -> Value:
+    """alpha + beta/lam for one (alpha, beta) piece, INF for alpha = None."""
     alpha, beta = piece
-    if alpha is None or not beta:
-        return alpha is None, alpha or 0
-    return False, alpha + beta / lam if alpha else beta / lam
-
-
-def _enn(level) -> ExtNonNeg:
-    """The ExtNonNeg of an (is +inf, value) pair."""
-    return INF if level[0] else ExtNonNeg(level[1])
+    if alpha is None:
+        return INF
+    if not beta:
+        return alpha
+    return alpha + beta / lam if alpha else beta / lam
 
 
 def _from_pieces(cuts, kind=None) -> ScaleGauge:
@@ -212,7 +208,7 @@ class QuasiModularFamily:
     def gauge(self, i: int, j: int) -> ScaleGauge:
         return self.gauges[i][j]
 
-    def w(self, lam: Fraction, i: int, j: int) -> ExtNonNeg:
+    def w(self, lam: Fraction, i: int, j: int) -> Value:
         return self.gauges[i][j](lam)
 
     def zero_mask_rows(self) -> list[int]:
@@ -228,7 +224,7 @@ class QuasiModularFamily:
 class QM1Violation:
     i: int
     lam: Fraction
-    value: ExtNonNeg
+    value: Value
 
     def __str__(self):
         return f"QM1(i={self.i}, lambda={self.lam}, value={self.value})"
@@ -241,8 +237,8 @@ class QM2Violation:
     k: int
     lam: Fraction
     mu: Fraction
-    lhs: ExtNonNeg
-    rhs: ExtNonNeg
+    lhs: Value
+    rhs: Value
 
     def __str__(self):
         return (f"QM2(i={self.i}, j={self.j}, k={self.k}, lambda={self.lam}, "
@@ -255,8 +251,8 @@ class QM3Violation:
     j: int
     lam1: Fraction
     lam2: Fraction
-    v1: ExtNonNeg
-    v2: ExtNonNeg
+    v1: Value
+    v2: Value
 
     def __str__(self):
         return (f"QM3(i={self.i}, j={self.j}, {self.v1} at {self.lam1} < "
@@ -473,7 +469,7 @@ def luxemburg_gauge(f: QuasiModularFamily) -> QuasiPseudoMetric:
     return validate_qpm(dist, points=f.points)
 
 
-def _luxemburg_one(g: ScaleGauge) -> ExtNonNeg:
+def _luxemburg_one(g: ScaleGauge) -> Value:
     """inf{lambda : g(lambda) <= 1}: on the first piece that reaches 1,
     the larger of its left end and beta/(1 - alpha), a threshold on
     lambda^p; its exact p-th root when p != 1."""
@@ -492,7 +488,7 @@ def _luxemburg_one(g: ScaleGauge) -> ExtNonNeg:
         if root is None:
             raise NonRepresentable(p, f"coefficient {lam} has no exact root")
         lam = root
-    return ExtNonNeg(lam)
+    return lam
 
 
 def conjugate_family(f: QuasiModularFamily) -> QuasiModularFamily:
@@ -595,7 +591,7 @@ def _below(g: ScaleGauge, lam: Fraction, p: int, q: int, rn: int, rd: int) -> bo
     if not beta:
         return alpha.numerator * rd < rn * ad
     if g.exponent != 1:
-        return g._level(lam) < (False, Fraction(rn, rd))
+        return g._level(lam) < Fraction(rn, rd)
     bd = beta.denominator
     return (alpha.numerator * bd * p + beta.numerator * q * ad) * rd < rn * ad * bd * p
 

@@ -1,9 +1,9 @@
 """Exact arithmetic on the extended nonnegative rationals [0, inf].
 
-Every gauge and distance in this package takes values here.  Keeping the
-codomain exact (Fraction or the distinguished infinity) is what turns
-zero-distance tests and triangle checks into decision procedures instead
-of tolerance judgements.
+Every gauge and distance in this package takes values here: a finite
+value is a plain Fraction and +infinity is the one object INF.  Keeping
+the codomain exact is what turns zero-distance tests and triangle checks
+into decision procedures instead of tolerance judgements.
 """
 
 from __future__ import annotations
@@ -46,102 +46,59 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-class ExtNonNeg:
-    """A nonnegative rational or +infinity.
+class _Infinity:
+    """+infinity, the one value of [0, inf] that is not a Fraction.
 
-    Addition absorbs infinity, comparison places infinity on top, and all
-    operations are exact.  Instances are immutable and hashable.
+    Addition absorbs it and it sorts above every number.  Fraction's
+    operators return NotImplemented for an operand they do not know, so
+    Python calls the reflected method here and nothing is converted to
+    float (``Fraction + math.inf`` converts the Fraction, which raises
+    OverflowError past about 1.8e308).  Copies and pickles give back INF.
     """
 
-    __slots__ = ("_v",)
+    __slots__ = ()
 
-    def __init__(self, value):
-        if value is None:
-            self._v = None
-            return
-        if isinstance(value, ExtNonNeg):
-            self._v = value._v
-            return
-        if isinstance(value, str):
-            if value == "inf":  # the one spelling of infinity
-                self._v = None
-                return
-            v = parse_rational(value)
-        else:
-            v = Fraction(value)  # floats enter only through the documented float mode
-        if v < 0:
-            raise ValueError(f"negative value not allowed: {value!r}")
-        self._v = v
-
-    @property
-    def is_inf(self) -> bool:
-        return self._v is None
-
-    @property
-    def frac(self) -> Fraction:
-        if self._v is None:
-            raise ValueError("infinite value has no finite representation")
-        return self._v
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "ExtNonNeg") -> "ExtNonNeg":
-        other = enn(other)
-        if self._v is None or other._v is None:
-            return INF
-        return ExtNonNeg(self._v + other._v)
+    def __add__(self, other):
+        return self
 
     __radd__ = __add__
 
-    # -- comparisons ----------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (ExtNonNeg, int, Fraction)):
-            return NotImplemented
-        other = enn(other)
-        return self._v == other._v
-
-    def __hash__(self):
-        return hash(("ExtNonNeg", self._v))
-
     def __lt__(self, other) -> bool:
-        other = enn(other)
-        if self._v is None:
-            return False
-        if other._v is None:
-            return True
-        return self._v < other._v
+        return False
 
     def __le__(self, other) -> bool:
-        other = enn(other)
-        if other._v is None:
-            return True
-        if self._v is None:
-            return False
-        return self._v <= other._v
+        return other is self
 
     def __gt__(self, other) -> bool:
-        return enn(other).__lt__(self)
+        return other is not self
 
     def __ge__(self, other) -> bool:
-        return enn(other).__le__(self)
-
-    # -- rendering ------------------------------------------------------
+        return True
 
     def __str__(self) -> str:
-        return "inf" if self._v is None else str(self._v)
+        return "inf"
 
-    def __repr__(self) -> str:
-        return f"ExtNonNeg({str(self)!r})"
+    __repr__ = __str__
 
-
-def enn(x) -> ExtNonNeg:
-    """Shorthand constructor; returns ExtNonNeg arguments unchanged."""
-    return x if isinstance(x, ExtNonNeg) else ExtNonNeg(x)
+    def __reduce__(self) -> str:
+        return "INF"
 
 
-ZERO = ExtNonNeg(0)
-INF = ExtNonNeg(None)
+INF = _Infinity()
+ZERO = Fraction(0)
+Value = Fraction | _Infinity  # a value in [0, inf]
+
+
+def enn(x) -> Value:
+    """x as a value in [0, inf]: INF for INF itself or exactly the text
+    "inf", else a nonnegative Fraction; other text goes through
+    parse_rational."""
+    if x is INF or x == "inf":
+        return INF
+    v = parse_rational(x) if isinstance(x, str) else Fraction(x)  # floats only in float mode
+    if v < 0:
+        raise ValueError(f"negative value not allowed: {x!r}")
+    return v
 
 
 def exact_root(value: Fraction, degree: int) -> Fraction | None:

@@ -27,7 +27,7 @@ from qconn import (
 )
 from qconn.bitopology import AlexandrovTopology
 from qconn.modular import merge_max
-from qconn.numbers import ZERO, ExtNonNeg
+from qconn.numbers import INF, ZERO, enn
 from qconn.search import random_preorder
 
 WEIGHT_CHOICES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2),
@@ -40,7 +40,7 @@ def rng_digraph(rng: random.Random, n: int, density: float = 0.4) -> WeightedDig
     for i in range(n):
         for j in range(n):
             if i != j and rng.random() < density:
-                w = ExtNonNeg(rng.choice(WEIGHT_CHOICES))
+                w = enn(rng.choice(WEIGHT_CHOICES))
                 edges.append((vertices[i], vertices[j], w))
     return WeightedDigraph(vertices=vertices, edges=tuple(edges))
 
@@ -72,13 +72,13 @@ def _unit_capped(rng: random.Random, n: int) -> QuasiPseudoMetric:
     """[0,1]-valued metric: min(random metric scaled down, 1)."""
     base = rng_qpm(rng, n)
     scale = Fraction(1, rng.choice([2, 3, 4, 6]))
-    one = ExtNonNeg(1)
+    one = enn(1)
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             v = base.d(i, j)
-            v = v if v.is_inf else ExtNonNeg(v.frac * scale)
+            v = v if v is INF else v * scale
             row.append(v if v <= one else one)
         rows.append(row)
     return validate_qpm(rows, points=base.points)
@@ -89,8 +89,8 @@ def _indicator_layer(rng: random.Random, n: int):
     a sub-one metric value afterwards."""
     rho = rng_qpm(rng, n)
     below = _unit_capped(rng, n)
-    top = ExtNonNeg(rng.choice([Fraction(3, 2), Fraction(2), Fraction(3),
-                                Fraction(5), "inf"]))
+    top = enn(rng.choice([Fraction(3, 2), Fraction(2), Fraction(3),
+                          Fraction(5), "inf"]))
     gauges = []
     for i in range(n):
         row = []
@@ -99,10 +99,10 @@ def _indicator_layer(rng: random.Random, n: int):
             b = below.d(i, j)
             if r == ZERO:
                 row.append(ScaleGauge.constant(b))
-            elif r.is_inf:
+            elif r is INF:
                 row.append(ScaleGauge.constant(top))
             else:
-                row.append(ScaleGauge.step([r.frac], [top, b]))
+                row.append(ScaleGauge.step([r], [top, b]))
         gauges.append(tuple(row))
     return rho, tuple(gauges)
 

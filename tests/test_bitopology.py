@@ -262,6 +262,6 @@ def test_float_tolerance_zero_relation():
     line = AsymNormSample(dimension=1, p=Fraction(2),
                           points=((Fraction(0),), (Fraction(1, 10**12),)))
     d = from_asym_norm(line, mode="float", tol=1e-9)
-    assert d.d(0, 1).frac > 0 and d.is_zero(d.d(0, 1))
+    assert d.d(0, 1) > 0 and d.is_zero(d.d(0, 1))
     b = specialization_bitop(d)
     assert b.forward.min_nbhd(0) == {0, 1}  # below tolerance counts as zero

@@ -236,7 +236,7 @@ def test_float_mode_metrics_meet_the_deleted_checks(seed, n, dim):
     radii = [Fraction(0), tol / 2, tol, Fraction(1)]
     balls = [(x, r) for x in range(n) for r in radii]
     le = [sum(1 << b for b, (y, s) in enumerate(balls)
-              if r >= s and d.d(x, y).frac <= r - s) for x, r in balls]
+              if r >= s and d.d(x, y) <= r - s) for x, r in balls]
     try:
         assert formal_ball_poset(d, radii).le_rows == tuple(le)
     except PreconditionFailed as exc:

@@ -57,12 +57,14 @@ def test_search_loads_only_the_relation_kernel():
 
 
 def test_every_export_is_its_module_definition():
-    assert len(qconn.__all__) == len(set(qconn.__all__)) == 62
+    assert len(qconn.__all__) == len(set(qconn.__all__)) == 61
     for name in qconn.__all__:
         value = getattr(qconn, name)
         owner = sys.modules[f"qconn.{qconn._OWNER[name]}"]
         assert value is getattr(owner, name)
-        assert getattr(value, "__module__", owner.__name__) == owner.__name__
+        # a constant's __module__, where it has one, is its class's: ZERO is a Fraction
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__ == owner.__name__
     assert not any(isinstance(getattr(qconn, n), types.ModuleType) for n in qconn.__all__)
 
 

@@ -411,7 +411,8 @@ def test_gauge_literals_parse_once_per_file(monkeypatch):
             return parse(text)
         return counted
 
-    # ExtNonNeg literals reach numbers.parse_rational; rational ones read_literal's default
+    # value literals reach numbers.parse_rational through enn; rational ones
+    # read_literal's default
     monkeypatch.setattr(numbers, "parse_rational", counting("value"))
     monkeypatch.setattr(instances.read_literal, "__defaults__",
                         (counting("rational"), "rational"))

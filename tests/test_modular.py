@@ -40,11 +40,10 @@ from qconn.modular import (
     QM3Violation,
     ValidationReport,
     _corner_scale,
-    _enn,
     _nonzero_witness,
     merge_max,
 )
-from qconn.numbers import INF, ZERO, ExtNonNeg, enn
+from qconn.numbers import INF, ZERO, enn
 
 GRID = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
 
@@ -130,12 +129,12 @@ def test_scaled_metric_family_valid_and_matches_grid_oracle():
         for j in range(4):
             for k in range(4):
                 a, b, c = rho.d(i, j), rho.d(j, k), rho.d(i, k)
-                if a.is_inf or b.is_inf:
+                if a is INF or b is INF:
                     continue
-                assert not c.is_inf  # triangle keeps the closure finite here
+                assert c is not INF  # triangle keeps the closure finite here
                 for lam in GRID:
                     for mu in GRID:
-                        assert c.frac * lam * mu <= (lam + mu) * (a.frac * mu + b.frac * lam)
+                        assert c * lam * mu <= (lam + mu) * (a * mu + b * lam)
 
 
 def test_zero_family_valid():
@@ -325,7 +324,7 @@ def test_validate_family_decisions_pinned(kind):
 #
 # validate_family decides QM2 on scaled integers.  The reference below
 # decides it on Fractions: step corners compared through
-# ScaleGauge.__call__ and ExtNonNeg addition, homogeneous triples squared
+# ScaleGauge.__call__ and value addition, homogeneous triples squared
 # over the rationals, and every other triple evaluated through
 # ScaleGauge._level on the grid (_qm2_grid).  Witnesses follow the same
 # rules in both.
@@ -368,31 +367,28 @@ def _reference_homogeneous(a, b, c, i, j, k):
     at lambda/mu = s/(2b), s = c - a - b, the midpoint of the roots of
     b t^2 - s t + a, or mu/lambda = s/(2a) when b = 0; lambda = mu = 1
     for an infinite c or a = b = 0."""
-    if a.is_inf or b.is_inf or c == ZERO:
+    if a is INF or b is INF or c == ZERO:
         return []
     one = Fraction(1)
-    if c.is_inf:
+    if c is INF:
         return [QM2Violation(i, j, k, one, one, INF, a + b)]
-    af, bf, cf = a.frac, b.frac, c.frac
-    s = cf - af - bf
-    if s <= 0 or s * s <= 4 * af * bf:
+    s = c - a - b
+    if s <= 0 or s * s <= 4 * a * b:
         return []
-    if not af and not bf:
+    if not a and not b:
         lam, mu = one, one
-    elif bf:
-        lam, mu = s / (2 * bf), one
+    elif b:
+        lam, mu = s / (2 * b), one
     else:
-        lam, mu = one, s / (2 * af)
-    return [QM2Violation(i, j, k, lam, mu, ExtNonNeg(cf / (lam + mu)),
-                         ExtNonNeg(af / lam + bf / mu))]
+        lam, mu = one, s / (2 * a)
+    return [QM2Violation(i, j, k, lam, mu, c / (lam + mu), a / lam + b / mu)]
 
 
 def _qm2_grid(ga, gb, gc, i, j, k, grid):
     """The violations at every (lambda, mu) drawn from the grid, the three
     gauges' breakpoints and half the least of these; exact evaluation, so
     every one is real.  A lambda or mu where ga or gb is +inf satisfies
-    QM2; the levels are compared as Fractions and only a violation's two
-    sides become ExtNonNeg."""
+    QM2; the levels are compared as values."""
     pts = set(grid)
     for g in (ga, gb, gc):
         pts.update(g.breakpoints)
@@ -401,15 +397,15 @@ def _qm2_grid(ga, gb, gc, i, j, k, grid):
     out = []
     if gc.is_identically_zero():  # then every lhs is 0
         return out
-    vb = [(mu, v) for mu in pts for inf, v in [gb._level(mu)] if not inf]
+    vb = [(mu, v) for mu in pts for v in [gb._level(mu)] if v is not INF]
     for lam in pts:
-        inf, va = ga._level(lam)
-        if inf:
+        va = ga._level(lam)
+        if va is INF:
             continue
         for mu, b in vb:
             lhs = gc._level(lam + mu)
-            if lhs[0] or lhs[1] > va + b:
-                out.append(QM2Violation(i, j, k, lam, mu, _enn(lhs), ExtNonNeg(va + b)))
+            if lhs > va + b:
+                out.append(QM2Violation(i, j, k, lam, mu, lhs, va + b))
     return out
 
 
@@ -823,9 +819,9 @@ def test_kinked_orlicz_gauges_equal_rho():
                     assert g(lam) == enn(spec.rho([d / lam for d in delta])), (spec, i, j, lam)
                 # the Luxemburg threshold: rho <= 1 there, > 1 just below it
                 t = luxemburg_gauge(fam).d(i, j)
-                assert spec.rho(delta if t == 0 else [d / t.frac for d in delta]) <= 1
+                assert spec.rho(delta if t == 0 else [d / t for d in delta]) <= 1
                 if t != 0:
-                    assert spec.rho([d / (t.frac * Fraction(999, 1000)) for d in delta]) > 1
+                    assert spec.rho([d / (t * Fraction(999, 1000)) for d in delta]) > 1
     assert pieces > 600
 
 
@@ -1005,7 +1001,7 @@ def test_family_gauges_must_be_n_by_n():
 def _reference_below(g, lam, r):
     """w_lam < r on the Fraction levels that entourages and modular_balls
     compared before they tested each gauge on integers."""
-    return g._level(lam) < (False, r)
+    return g._level(lam) < r
 
 
 def _family_of(rng, n, draw):
@@ -1043,7 +1039,7 @@ def _level_test_pairs(fam):
                    *map(Fraction, ("1/3", "1/2", "1", "2", "7/3"))})
     for lam in lams:
         levels = {g._level(lam) for g in gauges}
-        radii = {v for inf, v in levels if not inf and v > 0}
+        radii = {v for v in levels if v is not INF and v > 0}
         for r in sorted(radii | set(map(Fraction, ("1/2", "1", "5/3")))):
             yield r, lam
 

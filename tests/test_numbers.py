@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,44 +9,72 @@ from qconn.numbers import (
     MAX_LITERAL_DIGITS,
     MAX_LITERAL_EXPONENT,
     ZERO,
-    ExtNonNeg,
     LiteralTooLarge,
     enn,
     exact_root,
     parse_rational,
 )
 
+HUGE = Fraction(10**400)  # past the float range
+
 
 def test_parse_and_render():
     assert str(enn("3/2")) == "3/2"
     assert str(enn("inf")) == "inf"
     assert str(enn(0)) == "0"
-    assert enn("2") == ExtNonNeg(Fraction(2))
+    assert enn("2") == Fraction(2)
+
+
+@pytest.mark.parametrize("value", [3, Fraction(3, 2), 0.25, "3/2", "1e-3"])
+def test_finite_values_are_plain_fractions(value):
+    assert type(enn(value)) is Fraction
+
+
+def test_infinity_is_one_object():
+    assert enn("inf") is INF
+    assert enn(INF) is INF
+    assert copy.copy(INF) is INF
+    assert copy.deepcopy(INF) is INF
+    assert copy.deepcopy([INF, {"v": INF}])[1]["v"] is INF
+    assert pickle.loads(pickle.dumps(INF)) is INF
 
 
 def test_negative_rejected():
-    with pytest.raises(ValueError):
-        ExtNonNeg(-1)
-    with pytest.raises(ValueError):
-        ExtNonNeg("-3/2")
+    for value in (-1, "-3/2", Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="negative value not allowed"):
+            enn(value)
 
 
 def test_infinity_absorbs_addition():
-    assert INF + enn(5) == INF
-    assert enn(5) + INF == INF
+    assert INF + enn(5) is INF
+    assert enn(5) + INF is INF
+    assert 5 + INF is INF
+    assert INF + INF is INF
     assert enn("1/2") + enn("1/3") == enn("5/6")
+
+
+def test_infinity_meets_huge_fractions_without_float():
+    # math.inf would raise OverflowError here: Fraction converts to float
+    assert HUGE + INF is INF
+    assert INF + HUGE is INF
+    assert HUGE < INF and HUGE <= INF and INF > HUGE and INF >= HUGE
+    assert not (INF < HUGE or INF <= HUGE or HUGE > INF or HUGE >= INF)
+    assert HUGE != INF and INF != HUGE
+    assert sorted([INF, HUGE, ZERO, INF, HUGE + 1]) == [ZERO, HUGE, HUGE + 1, INF, INF]
+    assert max(HUGE, INF) is INF and min(INF, HUGE) == HUGE
 
 
 def test_infinity_is_maximal():
     assert enn(10**9) < INF
-    assert INF <= INF
-    assert not INF < INF
+    assert INF <= INF and INF >= INF
+    assert not INF < INF and not INF > INF
 
 
 def test_comparisons_coerce_rationals():
     assert enn("1/2") < Fraction(2, 3)
     assert enn(2) >= 2
     assert not INF < Fraction(10**12)
+    assert 0 < INF and not INF <= 0
 
 
 def test_exact_root():
@@ -61,7 +91,7 @@ def test_hash_consistency():
 
 def test_zero_constant():
     assert ZERO == enn(0)
-    assert not ZERO.is_inf
+    assert type(ZERO) is Fraction and ZERO is not INF
 
 
 def test_literal_limits():

@@ -24,7 +24,7 @@ from qconn import (
 )
 from qconn.errors import CarrierMismatch, NegativeRadius, NonPositiveEpsilon
 from qconn.instances import dump_instance
-from qconn.numbers import exact_root
+from qconn.numbers import INF, exact_root
 from qconn.relations import mask_of
 from qconn.search import EXHAUSTIVE_MAX_N, all_preorders, search_counterexamples
 
@@ -69,8 +69,6 @@ REFUSALS = {
         lambda: halfspace_separation(SAMPLE, LinearFunctionalSpec((Fraction(1),), Fraction(0)),
                                      0),
         NonPositiveEpsilon, "eps must be positive"),
-    "infinite_frac": (lambda: enn("inf").frac,
-                      ValueError, "infinite value has no finite representation"),
     "root_degree": (lambda: exact_root(Fraction(4), 0), ValueError, "degree must be >= 1"),
     "root_of_negative": (lambda: exact_root(Fraction(-4), 2),
                          ValueError, "value must be nonnegative"),
@@ -93,5 +91,6 @@ def test_refusal_raises_its_type_and_message(name):
     assert str(info.value) == message
 
 
-def test_ext_non_neg_repr_names_its_value():
-    assert [repr(enn(v)) for v in ("3/2", "inf")] == ["ExtNonNeg('3/2')", "ExtNonNeg('inf')"]
+def test_value_repr_names_its_value():
+    assert repr(INF) == "inf"
+    assert repr(enn("3/2")) == "Fraction(3, 2)"
