@@ -20,6 +20,7 @@ from qconn import (
 )
 from qconn.bitopology import AlexandrovTopology, BitopSpace
 from qconn.dot import components_dot
+from qconn.relations import indices_of
 
 
 def describe(b, name):
@@ -32,7 +33,8 @@ def describe(b, name):
     print("join minimal neighborhoods    :",
           [sorted(j.min_nbhd(x)) for x in range(b.n)])
     print("combined digraph arcs:",
-          sorted((x, y) for x, y in combined_digraph(b).arcs() if x != y))
+          [(x, y) for x, row in enumerate(combined_digraph(b))
+           for y in indices_of(row) if x != y])
     print("inseparable (antisymmetrically connected):", is_antisym_connected(b))
     cert = antisym_certificate(b)
     if cert is not None:

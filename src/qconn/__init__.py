@@ -49,7 +49,6 @@ _EXPORTS = {
         "smyth_report",
     ),
     "connectivity": (
-        "CombinedDigraph",
         "ComponentReport",
         "SeparationCertificate",
         "antisym_certificate",

@@ -10,7 +10,6 @@ time) go to stderr only.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 from functools import cache
@@ -59,13 +58,6 @@ def _formal_balls(metric, text: str) -> completion.FormalBallPoset:
     return completion.formal_ball_poset(metric, radii)
 
 
-def _float_tol(args) -> float:
-    if not (math.isfinite(args.float_tol) and args.float_tol >= 0):
-        raise SchemaError(f"argument --float-tol: must be a finite number >= 0, "
-                          f"got {args.float_tol}")
-    return args.float_tol
-
-
 def cmd_validate(args) -> int:
     kind, value = load_instance(args.path)
     report = {"valid": True, "kind": kind, "instance": dump_instance(value)}
@@ -73,7 +65,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _as_spaces(kind, value, args):
+def _as_spaces(kind, value):
     """Normalize an instance to (metric or None, bitop or None)."""
     if kind == "quasi_metric":
         return value, bitopology.specialization_bitop(value)
@@ -89,17 +81,14 @@ def _as_spaces(kind, value, args):
 
         return None, bitopology.modular_bitop(from_orlicz(value))
     if kind == "asym_norm_sample":
-        if value.p == 1:
-            d = from_asym_norm(value)
-        else:
-            d = from_asym_norm(value, mode="float", tol=_float_tol(args))
+        d = from_asym_norm(value, mode="exact" if value.p == 1 else "float")
         return d, bitopology.specialization_bitop(d)
     raise SchemaError(f"kind {kind!r} is not analyzable on its own")
 
 
 def cmd_analyze(args) -> int:
     kind, value = load_instance(args.path)
-    metric, bitop = _as_spaces(kind, value, args)
+    metric, bitop = _as_spaces(kind, value)
     analyses: dict = {}
     wants_default = not any((args.components, args.local, args.scale,
                              args.smyth, args.formal_balls, args.cauchy))
@@ -218,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--formal-balls", default=None, metavar="R1,R2,...")
     p_an.add_argument("--cauchy", default=None, metavar="SEQ_PATH")
     p_an.add_argument("--dot", default=None, metavar="DOT_PATH")
-    p_an.add_argument("--float-tol", type=float, default=1e-9)
     p_an.add_argument("--out", default=None)
     p_an.set_defaults(func=cmd_analyze)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .errors import NegativeRadius, NotCauchy, PreconditionFailed
+from .errors import NegativeRadius, NonPositiveEpsilon, NotCauchy, PreconditionFailed
 from .gauges import QuasiPseudoMetric
 from .relations import coherence_violation, indices_of, mask_of, scc_masks, transpose
 
@@ -113,8 +113,8 @@ def precompact_report(d: QuasiPseudoMetric, thresholds) -> dict:
     cover covers.
     """
     eps_list = sorted({Fraction(t) for t in thresholds})
-    if any(t <= 0 for t in eps_list):
-        raise NegativeRadius("thresholds must be positive")
+    if eps_list and eps_list[0] <= 0:
+        raise NonPositiveEpsilon(f"thresholds must be positive, got {eps_list[0]}")
     covers = []
     prev: list[int] | None = None
     for eps in eps_list:

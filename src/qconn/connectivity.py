@@ -38,21 +38,6 @@ from .relations import (
 
 
 @dataclass(frozen=True)
-class CombinedDigraph:
-    """Reflexive digraph encoding all candidate separations of a bitop."""
-
-    carrier: tuple[str, ...]
-    out_rows: tuple[int, ...]  # bitmask of arc targets per vertex
-
-    @property
-    def n(self) -> int:
-        return len(self.carrier)
-
-    def arcs(self) -> list[tuple[int, int]]:
-        return [(x, y) for x in range(self.n) for y in indices_of(self.out_rows[x])]
-
-
-@dataclass(frozen=True)
 class SeparationCertificate:
     """Witness of a separation: A forward-open, B its backward-open
     complement, both nonempty."""
@@ -72,15 +57,15 @@ class SeparationCertificate:
                 and b.backward.is_open_mask(b_mask))
 
 
-def combined_digraph(b: BitopSpace) -> CombinedDigraph:
-    rows = combined_rows(b.forward.nbhd, transpose(b.backward.nbhd))
-    return CombinedDigraph(carrier=b.points, out_rows=tuple(rows))
+def combined_digraph(b: BitopSpace) -> list[int]:
+    """Rows of the combined digraph: bit y of row x is the arc x -> y."""
+    return combined_rows(b.forward.nbhd, transpose(b.backward.nbhd))
 
 
 def is_antisym_connected(b: BitopSpace) -> bool:
     """True iff no forward-open set has a nonempty backward-open complement,
     decided through strong connectivity of the combined digraph."""
-    return strongly_connected(combined_digraph(b).out_rows)
+    return strongly_connected(combined_digraph(b))
 
 
 def antisym_certificate(b: BitopSpace) -> SeparationCertificate | None:
@@ -94,7 +79,7 @@ def antisym_certificate(b: BitopSpace) -> SeparationCertificate | None:
     always loses to stopping, hence the break.  Unions of reach closures
     are out-closed, so the result is a separation by construction.
     """
-    rows = combined_digraph(b).out_rows
+    rows = combined_digraph(b)
     return None if strongly_connected(rows) else _least_separation(rows)
 
 
@@ -129,7 +114,7 @@ def brute_force_antisym(b: BitopSpace) -> bool:
 
 def antisym_components(b: BitopSpace) -> list[list[int]]:
     """Maximal inseparable subsets = SCCs of the combined digraph."""
-    return masks_to_partition(scc_masks(combined_digraph(b).out_rows))
+    return masks_to_partition(scc_masks(combined_digraph(b)))
 
 
 def symmetric_components(b: BitopSpace) -> list[list[int]]:
@@ -181,7 +166,7 @@ def is_locally_antisym_connected(b: BitopSpace) -> list[LocalStatus]:
 def component_report(b: BitopSpace) -> ComponentReport:
     """Both partitions and the certificate, from one combined digraph: the
     space is inseparable iff it has at most one antisymmetric component."""
-    rows = combined_digraph(b).out_rows
+    rows = combined_digraph(b)
     blocks = masks_to_partition(scc_masks(rows))
     return ComponentReport(
         symmetric=tuple(tuple(blk) for blk in symmetric_components(b)),

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from .bitopology import BitopSpace
 from .completion import FormalBallPoset
-from .connectivity import antisym_components, combined_digraph
+from .connectivity import combined_digraph
+from .relations import indices_of, masks_to_partition, scc_masks
 
 
 def _quote(s: str) -> str:
@@ -14,17 +15,16 @@ def _quote(s: str) -> str:
 def components_dot(b: BitopSpace) -> str:
     """Antisymmetric components as clusters, combined-digraph arcs as
     edges (self-arcs omitted for readability)."""
-    g = combined_digraph(b)
+    rows = combined_digraph(b)
     lines = ["digraph components {", "  rankdir=LR;"]
-    for c, block in enumerate(antisym_components(b)):
+    for c, block in enumerate(masks_to_partition(scc_masks(rows))):
         lines.append(f"  subgraph cluster_{c} {{")
         lines.append(f"    label={_quote('component ' + str(c))};")
         for p in block:
             lines.append(f"    n{p} [label={_quote(b.points[p])}];")
         lines.append("  }")
-    for x, y in g.arcs():
-        if x != y:
-            lines.append(f"  n{x} -> n{y};")
+    for x, row in enumerate(rows):
+        lines.extend(f"  n{x} -> n{y};" for y in indices_of(row & ~(1 << x)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -114,10 +114,10 @@ def check_image_preservation(f: PointMap, bX: BitopSpace, bY: BitopSpace) -> dic
     if bad is not None:
         raise PreconditionFailed(
             f"map does not preserve specialization at pair {bad}", witness=bad)
-    blocks = scc_masks(combined_digraph(bX).out_rows)
+    blocks = scc_masks(combined_digraph(bX))
     failures = [{"subset": indices_of(blk), "image": indices_of(img)}
                 for blk, img in image_gaps(f.assignment, blocks,
-                                           combined_digraph(bY).out_rows)]
+                                           combined_digraph(bY))]
     return {
         "continuity_rendering": "specialization-preservation",
         "subsets_checked": len(blocks),

@@ -444,11 +444,11 @@ def test_float_mode_formal_balls_break_is_a_precondition(tmp_path, capsys):
 
 
 def test_float_mode_intransitive_zero_relation_is_a_precondition(tmp_path, capsys):
-    # d(v0,v1) and d(v1,v2) are within tol = 1e-9, d(v0,v2) is not
+    # d(v0,v1) and d(v1,v2) are within the tolerance 1e-9, d(v0,v2) is not
     p = tmp_path / "line.json"
     p.write_text(json.dumps({"kind": "asym_norm_sample", "dimension": 1, "p": "2",
                              "points": [["0"], ["6e-10"], ["12e-10"]]}))
-    code, _, err = run(capsys, "analyze", str(p), "--float-tol", "1e-9")
+    code, _, err = run(capsys, "analyze", str(p))
     assert code == 2
     diag = json.loads(err)["error"]
     assert diag["type"] == "PreconditionFailed"  # not CoherenceError
@@ -499,14 +499,43 @@ def test_quasi_metric_tol_field_is_refused(tmp_path, capsys, tol):
             2, "", {"code": 2, "type": "SchemaError", "message": message})
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "1e999", "-1"])
-def test_bad_float_tol_is_a_schema_error(tmp_path, capsys, tol):
+def test_float_tol_is_not_an_option(tmp_path, capsys):
+    # float mode always runs at from_asym_norm's default tolerance, 1e-9
     p = tmp_path / "float_sample.json"
     p.write_text(json.dumps(FLOAT_SAMPLE))
-    code, _, err = run(capsys, "analyze", str(p), "--float-tol", tol)
-    assert code == 2
-    diag = json.loads(err)["error"]
-    assert diag["type"] == "SchemaError" and "--float-tol" in diag["message"]
+    code, out, err = run(capsys, "analyze", str(p), "--float-tol", "1e-9")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --float-tol 1e-9" in err
+
+
+@pytest.mark.parametrize("threshold", ["0", "-1"])
+def test_non_positive_threshold_is_named(capsys, threshold):
+    code, out, err = run(capsys, "analyze", str(DATA / "asym_pair.json"), "--smyth",
+                         "--thresholds", f"1,{threshold}")
+    assert (code, out, json.loads(err)["error"]) == (
+        2, "", {"code": 2, "type": "NonPositiveEpsilon",
+                "message": f"thresholds must be positive, got {threshold}"})
+
+
+def test_argparse_refusal_returns_2(capsys):
+    assert main(["analyze"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "the following arguments are required: path" in err
+
+
+def test_help_returns_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: qconn")
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    def boom(path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("qconn.cli.load_instance", boom)
+    code, out, err = run(capsys, "validate", str(DATA / "asym_pair.json"))
+    assert (code, out, json.loads(err)) == (2, "", {"error": {
+        "code": 2, "type": "InternalError", "message": "RuntimeError: boom"}})
 
 
 @pytest.mark.parametrize("argv, name", [

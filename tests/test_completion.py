@@ -24,7 +24,7 @@ from qconn import (
 )
 from qconn.bitopology import AlexandrovTopology
 from qconn.completion import FormalBall, _first_fit_cover, _slack_table
-from qconn.errors import NegativeRadius, NotCauchy, PreconditionFailed
+from qconn.errors import NegativeRadius, NonPositiveEpsilon, NotCauchy, PreconditionFailed
 from qconn.numbers import ZERO, enn
 from qconn.relations import is_closed, scc_masks, transpose
 
@@ -285,6 +285,11 @@ def test_formal_ball_laws_on_random_metrics(seed, n):
         a, b, c = (rng.randrange(m) for _ in range(3))
         if poset.le(a, b) and poset.le(b, c):
             assert poset.le(a, c)
+
+
+def test_zero_threshold_is_not_a_negative_radius():
+    with pytest.raises(NonPositiveEpsilon, match="^thresholds must be positive, got 0$"):
+        precompact_report(validate_qpm([[0]]), [2, 0, 1])
 
 
 def test_formal_ball_negative_radius_rejected():

@@ -35,8 +35,7 @@ METRIC_FLAGS = [
     [],
     ["--components", "--local", "--scale", "1", "--smyth",
      "--formal-balls", "0,1/2,1,2", "--cauchy", SEQ, "--dot", DOT],
-    ["--smyth", "--thresholds", "1/3,1,5/2", "--scale", "1/2",
-     "--float-tol", "1e-6", "--dot", DOT],
+    ["--smyth", "--thresholds", "1/3,1,5/2", "--scale", "1/2", "--dot", DOT],
 ]
 BITOP_FLAGS = [[], ["--components", "--local", "--dot", DOT]]
 FLAGS = {"quasi_metric": METRIC_FLAGS, "digraph": METRIC_FLAGS,
@@ -68,7 +67,7 @@ def _cases(path: pathlib.Path) -> list[dict]:
 
 
 def test_all_instance_files_pinned():
-    assert len(FILES) == 14
+    assert len(FILES) == 15
     assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(p.name for p in FILES)
 
 

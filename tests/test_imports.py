@@ -57,7 +57,7 @@ def test_search_loads_only_the_relation_kernel():
 
 
 def test_every_export_is_its_module_definition():
-    assert len(qconn.__all__) == len(set(qconn.__all__)) == 61
+    assert len(qconn.__all__) == len(set(qconn.__all__)) == 60
     for name in qconn.__all__:
         value = getattr(qconn, name)
         owner = sys.modules[f"qconn.{qconn._OWNER[name]}"]
@@ -180,8 +180,7 @@ def test_reused_parser_gives_each_call_its_fresh_result(tmp_path):
     calls = [
         (["analyze", digraph, "--components", "--local", "--scale", "1", "--smyth",
           "--thresholds", "1,2", "--formal-balls", "0,1", "--cauchy",
-          str(DATA / "constant_seq.json"), "--dot", dot, "--float-tol", "1e-6",
-          "--out", out], [out, dot]),
+          str(DATA / "constant_seq.json"), "--dot", dot, "--out", out], [out, dot]),
         (["analyze", digraph], []),
         (["validate", str(DEMOS / "step_family.json")], []),
         (["search", "--target", "prop54_inclusion", "--n", "3", "--budget", "20"], []),

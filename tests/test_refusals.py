@@ -22,7 +22,7 @@ from qconn import (
     specialization_preserving,
     validate_qpm,
 )
-from qconn.errors import CarrierMismatch, NegativeRadius, NonPositiveEpsilon
+from qconn.errors import CarrierMismatch, NonPositiveEpsilon
 from qconn.instances import dump_instance
 from qconn.numbers import INF, exact_root
 from qconn.relations import mask_of
@@ -38,7 +38,7 @@ REFUSALS = {
                            backward=AlexandrovTopology.from_sets(("b",), [[0]])),
         ValueError, "forward and backward topologies must share the carrier"),
     "cover_threshold_zero": (lambda: precompact_report(PAIR, [1, 0]),
-                             NegativeRadius, "thresholds must be positive"),
+                             NonPositiveEpsilon, "thresholds must be positive, got 0"),
     "matrix_not_square": (lambda: validate_qpm([[0, 1]]), ValueError, "matrix is not square"),
     "digraph_duplicate_vertex": (lambda: WeightedDigraph(vertices=("a", "a"), edges=()),
                                  ValueError, "duplicate vertex labels"),
