@@ -499,13 +499,14 @@ def test_quasi_metric_tol_field_is_refused(tmp_path, capsys, tol):
             2, "", {"code": 2, "type": "SchemaError", "message": message})
 
 
-def test_float_tol_is_not_an_option(tmp_path, capsys):
+@pytest.mark.parametrize("tol", ["1e-9", "-1", "1e999", "inf", "nan"])
+def test_float_tol_is_not_an_option(tmp_path, capsys, tol):
     # float mode always runs at from_asym_norm's default tolerance, 1e-9
     p = tmp_path / "float_sample.json"
     p.write_text(json.dumps(FLOAT_SAMPLE))
-    code, out, err = run(capsys, "analyze", str(p), "--float-tol", "1e-9")
+    code, out, err = run(capsys, "analyze", str(p), "--float-tol", tol)
     assert (code, out) == (2, "")
-    assert "unrecognized arguments: --float-tol 1e-9" in err
+    assert f"unrecognized arguments: --float-tol {tol}" in err
 
 
 @pytest.mark.parametrize("threshold", ["0", "-1"])
