@@ -86,10 +86,8 @@ _EXPORTS = {
         "validate_family",
     ),
     "morphisms": (
-        "LinearFunctionalSpec",
         "PointMap",
         "check_image_preservation",
-        "halfspace_separation",
         "is_nonexpansive",
         "is_uniformly_continuous",
         "specialization_preserving",

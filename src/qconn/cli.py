@@ -35,8 +35,11 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _rational_list(text: str, name: str) -> list[Fraction]:
-    return [read_literal(part, f"argument {name}")
-            for part in text.split(",") if part.strip()]
+    values = [read_literal(part, f"argument {name}")
+              for part in text.split(",") if part.strip()]
+    if not values:
+        raise SchemaError(f"argument {name}: no value in {text!r}")
+    return values
 
 
 # formal balls per poset, points x distinct radii: building the order and
@@ -90,10 +93,13 @@ def cmd_analyze(args) -> int:
     kind, value = load_instance(args.path)
     metric, bitop = _as_spaces(kind, value)
     analyses: dict = {}
-    wants_default = not any((args.components, args.local, args.scale,
-                             args.smyth, args.formal_balls, args.cauchy))
-    for flag, wanted in (("--scale", args.scale), ("--smyth", args.smyth),
-                         ("--formal-balls", args.formal_balls), ("--cauchy", args.cauchy)):
+    # a flag with an empty value is given, so its parser refuses the value
+    needs_metric = (("--scale", args.scale is not None), ("--smyth", args.smyth),
+                    ("--formal-balls", args.formal_balls is not None),
+                    ("--cauchy", args.cauchy is not None))
+    wants_default = not (args.components or args.local
+                         or any(wanted for _, wanted in needs_metric))
+    for flag, wanted in needs_metric:
         if wanted and metric is None:
             raise SchemaError(f"{flag} needs a metric-backed instance")
     if args.components or wants_default:
@@ -113,17 +119,17 @@ def cmd_analyze(args) -> int:
             "points": [{"point": s.point, "pass": s.connected,
                         "witness": list(s.witness)} for s in statuses],
         }
-    if args.scale:
+    if args.scale is not None:
         eps = read_literal(args.scale, "argument --scale")
         anti, sym = connectivity.scale_connectivity(metric, eps)
         analyses["scale"] = {"eps": str(eps), "antisymmetric": anti,
                              "symmetric": sym}
     if args.smyth:
         thresholds = (_rational_list(args.thresholds, "--thresholds")
-                      if args.thresholds else None)
+                      if args.thresholds is not None else None)
         analyses["smyth"] = completion.join_compactness_check(
             metric, thresholds=thresholds)
-    if args.formal_balls:
+    if args.formal_balls is not None:
         poset = _formal_balls(metric, args.formal_balls)
         analyses["formal_balls"] = {
             "elements": [poset.describe(a) for a in range(len(poset.le_rows))],
@@ -133,7 +139,7 @@ def cmd_analyze(args) -> int:
             from .dot import hasse_dot
 
             _emit(hasse_dot(poset), args.dot)
-    if args.cauchy:
+    if args.cauchy is not None:
         seq_kind, seq = load_instance(args.cauchy)
         if seq_kind != "sequence":
             raise SchemaError("--cauchy expects a sequence instance")
@@ -146,7 +152,7 @@ def cmd_analyze(args) -> int:
             "forward_limits": (sorted(completion.forward_limits(metric, seq))
                                if cauchy else None),
         }
-    if args.dot and not args.formal_balls:
+    if args.dot and args.formal_balls is None:
         from .dot import components_dot
 
         _emit(components_dot(bitop), args.dot)

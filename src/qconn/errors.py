@@ -90,7 +90,3 @@ class PreconditionFailed(QconnError):
     def __init__(self, message, witness=None):
         self.witness = witness
         super().__init__(message)
-
-
-class SampleOnHyperplane(QconnError):
-    pass

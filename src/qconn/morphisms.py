@@ -1,22 +1,15 @@
-"""Maps between finite asymmetric spaces: continuity notions, image
-preservation of directional connectedness, and halfspace separation at a
-fixed resolution."""
+"""Maps between finite asymmetric spaces: continuity notions and image
+preservation."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import inf
 
 from .bitopology import BitopSpace
-from .connectivity import combined_digraph, scale_connectivity
-from .errors import (
-    CarrierMismatch,
-    NonPositiveEpsilon,
-    PreconditionFailed,
-    SampleOnHyperplane,
-)
-from .gauges import AsymNormSample, QuasiPseudoMetric, from_asym_norm
+from .connectivity import combined_digraph
+from .errors import CarrierMismatch, PreconditionFailed
+from .gauges import QuasiPseudoMetric
 from .relations import image_gaps, indices_of, preserves, scc_masks
 
 
@@ -35,17 +28,6 @@ class PointMap:
 
     def __call__(self, i: int) -> int:
         return self.assignment[i]
-
-
-@dataclass(frozen=True)
-class LinearFunctionalSpec:
-    coefficients: tuple[Fraction, ...]
-    threshold: Fraction
-
-    def __call__(self, vector) -> Fraction:
-        if len(vector) != len(self.coefficients):
-            raise CarrierMismatch("functional dimension does not match vector")
-        return sum((c * v for c, v in zip(self.coefficients, vector)), Fraction(0))
 
 
 def _check_carriers(f: PointMap, dX: QuasiPseudoMetric, dY: QuasiPseudoMetric):
@@ -123,42 +105,4 @@ def check_image_preservation(f: PointMap, bX: BitopSpace, bY: BitopSpace) -> dic
         "subsets_checked": len(blocks),
         "failures": failures,
         "image_preserved": not failures,
-    }
-
-
-def halfspace_separation(s: AsymNormSample, functional: LinearFunctionalSpec,
-                         eps) -> dict:
-    """At resolution eps under the p=1 positive-part gauge, report every
-    antisymmetric component whose samples meet both open halfspaces of the
-    functional.
-
-    An empty report is consistent with the separation principle that a
-    halfspace-separating functional rules out inseparable sets meeting
-    both sides; nonempty reports are findings about this eps-scale
-    rendering, which is a resolution choice, not the topologies
-    themselves.
-    """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise NonPositiveEpsilon("eps must be positive")
-    values = [functional(v) for v in s.points]
-    for t, val in enumerate(values):
-        if val == functional.threshold:
-            raise SampleOnHyperplane(f"sample {t} lies on the threshold hyperplane")
-    lower = {t for t, val in enumerate(values) if val < functional.threshold}
-    upper = {t for t, val in enumerate(values) if val > functional.threshold}
-    gauge_sample = AsymNormSample(dimension=s.dimension, p=Fraction(1),
-                                  points=s.points)
-    d = from_asym_norm(gauge_sample)
-    anti, _ = scale_connectivity(d, eps)
-    straddling = [blk for blk in anti
-                  if set(blk) & lower and set(blk) & upper]
-    return {
-        "continuity_rendering": "eps-scale under the p=1 positive-part gauge",
-        "eps": str(eps),
-        "lower": sorted(lower),
-        "upper": sorted(upper),
-        "antisym_components": anti,
-        "straddling_components": straddling,
-        "consistent_with_separation": not straddling,
     }

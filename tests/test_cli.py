@@ -399,28 +399,46 @@ def _long_sequence(tmp_path) -> str:
     return str(p)
 
 
-# an argument that names a file the command cannot use, with its message
+def _analyze_pair(*flags):
+    return lambda tmp: ["analyze", str(DATA / "asym_pair.json"), *flags]
+
+
+# an argument the command cannot use, with its SchemaError message or, for
+# the empty --cauchy path, a file that cannot be read, its whole error
 ARGUMENT_REFUSALS = {
     "cauchy_not_a_sequence": (
-        lambda tmp: ["analyze", str(DATA / "asym_pair.json"),
-                     "--cauchy", str(DATA / "asym_pair.json")],
+        _analyze_pair("--cauchy", str(DATA / "asym_pair.json")),
         "--cauchy expects a sequence instance"),
     "cauchy_index_outside": (
         lambda tmp: ["analyze", str(DATA / "asym_pair.json"), "--cauchy", _long_sequence(tmp)],
         "sequence index 2 outside the carrier"),
+    "cauchy_empty_path": (
+        _analyze_pair("--cauchy", ""),
+        {"code": 3, "type": "ParseError",
+         "message": "cannot read : [Errno 2] No such file or directory: ''"}),
     "formal_balls_export_of_a_bitopology": (
         lambda tmp: ["analyze", str(DATA / "indiscrete_split.json"),
                      "--formal-balls", "0,1", "--dot", f"{tmp}/balls.dot"],
         "--formal-balls needs a metric-backed instance"),
+    "formal_balls_empty": (_analyze_pair("--formal-balls", ""),
+                           "argument --formal-balls: no value in ''"),
+    "formal_balls_only_commas": (_analyze_pair("--formal-balls", ","),
+                                 "argument --formal-balls: no value in ','"),
+    "thresholds_empty": (_analyze_pair("--smyth", "--thresholds", ""),
+                         "argument --thresholds: no value in ''"),
+    "thresholds_only_commas": (_analyze_pair("--smyth", "--thresholds", ","),
+                               "argument --thresholds: no value in ','"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ARGUMENT_REFUSALS))
 def test_argument_refusals_exit_2_as_schema_errors(tmp_path, capsys, name):
-    argv, message = ARGUMENT_REFUSALS[name]
+    argv, error = ARGUMENT_REFUSALS[name]
+    if isinstance(error, str):
+        error = {"code": 2, "type": "SchemaError", "message": error}
     code, out, err = run(capsys, *argv(tmp_path))
-    assert (code, out) == (2, "")
-    assert json.loads(err)["error"] == {"code": 2, "type": "SchemaError", "message": message}
+    assert (code, out) == (error["code"], "")
+    assert json.loads(err)["error"] == error
 
 
 FLOAT_SAMPLE = {"kind": "asym_norm_sample", "dimension": 2, "p": "2",
@@ -600,6 +618,7 @@ BIG = "literal with 4 digits and exponent 999 exceeds the limits " \
     ("dist", "x", "field 'dist[0]': bad value 'x'"),
     ("dist", "1e999", "field 'dist[0]': " + BIG),
     ("--scale", "x", "argument --scale: bad rational 'x'"),
+    ("--scale", "", "argument --scale: bad rational ''"),
     ("--scale", "1e-999", "argument --scale: " + BIG),
 ])
 def test_bad_literal_messages(tmp_path, capsys, field, text, message):

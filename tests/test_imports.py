@@ -57,7 +57,7 @@ def test_search_loads_only_the_relation_kernel():
 
 
 def test_every_export_is_its_module_definition():
-    assert len(qconn.__all__) == len(set(qconn.__all__)) == 60
+    assert len(qconn.__all__) == len(set(qconn.__all__)) == 58
     for name in qconn.__all__:
         value = getattr(qconn, name)
         owner = sys.modules[f"qconn.{qconn._OWNER[name]}"]

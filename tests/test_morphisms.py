@@ -7,23 +7,17 @@ from hypothesis import strategies as st
 
 from gen import rng_bitop, rng_qpm
 from qconn import (
-    AsymNormSample,
-    LinearFunctionalSpec,
     PointMap,
     antisym_components,
     check_image_preservation,
-    halfspace_separation,
     is_nonexpansive,
     is_uniformly_continuous,
+    specialization_bitop,
     specialization_preserving,
     validate_qpm,
 )
 from qconn.bitopology import AlexandrovTopology, BitopSpace
-from qconn.errors import (
-    CarrierMismatch,
-    PreconditionFailed,
-    SampleOnHyperplane,
-)
+from qconn.errors import CarrierMismatch, PreconditionFailed
 from qconn.relations import indices_of
 
 
@@ -118,6 +112,27 @@ def test_uniform_continuity_matches_the_spectrum_scan():
     assert 50 < sum(verdicts) < 350
 
 
+def test_uniformly_continuous_maps_preserve_inseparability():
+    """The paper's map theorem end to end on metrics: uniform continuity is
+    preservation of the zero relation, hence of its transpose, so it is
+    exactly specialization preservation between the two bitopologies, and
+    such a map keeps every inseparable image inseparable."""
+    verdicts = []
+    for seed in range(400):
+        rng = random.Random(seed)
+        dX = rng_qpm(rng, rng.randint(1, 7))
+        dY = rng_qpm(rng, rng.randint(1, 5))
+        f = PointMap(source_points=dX.points, target_points=dY.points,
+                     assignment=tuple(rng.randrange(dY.n) for _ in range(dX.n)))
+        bX, bY = specialization_bitop(dX), specialization_bitop(dY)
+        verdict = is_uniformly_continuous(f, dX, dY)
+        assert verdict == (specialization_preserving(f, bX, bY) is None), seed
+        if verdict:
+            assert check_image_preservation(f, bX, bY)["image_preserved"], seed
+        verdicts.append(verdict)
+    assert 50 < sum(verdicts) < 350
+
+
 def test_carrier_mismatch():
     dX = rng_qpm(random.Random(2), 3)
     dY = rng_qpm(random.Random(3), 4)
@@ -188,61 +203,3 @@ def test_random_preserving_maps_keep_images_connected(seed, n):
             assert report["image_preserved"]
             break
 
-
-# -- halfspace separation ---------------------------------------------------
-
-
-def test_halfspace_one_dimensional_example():
-    s = AsymNormSample(dimension=1, p=Fraction(1),
-                       points=((Fraction(-1),), (Fraction(1),)))
-    functional = LinearFunctionalSpec(coefficients=(Fraction(1),),
-                                      threshold=Fraction(0))
-    report = halfspace_separation(s, functional, Fraction(3))
-    assert report["straddling_components"] == [[0, 1]]
-    assert not report["consistent_with_separation"]
-
-
-def test_halfspace_small_eps_no_findings():
-    s = AsymNormSample(dimension=1, p=Fraction(1),
-                       points=((Fraction(-1),), (Fraction(1),)))
-    functional = LinearFunctionalSpec(coefficients=(Fraction(1),),
-                                      threshold=Fraction(0))
-    report = halfspace_separation(s, functional, Fraction(1, 2))
-    assert report["straddling_components"] == []
-    assert report["consistent_with_separation"]
-
-
-def test_halfspace_single_sample():
-    s = AsymNormSample(dimension=1, p=Fraction(1), points=((Fraction(2),),))
-    functional = LinearFunctionalSpec(coefficients=(Fraction(1),),
-                                      threshold=Fraction(0))
-    report = halfspace_separation(s, functional, Fraction(10))
-    assert report["straddling_components"] == []
-
-
-def test_halfspace_rejects_sample_on_hyperplane():
-    s = AsymNormSample(dimension=1, p=Fraction(1), points=((Fraction(0),),))
-    functional = LinearFunctionalSpec(coefficients=(Fraction(1),),
-                                      threshold=Fraction(0))
-    with pytest.raises(SampleOnHyperplane):
-        halfspace_separation(s, functional, Fraction(1))
-
-
-@settings(max_examples=25, derandomize=True)
-@given(st.integers(0, 10**9))
-def test_halfspace_monotone_in_eps(seed):
-    rng = random.Random(seed)
-    pts = tuple((Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
-                for _ in range(4))
-    functional = LinearFunctionalSpec(coefficients=(Fraction(1), Fraction(1)),
-                                      threshold=Fraction(1, 3))
-    s = AsymNormSample(dimension=2, p=Fraction(1), points=pts)
-    if any(functional(v) == functional.threshold for v in pts):
-        return
-    prev_straddled: set[frozenset] = set()
-    for eps in (Fraction(1), Fraction(2), Fraction(5), Fraction(20)):
-        report = halfspace_separation(s, functional, eps)
-        cur = [frozenset(blk) for blk in report["straddling_components"]]
-        for old in prev_straddled:
-            assert any(old <= c for c in cur)
-        prev_straddled = set(cur)

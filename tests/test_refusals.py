@@ -9,7 +9,6 @@ from qconn import (
     AlexandrovTopology,
     AsymNormSample,
     BitopSpace,
-    LinearFunctionalSpec,
     OrliczSpec,
     PiecewiseConvex,
     PointMap,
@@ -17,7 +16,6 @@ from qconn import (
     WeightedDigraph,
     enn,
     from_asym_norm,
-    halfspace_separation,
     precompact_report,
     specialization_preserving,
     validate_qpm,
@@ -57,18 +55,11 @@ REFUSALS = {
     "map_target_index": (lambda: PointMap(source_points=("a",), target_points=("x",),
                                           assignment=(1,)),
                          ValueError, "target index 1 out of range"),
-    "functional_dimension": (
-        lambda: LinearFunctionalSpec((Fraction(1),), Fraction(0))((Fraction(1), Fraction(2))),
-        CarrierMismatch, "functional dimension does not match vector"),
     "map_carriers": (
         lambda: specialization_preserving(
             PointMap(source_points=("z",), target_points=("a",), assignment=(0,)),
             BitopSpace(ONE_POINT, ONE_POINT), BitopSpace(ONE_POINT, ONE_POINT)),
         CarrierMismatch, "map carriers do not match the bitopologies"),
-    "halfspace_eps": (
-        lambda: halfspace_separation(SAMPLE, LinearFunctionalSpec((Fraction(1),), Fraction(0)),
-                                     0),
-        NonPositiveEpsilon, "eps must be positive"),
     "root_degree": (lambda: exact_root(Fraction(4), 0), ValueError, "degree must be >= 1"),
     "root_of_negative": (lambda: exact_root(Fraction(-4), 2),
                          ValueError, "value must be nonnegative"),
